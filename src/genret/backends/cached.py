@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance
+from ..core import Method, ScoredInstance, read_jsonl
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource
 
@@ -55,22 +55,17 @@ def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> Non
                 fh.write("\n")
 
 
+def _cache_record(rec) -> dict:
+    if not isinstance(rec, dict):
+        raise SchemaError("cache record must be an object")
+    missing = set(_KEY_FIELDS + ("loss", "per_token")) - set(rec)
+    if missing:
+        raise SchemaError(f"missing fields {sorted(missing)}")
+    return rec
+
+
 def read_score_cache(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            missing = set(_KEY_FIELDS + ("loss", "per_token")) - set(rec)
-            if missing:
-                raise SchemaError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            out.append(rec)
-    return out
+    return read_jsonl(path, _cache_record)
 
 
 def _key(rec: dict) -> tuple:

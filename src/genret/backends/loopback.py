@@ -33,29 +33,30 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
             request = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError):
-            self._reply(400, {"error": "unparseable request body"})
+            request_id = request.get("request_id")
+            image_id = request.get("image_id")
+            region = tuple(request["region"]) if request.get("region") is not None else None
+            prefixes = [tuple(q.get("prefix", ())) for q in request.get("queries", [])]
+            text = tuple(request["text"]) if request.get("text") is not None else None
+        except (AttributeError, TypeError, ValueError) as exc:
+            self._reply(400, {"error": f"malformed request: {exc}"})
             return
         backend = self.server.backend  # type: ignore[attr-defined]
-        request_id = request.get("request_id")
-        region = tuple(request["region"]) if request.get("region") is not None else None
         try:
             if self.path == "/v1/logprobs":
                 results = []
-                for q in request.get("queries", []):
-                    dist = backend.next_token_distribution(
-                        request.get("image_id"), region, tuple(q.get("prefix", ()))
-                    )
+                for prefix in prefixes:
+                    dist = backend.next_token_distribution(image_id, region, prefix)
                     res = {"probs": dist.probs}
                     if dist.terminal_p is not None:
                         res["terminal_p"] = dist.terminal_p
                     results.append(res)
                 self._reply(200, {"request_id": request_id, "results": results})
             elif self.path == "/v1/embed":
-                if request.get("text") is not None:
-                    vec = backend.embed_text(tuple(request["text"]))
+                if text is not None:
+                    vec = backend.embed_text(text)
                 else:
-                    vec = backend.embed_image(request.get("image_id"), region)
+                    vec = backend.embed_image(image_id, region)
                 self._reply(200, {"request_id": request_id, "vector": vec.tolist()})
             else:
                 self._reply(404, {"error": f"unknown path {self.path}"})

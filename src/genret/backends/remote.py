@@ -10,9 +10,10 @@ Wire protocol, all POST, JSON bodies:
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
 5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
-statuses, malformed bodies and request_id mismatches raise TransportError
-carrying the raw body.  Distributions are normalization-checked on the
-client before anyone takes a log.
+statuses, malformed bodies (non-numeric values included) and request_id
+mismatches raise TransportError carrying the raw body.  Whether a served
+distribution sums to one is checked by the scoring engine, which checks
+every distribution before it takes a log.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once.  A bounded
@@ -29,10 +30,8 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from ..errors import NormalizationError, TransportError
+from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
-
-_NORM_TOL = 1e-6
 
 
 class RemoteBackend(ScorerBackend):
@@ -128,18 +127,19 @@ class RemoteBackend(ScorerBackend):
             )
         out = []
         for i, res in enumerate(results):
-            probs = res.get("probs")
+            probs = res.get("probs") if isinstance(res, dict) else None
             if not isinstance(probs, dict):
                 raise TransportError(f"result #{i} has no probs", body=str(res)[:2000])
             terminal = res.get("terminal_p")
-            dist = TokenDistribution(
-                probs={str(k): float(v) for k, v in probs.items()},
-                terminal_p=float(terminal) if terminal is not None else None,
-            )
-            if abs(dist.total() - 1.0) > _NORM_TOL:
-                raise NormalizationError(
-                    f"server distribution for prefix #{i} sums to {dist.total():.9f}"
+            try:
+                dist = TokenDistribution(
+                    probs={str(k): float(v) for k, v in probs.items()},
+                    terminal_p=float(terminal) if terminal is not None else None,
                 )
+            except (TypeError, ValueError) as exc:
+                raise TransportError(
+                    f"result #{i} has a non-numeric value: {exc}", body=str(res)[:2000]
+                ) from exc
             out.append(dist)
         return out
 
@@ -151,7 +151,12 @@ class RemoteBackend(ScorerBackend):
         vector = data.get("vector")
         if not isinstance(vector, list) or not vector:
             raise TransportError("embed response has no vector", body=str(data)[:2000])
-        return np.asarray(vector, dtype=float)
+        try:
+            return np.asarray(vector, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TransportError(
+                f"embed vector has a non-numeric value: {exc}", body=str(data)[:2000]
+            ) from exc
 
     def embed_image(self, image_id, region) -> np.ndarray:
         payload: dict = {"image_id": image_id}

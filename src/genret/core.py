@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import RenderError, SchemaError, TemplateSyntaxError
+
+_T = TypeVar("_T")
 
 
 def normalize_word(word: str) -> str:
@@ -333,7 +335,10 @@ def write_instances(path: str | Path, instances: Iterable[RankingInstance]) -> N
             fh.write("\n")
 
 
-def read_instances(path: str | Path) -> list[RankingInstance]:
+def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:
+    """parse() each non-blank line of a JSONL file, in order.  A line that is
+    not JSON, or that parse() rejects with SchemaError, raises SchemaError
+    prefixed with path:lineno."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -341,11 +346,13 @@ def read_instances(path: str | Path) -> list[RankingInstance]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                out.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            try:
-                out.append(instance_from_dict(record))
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def read_instances(path: str | Path) -> list[RankingInstance]:
+    return read_jsonl(path, instance_from_dict)

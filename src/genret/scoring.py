@@ -10,6 +10,12 @@ Two losses, both in nats, both "lower is better":
   embeddings, which lives in [0, 2] and decreases monotonically in cosine
   similarity.
 
+Each method has one path, a batch function over the sentences of one image
+(`_generative_losses`, `_contrastive_losses`).  The single-sentence API
+(`generative_loss`, `contrastive_loss`) and the ranked API (`rank_instance`)
+both call it, so every score passes the same capability, empty-sentence,
+vocabulary and backend-output checks however it was asked for.
+
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default.  Note the
 cost asymmetry: generative scoring spends one decoding step per token where
@@ -26,7 +32,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,16 +74,28 @@ def _require(cond: bool, message: str):
         raise ConfigurationError(message)
 
 
-def _check_vocabulary(backend: ScorerBackend, sentence: tuple[str, ...]):
+def _checked_sentences(
+    backend: ScorerBackend, method: Method, sentences: Sequence[Sequence[str]]
+) -> list[tuple[str, ...]]:
+    """The checks every sentence passes before the backend is asked anything."""
+    sentences = [tuple(s) for s in sentences]
+    if not all(sentences):
+        raise ValueError("cannot score an empty sentence")
+    caps = backend.capabilities
+    supported = caps.has_generative if method is Method.GENERATIVE else caps.has_contrastive
+    _require(supported, f"backend has no {method.value} support")
     if backend.vocabulary is not None:
-        unknown = [t for t in sentence if t not in backend.vocabulary]
-        if unknown:
-            raise VocabularyError(f"tokens not in backend vocabulary: {unknown}")
+        for s in sentences:
+            unknown = [t for t in s if t not in backend.vocabulary]
+            if unknown:
+                raise VocabularyError(f"tokens not in backend vocabulary: {unknown}")
+    return sentences
 
 
 def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix):
     total = dist.total()
-    if abs(total - 1.0) > _NORM_TOL:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise NormalizationError(
             f"distribution for prefix {list(prefix)} sums to {total:.9f}"
         )
@@ -89,24 +107,35 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix):
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
 
 
+def _check_embedding(vec: np.ndarray, what: str) -> np.ndarray:
+    vec = np.asarray(vec, dtype=float)
+    norm = float(np.linalg.norm(vec))
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise NormalizationError(f"{what} embedding has norm {norm:.9f}, expected 1")
+    return vec
+
+
 def _neg_log(p: float, what: str) -> float:
     if p <= 0.0:
         raise InfiniteLossError(f"zero probability for {what}")
     return -math.log(p)
 
 
-def _distributions_for(
+def _generative_losses(
     backend: ScorerBackend,
     image_id: str,
     region,
-    sentences: Sequence[tuple[str, ...]],
-) -> dict[tuple[str, ...], TokenDistribution]:
-    """Fetch every prefix distribution the sentences need, deduplicated.
+    sentences: Sequence[Sequence[str]],
+) -> list[GenerativeLoss]:
+    """Generative losses of sentences about one image, in input order.
 
-    Sentences sharing a prefix share the fetched distribution, which is both
-    the batching win for remote backends and the shared-prefix reuse that
-    makes template families cheap to score.
+    Every prefix distribution the sentences need is fetched once, in a
+    single batched call: sentences sharing a prefix share the fetched
+    distribution, which is both the batching win for remote backends and
+    the shared-prefix reuse that makes template families cheap to score.
     """
+    sentences = _checked_sentences(backend, Method.GENERATIVE, sentences)
     has_terminal = backend.capabilities.has_terminal_token
     needed: dict[tuple[str, ...], None] = {}
     for s in sentences:
@@ -114,31 +143,39 @@ def _distributions_for(
         for i in range(last):
             needed.setdefault(s[:i], None)
     prefixes = list(needed)
-    dists = backend.next_token_distributions(image_id, region, prefixes)
-    out = {}
-    for prefix, dist in zip(prefixes, dists):
+    dists = dict(zip(prefixes, backend.next_token_distributions(image_id, region, prefixes)))
+    for prefix, dist in dists.items():
         _check_distribution(dist, has_terminal, prefix)
-        out[prefix] = dist
-    return out
+
+    losses = []
+    for s in sentences:
+        per_token = []
+        for i, tok in enumerate(s):
+            p = dists[s[:i]].probs.get(tok)
+            if p is None:
+                raise VocabularyError(f"token {tok!r} missing from served distribution")
+            per_token.append(_neg_log(p, f"token {tok!r} at position {i}"))
+        if has_terminal:
+            per_token.append(_neg_log(dists[s].terminal_p, "the terminal token"))
+        losses.append(GenerativeLoss(value=float(sum(per_token)), per_token=tuple(per_token)))
+    return losses
 
 
-def _assemble_loss(
-    sentence: tuple[str, ...],
-    dists: dict[tuple[str, ...], TokenDistribution],
-    has_terminal: bool,
-) -> GenerativeLoss:
-    per_token = []
-    for i, tok in enumerate(sentence):
-        dist = dists[sentence[:i]]
-        p = dist.probs.get(tok)
-        if p is None:
-            raise VocabularyError(f"token {tok!r} missing from served distribution")
-        per_token.append(_neg_log(p, f"token {tok!r} at position {i}"))
-    if has_terminal:
-        per_token.append(
-            _neg_log(dists[sentence].terminal_p, "the terminal token")
-        )
-    return GenerativeLoss(value=float(sum(per_token)), per_token=tuple(per_token))
+def _contrastive_losses(
+    backend: ScorerBackend,
+    image_id: str,
+    region,
+    sentences: Sequence[Sequence[str]],
+) -> list[ContrastiveLoss]:
+    """Contrastive losses of sentences about one image, in input order: one
+    image embedding, then one text embedding per sentence."""
+    sentences = _checked_sentences(backend, Method.CONTRASTIVE, sentences)
+    f = _check_embedding(backend.embed_image(image_id, region), "image")
+    losses = []
+    for s in sentences:
+        g = _check_embedding(backend.embed_text(s), "text")
+        losses.append(ContrastiveLoss(value=float(np.linalg.norm(f - g))))
+    return losses
 
 
 def generative_loss(
@@ -148,21 +185,7 @@ def generative_loss(
     sentence: Sequence[str],
 ) -> GenerativeLoss:
     """Cross-entropy of one sentence under the backend's prefix model."""
-    sentence = tuple(sentence)
-    if not sentence:
-        raise ValueError("cannot score an empty sentence")
-    _require(backend.capabilities.has_generative, "backend has no generative support")
-    _check_vocabulary(backend, sentence)
-    dists = _distributions_for(backend, image_id, region, [sentence])
-    return _assemble_loss(sentence, dists, backend.capabilities.has_terminal_token)
-
-
-def _check_embedding(vec: np.ndarray, what: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NormalizationError(f"{what} embedding has norm {norm:.9f}, expected 1")
-    return vec
+    return _generative_losses(backend, image_id, region, [sentence])[0]
 
 
 def contrastive_loss(
@@ -172,14 +195,7 @@ def contrastive_loss(
     sentence: Sequence[str],
 ) -> ContrastiveLoss:
     """Euclidean distance between unit-norm image and sentence embeddings."""
-    sentence = tuple(sentence)
-    if not sentence:
-        raise ValueError("cannot score an empty sentence")
-    _require(backend.capabilities.has_contrastive, "backend has no contrastive support")
-    _check_vocabulary(backend, sentence)
-    f = _check_embedding(backend.embed_image(image_id, region), "image")
-    g = _check_embedding(backend.embed_text(sentence), "text")
-    return ContrastiveLoss(value=float(np.linalg.norm(f - g)))
+    return _contrastive_losses(backend, image_id, region, [sentence])[0]
 
 
 def _candidate_sentence(
@@ -214,63 +230,36 @@ def rank_instance(
         f"{instance.anchor_kind.ranked.value} candidates",
     )
 
+    per_token = None
     if isinstance(backend, SentenceScoreSource):
-        scores = []
-        rows = []
-        for cand in instance.candidates:
-            loss, per = backend.sentence_score(
+        rows = [
+            backend.sentence_score(
                 instance.image_id, instance.region, instance.anchor,
                 template.name, method, cand,
             )
-            scores.append(loss)
-            rows.append(per)
-        per_token = tuple(rows) if method is Method.GENERATIVE else None
-        if per_token is not None and any(r is None for r in per_token):
-            per_token = None
-        return ScoredInstance(
-            instance=instance,
-            template_name=template.name,
-            method=method,
-            scores=tuple(scores),
-            per_token=per_token,
-        )
-
-    sentences = [_candidate_sentence(instance, template, c) for c in instance.candidates]
-    if method is Method.GENERATIVE:
-        _require(backend.capabilities.has_generative, "backend has no generative support")
-        for s in sentences:
-            _check_vocabulary(backend, s)
-        dists = _distributions_for(backend, instance.image_id, instance.region, sentences)
-        has_terminal = backend.capabilities.has_terminal_token
-        losses = [_assemble_loss(s, dists, has_terminal) for s in sentences]
-        scores = tuple(
-            l.value / len(s) if length_normalize else l.value
-            for l, s in zip(losses, sentences)
-        )
-        return ScoredInstance(
-            instance=instance,
-            template_name=template.name,
-            method=method,
-            scores=scores,
-            per_token=tuple(l.per_token for l in losses),
-        )
-
-    _require(backend.capabilities.has_contrastive, "backend has no contrastive support")
-    for s in sentences:
-        _check_vocabulary(backend, s)
-    f = _check_embedding(
-        backend.embed_image(instance.image_id, instance.region), "image"
-    )
-    scores = []
-    for s in sentences:
-        g = _check_embedding(backend.embed_text(s), "text")
-        scores.append(float(np.linalg.norm(f - g)))
+            for cand in instance.candidates
+        ]
+        scores = [loss for loss, _ in rows]
+        if method is Method.GENERATIVE and all(per is not None for _, per in rows):
+            per_token = tuple(per for _, per in rows)
+    else:
+        sentences = [_candidate_sentence(instance, template, c) for c in instance.candidates]
+        if method is Method.GENERATIVE:
+            losses = _generative_losses(backend, instance.image_id, instance.region, sentences)
+            scores = [
+                l.value / len(s) if length_normalize else l.value
+                for l, s in zip(losses, sentences)
+            ]
+            per_token = tuple(l.per_token for l in losses)
+        else:
+            losses = _contrastive_losses(backend, instance.image_id, instance.region, sentences)
+            scores = [l.value for l in losses]
     return ScoredInstance(
         instance=instance,
         template_name=template.name,
         method=method,
         scores=tuple(scores),
-        per_token=None,
+        per_token=per_token,
     )
 
 

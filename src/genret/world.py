@@ -28,6 +28,7 @@ from .core import (
     RankingInstance,
     normalize_word,
     parse_template,
+    read_jsonl,
     render,
     stable_seed,
     tokenize,
@@ -433,14 +434,4 @@ def write_scenes(path: str | Path, scenes: Iterable[SyntheticScene]) -> None:
 
 
 def read_scenes(path: str | Path) -> list[SyntheticScene]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(scene_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    return out
+    return read_jsonl(path, scene_from_dict)

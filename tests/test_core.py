@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,8 +7,11 @@ from hypothesis import given, strategies as st
 from genret import (
     CANONICAL_TEMPLATE_SPECS,
     AnchorKind,
+    Entity,
+    Method,
     RankingInstance,
     ScoredInstance,
+    SyntheticScene,
     canonical_templates,
     format_template,
     instance_from_dict,
@@ -15,12 +19,16 @@ from genret import (
     normalize_word,
     parse_template,
     read_instances,
+    read_scenes,
+    read_score_cache,
     render,
+    scored_to_records,
     stable_seed,
     tokenize,
     write_instances,
 )
 from genret.errors import RenderError, SchemaError, TemplateSyntaxError
+from genret.world import scene_to_dict
 
 
 # -- words and seeds -----------------------------------------------------
@@ -190,8 +198,20 @@ def test_instances_jsonl_round_trip(tmp_path):
 
 
 def test_read_instances_reports_line_numbers(tmp_path):
+    # all three JSONL readers share one loop: blank lines are skipped but
+    # counted, and both undecodable and ill-shaped records name path:lineno
+    scored = ScoredInstance(make_instance(), "t", Method.GENERATIVE, (1.0, 2.0, 3.0))
+    scene = SyntheticScene("s0", (Entity("cat", ("red",)),), ((0, 0, 1, 1),))
+    readers = [
+        (read_instances, instance_to_dict(make_instance())),
+        (read_score_cache, scored_to_records(scored)[0]),
+        (read_scenes, scene_to_dict(scene)),
+    ]
     path = tmp_path / "bad.jsonl"
-    good = json.dumps(instance_to_dict(make_instance()))
-    path.write_text(good + "\n{notjson\n")
-    with pytest.raises(SchemaError, match=":2"):
-        read_instances(path)
+    for reader, good in readers:
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(good) + "\n")
+        assert len(reader(path)) == 2
+        for bad in ("{notjson", "{}", "[1]"):
+            path.write_text(json.dumps(good) + "\n\n" + bad + "\n")
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: "):
+                reader(path)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import requests
 
 from genret import (
     AnchorKind,
@@ -18,6 +19,7 @@ from genret import (
 )
 from genret.backends.loopback import _Handler
 from genret.errors import NormalizationError, TransportError
+from genret.scoring import generative_loss
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +182,64 @@ class HalfMassHandler(_Handler):
 
 
 def test_unnormalized_server_output_is_rejected(setup):
+    # the client passes the distribution on; the scoring engine rejects it
     _, _, backend, _ = setup
     with LoopbackServer(backend, handler=HalfMassHandler) as url:
         remote = remote_for(url, backend)
         with pytest.raises(NormalizationError):
-            remote.next_token_distribution("scene-000000", None, ())
+            generative_loss(remote, "scene-000000", None, ("a",))
+
+
+def fixed_reply(reply):
+    """A handler that answers every POST with `reply`, echoing the request_id."""
+
+    class Handler(_Handler):
+        def do_POST(self):
+            length = int(self.headers.get("Content-Length", 0))
+            request = json.loads(self.rfile.read(length))
+            self._reply(200, {"request_id": request["request_id"], **reply})
+
+    return Handler
+
+
+def ask_distribution(remote):
+    return remote.next_token_distribution("scene-000000", None, ())
+
+
+def ask_embedding(remote):
+    return remote.embed_text(("a",))
+
+
+@pytest.mark.parametrize(
+    "reply, ask",
+    [
+        ({"results": [{"probs": {"a": "lots"}}]}, ask_distribution),
+        ({"results": [{"probs": {"a": [1.0]}}]}, ask_distribution),
+        ({"results": [{"probs": {"a": 1.0}, "terminal_p": "none"}]}, ask_distribution),
+        ({"results": ["oops"]}, ask_distribution),
+        ({"vector": ["x", 1.0]}, ask_embedding),
+    ],
+)
+def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        remote = remote_for(url, backend)
+        with pytest.raises(TransportError) as err:
+            ask(remote)
+        assert err.value.body
+
+
+def test_malformed_request_gets_400_not_a_dropped_connection(setup):
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=CountingHandler)
+    with server as url:
+        resp = requests.post(
+            f"{url}/v1/logprobs",
+            json={"request_id": "r", "image_id": "scene-000000", "region": 5, "queries": []},
+            timeout=10,
+        )
+        assert resp.status_code == 400
+        assert server._server.hits == 1
 
 
 def test_connection_failure_raises_transport_error():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from genret import (
     random_world,
     rank_instance,
     ranking_order,
+    render,
     sample_scenes,
     scored_to_records,
 )
@@ -94,6 +96,50 @@ def test_unnormalized_backend_is_rejected():
 
     with pytest.raises(NormalizationError):
         generative_loss(Broken(["a", "b"]), "x", None, ("a",))
+
+
+class NanProbability(UniformBackend):
+    def next_token_distribution(self, image_id, region, prefix):
+        dist = super().next_token_distribution(image_id, region, prefix)
+        return type(dist)(probs={**dist.probs, "b": math.nan}, terminal_p=dist.terminal_p)
+
+
+class NanTextEmbedding(OracleBackend):
+    def embed_text(self, tokens):
+        return np.full(len(self.vocab_order), math.nan)
+
+
+def nan_instance(candidates):
+    return RankingInstance(
+        image_id="s0",
+        anchor_kind=AnchorKind.OBJECT,
+        anchor="cat",
+        candidates=candidates,
+        positives=frozenset({0}),
+    )
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda: generative_loss(NanProbability(["a", "b"]), "x", None, ("a",)),
+        lambda: rank_instance(
+            NanProbability(["cat", "a", "b"]), nan_instance(("a", "b")),
+            parse_template("{O} {A}"), Method.GENERATIVE,
+        ),
+        lambda: contrastive_loss(
+            NanTextEmbedding(tiny_world(), [one_cat_scene()]), "s0", None, ("cat",)
+        ),
+        lambda: rank_instance(
+            NanTextEmbedding(tiny_world(), [one_cat_scene()]), nan_instance(("a0",)),
+            parse_template("{O} is {A}"), Method.CONTRASTIVE,
+        ),
+    ],
+    ids=["generative_loss", "rank_generative", "contrastive_loss", "rank_contrastive"],
+)
+def test_nan_from_the_backend_is_rejected(score):
+    with pytest.raises(NormalizationError):
+        score()
 
 
 # -- contrastive loss ----------------------------------------------------
@@ -177,6 +223,54 @@ def test_ranking_order_is_a_permutation(scores):
     assert sorted(order) == list(range(len(scores)))
     ordered = [scores[i] for i in order]
     assert ordered == sorted(ordered)
+
+
+@pytest.fixture(scope="module")
+def parity_world():
+    spec = random_world(seed=11, n_objects=8, n_attributes=16, attrs_per_object=4)
+    scenes = sample_scenes(spec, [2, 3])
+    return spec, scenes
+
+
+@pytest.mark.parametrize(
+    "backend_kind, anchor_kind, template_text, method, length_normalize",
+    [
+        ("oracle", AnchorKind.OBJECT, "{O} is {A}", Method.GENERATIVE, False),
+        ("oracle", AnchorKind.ATTRIBUTE, "{A} {O}", Method.GENERATIVE, False),
+        ("oracle", AnchorKind.OBJECT, "{A} {O} is {A}", Method.GENERATIVE, True),
+        ("uniform", AnchorKind.OBJECT, "{O} is {A}", Method.GENERATIVE, False),
+        ("uniform", AnchorKind.ATTRIBUTE, "{A} {O}", Method.GENERATIVE, True),
+        ("oracle", AnchorKind.OBJECT, "{O} is {A}", Method.CONTRASTIVE, False),
+        ("oracle", AnchorKind.ATTRIBUTE, "{A} {O}", Method.CONTRASTIVE, False),
+    ],
+)
+def test_rank_instance_matches_single_sentence_losses_bit_for_bit(
+    parity_world, backend_kind, anchor_kind, template_text, method, length_normalize
+):
+    spec, scenes = parity_world
+    if backend_kind == "oracle":
+        backend = OracleBackend(spec, scenes)  # has a terminal token
+    else:
+        backend = UniformBackend(spec.vocabulary())  # has none
+    template = parse_template(template_text)
+    for sc in scenes:
+        for inst in make_instances(spec, sc, 6, anchor_kind, seed=5):
+            scored = rank_instance(backend, inst, template, method, length_normalize)
+            scores, rows = [], []
+            for cand in inst.candidates:
+                if anchor_kind is AnchorKind.OBJECT:
+                    sentence = render(template, attribute=cand, obj=inst.anchor)
+                else:
+                    sentence = render(template, attribute=inst.anchor, obj=cand)
+                args = (backend, inst.image_id, inst.region, sentence)
+                if method is Method.CONTRASTIVE:
+                    scores.append(contrastive_loss(*args).value)
+                    continue
+                loss = generative_loss(*args)
+                scores.append(loss.value / len(sentence) if length_normalize else loss.value)
+                rows.append(loss.per_token)
+            assert scored.scores == tuple(scores)
+            assert scored.per_token == (tuple(rows) if method is Method.GENERATIVE else None)
 
 
 # -- batch_rank ----------------------------------------------------------
