@@ -64,7 +64,7 @@ def main():
 
     # total is capped by the corpus: the img-101 white cat can reach only
     # 3 negatives once its sibling box's attributes are excluded
-    plan = plan_instance(records[0], 0, stats, total=4, mode=AnchorKind.ATTRIBUTE)
+    plan = plan_instance(records[0], 0, stats, total=4, anchor_kind=AnchorKind.OBJECT)
     print(f"\nplan for image 101 box 0 (anchor {plan.anchor!r}):")
     print(f"  positives   {plan.positives}")
     print(f"  excluded    {sorted(plan.excluded)}  # on-image, other cat boxes")
@@ -72,7 +72,7 @@ def main():
     print(f"  fallback    {plan.fallback}  # global prior fills the rest")
 
     split, manifest = build_split(
-        records, stats, mode=AnchorKind.ATTRIBUTE, seed=7, total=4
+        records, stats, anchor_kind=AnchorKind.OBJECT, seed=7, total=4
     )
     print(f"\nbuild_split -> {len(split)} instances")
     print("manifest:", json.dumps(manifest, indent=2))
@@ -80,7 +80,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
         write_instances(a, split)
-        write_instances(b, build_split(records, stats, mode=AnchorKind.ATTRIBUTE,
+        write_instances(b, build_split(records, stats, anchor_kind=AnchorKind.OBJECT,
                                        seed=7, total=4)[0])
         print(f"rebuild with the same seed is byte-identical: "
               f"{a.read_bytes() == b.read_bytes()}")

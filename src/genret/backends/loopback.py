@@ -51,17 +51,22 @@ class _Handler(BaseHTTPRequestHandler):
                     if dist.terminal_p is not None:
                         res["terminal_p"] = dist.terminal_p
                     results.append(res)
-                self._reply(200, {"request_id": request_id, "results": results})
+                status, payload = 200, {"request_id": request_id, "results": results}
             elif self.path == "/v1/embed":
                 if text is not None:
                     vec = backend.embed_text(text)
                 else:
                     vec = backend.embed_image(image_id, region)
-                self._reply(200, {"request_id": request_id, "vector": vec.tolist()})
+                status, payload = 200, {"request_id": request_id, "vector": vec.tolist()}
             else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-        except GenretError as exc:
-            self._reply(400, {"error": str(exc)})
+                status, payload = 404, {"error": f"unknown path {self.path}"}
+        except (GenretError, ValueError, TypeError) as exc:
+            # the backend rejected what the request asked for
+            status, payload = 400, {"error": str(exc)}
+        except Exception as exc:
+            # answer rather than drop the connection, which reads as transient
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._reply(status, payload)
 
 
 class LoopbackServer:

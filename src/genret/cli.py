@@ -212,12 +212,13 @@ def _cmd_build_dataset(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
     records = parse_scene_graph(args.scene_graph)
     stats = build_stats(records)
-    mode = AnchorKind(args.mode)
+    # --mode names the ranked kind; the library speaks of the anchor's kind
+    anchor_kind = AnchorKind(args.mode).ranked
     instances, manifest = build_split(
-        records, stats, mode=mode, seed=args.seed, total=args.total
+        records, stats, anchor_kind=anchor_kind, seed=args.seed, total=args.total
     )
     counts = (
-        stats.attribute_counts if mode is AnchorKind.ATTRIBUTE else stats.object_counts
+        stats.attribute_counts if anchor_kind is AnchorKind.OBJECT else stats.object_counts
     )
     _atomic(out / "instances.jsonl", lambda p: write_instances(p, instances))
     _write_json(out / "manifest.json", manifest)

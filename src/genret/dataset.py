@@ -7,9 +7,11 @@ instances whose negatives are chosen hardest-first: by conditional
 probability given the anchor word, falling back to marginal priors when the
 conditional table runs dry.
 
-Two mirrored modes share one code path.  mode=ATTRIBUTE ranks attribute
-candidates against an object anchor; mode=OBJECT swaps the roles, anchoring
-on one of the box's attributes and ranking object candidates.
+One rule builds both directions.  anchor_kind=OBJECT anchors on the box's
+object and ranks attribute candidates; anchor_kind=ATTRIBUTE anchors on one
+of the box's attributes and ranks object candidates.  The statistics behind
+the negatives may be counted (build_stats) or derived from a synthetic
+world's priors (world.world_stats); the rule does not care which.
 
 A candidate is never used as a negative when the (anchor, candidate) pairing
 is realized elsewhere on the same image: such a word is true in context and
@@ -70,23 +72,31 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
     for i, entry in enumerate(source):
         if not isinstance(entry, dict) or "image_id" not in entry:
             raise SchemaError(f"image record #{i} missing image_id")
+        objects = entry.get("objects", [])
+        if not isinstance(objects, (list, tuple)):
+            raise SchemaError(f"image {entry['image_id']}: objects must be a list")
         boxes = []
-        for j, ob in enumerate(entry.get("objects", [])):
+        for j, ob in enumerate(objects):
             where = f"image {entry['image_id']} object #{j}"
+            if not isinstance(ob, dict):
+                raise SchemaError(f"{where}: object entry must be a dict")
             names = ob.get("names")
             if not names:
                 raise SchemaError(f"{where}: empty names")
+            if not isinstance(names, (list, tuple)):
+                raise SchemaError(f"{where}: names must be a list")
+            attributes = ob.get("attributes") or ()
+            if not isinstance(attributes, (list, tuple)):
+                raise SchemaError(f"{where}: attributes must be a list")
             try:
                 box = (ob["x"], ob["y"], ob["w"], ob["h"])
             except KeyError as exc:
                 raise SchemaError(f"{where}: missing box field {exc}") from exc
-            boxes.append(
-                BoxAnnotation(
-                    box=box,
-                    obj=normalize_word(names[0]),
-                    attributes=_dedup(ob.get("attributes") or ()),
-                )
-            )
+            try:
+                obj, attributes = normalize_word(names[0]), _dedup(attributes)
+            except SchemaError as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
+            boxes.append(BoxAnnotation(box=box, obj=obj, attributes=attributes))
         records.append(SceneGraphRecord(image_id=str(entry["image_id"]), boxes=tuple(boxes)))
     return records
 
@@ -245,15 +255,16 @@ def plan_instance(
     anchor_box_index: int,
     stats: CooccurrenceStats,
     total: int = 50,
-    mode: AnchorKind = AnchorKind.ATTRIBUTE,
+    anchor_kind: AnchorKind = AnchorKind.OBJECT,
     anchor: str | None = None,
 ) -> NegativePlan:
     """Compute anchor, positives, exclusions and negatives for one box.
 
-    mode names the ranked (candidate) kind.  For mode=OBJECT the anchor is
-    an attribute of the box; it defaults to the first one listed.
+    anchor_kind names the anchor word's kind.  For anchor_kind=ATTRIBUTE
+    the anchor is an attribute of the box; it defaults to the first one
+    listed.
     """
-    mode = AnchorKind(mode)
+    anchor_kind = AnchorKind(anchor_kind)
     try:
         box = record.boxes[anchor_box_index]
     except IndexError as exc:
@@ -266,9 +277,9 @@ def plan_instance(
         )
     others = [b for i, b in enumerate(record.boxes) if i != anchor_box_index]
 
-    if mode is AnchorKind.ATTRIBUTE:
+    if anchor_kind is AnchorKind.OBJECT:
         if anchor is not None and normalize_word(anchor) != box.obj:
-            raise BuilderError("attribute mode anchors on the box object name")
+            raise BuilderError("object anchor_kind anchors on the box object name")
         anchor_word = box.obj
         positives = box.attributes
         excluded = frozenset(
@@ -309,21 +320,21 @@ def build_instance(
     anchor_box_index: int,
     stats: CooccurrenceStats,
     total: int = 50,
-    mode: AnchorKind = AnchorKind.ATTRIBUTE,
+    anchor_kind: AnchorKind = AnchorKind.OBJECT,
     seed: int = 0,
     anchor: str | None = None,
 ) -> RankingInstance:
     """Build one shuffled ranking instance for a box.
 
     Candidate order is a deterministic permutation seeded per (seed,
-    image, box, mode), so rebuilding a split with the same seed is
+    image, box, anchor_kind), so rebuilding a split with the same seed is
     byte-identical.
     """
-    mode = AnchorKind(mode)
-    plan = plan_instance(record, anchor_box_index, stats, total, mode, anchor)
+    anchor_kind = AnchorKind(anchor_kind)
+    plan = plan_instance(record, anchor_box_index, stats, total, anchor_kind, anchor)
     words = plan.positives + plan.negatives
     rng = np.random.default_rng(
-        stable_seed(seed, record.image_id, anchor_box_index, mode.value)
+        stable_seed(seed, record.image_id, anchor_box_index, anchor_kind.value)
     )
     perm = rng.permutation(len(words))
     candidates = tuple(words[i] for i in perm)
@@ -331,7 +342,7 @@ def build_instance(
     positives = frozenset(i for i, w in enumerate(candidates) if w in pos_words)
     return RankingInstance(
         image_id=record.image_id,
-        anchor_kind=mode.ranked,  # candidates of kind `mode` anchor on the other kind
+        anchor_kind=anchor_kind,
         anchor=plan.anchor,
         candidates=candidates,
         positives=positives,
@@ -343,7 +354,7 @@ def build_instance(
 def build_split(
     records: Sequence[SceneGraphRecord],
     stats: CooccurrenceStats,
-    mode: AnchorKind = AnchorKind.ATTRIBUTE,
+    anchor_kind: AnchorKind = AnchorKind.OBJECT,
     seed: int = 0,
     total: int = 50,
 ) -> tuple[list[RankingInstance], dict]:
@@ -352,16 +363,16 @@ def build_split(
     Output order is (image_id, box index).  Returns the instances plus a
     manifest dict with counts and the config hash.
     """
-    mode = AnchorKind(mode)
+    anchor_kind = AnchorKind(anchor_kind)
     instances = []
     images = set()
     for rec in sorted(records, key=lambda r: r.image_id):
         for i, bx in enumerate(rec.boxes):
             if not bx.attributes:
                 continue
-            instances.append(build_instance(rec, i, stats, total, mode, seed))
+            instances.append(build_instance(rec, i, stats, total, anchor_kind, seed))
             images.add(rec.image_id)
-    config = {"mode": mode.value, "seed": seed, "total": total}
+    config = {"anchor_kind": anchor_kind.value, "seed": seed, "total": total}
     manifest = {
         **config,
         "n_records": len(records),

@@ -143,7 +143,12 @@ def _generative_losses(
         for i in range(last):
             needed.setdefault(s[:i], None)
     prefixes = list(needed)
-    dists = dict(zip(prefixes, backend.next_token_distributions(image_id, region, prefixes)))
+    served = list(backend.next_token_distributions(image_id, region, prefixes))
+    if len(served) != len(prefixes):
+        raise NormalizationError(
+            f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
+        )
+    dists = dict(zip(prefixes, served))
     for prefix, dist in dists.items():
         _check_distribution(dist, has_terminal, prefix)
 

@@ -11,6 +11,10 @@ uniformly, render.  Entities with no attributes emit their bare object word
 with the entity's full probability mass.  caption_process returns that
 distribution with rational weights, so it sums to 1 exactly; everything the
 oracle backend answers is derived from it.
+
+Ranking instances over a world's scenes are built by the dataset builder
+(dataset.build_instance), with world_stats, the world's priors in the shape
+of counted co-occurrence statistics, choosing the hard negatives.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,11 +34,16 @@ from .core import (
     parse_template,
     read_jsonl,
     render,
-    stable_seed,
     tokenize,
 )
-from .dataset import BoxAnnotation, SceneGraphRecord, select_negatives
-from .errors import BuilderError, SchemaError, WorldError
+from .dataset import (
+    BoxAnnotation,
+    CooccurrenceStats,
+    SceneGraphRecord,
+    _ranked,
+    build_instance,
+)
+from .errors import SchemaError, WorldError
 
 # The two phrasings the caption process can emit, with equal probability.
 CAPTION_TEMPLATE_SPECS: tuple[str, ...] = ("{A} {O}", "{O} is {A}")
@@ -211,35 +220,38 @@ def caption_process(scene: SyntheticScene) -> dict[tuple[str, ...], Fraction]:
     return dist
 
 
-def _world_rankings(spec: WorldSpec):
-    """Prior-derived ranking tables, shaped like the co-occurrence ones."""
+def world_stats(spec: WorldSpec) -> CooccurrenceStats:
+    """Prior-derived ranking tables in the shape build_stats counts.
+
+    The count fields stay empty: nothing was counted.
+    """
     by_obj: dict[str, dict[str, float]] = {}
     by_attr: dict[str, dict[str, float]] = {}
+    attr_marginal: dict[str, float] = {}
     for (o, a), p in spec.attribute_prior.items():
         by_obj.setdefault(o, {})[a] = p
         by_attr.setdefault(a, {})[o] = p
-
-    def ranked(table: dict[str, float]):
-        total = sum(table.values())
-        return tuple(sorted(((w, p / total) for w, p in table.items()),
-                            key=lambda kv: (-kv[1], kv[0])))
-
-    attrs_given_object = {o: ranked(t) for o, t in by_obj.items()}
-    objects_given_attr = {a: ranked(t) for a, t in by_attr.items()}
-    attr_marginal: dict[str, float] = {}
-    for (o, a), p in spec.attribute_prior.items():
         attr_marginal[a] = attr_marginal.get(a, 0.0) + p
     # zero-prior attributes fill the tail of the fallback tier (weight 0,
     # lexicographic), so any candidate count up to |attributes| is buildable
     for a in spec.attributes:
         attr_marginal.setdefault(a, 0.0)
-    attribute_prior_ranked = ranked(attr_marginal) if attr_marginal else ()
-    # objects are drawn uniformly, so the object prior is flat; the ranked
-    # form degenerates to lexicographic order
-    object_prior_ranked = tuple(
-        (o, 1.0 / len(spec.objects)) for o in sorted(spec.objects)
+
+    def normalized(table: dict[str, float]) -> tuple[tuple[str, float], ...]:
+        total = sum(table.values()) or 1.0
+        return _ranked({w: p / total for w, p in table.items()})
+
+    return CooccurrenceStats(
+        pair_counts={},
+        object_counts={},
+        attribute_counts={},
+        attrs_given_object={o: normalized(t) for o, t in by_obj.items()},
+        objects_given_attr={a: normalized(t) for a, t in by_attr.items()},
+        # objects are drawn uniformly, so the object prior is flat; the
+        # ranked form degenerates to lexicographic order
+        object_prior=tuple((o, 1.0 / len(spec.objects)) for o in sorted(spec.objects)),
+        attribute_prior=normalized(attr_marginal),
     )
-    return attrs_given_object, objects_given_attr, attribute_prior_ranked, object_prior_ranked
 
 
 def make_instances(
@@ -249,100 +261,20 @@ def make_instances(
     anchor_kind: AnchorKind,
     seed: int = 0,
 ) -> list[RankingInstance]:
-    """Build ranking instances for a scene, with world-prior hard negatives.
+    """Build a scene's ranking instances with world-prior hard negatives.
 
-    anchor_kind is the anchor word's kind: OBJECT anchors rank attribute
-    candidates (one instance per entity that has attributes), ATTRIBUTE
-    anchors rank object candidates (one instance per distinct attribute in
-    the scene, positives being every object bearing it).  Negative selection
-    follows the dataset-builder policy, with the world's priors standing in
-    for counted statistics.
+    One instance per entity that has attributes, built by
+    dataset.build_instance over the scene's record with world_stats
+    standing in for counted statistics: the same rule, and for equal
+    scenes the same instances, as build-dataset.
     """
-    anchor_kind = AnchorKind(anchor_kind)
-    attrs_go, objs_ga, attr_prior, obj_prior = _world_rankings(spec)
-    out: list[RankingInstance] = []
-
-    if anchor_kind is AnchorKind.OBJECT:
-        if n_candidates > len(spec.attributes):
-            raise BuilderError(
-                f"n_candidates={n_candidates} exceeds attribute vocabulary "
-                f"({len(spec.attributes)})"
-            )
-        for idx, ent in enumerate(scene.entities):
-            if not ent.attributes:
-                continue
-            positives = ent.attributes
-            if len(positives) > n_candidates:
-                raise BuilderError("entity has more attributes than n_candidates")
-            excluded = frozenset(
-                a
-                for j, other in enumerate(scene.entities)
-                if j != idx and other.obj == ent.obj
-                for a in other.attributes
-            )
-            cond, fallback = select_negatives(
-                n_candidates - len(positives),
-                attrs_go.get(ent.obj, ()),
-                attr_prior,
-                frozenset(positives) | excluded,
-            )
-            words = positives + cond + fallback
-            rng = np.random.default_rng(
-                stable_seed(seed, scene.scene_id, idx, anchor_kind.value)
-            )
-            candidates = tuple(words[i] for i in rng.permutation(len(words)))
-            pos = set(positives)
-            out.append(
-                RankingInstance(
-                    image_id=scene.scene_id,
-                    anchor_kind=AnchorKind.OBJECT,
-                    anchor=ent.obj,
-                    candidates=candidates,
-                    positives=frozenset(
-                        i for i, w in enumerate(candidates) if w in pos
-                    ),
-                    region=scene.boxes[idx],
-                )
-            )
-        return out
-
-    if n_candidates > len(spec.objects):
-        raise BuilderError(
-            f"n_candidates={n_candidates} exceeds object vocabulary "
-            f"({len(spec.objects)})"
-        )
-    seen_attrs = sorted({a for ent in scene.entities for a in ent.attributes})
-    for a in seen_attrs:
-        bearers: dict[str, None] = {}
-        for ent in scene.entities:
-            if a in ent.attributes:
-                bearers.setdefault(ent.obj, None)
-        positives = tuple(bearers)
-        if len(positives) > n_candidates:
-            raise BuilderError("attribute has more bearers than n_candidates")
-        cond, fallback = select_negatives(
-            n_candidates - len(positives),
-            objs_ga.get(a, ()),
-            obj_prior,
-            frozenset(positives),
-        )
-        words = positives + cond + fallback
-        rng = np.random.default_rng(
-            stable_seed(seed, scene.scene_id, a, anchor_kind.value)
-        )
-        candidates = tuple(words[i] for i in rng.permutation(len(words)))
-        pos = set(positives)
-        out.append(
-            RankingInstance(
-                image_id=scene.scene_id,
-                anchor_kind=AnchorKind.ATTRIBUTE,
-                anchor=a,
-                candidates=candidates,
-                positives=frozenset(i for i, w in enumerate(candidates) if w in pos),
-                region=None,
-            )
-        )
-    return out
+    stats = world_stats(spec)
+    (record,) = scenes_to_records([scene])
+    return [
+        build_instance(record, i, stats, n_candidates, anchor_kind, seed)
+        for i, box in enumerate(record.boxes)
+        if box.attributes
+    ]
 
 
 def scenes_to_records(scenes: Iterable[SyntheticScene]) -> list[SceneGraphRecord]:

@@ -359,7 +359,7 @@ def test_07_dataset_builder_audit(tmp_path):
     records = _synthetic_corpus()
     stats = build_stats(records)
     split, manifest = build_split(
-        records, stats, mode=AnchorKind.ATTRIBUTE, seed=123, total=50
+        records, stats, anchor_kind=AnchorKind.OBJECT, seed=123, total=50
     )
     boxes = [
         (rec, bi, box) for rec in records for bi, box in enumerate(rec.boxes)
@@ -389,7 +389,7 @@ def test_07_dataset_builder_audit(tmp_path):
         if negatives & excluded:
             bad.append(f"{inst.image_id}/{bi}: on-image exclusion violated")
             continue
-        plan = plan_instance(rec, bi, stats, total=50, mode=AnchorKind.ATTRIBUTE)
+        plan = plan_instance(rec, bi, stats, total=50, anchor_kind=AnchorKind.OBJECT)
         if inst.anchor not in cond_tables:
             cond_tables[inst.anchor] = dict(stats.attrs_given_object[inst.anchor])
         table = cond_tables[inst.anchor]
@@ -408,7 +408,7 @@ def test_07_dataset_builder_audit(tmp_path):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_instances(first, split)
     split2, manifest2 = build_split(
-        records, stats, mode=AnchorKind.ATTRIBUTE, seed=123, total=50
+        records, stats, anchor_kind=AnchorKind.OBJECT, seed=123, total=50
     )
     write_instances(second, split2)
     identical = first.read_bytes() == second.read_bytes() and manifest == manifest2

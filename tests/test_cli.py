@@ -1,5 +1,6 @@
 """End-to-end command line coverage, run in-process through cli.main."""
 
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,15 @@ def test_gen_world_rerun_is_byte_identical(pipeline, tmp_path):
     assert ours == theirs
 
 
+def test_gen_world_instances_are_pinned(pipeline):
+    # object-anchored world instances are built by the dataset planner; this
+    # digest holds them byte for byte to what the world-prior builder wrote
+    digest = hashlib.sha256(
+        (pipeline["world"] / "instances.jsonl").read_bytes()
+    ).hexdigest()
+    assert digest == "c649127d15b1cc175d08598f91197452f30703cc3221c422d4c93edfe3aef497"
+
+
 def test_build_dataset_from_emitted_scene_graph(pipeline, tmp_path):
     out = tmp_path / "data"
     rc = main(
@@ -152,6 +162,40 @@ def test_build_dataset_from_emitted_scene_graph(pipeline, tmp_path):
     counts = json.loads((out / "counts.json").read_text())
     assert counts  # attribute mode counts attributes
     assert all(isinstance(v, int) for v in counts.values())
+
+
+def test_attribute_anchors_follow_one_rule_in_both_commands(tmp_path):
+    # gen-world --anchor-kind attribute and build-dataset --mode object build
+    # through the same planner: equal anchors, positives and regions
+    world, data = tmp_path / "world", tmp_path / "data"
+    rc = main(
+        [
+            "gen-world", "--out", str(world), "--seed", "5",
+            "--objects", "8", "--attributes", "18", "--attrs-per-object", "4",
+            "--scenes", "6", "--min-entities", "2", "--max-entities", "3",
+            "--candidates", "4", "--anchor-kind", "attribute",
+        ]
+    )
+    assert rc == 0
+    rc = main(
+        [
+            "build-dataset", "--out", str(data),
+            "--scene-graph", str(world / "scene_graph.json"),
+            "--mode", "object", "--total", "4", "--seed", "5",
+        ]
+    )
+    assert rc == 0
+
+    def rule(path):
+        return [
+            (i.image_id, i.anchor_kind, i.anchor, i.region,
+             {i.candidates[k] for k in i.positives})
+            for i in read_instances(path)
+        ]
+
+    built = rule(world / "instances.jsonl")
+    assert built
+    assert built == rule(data / "instances.jsonl")
 
 
 # -- scoring and replay ---------------------------------------------------------

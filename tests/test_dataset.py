@@ -114,6 +114,11 @@ def test_scene_graph_rewrite_is_byte_identical(tmp_path, records):
         ([{"objects": []}], "missing image_id"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": []}]}], "empty names"),
         ([{"image_id": "x", "objects": [{"names": ["cat"], "x": 0, "y": 0, "w": 1}]}], "missing box field"),
+        ([{"image_id": "x", "objects": 7}], "image x: objects must be a list"),
+        ([{"image_id": "x", "objects": [5]}], "image x object #0: object entry must be a dict"),
+        ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": "cat"}]}], "image x object #0: names must be a list"),
+        ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": 5}]}], "image x object #0: attributes must be a list"),
+        ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": [5]}]}], "image x object #0: word must be a string"),
     ],
 )
 def test_parse_scene_graph_rejects(raw, match):
@@ -202,7 +207,7 @@ def test_plan_attribute_mode(records, stats):
 
 
 def test_plan_object_mode(records, stats):
-    plan = plan_instance(records[0], 2, stats, total=3, mode=AnchorKind.OBJECT)
+    plan = plan_instance(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
     assert plan.anchor == "black"  # defaults to the box's first attribute
     assert plan.positives == ("dog",)
     assert plan.excluded == frozenset({"cat"})  # img1's cat also wears black
@@ -212,13 +217,13 @@ def test_plan_object_mode(records, stats):
 
 def test_plan_object_mode_explicit_anchor(records, stats):
     plan = plan_instance(
-        records[0], 0, stats, total=3, mode=AnchorKind.OBJECT, anchor="small"
+        records[0], 0, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE, anchor="small"
     )
     assert plan.anchor == "small"
     assert plan.positives == ("cat",)
     assert plan.excluded == frozenset()
     with pytest.raises(BuilderError, match="not on box"):
-        plan_instance(records[0], 0, stats, mode=AnchorKind.OBJECT, anchor="red")
+        plan_instance(records[0], 0, stats, anchor_kind=AnchorKind.ATTRIBUTE, anchor="red")
 
 
 def test_plan_attribute_mode_anchor_must_match_object(records, stats):
@@ -248,18 +253,18 @@ def test_plans_order_hard_negatives_first(records, stats):
         for i, bx in enumerate(rec.boxes):
             if not bx.attributes:
                 continue
-            for mode, anchor_kind, total in (
-                (AnchorKind.ATTRIBUTE, AnchorKind.OBJECT, 4),
-                (AnchorKind.OBJECT, AnchorKind.ATTRIBUTE, 3),
+            for anchor_kind, total in (
+                (AnchorKind.OBJECT, 4),
+                (AnchorKind.ATTRIBUTE, 3),
             ):
-                plan = plan_instance(rec, i, stats, total=total, mode=mode)
+                plan = plan_instance(rec, i, stats, total=total, anchor_kind=anchor_kind)
                 probs = [
                     stats.conditional(anchor_kind, plan.anchor, w)
                     for w in plan.conditional
                 ]
                 assert all(
                     hi >= lo for hi, lo in zip(probs, probs[1:])
-                ), (rec.image_id, i, mode)
+                ), (rec.image_id, i, anchor_kind)
                 assert all(probs), "conditional tier must come from the table"
                 for w in plan.fallback:
                     assert stats.conditional(anchor_kind, plan.anchor, w) == 0.0
@@ -290,7 +295,7 @@ def test_build_instance_shuffle_is_seeded(records, stats):
 
 
 def test_build_instance_object_mode(records, stats):
-    inst = build_instance(records[0], 2, stats, total=3, mode=AnchorKind.OBJECT)
+    inst = build_instance(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
     assert inst.anchor == "black"
     assert inst.anchor_kind is AnchorKind.ATTRIBUTE
     assert {inst.candidates[i] for i in inst.positives} == {"dog"}
@@ -311,9 +316,9 @@ def test_build_split_orders_and_skips(records, stats):
     assert manifest["n_records"] == 3
     assert manifest["n_images"] == 3
     assert manifest["n_instances"] == 7
-    assert manifest["mode"] == "attribute"
+    assert manifest["anchor_kind"] == "object"
     expected_hash = hashlib.sha256(
-        json.dumps({"mode": "attribute", "seed": 1, "total": 4}, sort_keys=True).encode()
+        json.dumps({"anchor_kind": "object", "seed": 1, "total": 4}, sort_keys=True).encode()
     ).hexdigest()
     assert manifest["config_hash"] == expected_hash
 

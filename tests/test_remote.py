@@ -242,6 +242,34 @@ def test_malformed_request_gets_400_not_a_dropped_connection(setup):
         assert server._server.hits == 1
 
 
+def test_backend_rejecting_a_request_gets_400(setup):
+    # OracleBackend.embed_text raises ValueError on empty text
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=CountingHandler)
+    with server as url:
+        resp = requests.post(
+            f"{url}/v1/embed", json={"request_id": "r", "text": []}, timeout=10
+        )
+        assert resp.status_code == 400
+        assert server._server.hits == 1
+
+
+class BrokenBackend(UniformBackend):
+    def next_token_distribution(self, image_id, region, prefix):
+        raise RuntimeError("boom")
+
+
+def test_backend_crash_gets_500_naming_the_exception():
+    with LoopbackServer(BrokenBackend(["a"])) as url:
+        resp = requests.post(
+            f"{url}/v1/logprobs",
+            json={"request_id": "r", "image_id": "x", "queries": [{"prefix": []}]},
+            timeout=10,
+        )
+        assert resp.status_code == 500
+        assert resp.json()["error"] == "RuntimeError: boom"
+
+
 def test_connection_failure_raises_transport_error():
     # nothing listens on this port; keep retries tight
     remote = RemoteBackend("http://127.0.0.1:9", max_retries=1, backoff=0.01)

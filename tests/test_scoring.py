@@ -98,6 +98,15 @@ def test_unnormalized_backend_is_rejected():
         generative_loss(Broken(["a", "b"]), "x", None, ("a",))
 
 
+def test_short_batch_from_the_backend_is_rejected():
+    class DropsLast(UniformBackend):
+        def next_token_distributions(self, image_id, region, prefixes):
+            return super().next_token_distributions(image_id, region, prefixes)[:-1]
+
+    with pytest.raises(NormalizationError, match="returned 1 distributions for 2 prefixes"):
+        generative_loss(DropsLast(["a", "b"]), "x", None, ("a", "b"))
+
+
 class NanProbability(UniformBackend):
     def next_token_distribution(self, image_id, region, prefix):
         dist = super().next_token_distribution(image_id, region, prefix)

@@ -14,6 +14,7 @@ from genret import (
     read_world,
     sample_scenes,
     scenes_to_records,
+    world_stats,
     write_scenes,
     write_world,
 )
@@ -157,6 +158,28 @@ def exclusion_scene():
     )
 
 
+def test_world_stats_are_normalized_priors():
+    stats = world_stats(tiny_world())
+    # nothing is counted, so only build-dataset's counts.json has counts
+    assert stats.pair_counts == stats.object_counts == stats.attribute_counts == {}
+    assert [w for w, _ in stats.attrs_given_object["dog"]] == ["a2", "a4", "a5"]
+    assert stats.attrs_given_object["dog"][0][1] == pytest.approx(0.6 / 1.5)
+    assert [w for w, _ in stats.objects_given_attr["a2"]] == ["dog", "cat"]
+    assert stats.objects_given_attr["a2"][0][1] == pytest.approx(0.6 / 0.9)
+    assert stats.object_prior == (("cat", 0.5), ("dog", 0.5))
+    # a2 is carried by both objects, so it leads the attribute prior
+    assert stats.attribute_prior[0][0] == "a2"
+    assert sum(p for _, p in stats.attribute_prior) == pytest.approx(1.0)
+
+
+def test_world_stats_put_zero_prior_attributes_last():
+    stats = world_stats(tiny_world(attributes=("a0", "a1", "a2", "a3", "a4", "a5", "b1", "b0")))
+    assert stats.attribute_prior[-2:] == (("b0", 0.0), ("b1", 0.0))
+    # a world without priors still has a (flat, lexicographic) fallback tier
+    bare = world_stats(tiny_world(compatibility={}, attribute_prior={}))
+    assert [w for w, _ in bare.attribute_prior] == ["a0", "a1", "a2", "a3", "a4", "a5"]
+
+
 def test_object_anchor_instances_respect_pairing_exclusion():
     spec = tiny_world()
     insts = make_instances(spec, exclusion_scene(), 4, AnchorKind.OBJECT, seed=0)
@@ -186,18 +209,22 @@ def test_object_anchor_skips_attributeless_entities():
 
 
 def test_attribute_anchor_instances_collect_bearers():
-    spec = tiny_world()
+    # one instance per attribute-bearing box, anchored on its first attribute,
+    # as build-dataset does: the other bearer of the anchor is true elsewhere
+    # on the image, so it is excluded rather than counted as a positive
+    spec = tiny_world(objects=("cat", "dog", "fox"))
     scene = SyntheticScene(
         "s0",
         entities=(Entity("cat", ("a2",)), Entity("dog", ("a2", "a4"))),
         boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
     )
     insts = make_instances(spec, scene, 2, AnchorKind.ATTRIBUTE)
-    assert [i.anchor for i in insts] == ["a2", "a4"]
+    assert [i.anchor for i in insts] == ["a2", "a2"]
     a2 = insts[0]
     assert a2.anchor_kind is AnchorKind.ATTRIBUTE
-    assert {a2.candidates[i] for i in a2.positives} == {"cat", "dog"}
-    assert a2.region is None
+    assert {a2.candidates[i] for i in a2.positives} == {"cat"}
+    assert "dog" not in a2.candidates
+    assert a2.region == (0, 0, 1, 1)
 
 
 def test_make_instances_is_deterministic_per_seed():
