@@ -48,9 +48,6 @@ class TokenDistribution:
         return float(sum(self.probs.values())) + (self.terminal_p or 0.0)
 
 
-Region = "tuple[float, float, float, float] | None"
-
-
 class ScorerBackend(ABC):
     """Token-level scorer. Region is forwarded opaquely; backends that see
     whole images may ignore it."""

@@ -13,11 +13,10 @@ so replaying a cache reproduces the original rankings identically.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance, read_jsonl
+from ..core import Method, ScoredInstance, read_jsonl, write_jsonl
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource
 
@@ -48,11 +47,7 @@ def scored_to_records(scored: ScoredInstance) -> list[dict]:
 
 
 def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in scored:
-            for rec in scored_to_records(s):
-                fh.write(json.dumps(rec, sort_keys=True))
-                fh.write("\n")
+    write_jsonl(path, (rec for s in scored for rec in scored_to_records(s)))
 
 
 def _cache_record(rec) -> dict:

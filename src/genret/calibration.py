@@ -19,7 +19,6 @@ lr and fewer steps; the config is explicit so both uses stay honest.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoredInstance
-from .errors import CoverageError, OptimizationError, ParameterError
+from .core import ScoredInstance, atomic_write, is_finite_number, read_json, write_json
+from .errors import CoverageError, OptimizationError, ParameterError, SchemaError
 
 
 def _sigmoid(z):
@@ -94,14 +93,17 @@ class CalibrationTable:
 
 
 def write_table(path: str | Path, table: CalibrationTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, table.to_dict())
 
 
 def read_table(path: str | Path) -> CalibrationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CalibrationTable.from_dict(json.load(fh))
+    raw = read_json(path)
+    if not isinstance(raw, dict) or not all(
+        isinstance(p, dict) and is_finite_number(p.get("mu")) and is_finite_number(p.get("sigma"))
+        for p in raw.values()
+    ):
+        raise SchemaError(f"{path}: a calibration table maps each class to numeric mu and sigma")
+    return CalibrationTable.from_dict(raw)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class FitHistory:
     val_loss: list[float | None] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("step,train_loss,val_loss\n")
             for s, tr, vl in zip(self.steps, self.train_loss, self.val_loss):
                 fh.write(f"{s},{tr!r},{'' if vl is None else repr(vl)}\n")

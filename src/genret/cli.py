@@ -15,23 +15,20 @@ Typical run, start to finish:
         --cache run/gen/scores.jsonl --out run/cmp
 
 Every command takes --out DIR and writes its resolved options there as
-config.json.  A single --seed funnels all randomness, files are written
-atomically (temp file, then rename), and nothing embeds a timestamp, so a
-rerun with equal inputs is byte-identical.
+config.json.  A single --seed funnels all randomness, every library writer
+writes atomically (core.atomic_write: temp file, then rename), and nothing
+embeds a timestamp, so a rerun with equal inputs is byte-identical.
 
-Exit codes: 0 success, 1 pipeline error, 2 usage, 3 I/O, 4 bad input schema.
-Failures print one line, `error[category]: detail`, to stderr.
+Exit codes: 0 success, 1 pipeline error, 2 usage, 3 I/O, 4 bad input (schema
+or malformed JSON).  Failures print one line, `error[category]: detail`, to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -55,11 +52,14 @@ from .core import (
     Method,
     ScoredInstance,
     Template,
+    atomic_write,
     parse_template,
     read_instances,
+    read_json,
     stable_seed,
     tokenize,
     write_instances,
+    write_json,
 )
 from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
 from .errors import ConfigurationError, GenretError, SchemaError
@@ -82,46 +82,6 @@ ENDPOINT_ENV = "GENRET_REMOTE_ENDPOINT"
 # -- plumbing ------------------------------------------------------------
 
 
-def _atomic(path: Path, writer: Callable[[Path], None]) -> None:
-    # write the temp file in the destination directory so the rename
-    # cannot cross filesystems
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, obj) -> None:
-    def w(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    _atomic(path, w)
-
-
-def _write_text(path: Path, text: str) -> None:
-    def w(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    _atomic(path, w)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, as persisted next to a command's outputs."""
-
-    command: str
-    options: dict
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "options": self.options}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(command=d["command"], options=dict(d["options"]))
-
-
 def _ensure_out(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -132,7 +92,7 @@ def _emit_config(out: Path, args: argparse.Namespace, resolved: dict | None = No
     options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     if resolved:
         options.update(resolved)
-    _write_json(out / "config.json", RunConfig(args.command, options).to_dict())
+    write_json(out / "config.json", {"command": args.command, "options": options})
 
 
 def _resolve_combo(
@@ -193,13 +153,10 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
     instances = []
     for scene in scenes:
         instances.extend(make_instances(spec, scene, args.candidates, kind, seed=args.seed))
-    _atomic(out / "world.json", lambda p: write_world(p, spec))
-    _atomic(out / "scenes.jsonl", lambda p: write_scenes(p, scenes))
-    _atomic(
-        out / "scene_graph.json",
-        lambda p: write_scene_graph(p, scenes_to_records(scenes)),
-    )
-    _atomic(out / "instances.jsonl", lambda p: write_instances(p, instances))
+    write_world(out / "world.json", spec)
+    write_scenes(out / "scenes.jsonl", scenes)
+    write_scene_graph(out / "scene_graph.json", scenes_to_records(scenes))
+    write_instances(out / "instances.jsonl", instances)
     _emit_config(out, args)
     print(f"{len(scenes)} scenes, {len(instances)} instances -> {out}")
     return 0
@@ -220,9 +177,9 @@ def _cmd_build_dataset(args: argparse.Namespace) -> int:
     counts = (
         stats.attribute_counts if anchor_kind is AnchorKind.OBJECT else stats.object_counts
     )
-    _atomic(out / "instances.jsonl", lambda p: write_instances(p, instances))
-    _write_json(out / "manifest.json", manifest)
-    _write_json(out / "counts.json", counts)
+    write_instances(out / "instances.jsonl", instances)
+    write_json(out / "manifest.json", manifest)
+    write_json(out / "counts.json", counts)
     _emit_config(out, args)
     print(f"{manifest['n_instances']} instances from {manifest['n_images']} images -> {out}")
     return 0
@@ -289,7 +246,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         length_normalize=args.length_normalize,
     )
-    _atomic(out / "scores.jsonl", lambda p: write_score_cache(p, scored))
+    write_score_cache(out / "scores.jsonl", scored)
     resolved.update({"method": method.value, "template": template.name})
     _emit_config(out, args, resolved)
     print(f"scored {len(scored)} instances [{method.value} / {template.name}] -> {out}")
@@ -319,8 +276,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         init_sigma=args.init_sigma,
     )
     table, history = fit(scored, config, validation=validation)
-    _atomic(out / "calibration.json", lambda p: write_table(p, table))
-    _atomic(out / "loss_curve.csv", lambda p: history.to_csv(p))
+    write_table(out / "calibration.json", table)
+    history.to_csv(out / "loss_curve.csv")
     _emit_config(out, args, {"method": method.value, "template": template.name})
     last = history.train_loss[-1] if history.train_loss else float("nan")
     print(
@@ -356,11 +313,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             thresholds = [0.5]
     class_meta = None
     if args.class_frequencies:
-        with open(args.class_frequencies, "r", encoding="utf-8") as fh:
-            freqs = json.load(fh)
-        class_meta = bucketize(
-            {w: int(c) for w, c in freqs.items()}, args.head_cut, args.tail_cut
-        )
+        freqs = read_json(args.class_frequencies)
+        # type() rather than isinstance(): a bool is not a count
+        if not isinstance(freqs, dict) or not all(type(c) is int for c in freqs.values()):
+            raise SchemaError(f"{args.class_frequencies}: counts must map words to integers")
+        class_meta = bucketize(freqs, args.head_cut, args.tail_cut)
     report = compute_report(
         scored,
         ks=tuple(args.k or [15]),
@@ -372,9 +329,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         pooling=args.pooling,
         treat_unlabeled_as_negative=args.unlabeled_negative,
     )
-    _write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", report.to_dict())
     text = report.render_text()
-    _write_text(out / "report.txt", text)
+    with atomic_write(out / "report.txt") as fh:
+        fh.write(text)
     _emit_config(
         out,
         args,
@@ -422,7 +380,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "mAP": rep.mean_ap,
             }
         )
-    _write_json(out / "comparison.json", {"k": args.k, "rows": rows})
+    write_json(out / "comparison.json", {"k": args.k, "rows": rows})
 
     headers = ["method", "template", "mean_rank", f"mR@{args.k}", "mAP"]
     cells = [
@@ -440,7 +398,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for c in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
     text = "\n".join(lines) + "\n"
-    _write_text(out / "comparison.txt", text)
+    with atomic_write(out / "comparison.txt") as fh:
+        fh.write(text)
     _emit_config(out, args)
     print(text, end="")
     return 0

@@ -1,4 +1,4 @@
-"""Sentence templates and ranking-problem records.
+"""Sentence templates, ranking-problem records and the on-disk format.
 
 A template is a whitespace-separated sequence of literal tokens and two slot
 kinds, an attribute slot ``{A}`` and an object slot ``{O}``.  Rendering fills
@@ -8,6 +8,9 @@ attribute "red" renders to ``("traffic", "light", "is", "red")``.
 
 Words are case-folded exactly once, at ingestion.  Comparisons downstream are
 plain string equality.
+
+The file helpers at the end are the one on-disk format: every write is
+atomic, and undecodable input is a SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -15,10 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar, Union
 
 from .errors import RenderError, SchemaError, TemplateSyntaxError
 
@@ -38,6 +45,13 @@ def normalize_word(word: str) -> str:
 def tokenize(word: str) -> tuple[str, ...]:
     """Split a (possibly multi-word) value into lowercase tokens."""
     return tuple(normalize_word(word).split())
+
+
+def is_finite_number(value: object) -> bool:
+    """True for an int or a finite float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def stable_seed(*parts: object) -> int:
@@ -64,21 +78,16 @@ TemplateElement = Union[Slot, str]  # str elements are literal tokens
 class Template:
     """Parsed sentence template.
 
-    `elements` mixes Slot members and literal token strings.  `name` is the
-    identifier recorded in score caches; by default it is the spec string
-    itself (see parse_template).
+    `elements` mixes Slot members and literal token strings.  `name`, the
+    identifier recorded in score caches, is the canonical spec string, so a
+    cached template name always parses back to the same template.
     """
 
     elements: tuple[TemplateElement, ...]
-    name: str
 
     def __post_init__(self):
-        if not self.elements:
-            raise TemplateSyntaxError("template has no elements")
         if not any(isinstance(e, Slot) for e in self.elements):
             raise TemplateSyntaxError("template has no slots")
-        if not self.name or not self.name.strip():
-            raise TemplateSyntaxError("template name is empty")
         for e in self.elements:
             if isinstance(e, Slot):
                 continue
@@ -89,17 +98,16 @@ class Template:
     def slots(self) -> frozenset[Slot]:
         return frozenset(e for e in self.elements if isinstance(e, Slot))
 
-    @property
-    def spec(self) -> str:
-        return format_template(self)
+    @cached_property
+    def name(self) -> str:
+        return " ".join("{%s}" % e.value if isinstance(e, Slot) else e for e in self.elements)
 
 
-def parse_template(spec: str, name: str | None = None) -> Template:
+def parse_template(spec: str) -> Template:
     """Parse a template spec like ``"{A} {O} is {A}"``.
 
     Elements are whitespace separated.  ``{A}`` and ``{O}`` are slots, any
-    other brace use is an error, everything else is a literal token.  The
-    template name defaults to the normalized spec string.
+    other brace use is an error, everything else is a literal token.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise TemplateSyntaxError("empty template spec")
@@ -113,17 +121,12 @@ def parse_template(spec: str, name: str | None = None) -> Template:
             raise TemplateSyntaxError(f"malformed braces in {piece!r}")
         else:
             elements.append(piece)
-    tpl = Template(tuple(elements), name="pending")
-    canonical = format_template(tpl)
-    return Template(tpl.elements, name=name if name is not None else canonical)
+    return Template(tuple(elements))
 
 
 def format_template(t: Template) -> str:
     """Inverse of parse_template, up to whitespace normalization."""
-    pieces = []
-    for e in t.elements:
-        pieces.append("{%s}" % e.value if isinstance(e, Slot) else e)
-    return " ".join(pieces)
+    return t.name
 
 
 def render(t: Template, attribute: str | None = None, obj: str | None = None) -> tuple[str, ...]:
@@ -212,6 +215,8 @@ class RankingInstance:
             region = tuple(self.region)
             if len(region) != 4:
                 raise SchemaError(f"region must have 4 entries, got {len(region)}")
+            if not all(is_finite_number(v) for v in region):
+                raise SchemaError(f"region entries must be finite numbers, got {list(region)}")
             object.__setattr__(self, "region", region)
         if self.negatives_explicit is not None:
             object.__setattr__(
@@ -310,48 +315,80 @@ def instance_from_dict(d: dict) -> RankingInstance:
     if unknown:
         raise SchemaError(f"instance record has unknown fields: {sorted(unknown)}")
     try:
+        # RankingInstance converts each field to its tuple/set/enum form
         return RankingInstance(
             image_id=str(d["image_id"]),
-            anchor_kind=AnchorKind(d["anchor_kind"]),
+            anchor_kind=d["anchor_kind"],
             anchor=d["anchor"],
-            candidates=tuple(d["candidates"]),
-            positives=frozenset(d["positives"]),
-            region=tuple(d["region"]) if d.get("region") is not None else None,
-            negatives_explicit=(
-                frozenset(d["negatives_explicit"])
-                if d.get("negatives_explicit") is not None
-                else None
-            ),
+            candidates=d["candidates"],
+            positives=d["positives"],
+            region=d.get("region"),
+            negatives_explicit=d.get("negatives_explicit"),
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise SchemaError(f"bad instance record: {exc}") from exc
 
 
-def write_instances(path: str | Path, instances: Iterable[RankingInstance]) -> None:
-    """Write instances as JSONL, one object per line, keys in fixed order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), sort_keys=True))
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Yield a text handle on `path`.tmp, renamed over `path` on success and
+    deleted on any exception.  It sits beside `path` so the rename cannot
+    cross filesystems."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """One JSON document: indent 2, sorted keys, final newline."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line, streamed record by record."""
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
+
+
+def read_json(path: str | Path):
+    """Load one JSON document; undecodable content is a SchemaError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:
     """parse() each non-blank line of a JSONL file, in order.  A line that is
-    not JSON, or that parse() rejects with SchemaError, raises SchemaError
-    prefixed with path:lineno."""
+    not UTF-8 JSON, or that parse() rejects with SchemaError, raises
+    SchemaError prefixed with path:lineno."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so errors have a lineno
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
+                out.append(parse(json.loads(line.decode("utf-8"))))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def write_instances(path: str | Path, instances: Iterable[RankingInstance]) -> None:
+    write_jsonl(path, map(instance_to_dict, instances))
 
 
 def read_instances(path: str | Path) -> list[RankingInstance]:

@@ -28,7 +28,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AnchorKind, RankingInstance, normalize_word, stable_seed
+from .core import (
+    AnchorKind,
+    RankingInstance,
+    is_finite_number,
+    normalize_word,
+    read_json,
+    stable_seed,
+    write_json,
+)
 from .errors import BuilderError, SchemaError, StatsError
 
 
@@ -64,8 +72,7 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
     lowercased here and never again.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
+        source = read_json(source)
     if not isinstance(source, list):
         raise SchemaError("scene-graph JSON must be a list of image records")
     records = []
@@ -92,6 +99,8 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
                 box = (ob["x"], ob["y"], ob["w"], ob["h"])
             except KeyError as exc:
                 raise SchemaError(f"{where}: missing box field {exc}") from exc
+            if not all(is_finite_number(v) for v in box):
+                raise SchemaError(f"{where}: box fields x, y, w, h must be numbers, got {list(box)}")
             try:
                 obj, attributes = normalize_word(names[0]), _dedup(attributes)
             except SchemaError as exc:
@@ -114,9 +123,7 @@ def record_to_dict(record: SceneGraphRecord) -> dict:
 
 
 def write_scene_graph(path: str | Path, records: Iterable[SceneGraphRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([record_to_dict(r) for r in records], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [record_to_dict(r) for r in records])
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ of counted co-occurrence statistics, choosing the hard negatives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -32,9 +32,12 @@ from .core import (
     RankingInstance,
     normalize_word,
     parse_template,
+    read_json,
     read_jsonl,
     render,
     tokenize,
+    write_json,
+    write_jsonl,
 )
 from .dataset import (
     BoxAnnotation,
@@ -102,6 +105,11 @@ class WorldSpec:
         for tpl in CAPTION_TEMPLATES:
             tokens.update(e for e in tpl.elements if isinstance(e, str))
         return tuple(sorted(tokens))
+
+    @cached_property
+    def stats(self) -> CooccurrenceStats:
+        """world_stats(self), derived once per world; callers only read it."""
+        return world_stats(self)
 
 
 @dataclass(frozen=True)
@@ -264,14 +272,13 @@ def make_instances(
     """Build a scene's ranking instances with world-prior hard negatives.
 
     One instance per entity that has attributes, built by
-    dataset.build_instance over the scene's record with world_stats
-    standing in for counted statistics: the same rule, and for equal
+    dataset.build_instance over the scene's record with spec.stats
+    (world_stats) standing in for counted statistics: the same rule, and for equal
     scenes the same instances, as build-dataset.
     """
-    stats = world_stats(spec)
     (record,) = scenes_to_records([scene])
     return [
-        build_instance(record, i, stats, n_candidates, anchor_kind, seed)
+        build_instance(record, i, spec.stats, n_candidates, anchor_kind, seed)
         for i, box in enumerate(record.boxes)
         if box.attributes
     ]
@@ -319,19 +326,16 @@ def world_from_dict(d: dict) -> WorldSpec:
             attribute_prior=prior,
             rng_seed=int(d["rng_seed"]),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"bad world record: {exc}") from exc
 
 
 def write_world(path: str | Path, spec: WorldSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(world_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, world_to_dict(spec))
 
 
 def read_world(path: str | Path) -> WorldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return world_from_dict(json.load(fh))
+    return world_from_dict(read_json(path))
 
 
 def scene_to_dict(scene: SyntheticScene) -> dict:
@@ -359,10 +363,7 @@ def scene_from_dict(d: dict) -> SyntheticScene:
 
 
 def write_scenes(path: str | Path, scenes: Iterable[SyntheticScene]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sc in scenes:
-            fh.write(json.dumps(scene_to_dict(sc), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(scene_to_dict, scenes))
 
 
 def read_scenes(path: str | Path) -> list[SyntheticScene]:

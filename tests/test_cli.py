@@ -14,7 +14,7 @@ from genret import (
     read_table,
     read_world,
 )
-from genret.cli import ENDPOINT_ENV, RunConfig, main
+from genret.cli import ENDPOINT_ENV, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:class .* has positives:RuntimeWarning"
@@ -98,10 +98,10 @@ def test_gen_world_writes_everything(pipeline):
     for name in ("world.json", "scenes.jsonl", "scene_graph.json",
                  "instances.jsonl", "config.json"):
         assert (world / name).exists(), name
-    config = RunConfig.from_dict(json.loads((world / "config.json").read_text()))
-    assert config.command == "gen-world"
-    assert config.options["seed"] == 5
-    assert config.options["candidates"] == 10
+    config = json.loads((world / "config.json").read_text())
+    assert config["command"] == "gen-world"
+    assert config["options"]["seed"] == 5
+    assert config["options"]["candidates"] == 10
     # the emitted files load back through the library entry points
     spec = read_world(world / "world.json")
     scenes = read_scenes(world / "scenes.jsonl")
@@ -427,6 +427,39 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
     )
     assert rc == 4
     assert capsys.readouterr().err.startswith("error[schema]:")
+
+
+@pytest.mark.parametrize(
+    "command,flag,content",
+    [
+        ("score", "--world", "{not json"),
+        ("build-dataset", "--scene-graph", '[{"image_id": '),
+        ("evaluate", "--calibration", "{"),
+        ("evaluate", "--class-frequencies", "counts"),
+        ("evaluate", "--calibration", '{"red": {"mu": 0.0}}'),
+        ("evaluate", "--class-frequencies", "[1, 2]"),
+        ("evaluate", "--class-frequencies", '{"red": 1.5}'),
+    ],
+)
+def test_malformed_json_input_exits_4(pipeline, tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    inputs = {
+        "score": [
+            "--instances", pipeline["instances"], "--backend", "oracle",
+            "--scenes", str(pipeline["world"] / "scenes.jsonl"),
+        ],
+        "build-dataset": [],
+        "evaluate": [
+            "--instances", pipeline["instances"],
+            "--cache", str(pipeline["gen"] / "scores.jsonl"),
+        ],
+    }[command]
+    rc = main([command, "--out", str(tmp_path / "x"), *inputs, flag, str(bad)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[schema]:")
+    assert str(bad) in err
 
 
 def test_empty_cache_exits_1(pipeline, tmp_path, capsys):

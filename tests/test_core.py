@@ -143,6 +143,7 @@ def test_instance_normalizes_words():
         dict(positives=frozenset({7})),
         dict(negatives_explicit=frozenset({1})),  # overlaps the positive
         dict(region=(1, 2, 3)),
+        dict(region=(0, 0, True, 1)),  # a bool is not a coordinate
         dict(image_id=""),
     ],
 )
@@ -197,6 +198,21 @@ def test_instances_jsonl_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "inst.jsonl"
+    write_instances(path, [make_instance()])
+    before = path.read_bytes()
+
+    def broken():
+        yield make_instance(image_id="img2")
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        write_instances(path, broken())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.jsonl"]
+
+
 def test_read_instances_reports_line_numbers(tmp_path):
     # all three JSONL readers share one loop: blank lines are skipped but
     # counted, and both undecodable and ill-shaped records name path:lineno
@@ -211,7 +227,7 @@ def test_read_instances_reports_line_numbers(tmp_path):
     for reader, good in readers:
         path.write_text(json.dumps(good) + "\n\n" + json.dumps(good) + "\n")
         assert len(reader(path)) == 2
-        for bad in ("{notjson", "{}", "[1]"):
-            path.write_text(json.dumps(good) + "\n\n" + bad + "\n")
+        for bad in (b"{notjson", b"{}", b"[1]", b"\xff"):
+            path.write_bytes(json.dumps(good).encode() + b"\n\n" + bad + b"\n")
             with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: "):
                 reader(path)

@@ -119,6 +119,7 @@ def test_scene_graph_rewrite_is_byte_identical(tmp_path, records):
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": "cat"}]}], "image x object #0: names must be a list"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": 5}]}], "image x object #0: attributes must be a list"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": [5]}]}], "image x object #0: word must be a string"),
+        ([{"image_id": "x", "objects": [{"x": "a", "y": None, "w": 1, "h": 1, "names": ["cat"]}]}], "image x object #0: box fields"),
     ],
 )
 def test_parse_scene_graph_rejects(raw, match):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from genret import world
 from genret import (
     AnchorKind,
     Entity,
@@ -178,6 +179,16 @@ def test_world_stats_put_zero_prior_attributes_last():
     # a world without priors still has a (flat, lexicographic) fallback tier
     bare = world_stats(tiny_world(compatibility={}, attribute_prior={}))
     assert [w for w, _ in bare.attribute_prior] == ["a0", "a1", "a2", "a3", "a4", "a5"]
+
+
+def test_world_stats_are_derived_once_per_world(monkeypatch):
+    calls = []
+    real = world.world_stats
+    monkeypatch.setattr(world, "world_stats", lambda spec: calls.append(spec) or real(spec))
+    spec = tiny_world()
+    for _ in range(3):
+        make_instances(spec, exclusion_scene(), 4, AnchorKind.OBJECT)
+    assert calls == [spec]
 
 
 def test_object_anchor_instances_respect_pairing_exclusion():
