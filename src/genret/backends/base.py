@@ -10,7 +10,7 @@ Capabilities describe what a backend can do, and the engine refuses
 mismatched requests up front instead of failing mid-batch:
 
 - has_generative: next_token_distribution works
-- has_contrastive: embed_image / embed_text work
+- has_contrastive: embed_image / embed_text / embed_batch work
 - has_terminal_token: distributions carry an end-of-sentence probability,
   and generative losses get a terminal term
 - concurrent_safe: queries may run concurrently; otherwise the engine
@@ -77,6 +77,13 @@ class ScorerBackend(ABC):
         raise ConfigurationError(
             f"{type(self).__name__} has no contrastive support"
         )
+
+    def embed_batch(
+        self, image_id: str, region, sentences: Sequence[tuple[str, ...]]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Batch form: the image embedding and one embedding per sentence, in
+        order; backends with per-call overhead should override."""
+        return self.embed_image(image_id, region), [self.embed_text(s) for s in sentences]
 
 
 class SentenceScoreSource(ABC):

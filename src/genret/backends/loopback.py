@@ -2,7 +2,12 @@
 
 Not a production server: it exists so the remote client can be exercised
 end-to-end against a local backend without leaving the process.  Runs a
-threaded stdlib HTTP server on an ephemeral localhost port.
+threaded stdlib HTTP server on an ephemeral localhost port and speaks the
+wire protocol documented in remote.py: /v1/logprobs asks the backend for
+one distribution per prefix, /v1/embed for the image's embedding (when the
+request names an image_id) and one embedding per sentence in `texts`.
+Malformed fields and requests the backend rejects get 400, any other
+backend exception 500.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -37,7 +42,9 @@ class _Handler(BaseHTTPRequestHandler):
             image_id = request.get("image_id")
             region = tuple(request["region"]) if request.get("region") is not None else None
             prefixes = [tuple(q.get("prefix", ())) for q in request.get("queries", [])]
-            text = tuple(request["text"]) if request.get("text") is not None else None
+            texts = request.get("texts") or []
+            if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):
+                raise TypeError("texts must be a list of token lists")
         except (AttributeError, TypeError, ValueError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
@@ -53,11 +60,13 @@ class _Handler(BaseHTTPRequestHandler):
                     results.append(res)
                 status, payload = 200, {"request_id": request_id, "results": results}
             elif self.path == "/v1/embed":
-                if text is not None:
-                    vec = backend.embed_text(text)
-                else:
-                    vec = backend.embed_image(image_id, region)
-                status, payload = 200, {"request_id": request_id, "vector": vec.tolist()}
+                if image_id is None and not texts:
+                    raise ValueError("an embed request needs an image_id or texts")
+                payload = {"request_id": request_id}
+                if image_id is not None:
+                    payload["image"] = backend.embed_image(image_id, region).tolist()
+                payload["texts"] = [backend.embed_text(tuple(t)).tolist() for t in texts]
+                status = 200
             else:
                 status, payload = 404, {"error": f"unknown path {self.path}"}
         except (GenretError, ValueError, TypeError) as exc:

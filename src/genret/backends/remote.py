@@ -4,8 +4,12 @@ Wire protocol, all POST, JSON bodies:
 
     /v1/logprobs  {request_id, image_id, region?, queries: [{prefix: [tok, ...]}]}
         -> {request_id, results: [{probs: {tok: p, ...}, terminal_p?}]}
-    /v1/embed     {request_id, image_id?, region?, text?: [tok, ...]}
-        -> {request_id, vector: [float, ...]}
+    /v1/embed     {request_id, image_id?, region?, texts: [[tok, ...], ...]}
+        -> {request_id, image?: [float, ...], texts: [[float, ...], ...]}
+
+`image` is present exactly when the request names an image_id, and `texts`
+holds one vector per requested sentence, in order; a request must ask for
+at least one of the two.
 
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
@@ -16,8 +20,10 @@ distribution sums to one is checked by the scoring engine, which checks
 every distribution before it takes a log.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
-the engine hands it every prefix an instance needs at once.  A bounded
-semaphore caps concurrent in-flight requests (default 8).
+the engine hands it every prefix an instance needs at once; one /v1/embed
+call embeds an instance's image and all of its sentences (`embed_batch`).
+`embed_image` and `embed_text` are single-item requests of the same form.
+A bounded semaphore caps concurrent in-flight requests (default 8).
 """
 
 from __future__ import annotations
@@ -145,24 +151,44 @@ class RemoteBackend(ScorerBackend):
 
     # -- contrastive ---------------------------------------------------
 
-    def _embed(self, payload: dict) -> np.ndarray:
-        payload["request_id"] = uuid.uuid4().hex
-        data = self._post("/v1/embed", payload)
-        vector = data.get("vector")
-        if not isinstance(vector, list) or not vector:
-            raise TransportError("embed response has no vector", body=str(data)[:2000])
-        try:
-            return np.asarray(vector, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise TransportError(
-                f"embed vector has a non-numeric value: {exc}", body=str(data)[:2000]
-            ) from exc
+    def embed_batch(self, image_id, region, sentences):
+        return self._embed(image_id, region, sentences)
 
     def embed_image(self, image_id, region) -> np.ndarray:
-        payload: dict = {"image_id": image_id}
-        if region is not None:
-            payload["region"] = list(region)
-        return self._embed(payload)
+        return self._embed(image_id, region, [])[0]
 
     def embed_text(self, tokens) -> np.ndarray:
-        return self._embed({"text": list(tokens)})
+        return self._embed(None, None, [tokens])[1][0]
+
+    def _embed(self, image_id, region, sentences):
+        """One /v1/embed request: the image's vector when image_id is given
+        (else None), and one vector per sentence."""
+        payload: dict = {
+            "request_id": uuid.uuid4().hex,
+            "texts": [list(s) for s in sentences],
+        }
+        if image_id is not None:
+            payload["image_id"] = image_id
+        if region is not None:
+            payload["region"] = list(region)
+        data = self._post("/v1/embed", payload)
+        texts = data.get("texts")
+        if not isinstance(texts, list) or len(texts) != len(sentences):
+            raise TransportError(
+                f"expected {len(sentences)} text vectors, got "
+                f"{len(texts) if isinstance(texts, list) else type(texts).__name__}",
+                body=str(data)[:2000],
+            )
+        image = _vector(data, "image", data.get("image")) if image_id is not None else None
+        return image, [_vector(data, f"text #{i}", v) for i, v in enumerate(texts)]
+
+
+def _vector(data: dict, what: str, vector) -> np.ndarray:
+    if not isinstance(vector, list) or not vector:
+        raise TransportError(f"embed response has no {what} vector", body=str(data)[:2000])
+    try:
+        return np.asarray(vector, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise TransportError(
+            f"embed {what} vector has a non-numeric value: {exc}", body=str(data)[:2000]
+        ) from exc

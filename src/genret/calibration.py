@@ -96,14 +96,20 @@ def write_table(path: str | Path, table: CalibrationTable) -> None:
     write_json(path, table.to_dict())
 
 
-def read_table(path: str | Path) -> CalibrationTable:
-    raw = read_json(path)
+def _table_from_raw(raw) -> CalibrationTable:
     if not isinstance(raw, dict) or not all(
-        isinstance(p, dict) and is_finite_number(p.get("mu")) and is_finite_number(p.get("sigma"))
+        isinstance(p, dict)
+        and is_finite_number(p.get("mu"))
+        and is_finite_number(p.get("sigma"))
+        and p["sigma"] > 0
         for p in raw.values()
     ):
-        raise SchemaError(f"{path}: a calibration table maps each class to numeric mu and sigma")
+        raise SchemaError("a calibration table maps each class to numeric mu and positive sigma")
     return CalibrationTable.from_dict(raw)
+
+
+def read_table(path: str | Path) -> CalibrationTable:
+    return read_json(path, _table_from_raw)
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # -- evaluate ------------------------------------------------------------
 
 
+def _counts(raw) -> dict:
+    # type() rather than isinstance(): a bool is not a count
+    if not isinstance(raw, dict) or not all(type(c) is int for c in raw.values()):
+        raise SchemaError("counts must map words to integers")
+    return raw
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
     scored, method, template = _replay(args.instances, args.cache, args.method, args.template)
@@ -313,10 +320,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             thresholds = [0.5]
     class_meta = None
     if args.class_frequencies:
-        freqs = read_json(args.class_frequencies)
-        # type() rather than isinstance(): a bool is not a count
-        if not isinstance(freqs, dict) or not all(type(c) is int for c in freqs.values()):
-            raise SchemaError(f"{args.class_frequencies}: counts must map words to integers")
+        freqs = read_json(args.class_frequencies, _counts)
         class_meta = bucketize(freqs, args.head_cut, args.tail_cut)
     report = compute_report(
         scored,

@@ -359,13 +359,18 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_json(path: str | Path):
-    """Load one JSON document; undecodable content is a SchemaError."""
+def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
+    """parse() one JSON document.  Content that is not UTF-8 JSON, or that
+    parse() rejects with SchemaError, raises SchemaError prefixed with path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return parse(raw)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:

@@ -72,7 +72,7 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
     lowercased here and never again.
     """
     if isinstance(source, (str, Path)):
-        source = read_json(source)
+        return read_json(source, parse_scene_graph)
     if not isinstance(source, list):
         raise SchemaError("scene-graph JSON must be a list of image records")
     records = []

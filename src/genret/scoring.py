@@ -16,6 +16,11 @@ Each method has one path, a batch function over the sentences of one image
 both call it, so every score passes the same capability, empty-sentence,
 vocabulary and backend-output checks however it was asked for.
 
+Each batch function asks its backend once per image:
+`next_token_distributions` with every distinct prefix the sentences need, or
+`embed_batch` with the image and every sentence.  A remote backend turns
+that one call into one request (`/v1/logprobs` or `/v1/embed`).
+
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default.  Note the
 cost asymmetry: generative scoring spends one decoding step per token where
@@ -172,15 +177,23 @@ def _contrastive_losses(
     region,
     sentences: Sequence[Sequence[str]],
 ) -> list[ContrastiveLoss]:
-    """Contrastive losses of sentences about one image, in input order: one
-    image embedding, then one text embedding per sentence."""
+    """Contrastive losses of sentences about one image, in input order.
+
+    The image embedding and every sentence's embedding are fetched in one
+    batched call, so a remote backend answers an instance in one request.
+    """
     sentences = _checked_sentences(backend, Method.CONTRASTIVE, sentences)
-    f = _check_embedding(backend.embed_image(image_id, region), "image")
-    losses = []
-    for s in sentences:
-        g = _check_embedding(backend.embed_text(s), "text")
-        losses.append(ContrastiveLoss(value=float(np.linalg.norm(f - g))))
-    return losses
+    image, texts = backend.embed_batch(image_id, region, sentences)
+    texts = list(texts)
+    if len(texts) != len(sentences):
+        raise NormalizationError(
+            f"backend returned {len(texts)} text embeddings for {len(sentences)} sentences"
+        )
+    f = _check_embedding(image, "image")
+    return [
+        ContrastiveLoss(value=float(np.linalg.norm(f - _check_embedding(g, "text"))))
+        for g in texts
+    ]
 
 
 def generative_loss(
@@ -292,6 +305,10 @@ class _SerializedBackend(ScorerBackend):
     def embed_text(self, tokens):
         with self._lock:
             return self._inner.embed_text(tokens)
+
+    def embed_batch(self, image_id, region, sentences):
+        with self._lock:
+            return self._inner.embed_batch(image_id, region, sentences)
 
 
 def batch_rank(

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     AnchorKind,
     RankingInstance,
+    is_finite_number,
     normalize_word,
     parse_template,
     read_json,
@@ -315,16 +316,23 @@ def world_to_dict(spec: WorldSpec) -> dict:
 def world_from_dict(d: dict) -> WorldSpec:
     try:
         prior = {
-            (o, a): float(p)
+            (o, a): p
             for o, table in d["attribute_prior"].items()
             for a, p in table.items()
         }
+        seed = d["rng_seed"]
+        # checked, not coerced: a hand-edited seed or prior must not load as another
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise SchemaError(f"bad world record: rng_seed must be an integer, got {seed!r}")
+        for (o, a), p in prior.items():
+            if not is_finite_number(p):
+                raise SchemaError(f"bad world record: prior for ({o!r}, {a!r}) is {p!r}")
         return WorldSpec(
             objects=tuple(d["objects"]),
             attributes=tuple(d["attributes"]),
             compatibility={o: tuple(v) for o, v in d["compatibility"].items()},
             attribute_prior=prior,
-            rng_seed=int(d["rng_seed"]),
+            rng_seed=seed,
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"bad world record: {exc}") from exc
@@ -335,7 +343,7 @@ def write_world(path: str | Path, spec: WorldSpec) -> None:
 
 
 def read_world(path: str | Path) -> WorldSpec:
-    return world_from_dict(read_json(path))
+    return read_json(path, world_from_dict)
 
 
 def scene_to_dict(scene: SyntheticScene) -> dict:

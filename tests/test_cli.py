@@ -439,6 +439,10 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
         ("evaluate", "--calibration", '{"red": {"mu": 0.0}}'),
         ("evaluate", "--class-frequencies", "[1, 2]"),
         ("evaluate", "--class-frequencies", '{"red": 1.5}'),
+        ("evaluate", "--calibration", '{"red": {"mu": 1, "sigma": -1}}'),
+        ("evaluate", "--calibration", '{"red": {"mu": 1, "sigma": 0}}'),
+        ("score", "--world", '{"objects": ["cat"]}'),
+        ("build-dataset", "--scene-graph", '[{"objects": []}]'),
     ],
 )
 def test_malformed_json_input_exits_4(pipeline, tmp_path, capsys, command, flag, content):

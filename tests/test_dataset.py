@@ -100,6 +100,14 @@ def test_parse_scene_graph_reads_files(tmp_path, records):
     assert parse_scene_graph(str(path)) == records
 
 
+def test_scene_graph_shape_errors_name_the_file(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps([{"objects": []}]))
+    with pytest.raises(SchemaError) as err:
+        parse_scene_graph(path)
+    assert str(err.value) == f"{path}: image record #0 missing image_id"
+
+
 def test_scene_graph_rewrite_is_byte_identical(tmp_path, records):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_scene_graph(a, records)

@@ -21,3 +21,30 @@ def test_only_core_opens_files():
             ):
                 callers.add(path.relative_to(PACKAGE).as_posix())
     assert callers == {"core.py"}
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def test_only_the_remote_client_and_loopback_server_name_wire_paths():
+    # the wire protocol is defined where it is spoken: a "/v1/..." literal
+    # anywhere else would be a second copy of it (docstrings may cite paths)
+    speakers = set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs = set(map(id, _docstrings(tree)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "/v1/" in node.value
+                and id(node) not in docs
+            ):
+                speakers.add(path.relative_to(PACKAGE).as_posix())
+    assert speakers <= {"backends/remote.py", "backends/loopback.py"}
+    assert speakers  # the rule still sees the literals it guards

@@ -19,7 +19,7 @@ from genret import (
 )
 from genret.backends.loopback import _Handler
 from genret.errors import NormalizationError, TransportError
-from genret.scoring import generative_loss
+from genret.scoring import contrastive_loss, generative_loss
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,13 @@ def test_embeddings_survive_the_wire(setup):
         np.testing.assert_array_equal(
             remote.embed_text(("obj00", "is")), backend.embed_text(("obj00", "is"))
         )
+        sentences = [("obj00", "is"), ("is",)]
+        image, texts = remote.embed_batch("scene-000001", None, sentences)
+        want_image, want_texts = backend.embed_batch("scene-000001", None, sentences)
+        np.testing.assert_array_equal(image, want_image)
+        assert len(texts) == len(want_texts) == 2
+        for got, want in zip(texts, want_texts):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_terminal_p_is_optional_on_the_wire():
@@ -104,6 +111,16 @@ def test_one_post_per_prefix_batch(setup):
         assert server._server.hits == 1
 
 
+def test_one_post_per_contrastive_instance(setup):
+    _, _, backend, instances = setup
+    server = LoopbackServer(backend, handler=CountingHandler)
+    with server as url:
+        remote = remote_for(url, backend)
+        rank_instance(remote, instances[0], parse_template("{O} is {A}"), Method.CONTRASTIVE)
+        assert len(instances[0].candidates) > 1
+        assert server._server.hits == 1
+
+
 # -- faults ---------------------------------------------------------------
 
 
@@ -125,6 +142,17 @@ def test_retries_ride_out_transient_500s(setup):
         remote = remote_for(url, backend)
         dist = remote.next_token_distribution("scene-000000", None, ())
         assert abs(dist.total() - 1.0) < 1e-9
+        assert server._server.hits == 3
+
+
+def test_embed_retries_ride_out_transient_500s(setup):
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=FlakyHandler)
+    with server as url:
+        remote = remote_for(url, backend)
+        image, texts = remote.embed_batch("scene-000000", None, [("obj00",)])
+        np.testing.assert_array_equal(image, backend.embed_image("scene-000000", None))
+        np.testing.assert_array_equal(texts[0], backend.embed_text(("obj00",)))
         assert server._server.hits == 3
 
 
@@ -217,7 +245,7 @@ def ask_embedding(remote):
         ({"results": [{"probs": {"a": [1.0]}}]}, ask_distribution),
         ({"results": [{"probs": {"a": 1.0}, "terminal_p": "none"}]}, ask_distribution),
         ({"results": ["oops"]}, ask_distribution),
-        ({"vector": ["x", 1.0]}, ask_embedding),
+        ({"texts": [["x", 1.0]]}, ask_embedding),
     ],
 )
 def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
@@ -227,6 +255,33 @@ def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
         with pytest.raises(TransportError) as err:
             ask(remote)
         assert err.value.body
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"image": [1.0], "texts": [[1.0]]},  # one text vector for two sentences
+        {"texts": [[1.0], [1.0]]},  # no image vector
+        {"image": "x", "texts": [[1.0], [1.0]]},
+        {"image": [1.0], "texts": [[1.0], ["x"]]},
+    ],
+)
+def test_malformed_embed_reply_is_a_transport_error(setup, reply):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        remote = remote_for(url, backend)
+        with pytest.raises(TransportError) as err:
+            remote.embed_batch("scene-000000", None, [("a",), ("b",)])
+        assert err.value.body
+
+
+def test_nan_text_embedding_is_rejected_by_the_engine(setup):
+    _, _, backend, _ = setup
+    reply = {"image": [1.0, 0.0], "texts": [[float("nan"), 0.0]]}
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        remote = remote_for(url, backend)
+        with pytest.raises(NormalizationError, match="text embedding"):
+            contrastive_loss(remote, "scene-000000", None, ("a",))
 
 
 def test_malformed_request_gets_400_not_a_dropped_connection(setup):
@@ -248,10 +303,27 @@ def test_backend_rejecting_a_request_gets_400(setup):
     server = LoopbackServer(backend, handler=CountingHandler)
     with server as url:
         resp = requests.post(
-            f"{url}/v1/embed", json={"request_id": "r", "text": []}, timeout=10
+            f"{url}/v1/embed", json={"request_id": "r", "texts": [[]]}, timeout=10
         )
         assert resp.status_code == 400
         assert server._server.hits == 1
+
+
+@pytest.mark.parametrize(
+    "request_body, error",
+    [
+        ({"request_id": "r"}, "needs an image_id or texts"),
+        ({"request_id": "r", "texts": []}, "needs an image_id or texts"),
+        ({"request_id": "r", "texts": "ab"}, "texts must be a list of token lists"),
+        ({"request_id": "r", "texts": ["ab"]}, "texts must be a list of token lists"),
+    ],
+)
+def test_malformed_embed_request_gets_400(setup, request_body, error):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend) as url:
+        resp = requests.post(f"{url}/v1/embed", json=request_body, timeout=10)
+        assert resp.status_code == 400
+        assert error in resp.json()["error"]
 
 
 class BrokenBackend(UniformBackend):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_short_batch_from_the_backend_is_rejected():
 
     with pytest.raises(NormalizationError, match="returned 1 distributions for 2 prefixes"):
         generative_loss(DropsLast(["a", "b"]), "x", None, ("a", "b"))
+
+
+def test_short_embedding_batch_from_the_backend_is_rejected():
+    class DropsLast(OracleBackend):
+        def embed_batch(self, image_id, region, sentences):
+            image, texts = super().embed_batch(image_id, region, sentences)
+            return image, texts[:-1]
+
+    backend = DropsLast(tiny_world(), [one_cat_scene()])
+    with pytest.raises(NormalizationError, match="returned 0 text embeddings for 1 sentences"):
+        contrastive_loss(backend, "s0", None, ("cat",))
 
 
 class NanProbability(UniformBackend):
@@ -302,6 +314,34 @@ def test_parallel_matches_sequential_bit_for_bit(batch_setup):
     seq = batch_rank(backend, instances, template, Method.GENERATIVE, parallelism=1)
     par = batch_rank(backend, instances, template, Method.GENERATIVE, parallelism=4)
     assert [s.scores for s in seq] == [s.scores for s in par]
+
+
+class SerialOnly(OracleBackend):
+    """An oracle that declares itself unsafe to share and counts batch calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.capabilities = replace(self.capabilities, concurrent_safe=False)
+        self.embed_batches = 0
+
+    def embed_batch(self, image_id, region, sentences):
+        self.embed_batches += 1
+        return super().embed_batch(image_id, region, sentences)
+
+
+@pytest.mark.parametrize("method", [Method.GENERATIVE, Method.CONTRASTIVE])
+def test_serialized_backend_matches_sequential_bit_for_bit(method):
+    spec = random_world(seed=11, n_objects=8, n_attributes=16, attrs_per_object=4)
+    scenes = sample_scenes(spec, [2, 3, 2])
+    backend = SerialOnly(spec, scenes)
+    instances = [i for sc in scenes for i in make_instances(spec, sc, 10, AnchorKind.OBJECT, seed=3)]
+    template = parse_template("{O} is {A}")
+    seq = batch_rank(backend, instances, template, method, parallelism=1)
+    par = batch_rank(backend, instances, template, method, parallelism=4)
+    assert [s.scores for s in seq] == [s.scores for s in par]
+    # the lock wrapper hands the whole batch on rather than splitting it
+    want = 2 * len(instances) if method is Method.CONTRASTIVE else 0
+    assert backend.embed_batches == want
 
 
 def test_batch_rank_validates_parallelism(batch_setup):

@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from genret import (
     write_scenes,
     write_world,
 )
-from genret.errors import BuilderError, WorldError
+from genret.errors import BuilderError, SchemaError, WorldError
 
 
 def tiny_world(**kw):
@@ -275,6 +277,35 @@ def test_world_file_round_trip(tmp_path):
     first = path.read_bytes()
     write_world(path, read_world(path))
     assert path.read_bytes() == first
+
+
+def world_dict_with(**changes):
+    d = world.world_to_dict(tiny_world())
+    d.update(changes)
+    return d
+
+
+@pytest.mark.parametrize("seed", [1.7, "1", True, None])
+def test_world_seed_must_be_an_integer(seed):
+    with pytest.raises(SchemaError, match="rng_seed"):
+        world.world_from_dict(world_dict_with(rng_seed=seed))
+
+
+@pytest.mark.parametrize("prior", ["0.5", None, float("nan"), False])
+def test_world_prior_must_be_a_number(prior):
+    d = world_dict_with()
+    d["attribute_prior"]["cat"]["a0"] = prior
+    with pytest.raises(SchemaError, match="prior for \\('cat', 'a0'\\)"):
+        world.world_from_dict(d)
+
+
+def test_world_shape_errors_name_the_file(tmp_path):
+    path = tmp_path / "world.json"
+    d = world_dict_with()
+    del d["attribute_prior"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: bad world record"):
+        read_world(path)
 
 
 def test_scene_file_round_trip(tmp_path):
