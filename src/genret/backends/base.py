@@ -1,16 +1,17 @@
 """Backend interfaces the scoring engine runs against.
 
-A ScorerBackend answers token-level questions: the next-token distribution
-under an image-conditioned prefix, and unit-norm embeddings for the
+A ScorerBackend answers token-level questions: the next-token distributions
+under a batch of image-conditioned prefixes (`next_token_distributions`, the
+one method every backend implements), and unit-norm embeddings for the
 contrastive path.  A SentenceScoreSource answers at sentence granularity
 (ready-made losses); score-cache replay lives there.  The engine accepts
 either.
 
-Capabilities describe what a backend can do, and the engine refuses
-mismatched requests up front instead of failing mid-batch:
+Every backend is generative.  A backend without a contrastive side keeps the
+base class's `embed_image`/`embed_text`, which raise ConfigurationError on
+the first contrastive request.  Capabilities describe how a backend's
+answers are to be read and called:
 
-- has_generative: next_token_distribution works
-- has_contrastive: embed_image / embed_text / embed_batch work
 - has_terminal_token: distributions carry an end-of-sentence probability,
   and generative losses get a terminal term
 - concurrent_safe: queries may run concurrently; otherwise the engine
@@ -31,8 +32,6 @@ from ..errors import ConfigurationError
 
 @dataclass(frozen=True)
 class Capabilities:
-    has_generative: bool = False
-    has_contrastive: bool = False
     has_terminal_token: bool = False
     concurrent_safe: bool = True
 
@@ -57,16 +56,10 @@ class ScorerBackend(ABC):
     vocabulary: frozenset[str] | None = None
 
     @abstractmethod
-    def next_token_distribution(
-        self, image_id: str, region, prefix: tuple[str, ...]
-    ) -> TokenDistribution:
-        ...
-
     def next_token_distributions(
         self, image_id: str, region, prefixes: Sequence[tuple[str, ...]]
     ) -> list[TokenDistribution]:
-        """Batch form; backends with per-call overhead should override."""
-        return [self.next_token_distribution(image_id, region, p) for p in prefixes]
+        """One distribution per prefix, in order."""
 
     def embed_image(self, image_id: str, region) -> np.ndarray:
         raise ConfigurationError(

@@ -3,11 +3,12 @@
 Not a production server: it exists so the remote client can be exercised
 end-to-end against a local backend without leaving the process.  Runs a
 threaded stdlib HTTP server on an ephemeral localhost port and speaks the
-wire protocol documented in remote.py: /v1/logprobs asks the backend for
-one distribution per prefix, /v1/embed for the image's embedding (when the
-request names an image_id) and one embedding per sentence in `texts`.
-Malformed fields and requests the backend rejects get 400, any other
-backend exception 500.
+wire protocol documented in remote.py: each /v1/logprobs request is one
+`next_token_distributions` call with all of its prefixes, and /v1/embed asks
+for the image's embedding (when the request names an image_id) and one
+embedding per sentence in `texts`.  Malformed fields and requests the
+backend rejects (an embed request to a backend without a contrastive side
+among them) get 400, any other backend exception 500.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -52,8 +53,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/v1/logprobs":
                 results = []
-                for prefix in prefixes:
-                    dist = backend.next_token_distribution(image_id, region, prefix)
+                for dist in backend.next_token_distributions(image_id, region, prefixes):
                     res = {"probs": dist.probs}
                     if dist.terminal_p is not None:
                         res["terminal_p"] = dist.terminal_p

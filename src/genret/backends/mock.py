@@ -19,16 +19,14 @@ class UniformBackend(ScorerBackend):
         self.vocabulary = frozenset(self.vocab_order)
         self.include_terminal = include_terminal
         self.capabilities = Capabilities(
-            has_generative=True,
-            has_contrastive=False,
-            has_terminal_token=include_terminal,
-            concurrent_safe=True,
+            has_terminal_token=include_terminal, concurrent_safe=True
         )
 
-    def next_token_distribution(self, image_id, region, prefix) -> TokenDistribution:
+    def next_token_distributions(self, image_id, region, prefixes) -> list[TokenDistribution]:
         n = len(self.vocab_order) + (1 if self.include_terminal else 0)
         u = 1.0 / n
-        return TokenDistribution(
+        dist = TokenDistribution(
             probs={t: u for t in self.vocab_order},
             terminal_p=u if self.include_terminal else None,
         )
+        return [dist] * len(prefixes)

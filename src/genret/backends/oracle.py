@@ -72,12 +72,7 @@ class OracleBackend(ScorerBackend):
         self.smoothing = float(smoothing)
         self.vocab_order: tuple[str, ...] = spec.vocabulary()
         self.vocabulary = frozenset(self.vocab_order)
-        self.capabilities = Capabilities(
-            has_generative=True,
-            has_contrastive=True,
-            has_terminal_token=True,
-            concurrent_safe=True,
-        )
+        self.capabilities = Capabilities(has_terminal_token=True, concurrent_safe=True)
         self._index = {t: i for i, t in enumerate(self.vocab_order)}
         self._tries: dict[str, _TrieNode] = {}
         self._image_vecs: dict[str, np.ndarray] = {}
@@ -100,10 +95,13 @@ class OracleBackend(ScorerBackend):
 
     # -- generative ---------------------------------------------------
 
-    def next_token_distribution(self, image_id, region, prefix) -> TokenDistribution:
+    def next_token_distributions(self, image_id, region, prefixes) -> list[TokenDistribution]:
         trie = self._tries.get(image_id)
         if trie is None:
             raise UnknownImageError(f"no scene registered under {image_id!r}")
+        return [self._distribution(trie, prefix) for prefix in prefixes]
+
+    def _distribution(self, trie: _TrieNode, prefix) -> TokenDistribution:
         node = trie
         for tok in prefix:
             node = node.children.get(tok)

@@ -44,10 +44,7 @@ class RemoteBackend(ScorerBackend):
     def __init__(
         self,
         endpoint: str,
-        capabilities: Capabilities = Capabilities(
-            has_generative=True, has_contrastive=True, concurrent_safe=True
-        ),
-        vocabulary=None,
+        capabilities: Capabilities = Capabilities(),
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.25,
@@ -56,7 +53,6 @@ class RemoteBackend(ScorerBackend):
     ):
         self.endpoint = endpoint.rstrip("/")
         self.capabilities = capabilities
-        self.vocabulary = frozenset(vocabulary) if vocabulary is not None else None
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -109,9 +105,6 @@ class RemoteBackend(ScorerBackend):
         )
 
     # -- generative ----------------------------------------------------
-
-    def next_token_distribution(self, image_id, region, prefix) -> TokenDistribution:
-        return self.next_token_distributions(image_id, region, [prefix])[0]
 
     def next_token_distributions(
         self, image_id, region, prefixes: Sequence[tuple[str, ...]]

@@ -230,10 +230,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             backend = RemoteBackend(
                 endpoint,
                 capabilities=Capabilities(
-                    has_generative=True,
-                    has_contrastive=True,
-                    has_terminal_token=args.terminal,
-                    concurrent_safe=True,
+                    has_terminal_token=args.terminal, concurrent_safe=True
                 ),
             )
             resolved["endpoint"] = endpoint
@@ -546,3 +543,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,8 +13,10 @@ Two losses, both in nats, both "lower is better":
 Each method has one path, a batch function over the sentences of one image
 (`_generative_losses`, `_contrastive_losses`).  The single-sentence API
 (`generative_loss`, `contrastive_loss`) and the ranked API (`rank_instance`)
-both call it, so every score passes the same capability, empty-sentence,
-vocabulary and backend-output checks however it was asked for.
+both call it, so every score passes the same empty-sentence, vocabulary
+and backend-output checks however it was asked for.  A backend without a
+contrastive side fails its first contrastive call with the base class's
+ConfigurationError.
 
 Each batch function asks its backend once per image:
 `next_token_distributions` with every distinct prefix the sentences need, or
@@ -74,21 +76,13 @@ def ranking_order(scores: Sequence[float]) -> tuple[int, ...]:
     return tuple(sorted(range(len(scores)), key=lambda i: (scores[i], i)))
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigurationError(message)
-
-
 def _checked_sentences(
-    backend: ScorerBackend, method: Method, sentences: Sequence[Sequence[str]]
+    backend: ScorerBackend, sentences: Sequence[Sequence[str]]
 ) -> list[tuple[str, ...]]:
     """The checks every sentence passes before the backend is asked anything."""
     sentences = [tuple(s) for s in sentences]
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
-    caps = backend.capabilities
-    supported = caps.has_generative if method is Method.GENERATIVE else caps.has_contrastive
-    _require(supported, f"backend has no {method.value} support")
     if backend.vocabulary is not None:
         for s in sentences:
             unknown = [t for t in s if t not in backend.vocabulary]
@@ -140,7 +134,7 @@ def _generative_losses(
     distribution, which is both the batching win for remote backends and
     the shared-prefix reuse that makes template families cheap to score.
     """
-    sentences = _checked_sentences(backend, Method.GENERATIVE, sentences)
+    sentences = _checked_sentences(backend, sentences)
     has_terminal = backend.capabilities.has_terminal_token
     needed: dict[tuple[str, ...], None] = {}
     for s in sentences:
@@ -182,7 +176,7 @@ def _contrastive_losses(
     The image embedding and every sentence's embedding are fetched in one
     batched call, so a remote backend answers an instance in one request.
     """
-    sentences = _checked_sentences(backend, Method.CONTRASTIVE, sentences)
+    sentences = _checked_sentences(backend, sentences)
     image, texts = backend.embed_batch(image_id, region, sentences)
     texts = list(texts)
     if len(texts) != len(sentences):
@@ -242,11 +236,11 @@ def rank_instance(
     ranked_slot = (
         Slot.ATTRIBUTE if instance.anchor_kind is AnchorKind.OBJECT else Slot.OBJECT
     )
-    _require(
-        ranked_slot in template.slots,
-        f"template {template.name!r} has no {{{ranked_slot.value}}} slot to rank "
-        f"{instance.anchor_kind.ranked.value} candidates",
-    )
+    if ranked_slot not in template.slots:
+        raise ConfigurationError(
+            f"template {template.name!r} has no {{{ranked_slot.value}}} slot to rank "
+            f"{instance.anchor_kind.ranked.value} candidates"
+        )
 
     per_token = None
     if isinstance(backend, SentenceScoreSource):
@@ -290,21 +284,9 @@ class _SerializedBackend(ScorerBackend):
         self.capabilities = inner.capabilities
         self.vocabulary = inner.vocabulary
 
-    def next_token_distribution(self, image_id, region, prefix):
-        with self._lock:
-            return self._inner.next_token_distribution(image_id, region, prefix)
-
     def next_token_distributions(self, image_id, region, prefixes):
         with self._lock:
             return self._inner.next_token_distributions(image_id, region, prefixes)
-
-    def embed_image(self, image_id, region):
-        with self._lock:
-            return self._inner.embed_image(image_id, region)
-
-    def embed_text(self, tokens):
-        with self._lock:
-            return self._inner.embed_text(tokens)
 
     def embed_batch(self, image_id, region, sentences):
         with self._lock:

@@ -334,7 +334,7 @@ def world_from_dict(d: dict) -> WorldSpec:
             attribute_prior=prior,
             rng_seed=seed,
         )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, WorldError) as exc:
         raise SchemaError(f"bad world record: {exc}") from exc
 
 

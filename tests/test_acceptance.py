@@ -439,7 +439,7 @@ def test_08_backends_normalize_and_replay_exactly(bench, gen_plain, tmp_path):
                 vocab[int(rng.integers(len(vocab)))]
                 for _ in range(int(rng.integers(0, 4)))
             )
-        dist = backend.next_token_distribution(sc.scene_id, None, prefix)
+        dist = backend.next_token_distributions(sc.scene_id, None, [prefix])[0]
         worst = max(worst, abs(dist.total() - 1.0))
 
     scored, _ = gen_plain

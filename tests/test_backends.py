@@ -56,7 +56,7 @@ def test_oracle_matches_caption_scan(smoothing):
         ("cat", "cat"),     # impossible continuation
     ]
     for prefix in prefixes:
-        dist = backend.next_token_distribution("s0", None, prefix)
+        dist = backend.next_token_distributions("s0", None, [prefix])[0]
         want_probs, want_terminal = caption_conditional(captions, prefix, vocab, smoothing)
         for t in vocab:
             assert dist.probs[t] == pytest.approx(want_probs[t], abs=1e-12)
@@ -64,7 +64,7 @@ def test_oracle_matches_caption_scan(smoothing):
 
 
 def test_oracle_distribution_sums_to_one(oracle):
-    dist = oracle.next_token_distribution("s0", None, ("cat",))
+    dist = oracle.next_token_distributions("s0", None, [("cat",)])[0]
     assert sum(dist.probs.values()) + dist.terminal_p == pytest.approx(1.0, abs=1e-9)
 
 
@@ -95,14 +95,14 @@ def test_oracle_full_loss_matches_caption_scan():
 
 def test_oracle_unknown_image(oracle):
     with pytest.raises(UnknownImageError):
-        oracle.next_token_distribution("nope", None, ())
+        oracle.next_token_distributions("nope", None, [()])[0]
     with pytest.raises(UnknownImageError):
         oracle.embed_image("nope", None)
 
 
 def test_oracle_region_is_ignored(oracle):
-    a = oracle.next_token_distribution("s0", None, ("cat",))
-    b = oracle.next_token_distribution("s0", (0, 0, 5, 5), ("cat",))
+    a = oracle.next_token_distributions("s0", None, [("cat",)])[0]
+    b = oracle.next_token_distributions("s0", (0, 0, 5, 5), [("cat",)])[0]
     assert a.probs == b.probs and a.terminal_p == b.terminal_p
 
 
@@ -162,11 +162,11 @@ def test_embed_order_invariance(oracle):
 
 def test_uniform_backend_distribution():
     backend = UniformBackend(["b", "a", "c"])
-    dist = backend.next_token_distribution("any", None, ("a",))
+    dist = backend.next_token_distributions("any", None, [("a",)])[0]
     assert dist.probs == {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
     assert dist.terminal_p is None
     with_term = UniformBackend(["a", "b", "c"], include_terminal=True)
-    dist = with_term.next_token_distribution("any", None, ())
+    dist = with_term.next_token_distributions("any", None, [()])[0]
     assert dist.terminal_p == 0.25
     assert sum(dist.probs.values()) + dist.terminal_p == pytest.approx(1.0)
 

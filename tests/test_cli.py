@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from genret import (
     read_world,
 )
 from genret.cli import ENDPOINT_ENV, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:class .* has positives:RuntimeWarning"
@@ -429,6 +435,19 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[schema]:")
 
 
+def _world_json(prior=0.5, compatible=("red",)):
+    """A one-object world.json whose values (not its shape) may be bad."""
+    return json.dumps(
+        {
+            "objects": ["cat"],
+            "attributes": ["red"],
+            "compatibility": {"cat": list(compatible)},
+            "attribute_prior": {"cat": {"red": prior}},
+            "rng_seed": 0,
+        }
+    )
+
+
 @pytest.mark.parametrize(
     "command,flag,content",
     [
@@ -443,6 +462,8 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
         ("evaluate", "--calibration", '{"red": {"mu": 1, "sigma": 0}}'),
         ("score", "--world", '{"objects": ["cat"]}'),
         ("build-dataset", "--scene-graph", '[{"objects": []}]'),
+        ("score", "--world", _world_json(prior=2.0)),
+        ("score", "--world", _world_json(compatible=["red", "plaid"])),
     ],
 )
 def test_malformed_json_input_exits_4(pipeline, tmp_path, capsys, command, flag, content):
@@ -501,3 +522,33 @@ def test_remote_needs_an_endpoint(pipeline, tmp_path, monkeypatch, capsys):
     )
     assert rc == 1
     assert ENDPOINT_ENV in capsys.readouterr().err
+
+
+# -- running as a module ---------------------------------------------------
+
+
+def run_module(module, *args, cwd):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("module", ["genret", "genret.cli"])
+def test_module_run_prints_help(module, tmp_path):
+    proc = run_module(module, "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: genret")
+
+
+@pytest.mark.parametrize("module", ["genret", "genret.cli"])
+def test_module_run_passes_the_exit_code_on(module, tmp_path):
+    proc = run_module(
+        module, "score", "--out", str(tmp_path / "x"), "--backend", "uniform",
+        "--instances", str(tmp_path / "missing.jsonl"), cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error[io]:")

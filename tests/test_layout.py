@@ -1,9 +1,11 @@
 """Source layout rules that keep one decision in one module."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import genret
+from genret.backends import Capabilities, ScorerBackend
 
 PACKAGE = Path(genret.__file__).parent
 
@@ -48,3 +50,19 @@ def test_only_the_remote_client_and_loopback_server_name_wire_paths():
                 speakers.add(path.relative_to(PACKAGE).as_posix())
     assert speakers <= {"backends/remote.py", "backends/loopback.py"}
     assert speakers  # the rule still sees the literals it guards
+
+
+def test_one_generative_primitive():
+    # every backend answers batches of prefixes through one method; a
+    # per-prefix form or a flag restating which methods exist is a second copy
+    assert ScorerBackend.__abstractmethods__ == {"next_token_distributions"}
+    definers = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name == "next_token_distribution"
+                for f in node.body
+            ):
+                definers.add(f"{path.relative_to(PACKAGE).as_posix()}:{node.name}")
+    assert not definers
+    assert {f.name for f in fields(Capabilities)} == {"has_terminal_token", "concurrent_safe"}

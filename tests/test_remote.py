@@ -9,6 +9,7 @@ from genret import (
     LoopbackServer,
     Method,
     OracleBackend,
+    RankingInstance,
     RemoteBackend,
     UniformBackend,
     make_instances,
@@ -47,9 +48,7 @@ def test_distributions_survive_the_wire_exactly(setup):
         remote = remote_for(url, backend)
         prefixes = [(), ("obj00",), ("obj00", "is"), ("nowhere", "at", "all")]
         got = remote.next_token_distributions("scene-000000", None, prefixes)
-        want = [
-            backend.next_token_distribution("scene-000000", None, p) for p in prefixes
-        ]
+        want = backend.next_token_distributions("scene-000000", None, prefixes)
         for g, w in zip(got, want):
             assert g.probs == w.probs  # JSON float round trip is exact
             assert g.terminal_p == w.terminal_p
@@ -91,7 +90,7 @@ def test_terminal_p_is_optional_on_the_wire():
     backend = UniformBackend(["a", "b"])  # no terminal token
     with LoopbackServer(backend) as url:
         remote = remote_for(url, backend)
-        dist = remote.next_token_distribution("x", None, ())
+        dist = remote.next_token_distributions("x", None, [()])[0]
         assert dist.terminal_p is None
         assert dist.probs == {"a": 0.5, "b": 0.5}
 
@@ -109,6 +108,46 @@ def test_one_post_per_prefix_batch(setup):
         remote = remote_for(url, backend)
         remote.next_token_distributions("scene-000000", None, [(), ("obj00",), ("is",)])
         assert server._server.hits == 1
+
+
+class CallCountingBackend(UniformBackend):
+    """Records the prefixes of every next_token_distributions call."""
+
+    def __init__(self, vocabulary):
+        super().__init__(vocabulary)
+        self.calls = []
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        self.calls.append(list(prefixes))
+        return super().next_token_distributions(image_id, region, prefixes)
+
+
+def test_loopback_answers_a_post_with_one_backend_call():
+    backend = CallCountingBackend(["a", "b"])
+    prefixes = [(), ("a",), ("a", "b")]
+    with LoopbackServer(backend) as url:
+        remote = remote_for(url, backend)
+        dists = remote.next_token_distributions("x", None, prefixes)
+    assert len(dists) == 3
+    assert backend.calls == [prefixes]
+
+
+def test_contrastive_request_to_a_server_without_it_is_a_400():
+    # the server's backend refuses the contrastive side; the client sees its 400
+    backend = UniformBackend(["a0", "cat", "is"])
+    inst = RankingInstance(
+        image_id="x",
+        anchor_kind=AnchorKind.OBJECT,
+        anchor="cat",
+        candidates=("a0",),
+        positives=frozenset({0}),
+    )
+    with LoopbackServer(backend) as url:
+        remote = remote_for(url, backend)
+        with pytest.raises(TransportError) as err:
+            rank_instance(remote, inst, parse_template("{O} is {A}"), Method.CONTRASTIVE)
+    assert err.value.status == 400
+    assert "no contrastive support" in (err.value.body or "")
 
 
 def test_one_post_per_contrastive_instance(setup):
@@ -140,7 +179,7 @@ def test_retries_ride_out_transient_500s(setup):
     server = LoopbackServer(backend, handler=FlakyHandler)
     with server as url:
         remote = remote_for(url, backend)
-        dist = remote.next_token_distribution("scene-000000", None, ())
+        dist = remote.next_token_distributions("scene-000000", None, [()])[0]
         assert abs(dist.total() - 1.0) < 1e-9
         assert server._server.hits == 3
 
@@ -168,7 +207,7 @@ def test_persistent_500_raises_after_all_retries(setup):
     with server as url:
         remote = remote_for(url, backend, max_retries=2)
         with pytest.raises(TransportError) as err:
-            remote.next_token_distribution("scene-000000", None, ())
+            remote.next_token_distributions("scene-000000", None, [()])[0]
         assert server._server.hits == 3  # initial try plus two retries
         assert err.value.status == 500
         assert "still broken" in (err.value.body or "")
@@ -180,7 +219,7 @@ def test_4xx_fails_immediately_with_body(setup):
     with server as url:
         remote = remote_for(url, backend)
         with pytest.raises(TransportError) as err:
-            remote.next_token_distribution("no-such-scene", None, ())
+            remote.next_token_distributions("no-such-scene", None, [()])[0]
         assert server._server.hits == 1  # 400s are not retried
         assert err.value.status == 400
         assert "no scene registered" in (err.value.body or "")
@@ -198,7 +237,7 @@ def test_mismatched_request_id_is_rejected(setup):
     with LoopbackServer(backend, handler=WrongIdHandler) as url:
         remote = remote_for(url, backend)
         with pytest.raises(TransportError, match="request_id"):
-            remote.next_token_distribution("scene-000000", None, ())
+            remote.next_token_distributions("scene-000000", None, [()])[0]
 
 
 class HalfMassHandler(_Handler):
@@ -231,7 +270,7 @@ def fixed_reply(reply):
 
 
 def ask_distribution(remote):
-    return remote.next_token_distribution("scene-000000", None, ())
+    return remote.next_token_distributions("scene-000000", None, [()])[0]
 
 
 def ask_embedding(remote):
@@ -327,7 +366,7 @@ def test_malformed_embed_request_gets_400(setup, request_body, error):
 
 
 class BrokenBackend(UniformBackend):
-    def next_token_distribution(self, image_id, region, prefix):
+    def next_token_distributions(self, image_id, region, prefixes):
         raise RuntimeError("boom")
 
 
@@ -346,4 +385,4 @@ def test_connection_failure_raises_transport_error():
     # nothing listens on this port; keep retries tight
     remote = RemoteBackend("http://127.0.0.1:9", max_retries=1, backoff=0.01)
     with pytest.raises(TransportError, match="attempts"):
-        remote.next_token_distribution("x", None, ())
+        remote.next_token_distributions("x", None, [()])[0]

@@ -62,7 +62,7 @@ def test_terminal_term_follows_the_capability_flag():
 
 def test_position_zero_conditions_on_the_image_alone():
     backend = OracleBackend(tiny_world(), [one_cat_scene()], smoothing=0.0)
-    dist = backend.next_token_distribution("s0", None, ())
+    dist = backend.next_token_distributions("s0", None, [()])[0]
     loss = generative_loss(backend, "s0", None, ("cat", "is", "a0"))
     assert loss.per_token[0] == pytest.approx(-math.log(dist.probs["cat"]), abs=1e-12)
     assert dist.probs["cat"] == 0.5  # image-only marginal over caption starts
@@ -90,10 +90,11 @@ def test_empty_sentence_is_rejected():
 
 def test_unnormalized_backend_is_rejected():
     class Broken(UniformBackend):
-        def next_token_distribution(self, image_id, region, prefix):
-            dist = super().next_token_distribution(image_id, region, prefix)
-            half = {t: p / 2 for t, p in dist.probs.items()}
-            return type(dist)(probs=half, terminal_p=dist.terminal_p)
+        def next_token_distributions(self, image_id, region, prefixes):
+            return [
+                type(dist)(probs={t: p / 2 for t, p in dist.probs.items()}, terminal_p=dist.terminal_p)
+                for dist in super().next_token_distributions(image_id, region, prefixes)
+            ]
 
     with pytest.raises(NormalizationError):
         generative_loss(Broken(["a", "b"]), "x", None, ("a",))
@@ -120,9 +121,11 @@ def test_short_embedding_batch_from_the_backend_is_rejected():
 
 
 class NanProbability(UniformBackend):
-    def next_token_distribution(self, image_id, region, prefix):
-        dist = super().next_token_distribution(image_id, region, prefix)
-        return type(dist)(probs={**dist.probs, "b": math.nan}, terminal_p=dist.terminal_p)
+    def next_token_distributions(self, image_id, region, prefixes):
+        return [
+            type(dist)(probs={**dist.probs, "b": math.nan}, terminal_p=dist.terminal_p)
+            for dist in super().next_token_distributions(image_id, region, prefixes)
+        ]
 
 
 class NanTextEmbedding(OracleBackend):
@@ -234,7 +237,7 @@ def test_contrastive_needs_the_capability():
         candidates=("a0",),
         positives=frozenset({0}),
     )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="no contrastive support"):
         rank_instance(uni, inst, parse_template("{O} is {A}"), Method.CONTRASTIVE)
 
 
