@@ -1,14 +1,22 @@
 """Score-cache files and their replay backend.
 
-A cache is JSONL, one record per (instance, candidate) score:
+A cache is JSONL, one line per scored instance:
 
     {"image_id": ..., "region": [x, y, w, h] | null, "anchor": ...,
      "template_name": ..., "method": "generative" | "contrastive",
-     "candidate": ..., "loss": ..., "per_token": [...] | null}
+     "candidates": [...], "loss": [...], "per_token": [[...], ...] | null}
 
-`loss` is the exact ranking score that was computed (length normalization
-included if it was on), and floats survive the JSON round trip bit-exactly,
-so replaying a cache reproduces the original rankings identically.
+`loss[i]` and `per_token[i]` belong to `candidates[i]`.  `loss` is the
+exact ranking score that was computed (length normalization included if it
+was on), and floats survive the JSON round trip bit-exactly, so replaying a
+cache reproduces the original rankings identically.
+
+That is the only form written.  The earlier form, one line per (instance,
+candidate) with a `candidate` string, a scalar `loss` and one `per_token`
+row (the dicts `scored_to_records` builds), is still read line by line,
+because recorded caches are the exact-replay contract; files of either
+form concatenate into one cache.  Every field of every line is checked on
+read, and a bad one is a SchemaError naming path:lineno.
 """
 
 from __future__ import annotations
@@ -16,86 +24,154 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance, read_jsonl, write_jsonl
+from ..core import Method, ScoredInstance, is_finite_number, read_jsonl, write_jsonl
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource
 
-_KEY_FIELDS = ("image_id", "region", "anchor", "template_name", "method", "candidate")
+_KEY_FIELDS = ("image_id", "region", "anchor", "template_name", "method")
+_INSTANCE_FIELDS = frozenset(_KEY_FIELDS + ("candidates", "loss", "per_token"))
+_CANDIDATE_FIELDS = frozenset(_KEY_FIELDS + ("candidate", "loss", "per_token"))
+_METHODS = tuple(m.value for m in Method)  # a tuple: `in` must not hash the value
+
+# One checked line: the lookup key without its candidate, then the
+# candidates with their losses and per_token rows (None when not recorded).
+_Line = tuple[tuple, list, list, list]
+
+
+def _records(line: _Line) -> list[dict]:
+    (image_id, region, anchor, template_name, method), candidates, losses, rows = line
+    return [
+        {
+            "image_id": image_id,
+            "region": list(region) if region is not None else None,
+            "anchor": anchor,
+            "template_name": template_name,
+            "method": method,
+            "candidate": cand,
+            "loss": loss,
+            "per_token": list(per) if per is not None else None,
+        }
+        for cand, loss, per in zip(candidates, losses, rows)
+    ]
 
 
 def scored_to_records(scored: ScoredInstance) -> list[dict]:
+    """One dict per candidate: the per-candidate line form, and what
+    read_score_cache returns."""
     inst = scored.instance
-    region = list(inst.region) if inst.region is not None else None
-    records = []
-    for i, cand in enumerate(inst.candidates):
-        per = None
-        if scored.per_token is not None:
-            per = list(scored.per_token[i])
-        records.append(
-            {
-                "image_id": inst.image_id,
-                "region": region,
-                "anchor": inst.anchor,
-                "template_name": scored.template_name,
-                "method": scored.method.value,
-                "candidate": cand,
-                "loss": scored.scores[i],
-                "per_token": per,
-            }
-        )
-    return records
+    key = (inst.image_id, inst.region, inst.anchor, scored.template_name, scored.method.value)
+    rows = scored.per_token or [None] * len(scored.scores)
+    return _records((key, inst.candidates, scored.scores, rows))
+
+
+def _line(scored: ScoredInstance) -> dict:
+    inst = scored.instance
+    per = scored.per_token
+    return {
+        "image_id": inst.image_id,
+        "region": list(inst.region) if inst.region is not None else None,
+        "anchor": inst.anchor,
+        "template_name": scored.template_name,
+        "method": scored.method.value,
+        "candidates": list(inst.candidates),
+        "loss": list(scored.scores),
+        "per_token": [list(row) for row in per] if per is not None else None,
+    }
 
 
 def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> None:
-    write_jsonl(path, (rec for s in scored for rec in scored_to_records(s)))
+    write_jsonl(path, map(_line, scored))
 
 
-def _cache_record(rec) -> dict:
+def _numbers(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{field} must be a list of numbers, got {type(value).__name__}")
+    if not all(map(is_finite_number, value)):
+        bad = next(v for v in value if not is_finite_number(v))
+        raise SchemaError(f"{field} entries must be finite numbers, got {bad!r}")
+    return value
+
+
+def _cache_record(rec) -> _Line:
+    """Check every field of one cache line, either form."""
     if not isinstance(rec, dict):
         raise SchemaError("cache record must be an object")
-    missing = set(_KEY_FIELDS + ("loss", "per_token")) - set(rec)
+    per_instance = "candidates" in rec
+    missing = (_INSTANCE_FIELDS if per_instance else _CANDIDATE_FIELDS) - rec.keys()
     if missing:
         raise SchemaError(f"missing fields {sorted(missing)}")
-    return rec
+    for field in ("image_id", "anchor", "template_name"):
+        if not isinstance(rec[field], str):
+            raise SchemaError(f"{field} must be a string, got {type(rec[field]).__name__}")
+    method = rec["method"]
+    if method not in _METHODS:
+        raise SchemaError(f"method must be one of {list(_METHODS)}, got {method!r}")
+    region = rec["region"]
+    if region is not None:
+        if not isinstance(region, list) or len(region) != 4:
+            raise SchemaError(f"region must be null or 4 numbers, got {region!r}")
+        region = tuple(_numbers(region, "region"))
+    key = (rec["image_id"], region, rec["anchor"], rec["template_name"], method)
+
+    loss, per = rec["loss"], rec["per_token"]
+    if per_instance:
+        candidates = rec["candidates"]
+        if not isinstance(candidates, list) or not candidates:
+            raise SchemaError("candidates must be a non-empty list")
+        n = len(candidates)
+        if len(_numbers(loss, "loss")) != n:
+            raise SchemaError(f"{len(loss)} losses for {n} candidates")
+        if per is None:
+            rows = [None] * n
+        elif not isinstance(per, list) or len(per) != n:
+            raise SchemaError(f"per_token must be null or one list per candidate ({n})")
+        else:
+            rows = [tuple(_numbers(row, "per_token row")) for row in per]
+    else:
+        candidates = [rec["candidate"]]
+        if not is_finite_number(loss):
+            raise SchemaError(f"loss must be a finite number, got {loss!r}")
+        loss = [loss]
+        rows = [tuple(_numbers(per, "per_token")) if per is not None else None]
+    if not all(isinstance(c, str) for c in candidates):
+        bad = next(c for c in candidates if not isinstance(c, str))
+        raise SchemaError(f"candidates must be strings, got {bad!r}")
+    return key, candidates, [float(x) for x in loss], rows
 
 
 def read_score_cache(path: str | Path) -> list[dict]:
-    return read_jsonl(path, _cache_record)
-
-
-def _key(rec: dict) -> tuple:
-    region = tuple(rec["region"]) if rec["region"] is not None else None
-    return (
-        rec["image_id"],
-        region,
-        rec["anchor"],
-        rec["template_name"],
-        rec["method"],
-        rec["candidate"],
-    )
+    """One dict per candidate, in file order, whichever form each line has."""
+    return [rec for line in read_jsonl(path, _cache_record) for rec in _records(line)]
 
 
 class CachedScoreBackend(SentenceScoreSource):
     """Replays previously computed sentence scores, query for query."""
 
-    def __init__(self, records: Iterable[dict]):
+    def __init__(self, records: Iterable[dict] = ()):
+        """`records` are cache lines of either form, each checked."""
         self._table: dict[tuple, tuple[float, tuple[float, ...] | None]] = {}
-        self._combos: set[tuple[Method, str]] = set()
-        for rec in records:
-            per = tuple(rec["per_token"]) if rec["per_token"] is not None else None
-            self._table[_key(rec)] = (float(rec["loss"]), per)
-            self._combos.add((Method(rec["method"]), rec["template_name"]))
+        self._combos: set[tuple[str, str]] = set()
+        self._add(map(_cache_record, records))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CachedScoreBackend":
-        return cls(read_score_cache(path))
+        cache = cls()
+        cache._add(read_jsonl(path, _cache_record))
+        return cache
+
+    def _add(self, lines: Iterable[_Line]) -> None:
+        table = self._table
+        for key, candidates, losses, rows in lines:
+            self._combos.add((key[4], key[3]))
+            for cand, loss, per in zip(candidates, losses, rows):
+                table[key + (cand,)] = (loss, per)
 
     def __len__(self) -> int:
         return len(self._table)
 
     def combos(self) -> set[tuple[Method, str]]:
         """All (method, template_name) pairs this cache holds."""
-        return set(self._combos)
+        return {(Method(m), t) for m, t in self._combos}
 
     def sentence_score(self, image_id, region, anchor, template_name, method, candidate):
         key = (

@@ -60,9 +60,10 @@ from .core import (
     tokenize,
     write_instances,
     write_json,
+    write_jsonl,
 )
 from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
-from .errors import ConfigurationError, GenretError, SchemaError
+from .errors import BatchScoringError, ConfigurationError, GenretError, SchemaError
 from .metrics import bucketize, compute_report
 from .scoring import batch_rank, rank_instance, write_score_cache
 from .world import (
@@ -198,6 +199,13 @@ def _uniform_vocabulary(instances, template: Template) -> set[str]:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    if args.length_normalize and args.backend == "cached":
+        raise ConfigurationError(
+            "--length-normalize does not apply to --backend cached: a cache "
+            "replays its losses as recorded"
+        )
+    if args.length_normalize and args.method == Method.CONTRASTIVE.value:
+        raise ConfigurationError("--length-normalize applies to generative scoring only")
     out = _ensure_out(args.out)
     instances = read_instances(args.instances)
     resolved: dict = {}
@@ -235,14 +243,30 @@ def _cmd_score(args: argparse.Namespace) -> int:
             )
             resolved["endpoint"] = endpoint
 
-    scored = batch_rank(
-        backend,
-        instances,
-        template,
-        method,
-        parallelism=args.parallelism,
-        length_normalize=args.length_normalize,
-    )
+    try:
+        scored = batch_rank(
+            backend,
+            instances,
+            template,
+            method,
+            parallelism=args.parallelism,
+            length_normalize=args.length_normalize,
+        )
+    except BatchScoringError as exc:
+        write_jsonl(
+            out / "failures.jsonl",
+            (
+                {
+                    "index": i,
+                    "image_id": instances[i].image_id,
+                    "error": type(err).__name__,
+                    "message": str(err),
+                }
+                for i, err in exc.failures
+            ),
+        )
+        raise
+    (out / "failures.jsonl").unlink(missing_ok=True)  # from an earlier, failed run
     write_score_cache(out / "scores.jsonl", scored)
     resolved.update({"method": method.value, "template": template.name})
     _emit_config(out, args, resolved)
@@ -463,7 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", choices=[m.value for m in Method], default=None)
     p.add_argument("--template", default=None, help='template spec, e.g. "{O} is {A}"')
-    p.add_argument("--length-normalize", action="store_true")
+    p.add_argument(
+        "--length-normalize",
+        action="store_true",
+        help="divide each generative sentence loss by its term count "
+        "(not with contrastive scoring or --backend cached)",
+    )
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--world", help="world JSON (oracle)")
     p.add_argument("--scenes", help="scenes JSONL (oracle)")

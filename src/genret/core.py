@@ -49,6 +49,11 @@ def tokenize(word: str) -> tuple[str, ...]:
 
 def is_finite_number(value: object) -> bool:
     """True for an int or a finite float; a bool is not a number here."""
+    # exact-type fast paths for what JSON decodes to; the ABC check is slow
+    if type(value) is float:
+        return math.isfinite(value)
+    if type(value) is int:
+        return True
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or math.isfinite(value)

@@ -23,7 +23,8 @@ from genret import (
     scored_to_records,
     write_score_cache,
 )
-from genret.errors import CacheMissError, UnknownImageError, VocabularyError
+from genret.core import write_jsonl
+from genret.errors import CacheMissError, SchemaError, UnknownImageError, VocabularyError
 from genret.scoring import generative_loss
 
 from test_world import exclusion_scene, tiny_world
@@ -179,16 +180,16 @@ def test_uniform_backend_rejects_empty_vocabulary():
 # -- cache round trip ----------------------------------------------------
 
 
-def scored_fixture():
+def scored_fixture(method=Method.GENERATIVE, spec_text="{O} is {A}"):
     spec = random_world(seed=1, n_objects=6, n_attributes=12, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3])
     backend = OracleBackend(spec, scenes)
     instances = []
     for sc in scenes:
         instances += make_instances(spec, sc, 8, AnchorKind.OBJECT, seed=0)
-    template = parse_template("{O} is {A}")
+    template = parse_template(spec_text)
     scored = [
-        rank_instance(backend, inst, template, Method.GENERATIVE)
+        rank_instance(backend, inst, template, method)
         for inst in instances
     ]
     return instances, template, scored
@@ -221,6 +222,71 @@ def test_cache_miss_is_descriptive(tmp_path):
     with pytest.raises(CacheMissError, match="zzz"):
         cache.sentence_score("scene-000000", None, "zzz", template.name,
                              Method.GENERATIVE, "attr00")
+
+
+def write_v1_cache(path, scored):
+    """The per-candidate line form, as caches were written before."""
+    write_jsonl(path, (rec for s in scored for rec in scored_to_records(s)))
+
+
+@pytest.mark.parametrize(
+    "method,spec_text",
+    [(Method.GENERATIVE, "{O} is {A}"), (Method.CONTRASTIVE, "{A} {O}")],
+)
+def test_v1_cache_and_its_v2_rewrite_replay_bit_for_bit(tmp_path, method, spec_text):
+    instances, template, scored = scored_fixture(method, spec_text)
+    v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+    write_v1_cache(v1, scored)
+    write_score_cache(v2, scored)
+    assert len(v2.read_text().splitlines()) == len(scored)
+    assert len(v1.read_text().splitlines()) == sum(len(i.candidates) for i in instances)
+    replays = []
+    for path in (v1, v2):
+        cache = CachedScoreBackend.from_file(path)
+        assert len(cache) == sum(len(i.candidates) for i in instances)
+        replays.append([rank_instance(cache, inst, template, method) for inst in instances])
+    assert replays[0] == replays[1] == scored
+    assert (replays[0][0].per_token is not None) == (method is Method.GENERATIVE)
+    # JSON floats round-trip exactly, so equal bytes mean equal bits (-0.0 too)
+    for i, replay in enumerate(replays):
+        write_score_cache(tmp_path / f"again{i}.jsonl", replay)
+        assert (tmp_path / f"again{i}.jsonl").read_bytes() == v2.read_bytes()
+
+
+def test_read_score_cache_gives_the_same_dicts_for_both_forms(tmp_path):
+    _, _, scored = scored_fixture()
+    v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+    write_v1_cache(v1, scored)
+    write_score_cache(v2, scored)
+    expected = [rec for s in scored for rec in scored_to_records(s)]
+    assert read_score_cache(v1) == read_score_cache(v2) == expected
+
+
+def test_concatenated_v1_and_v2_files_load_as_one_cache(tmp_path):
+    gen_instances, gen_template, gen = scored_fixture()
+    _, con_template, con = scored_fixture(Method.CONTRASTIVE, "{A} {O}")
+    v1, v2, both = (tmp_path / n for n in ("v1.jsonl", "v2.jsonl", "both.jsonl"))
+    write_v1_cache(v1, gen)
+    write_score_cache(v2, con)
+    both.write_bytes(v1.read_bytes() + v2.read_bytes())
+    cache = CachedScoreBackend.from_file(both)
+    assert cache.combos() == {
+        (Method.GENERATIVE, gen_template.name),
+        (Method.CONTRASTIVE, con_template.name),
+    }
+    assert len(cache) == 2 * sum(len(i.candidates) for i in gen_instances)
+    for template, method, scored in (
+        (gen_template, Method.GENERATIVE, gen),
+        (con_template, Method.CONTRASTIVE, con),
+    ):
+        assert [rank_instance(cache, s.instance, template, method) for s in scored] == scored
+
+
+def test_in_memory_cache_records_are_checked():
+    _, _, scored = scored_fixture()
+    rec = scored_to_records(scored[0])[0]
+    with pytest.raises(SchemaError, match="loss"):
+        CachedScoreBackend([{**rec, "loss": "abc"}])
 
 
 def test_scored_to_records_carries_anchor_and_region():

@@ -15,6 +15,7 @@ from genret import (
     OracleBackend,
     read_instances,
     read_scenes,
+    read_score_cache,
     read_table,
     read_world,
 )
@@ -499,6 +500,137 @@ def test_empty_cache_exits_1(pipeline, tmp_path, capsys):
     )
     assert rc == 1
     assert "error[ConfigurationError]: score cache is empty" in capsys.readouterr().err
+
+
+# -- malformed score caches --------------------------------------------------
+
+
+def _set(field, value):
+    def mutate(rec):
+        rec[field] = value
+    return mutate
+
+
+def _set_first(field, value):
+    def mutate(rec):
+        rec[field][0] = value
+    return mutate
+
+
+def _drop_last_loss(rec):
+    rec["loss"] = rec["loss"][:-1]
+
+
+NAN = float("nan")
+# name -> (mutation of a per-candidate line, mutation of a per-instance line)
+BAD_CACHE_LINES = {
+    "loss-string": (_set("loss", "abc"), _set("loss", "abc")),
+    "loss-entry-string": (None, _set_first("loss", "abc")),
+    "loss-null": (_set("loss", None), _set("loss", None)),
+    "loss-nan": (_set("loss", NAN), _set_first("loss", NAN)),
+    "per-token-string": (_set("per_token", "xy"), _set("per_token", "xy")),
+    "per-token-int": (_set("per_token", 5), _set("per_token", 5)),
+    "per-token-row-string": (None, _set_first("per_token", "xy")),
+    "method-foo": (_set("method", "foo"), _set("method", "foo")),
+    "region-string": (_set("region", "0 0 1 1"), _set("region", "0 0 1 1")),
+    "candidate-int": (_set("candidate", 7), _set_first("candidates", 7)),
+    "loss-shorter-than-candidates": (None, _drop_last_loss),
+}
+BAD_CACHE_CASES = [
+    pytest.param(name, form, id=f"{name}-{form}")
+    for name, mutations in BAD_CACHE_LINES.items()
+    for form, mutate in zip(("v1", "v2"), mutations)
+    if mutate is not None
+]
+
+
+@pytest.mark.parametrize("name,form", BAD_CACHE_CASES)
+def test_malformed_cache_line_exits_4_naming_the_line(pipeline, tmp_path, capsys, name, form):
+    gen = pipeline["gen"] / "scores.jsonl"
+    if form == "v1":
+        lines = [json.dumps(rec) for rec in read_score_cache(gen)]
+    else:
+        lines = gen.read_text().splitlines()
+    rec = json.loads(lines[1])
+    BAD_CACHE_LINES[name][form == "v2"](rec)
+    lines[1] = json.dumps(rec)  # NaN goes out as the NaN literal json.loads reads back
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    instances = ["--instances", pipeline["instances"]]
+    for command, extra in (
+        ("score", ["--backend", "cached"]),
+        ("calibrate", ["--steps", "1"]),
+        ("evaluate", []),
+    ):
+        out = tmp_path / command
+        rc = main([command, "--out", str(out), *instances, "--cache", str(bad), *extra])
+        err = capsys.readouterr().err
+        assert rc == 4, (command, err)
+        assert err.startswith(f"error[schema]: {bad}:2: "), (command, err)
+
+
+# -- score options and failure reports ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--backend", "cached", "--cache", "{gen}"],
+        ["--backend", "oracle", "--world", "{world}", "--scenes", "{scenes}",
+         "--method", "contrastive"],
+    ],
+    ids=["cached", "contrastive"],
+)
+def test_length_normalize_is_rejected_where_it_would_be_ignored(
+    pipeline, tmp_path, capsys, flags
+):
+    paths = {
+        "gen": pipeline["gen"] / "scores.jsonl",
+        "world": pipeline["world"] / "world.json",
+        "scenes": pipeline["world"] / "scenes.jsonl",
+    }
+    out = tmp_path / "x"
+    rc = main(
+        [
+            "score", "--out", str(out), "--instances", pipeline["instances"],
+            "--length-normalize", *(f.format(**paths) for f in flags),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[ConfigurationError]: --length-normalize")
+    assert not out.exists()
+
+
+def test_score_writes_every_failure_before_exiting_1(pipeline, tmp_path, capsys):
+    lines = Path(pipeline["instances"]).read_text().splitlines()
+    ghosts = {i for i in range(len(lines)) if i % 3}
+    assert len(ghosts) > 5  # more than the error message lists
+    for i in ghosts:
+        rec = json.loads(lines[i])
+        rec["image_id"] = f"ghost-{i}"
+        lines[i] = json.dumps(rec)
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "scored"
+    args = [
+        "score", "--out", str(out), "--instances", str(instances),
+        "--backend", "oracle", "--world", str(pipeline["world"] / "world.json"),
+        "--scenes", str(pipeline["world"] / "scenes.jsonl"),
+    ]
+    rc = main(args)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[BatchScoringError]:")
+    failures = [json.loads(x) for x in (out / "failures.jsonl").read_text().splitlines()]
+    assert [f["index"] for f in failures] == sorted(ghosts)
+    for f in failures:
+        assert f["image_id"] == f"ghost-{f['index']}"
+        assert f["error"] == "UnknownImageError"
+        assert f["image_id"] in f["message"]
+    assert not (out / "scores.jsonl").exists()
+    # a later clean run to the same directory leaves no stale report
+    rc = main([*args[:4], pipeline["instances"], *args[5:]])
+    assert rc == 0
+    assert not (out / "failures.jsonl").exists()
 
 
 def test_oracle_needs_world_and_scenes(pipeline, tmp_path, capsys):

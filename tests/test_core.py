@@ -1,6 +1,10 @@
 import json
+import math
+import numbers
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +31,7 @@ from genret import (
     tokenize,
     write_instances,
 )
+from genret.core import is_finite_number
 from genret.errors import RenderError, SchemaError, TemplateSyntaxError
 from genret.world import scene_to_dict
 
@@ -55,6 +60,35 @@ def test_stable_seed_is_stable_and_sensitive():
     assert stable_seed("a", 1) != stable_seed("a", 2)
     assert stable_seed("a", 1) != stable_seed("a1")
     assert 0 <= stable_seed("x") < 2**63
+
+
+def _abc_is_finite_number(value):
+    """is_finite_number before its exact-type fast paths: the reference."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        (True, False),
+        (1, True),
+        (2**80, True),
+        (1.5, True),
+        (-0.0, True),
+        (float("nan"), False),
+        (float("inf"), False),
+        (np.float64(1), True),
+        (np.float64("nan"), False),
+        (Fraction(1, 3), True),
+        ("1", False),
+        (None, False),
+    ],
+)
+def test_is_finite_number_answers_as_before(value, expected):
+    assert is_finite_number(value) is expected
+    assert _abc_is_finite_number(value) is expected
 
 
 # -- templates -----------------------------------------------------------
