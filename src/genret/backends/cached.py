@@ -16,7 +16,9 @@ candidate) with a `candidate` string, a scalar `loss` and one `per_token`
 row (the dicts `scored_to_records` builds), is still read line by line,
 because recorded caches are the exact-replay contract; files of either
 form concatenate into one cache.  Every field of every line is checked on
-read, and a bad one is a SchemaError naming path:lineno.
+read, and a bad one is a SchemaError naming path:lineno.  A key recorded
+twice must carry the same values both times; a conflict is a SchemaError
+naming the key.
 """
 
 from __future__ import annotations
@@ -156,15 +158,34 @@ class CachedScoreBackend(SentenceScoreSource):
     @classmethod
     def from_file(cls, path: str | Path) -> "CachedScoreBackend":
         cache = cls()
-        cache._add(read_jsonl(path, _cache_record))
+        lines = read_jsonl(path, _cache_record)
+        try:
+            cache._add(lines)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
         return cache
 
     def _add(self, lines: Iterable[_Line]) -> None:
-        table = self._table
+        """Index checked lines.  A key recorded again must carry the same
+        loss and per_token: an identical repeat (a run concatenated twice)
+        is harmless, a conflicting one is a SchemaError."""
+        setdefault = self._table.setdefault
         for key, candidates, losses, rows in lines:
             self._combos.add((key[4], key[3]))
             for cand, loss, per in zip(candidates, losses, rows):
-                table[key + (cand,)] = (loss, per)
+                entry = (loss, per)
+                kept = setdefault(key + (cand,), entry)
+                if kept is not entry and kept != entry:
+                    image_id, region, anchor, template_name, method = key
+                    what = (
+                        f"loss {kept[0]!r} and {loss!r}" if kept[0] != loss
+                        else "two different per_token rows"
+                    )
+                    raise SchemaError(
+                        f"conflicting records for image={image_id!r} region={region} "
+                        f"anchor={anchor!r} template={template_name!r} method={method} "
+                        f"candidate={cand!r}: {what}"
+                    )
 
     def __len__(self) -> int:
         return len(self._table)

@@ -6,7 +6,8 @@ threaded stdlib HTTP server on an ephemeral localhost port and speaks the
 wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and /v1/embed asks
 for the image's embedding (when the request names an image_id) and one
-embedding per sentence in `texts`.  Malformed fields and requests the
+embedding per sentence in `texts`.  Malformed fields (a region that is
+neither null nor 4 finite numbers among them) and requests the
 backend rejects (an embed request to a backend without a contrastive side
 among them) get 400, any other backend exception 500.
 
@@ -20,6 +21,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..core import is_finite_number
 from ..errors import GenretError
 
 
@@ -41,7 +43,12 @@ class _Handler(BaseHTTPRequestHandler):
             request = json.loads(self.rfile.read(length))
             request_id = request.get("request_id")
             image_id = request.get("image_id")
-            region = tuple(request["region"]) if request.get("region") is not None else None
+            region = request.get("region")
+            if region is not None:
+                if not (isinstance(region, list) and len(region) == 4
+                        and all(map(is_finite_number, region))):
+                    raise ValueError(f"region must be null or 4 finite numbers, got {region!r}")
+                region = tuple(region)
             prefixes = [tuple(q.get("prefix", ())) for q in request.get("queries", [])]
             texts = request.get("texts") or []
             if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):

@@ -319,10 +319,13 @@ def instance_from_dict(d: dict) -> RankingInstance:
     unknown = set(d) - _INSTANCE_FIELDS
     if unknown:
         raise SchemaError(f"instance record has unknown fields: {sorted(unknown)}")
+    image_id = d["image_id"]
+    if not isinstance(image_id, str) or not image_id:
+        raise SchemaError(f"image_id must be a non-empty string, got {image_id!r}")
     try:
         # RankingInstance converts each field to its tuple/set/enum form
         return RankingInstance(
-            image_id=str(d["image_id"]),
+            image_id=image_id,
             anchor_kind=d["anchor_kind"],
             anchor=d["anchor"],
             candidates=d["candidates"],

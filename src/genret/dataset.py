@@ -11,7 +11,10 @@ One rule builds both directions.  anchor_kind=OBJECT anchors on the box's
 object and ranks attribute candidates; anchor_kind=ATTRIBUTE anchors on one
 of the box's attributes and ranks object candidates.  The statistics behind
 the negatives may be counted (build_stats) or derived from a synthetic
-world's priors (world.world_stats); the rule does not care which.
+world's priors (world.world_stats); one table builder, ranked_tables, turns
+either kind of weight into the ranked tables, and the rule does not care
+which.  build_split is the one instance loop: world.make_instances runs it
+over one scene.
 
 A candidate is never used as a negative when the (anchor, candidate) pairing
 is realized elsewhere on the same image: such a word is true in context and
@@ -159,6 +162,35 @@ def _ranked(pairs: dict[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
+def ranked_tables(
+    pairs: dict[tuple[str, str], float],
+    objects: dict[str, float],
+    attributes: dict[str, float],
+) -> dict[str, dict | tuple]:
+    """Weighted (object, attribute) pairs and per-word weights -> the four
+    ranked tables of CooccurrenceStats, as keyword arguments.
+
+    Each table is normalized by its own total (a zero total divides by 1)
+    and ordered by _ranked.  Weights may be counts or priors.
+    """
+
+    def normalized(table: dict[str, float]) -> tuple[tuple[str, float], ...]:
+        total = sum(table.values()) or 1
+        return _ranked({w: v / total for w, v in table.items()})
+
+    by_obj: dict[str, dict[str, float]] = {}
+    by_attr: dict[str, dict[str, float]] = {}
+    for (o, a), v in pairs.items():
+        by_obj.setdefault(o, {})[a] = v
+        by_attr.setdefault(a, {})[o] = v
+    return {
+        "attrs_given_object": {o: normalized(t) for o, t in by_obj.items()},
+        "objects_given_attr": {a: normalized(t) for a, t in by_attr.items()},
+        "object_prior": normalized(objects),
+        "attribute_prior": normalized(attributes),
+    }
+
+
 def build_stats(records: Sequence[SceneGraphRecord]) -> CooccurrenceStats:
     """Count co-occurrence over a training split and derive ranking tables."""
     records = list(records)
@@ -173,34 +205,11 @@ def build_stats(records: Sequence[SceneGraphRecord]) -> CooccurrenceStats:
             for a in bx.attributes:
                 attribute_counts[a] = attribute_counts.get(a, 0) + 1
                 pair_counts[(bx.obj, a)] = pair_counts.get((bx.obj, a), 0) + 1
-
-    by_obj: dict[str, dict[str, float]] = {}
-    by_attr: dict[str, dict[str, float]] = {}
-    for (o, a), c in pair_counts.items():
-        by_obj.setdefault(o, {})[a] = c
-        by_attr.setdefault(a, {})[o] = c
-    attrs_given_object = {
-        o: _ranked({a: c / sum(t.values()) for a, c in t.items()})
-        for o, t in by_obj.items()
-    }
-    objects_given_attr = {
-        a: _ranked({o: c / sum(t.values()) for o, c in t.items()})
-        for a, t in by_attr.items()
-    }
-    n_boxes = sum(object_counts.values())
-    n_attr = sum(attribute_counts.values())
-    object_prior = _ranked({o: c / n_boxes for o, c in object_counts.items()})
-    attribute_prior = (
-        _ranked({a: c / n_attr for a, c in attribute_counts.items()}) if n_attr else ()
-    )
     return CooccurrenceStats(
         pair_counts=pair_counts,
         object_counts=object_counts,
         attribute_counts=attribute_counts,
-        attrs_given_object=attrs_given_object,
-        objects_given_attr=objects_given_attr,
-        object_prior=object_prior,
-        attribute_prior=attribute_prior,
+        **ranked_tables(pair_counts, object_counts, attribute_counts),
     )
 
 

@@ -121,11 +121,53 @@ def _average_precision(entries: list[tuple[float, int, int, int]]) -> float | No
     return sum(precisions) / n_pos
 
 
+def _labels(s: ScoredInstance, treat_unlabeled_as_negative: bool) -> dict[int, int]:
+    labels = s.instance.labels()
+    if treat_unlabeled_as_negative:
+        for i in range(len(s.instance.candidates)):
+            labels.setdefault(i, 0)
+    return labels
+
+
+def _class_aps(
+    scored: Sequence[ScoredInstance], treat_unlabeled_as_negative: bool
+) -> dict[str, float]:
+    """Word -> AP of its labeled candidates pooled across instances, in word
+    order.  Classes without positives are left out; classes with positives
+    but no labeled negatives too, with one warning each."""
+    per_class: dict[str, list[tuple[float, int, int, int]]] = {}
+    for idx, s in enumerate(scored):
+        for i, label in _labels(s, treat_unlabeled_as_negative).items():
+            word = s.instance.candidates[i]
+            per_class.setdefault(word, []).append((s.scores[i], idx, i, label))
+    aps = {}
+    for word in sorted(per_class):
+        entries = per_class[word]
+        if not any(e[3] == 1 for e in entries):
+            continue
+        ap = _average_precision(entries)
+        if ap is None:
+            warnings.warn(
+                f"class {word!r} has positives but no labeled negatives; skipped",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            continue
+        aps[word] = ap
+    return aps
+
+
+def _class_mean(aps: Iterable[float]) -> float:
+    aps = list(aps)
+    if not aps:
+        raise MetricError("mAP undefined: no class with both labels")
+    return sum(aps) / len(aps)
+
+
 def mean_average_precision(
     scored: Sequence[ScoredInstance],
     pooling: str = "class",
     treat_unlabeled_as_negative: bool = False,
-    class_filter: set[str] | None = None,
 ) -> float:
     """Unweighted mean AP.
 
@@ -136,53 +178,19 @@ def mean_average_precision(
     treat_unlabeled_as_negative forces a 0 label onto unlabeled candidates
     even when explicit negatives exist.
     """
-    if pooling not in ("class", "instance"):
+    if pooling == "class":
+        return _class_mean(_class_aps(scored, treat_unlabeled_as_negative).values())
+    if pooling != "instance":
         raise MetricError(f"unknown pooling {pooling!r}")
-
-    def labels_of(s: ScoredInstance) -> dict[int, int]:
-        labels = s.instance.labels()
-        if treat_unlabeled_as_negative:
-            for i in range(len(s.instance.candidates)):
-                labels.setdefault(i, 0)
-        return labels
-
-    if pooling == "instance":
-        aps = []
-        for idx, s in enumerate(scored):
-            labels = labels_of(s)
-            entries = [
-                (s.scores[i], idx, i, label) for i, label in labels.items()
-            ]
-            ap = _average_precision(entries)
-            if ap is not None:
-                aps.append(ap)
-        if not aps:
-            raise MetricError("mAP undefined: no instance with usable labels")
-        return sum(aps) / len(aps)
-
-    per_class: dict[str, list[tuple[float, int, int, int]]] = {}
-    for idx, s in enumerate(scored):
-        for i, label in labels_of(s).items():
-            word = s.instance.candidates[i]
-            if class_filter is not None and word not in class_filter:
-                continue
-            per_class.setdefault(word, []).append((s.scores[i], idx, i, label))
     aps = []
-    for word in sorted(per_class):
-        entries = per_class[word]
-        if not any(e[3] == 1 for e in entries):
-            continue
+    for idx, s in enumerate(scored):
+        labels = _labels(s, treat_unlabeled_as_negative)
+        entries = [(s.scores[i], idx, i, label) for i, label in labels.items()]
         ap = _average_precision(entries)
-        if ap is None:
-            warnings.warn(
-                f"class {word!r} has positives but no labeled negatives; skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        aps.append(ap)
+        if ap is not None:
+            aps.append(ap)
     if not aps:
-        raise MetricError("mAP undefined: no class with both labels")
+        raise MetricError("mAP undefined: no instance with usable labels")
     return sum(aps) / len(aps)
 
 
@@ -336,13 +344,22 @@ def compute_report(
     pooling: str = "class",
     treat_unlabeled_as_negative: bool = False,
 ) -> MetricReport:
-    """Assemble the full report; breakdowns appear when class_meta is given."""
+    """Assemble the full report; breakdowns appear when class_meta is given.
+
+    A bucket's or type's mAP is the mean of its classes' pooled APs, so
+    breakdowns need pooling="class".
+    """
     if not scored:
         raise MetricError("no scored instances")
+    if class_meta and pooling != "class":
+        raise MetricError(
+            f"per-bucket and per-type mAP need class pooling, got pooling={pooling!r}"
+        )
     report_ma: dict[float, float] = {}
     if probs is not None:
         for t in thresholds:
             report_ma[t] = mean_balanced_accuracy(scored, probs, t)
+    class_aps = _class_aps(scored, treat_unlabeled_as_negative) if pooling == "class" else None
     per_bucket: dict[str, dict[str, float]] = {}
     per_type: dict[str, dict[str, float]] = {}
     if class_meta:
@@ -352,25 +369,19 @@ def compute_report(
             if meta.attribute_type is not None:
                 groups.setdefault(f"type:{meta.attribute_type}", set()).add(meta.word)
         for key, words in sorted(groups.items()):
-            try:
-                ap = mean_average_precision(
-                    scored,
-                    pooling=pooling,
-                    treat_unlabeled_as_negative=treat_unlabeled_as_negative,
-                    class_filter=words,
-                )
-            except MetricError:
+            aps = [ap for word, ap in class_aps.items() if word in words]
+            if not aps:
                 continue
             kind, name = key.split(":", 1)
             target = per_bucket if kind == "bucket" else per_type
-            target[name] = {"mean_ap": ap, "n_classes": float(len(words))}
+            target[name] = {"mean_ap": _class_mean(aps), "n_classes": float(len(words))}
     return MetricReport(
         mean_rank=mean_rank(scored),
         mean_recall_at_k={k: mean_recall_at_k(scored, k) for k in ks},
-        mean_ap=mean_average_precision(
-            scored,
-            pooling=pooling,
-            treat_unlabeled_as_negative=treat_unlabeled_as_negative,
+        mean_ap=(
+            _class_mean(class_aps.values())
+            if class_aps is not None
+            else mean_average_precision(scored, pooling, treat_unlabeled_as_negative)
         ),
         f1_at_k={k: overall_f1_at_k(scored, k) for k in ks},
         mean_balanced_accuracy=report_ma,

@@ -218,6 +218,14 @@ def _candidate_sentence(
     return render(template, attribute=instance.anchor, obj=candidate)
 
 
+def _check_length_normalize(method, length_normalize: bool) -> None:
+    # == rather than is: batch_rank checks the method before converting it
+    if length_normalize and method == Method.CONTRASTIVE:
+        raise ConfigurationError(
+            "length_normalize applies to generative scoring only, not contrastive"
+        )
+
+
 def rank_instance(
     backend,
     instance: RankingInstance,
@@ -231,8 +239,10 @@ def rank_instance(
     for object anchors and vice versa).  A SentenceScoreSource (cache
     replay) is consulted by key and returns scores exactly as recorded,
     length_normalize included; token-level backends compute fresh.
+    length_normalize applies to generative scoring only.
     """
     method = Method(method)
+    _check_length_normalize(method, length_normalize)
     ranked_slot = (
         Slot.ATTRIBUTE if instance.anchor_kind is AnchorKind.OBJECT else Slot.OBJECT
     )
@@ -310,6 +320,7 @@ def batch_rank(
     """
     if not isinstance(parallelism, int) or parallelism < 1:
         raise ConfigurationError(f"parallelism must be a positive integer, got {parallelism}")
+    _check_length_normalize(method, length_normalize)
     if (
         parallelism > 1
         and isinstance(backend, ScorerBackend)

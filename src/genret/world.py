@@ -12,9 +12,10 @@ with the entity's full probability mass.  caption_process returns that
 distribution with rational weights, so it sums to 1 exactly; everything the
 oracle backend answers is derived from it.
 
-Ranking instances over a world's scenes are built by the dataset builder
-(dataset.build_instance), with world_stats, the world's priors in the shape
-of counted co-occurrence statistics, choosing the hard negatives.
+Ranking instances over a world's scenes are built by the dataset builder:
+make_instances is dataset.build_split over one scene, and world_stats, the
+world's priors passed through the table builder counted statistics use
+(dataset.ranked_tables), chooses the hard negatives.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .dataset import (
     BoxAnnotation,
     CooccurrenceStats,
     SceneGraphRecord,
-    _ranked,
-    build_instance,
+    build_split,
+    ranked_tables,
 )
 from .errors import SchemaError, WorldError
 
@@ -232,34 +233,25 @@ def caption_process(scene: SyntheticScene) -> dict[tuple[str, ...], Fraction]:
 def world_stats(spec: WorldSpec) -> CooccurrenceStats:
     """Prior-derived ranking tables in the shape build_stats counts.
 
-    The count fields stay empty: nothing was counted.
+    The priors go through dataset.ranked_tables, the builder counted
+    statistics use too.  The count fields stay empty: nothing was counted.
     """
-    by_obj: dict[str, dict[str, float]] = {}
-    by_attr: dict[str, dict[str, float]] = {}
     attr_marginal: dict[str, float] = {}
-    for (o, a), p in spec.attribute_prior.items():
-        by_obj.setdefault(o, {})[a] = p
-        by_attr.setdefault(a, {})[o] = p
+    for (_, a), p in spec.attribute_prior.items():
         attr_marginal[a] = attr_marginal.get(a, 0.0) + p
     # zero-prior attributes fill the tail of the fallback tier (weight 0,
     # lexicographic), so any candidate count up to |attributes| is buildable
     for a in spec.attributes:
         attr_marginal.setdefault(a, 0.0)
-
-    def normalized(table: dict[str, float]) -> tuple[tuple[str, float], ...]:
-        total = sum(table.values()) or 1.0
-        return _ranked({w: p / total for w, p in table.items()})
-
     return CooccurrenceStats(
         pair_counts={},
         object_counts={},
         attribute_counts={},
-        attrs_given_object={o: normalized(t) for o, t in by_obj.items()},
-        objects_given_attr={a: normalized(t) for a, t in by_attr.items()},
         # objects are drawn uniformly, so the object prior is flat; the
         # ranked form degenerates to lexicographic order
-        object_prior=tuple((o, 1.0 / len(spec.objects)) for o in sorted(spec.objects)),
-        attribute_prior=normalized(attr_marginal),
+        **ranked_tables(
+            spec.attribute_prior, dict.fromkeys(spec.objects, 1.0), attr_marginal
+        ),
     )
 
 
@@ -272,17 +264,13 @@ def make_instances(
 ) -> list[RankingInstance]:
     """Build a scene's ranking instances with world-prior hard negatives.
 
-    One instance per entity that has attributes, built by
-    dataset.build_instance over the scene's record with spec.stats
-    (world_stats) standing in for counted statistics: the same rule, and for equal
-    scenes the same instances, as build-dataset.
+    dataset.build_split over the scene's one record, with spec.stats
+    (world_stats) standing in for counted statistics: one instance per
+    entity that has attributes, by the same rule, and for equal scenes the
+    same instances, as build-dataset.
     """
-    (record,) = scenes_to_records([scene])
-    return [
-        build_instance(record, i, spec.stats, n_candidates, anchor_kind, seed)
-        for i, box in enumerate(record.boxes)
-        if box.attributes
-    ]
+    records = scenes_to_records([scene])
+    return build_split(records, spec.stats, anchor_kind, seed, n_candidates)[0]
 
 
 def scenes_to_records(scenes: Iterable[SyntheticScene]) -> list[SceneGraphRecord]:

@@ -112,7 +112,8 @@ def naive_class_ap(entries) -> float | None:
     return sum(precisions) / len(precisions)
 
 
-def naive_mean_ap(scored) -> float:
+def naive_class_aps(scored) -> dict[str, float]:
+    """word -> pooled AP, for every class whose AP is defined."""
     pools: dict[str, list] = {}
     for inst_idx, s in enumerate(scored):
         labels = _labels(s.instance)
@@ -122,7 +123,12 @@ def naive_mean_ap(scored) -> float:
             pools.setdefault(word, []).append(
                 (s.scores[cand_idx], inst_idx, cand_idx, labels[cand_idx])
             )
-    aps = [ap for ap in (naive_class_ap(v) for v in pools.values()) if ap is not None]
+    aps = {w: naive_class_ap(v) for w, v in pools.items()}
+    return {w: ap for w, ap in aps.items() if ap is not None}
+
+
+def naive_mean_ap(scored) -> float:
+    aps = list(naive_class_aps(scored).values())
     return sum(aps) / len(aps)
 
 

@@ -289,6 +289,29 @@ def test_in_memory_cache_records_are_checked():
         CachedScoreBackend([{**rec, "loss": "abc"}])
 
 
+def test_conflicting_duplicate_cache_key_is_rejected(tmp_path):
+    _, _, scored = scored_fixture()
+    first = scored_to_records(scored[0])[0]
+    again = {**first, "loss": first["loss"] + 5}
+    with pytest.raises(SchemaError, match=repr(first["candidate"])):
+        CachedScoreBackend([first, again])
+    with pytest.raises(SchemaError, match="per_token"):
+        CachedScoreBackend([first, {**first, "per_token": [0.0]}])
+    path = tmp_path / "conflict.jsonl"
+    write_jsonl(path, [first, again])
+    with pytest.raises(SchemaError, match=f"^{path}: conflicting"):
+        CachedScoreBackend.from_file(path)
+
+
+def test_identical_duplicate_cache_lines_still_load(tmp_path):
+    instances, template, scored = scored_fixture()
+    path = tmp_path / "twice.jsonl"
+    write_score_cache(path, scored + scored)  # a run concatenated twice
+    cache = CachedScoreBackend.from_file(path)
+    assert len(cache) == sum(len(i.candidates) for i in instances)
+    assert [rank_instance(cache, i, template, Method.GENERATIVE) for i in instances] == scored
+
+
 def test_scored_to_records_carries_anchor_and_region():
     _, _, scored = scored_fixture()
     rec = scored_to_records(scored[0])[0]

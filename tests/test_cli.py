@@ -375,6 +375,19 @@ def test_evaluate_with_calibration_and_buckets(pipeline, tmp_path):
     assert config["options"]["threshold"] == [0.5]
 
 
+def test_evaluate_breakdowns_need_class_pooling(pipeline, tmp_path, capsys):
+    rc = main(
+        [
+            "evaluate", "--out", str(tmp_path / "x"), "--instances", pipeline["instances"],
+            "--cache", str(pipeline["gen"] / "scores.jsonl"),
+            "--class-frequencies", str(pipeline["counts"]),
+            "--head-cut", "5", "--tail-cut", "2", "--pooling", "instance",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[MetricError]: per-bucket and per-type")
+
+
 # -- report ---------------------------------------------------------------------
 
 
@@ -434,6 +447,41 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
     )
     assert rc == 4
     assert capsys.readouterr().err.startswith("error[schema]:")
+
+
+def test_null_image_id_exits_4_naming_the_line(pipeline, tmp_path, capsys):
+    lines = Path(pipeline["instances"]).read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["image_id"] = None
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "score", "--out", str(tmp_path / "x"), "--instances", str(bad),
+            "--backend", "uniform",
+        ]
+    )
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[schema]: {bad}:2: image_id must be a non-empty string")
+
+
+def test_conflicting_cache_records_exit_4_naming_the_file(pipeline, tmp_path, capsys):
+    gen = pipeline["gen"] / "scores.jsonl"
+    lines = gen.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["loss"] = [x + 5 for x in rec["loss"]]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines + [json.dumps(rec)]) + "\n")
+    rc = main(
+        [
+            "score", "--out", str(tmp_path / "x"), "--instances", pipeline["instances"],
+            "--backend", "cached", "--cache", str(bad),
+        ]
+    )
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(f"error[schema]: {bad}: conflicting records")
 
 
 def _world_json(prior=0.5, compatible=("red",)):

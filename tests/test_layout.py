@@ -1,10 +1,12 @@
 """Source layout rules that keep one decision in one module."""
 
 import ast
+import types
 from dataclasses import fields
 from pathlib import Path
 
 import genret
+import genret.backends
 from genret.backends import Capabilities, ScorerBackend
 
 PACKAGE = Path(genret.__file__).parent
@@ -66,3 +68,34 @@ def test_one_generative_primitive():
                 definers.add(f"{path.relative_to(PACKAGE).as_posix()}:{node.name}")
     assert not definers
     assert {f.name for f in fields(Capabilities)} == {"has_terminal_token", "concurrent_safe"}
+
+
+def test_all_lists_every_public_name():
+    # `from genret import *` binds what the package exports; a public name
+    # left out of __all__ is silently missing there (a module, like errors,
+    # may be listed or not)
+    for package in (genret, genret.backends):
+        names = vars(package)
+        public = {
+            n for n, v in names.items()
+            if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        }
+        assert set(package.__all__) <= set(names), package.__name__
+        listed = {n for n in package.__all__ if not isinstance(names[n], types.ModuleType)}
+        assert listed == public, package.__name__
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name shared across modules is an undeclared API; make it
+    # public where it is defined, or keep its use in its own module
+    offenders = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("genret"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {alias.name}")
+    assert not offenders

@@ -147,8 +147,11 @@ def test_ap_pools_one_class_across_instances():
         make_scored(("w00", "z1"), {1}, (2.0, 0.5), image_id="img1"),
         make_scored(("w00", "z2"), {0}, (3.0, 9.0), image_id="img2"),
     ]
-    # pooled w00 list, ascending score: +, -, + so AP = (1/1 + 2/3) / 2
-    got = mean_average_precision(batch, class_filter={"w00"})
+    # pooled w00 list, ascending score: +, -, + so AP = (1/1 + 2/3) / 2;
+    # z1 has a positive but no labeled negative and is skipped, and z0 and
+    # z2 have no positive, so w00 is the only class averaged
+    with pytest.warns(RuntimeWarning, match="z1"):
+        got = mean_average_precision(batch)
     assert abs(got - 5 / 6) < 1e-12  # summation lands one ulp off 5/6
 
 
@@ -395,3 +398,26 @@ def test_report_render_text(report_inputs):
     assert any(line.startswith("mA@0.5") for line in lines)
     assert any(line.startswith("mAP[") for line in lines)
     assert text.endswith("\n")
+
+
+def test_breakdowns_average_their_own_classes(report_inputs):
+    # each bucket's mAP is the mean AP of that bucket's classes alone, not
+    # the overall mAP again
+    scored, _, meta = report_inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = compute_report(scored, ks=(5,), class_meta=meta)
+    class_aps = bf.naive_class_aps(scored)
+    for bucket, stats in report.per_bucket.items():
+        aps = [ap for w, ap in class_aps.items() if meta[w].bucket == bucket]
+        assert stats["mean_ap"] == pytest.approx(sum(aps) / len(aps), abs=1e-12)
+    assert len({stats["mean_ap"] for stats in report.per_bucket.values()}) > 1
+
+
+def test_breakdowns_reject_instance_pooling(report_inputs):
+    scored, _, meta = report_inputs
+    with pytest.raises(MetricError, match="class pooling"):
+        compute_report(scored, ks=(5,), class_meta=meta, pooling="instance")
+    # without breakdowns, instance pooling still reports
+    report = compute_report(scored, ks=(5,), pooling="instance")
+    assert report.mean_ap == mean_average_precision(scored, pooling="instance")

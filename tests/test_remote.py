@@ -336,6 +336,26 @@ def test_malformed_request_gets_400_not_a_dropped_connection(setup):
         assert server._server.hits == 1
 
 
+@pytest.mark.parametrize("path", ["/v1/logprobs", "/v1/embed"])
+@pytest.mark.parametrize(
+    "region", ["abcd", [1, 2], [0, 0, "a", 1], [0, 0, True, 1], {"x": 0}, 7]
+)
+def test_malformed_region_gets_400(setup, path, region):
+    spec, _, backend, _ = setup
+    body = {
+        "request_id": "r", "image_id": "scene-000000", "region": region,
+        "queries": [{"prefix": []}], "texts": [[spec.objects[0]]],
+    }
+    with LoopbackServer(backend) as url:
+        resp = requests.post(f"{url}{path}", json=body, timeout=10)
+        assert resp.status_code == 400
+        assert "region must be null or 4 finite numbers" in resp.json()["error"]
+        # the same request with a well-formed region is answered
+        for good in (None, [0, 0, 10.5, 10]):
+            resp = requests.post(f"{url}{path}", json={**body, "region": good}, timeout=10)
+            assert resp.status_code == 200
+
+
 def test_backend_rejecting_a_request_gets_400(setup):
     # OracleBackend.embed_text raises ValueError on empty text
     _, _, backend, _ = setup

@@ -353,6 +353,24 @@ def test_batch_rank_validates_parallelism(batch_setup):
         batch_rank(backend, instances, parse_template("{A}"), Method.GENERATIVE, parallelism=0)
 
 
+def test_length_normalize_is_rejected_for_contrastive(batch_setup):
+    backend, instances = batch_setup
+    template = parse_template("{A} {O}")
+    with pytest.raises(ConfigurationError, match="generative scoring only"):
+        rank_instance(backend, instances[0], template, Method.CONTRASTIVE, length_normalize=True)
+
+    class Refusing:
+        capabilities = backend.capabilities
+        vocabulary = backend.vocabulary
+
+        def embed_batch(self, image_id, region, sentences):
+            raise AssertionError("asked the backend before checking the options")
+
+    # once, before any instance is scored, not as one failure per instance
+    with pytest.raises(ConfigurationError, match="generative scoring only"):
+        batch_rank(Refusing(), instances, template, "contrastive", length_normalize=True)
+
+
 def test_batch_failures_are_collected_not_fatal(batch_setup):
     backend, instances = batch_setup
     bad = RankingInstance(
