@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +38,14 @@ class Capabilities:
 
 @dataclass(frozen=True)
 class TokenDistribution:
-    """One next-token distribution; terminal_p is the end-of-sentence mass."""
+    """One next-token distribution; terminal_p is the end-of-sentence mass.
 
-    probs: dict[str, float]
+    A backend may serve one object for several prefixes, within a batch and
+    across batches (the oracle keeps one per trie node), so callers must not
+    mutate `probs`; the oracle serves it read-only.
+    """
+
+    probs: Mapping[str, float]
     terminal_p: float | None = None
 
     def total(self) -> float:

@@ -61,7 +61,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/v1/logprobs":
                 results = []
                 for dist in backend.next_token_distributions(image_id, region, prefixes):
-                    res = {"probs": dist.probs}
+                    res = {"probs": dict(dist.probs)}
                     if dist.terminal_p is not None:
                         res["terminal_p"] = dist.terminal_p
                     results.append(res)

@@ -12,7 +12,14 @@ probability when smoothing is 0.
 
 Additive smoothing lifts every outcome by `smoothing` and renormalizes, so
 counterfactual sentences keep finite losses; a prefix no caption starts
-with gets the uniform floor distribution.  The contrastive side is a
+with gets the uniform floor distribution.
+
+Each distribution is built once.  A trie node computes its distribution on
+its first query and keeps it, and the floor is built once per backend, so
+every later query of a prefix returns the very object served before: a
+scoring run pays for the trie nodes it visits, not for the prefixes it
+asks about.  Served `probs` are read-only mappings, so no caller can change
+what a later query gets.  The contrastive side is a
 bag-of-words embedder: text maps to normalized token counts, an image to
 normalized expected token frequencies under its caption distribution, which
 makes it order-invariant by construction.
@@ -21,6 +28,7 @@ makes it order-invariant by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -31,12 +39,14 @@ from .base import Capabilities, ScorerBackend, TokenDistribution
 
 
 class _TrieNode:
-    __slots__ = ("mass", "end", "children")
+    __slots__ = ("mass", "end", "children", "dist")
 
     def __init__(self):
         self.mass = Fraction(0)
         self.end = Fraction(0)
         self.children: dict[str, _TrieNode] = {}
+        #: the node's served distribution, filled on its first query
+        self.dist: TokenDistribution | None = None
 
 
 def _build_trie(dist: dict[tuple[str, ...], Fraction]) -> _TrieNode:
@@ -56,8 +66,9 @@ class OracleBackend(ScorerBackend):
 
     Image identifiers are scene ids.  The region argument is accepted and
     ignored: the oracle conditions on the whole scene.  Scene registration
-    precomputes the caption trie and the image embedding; queries afterwards
-    are read-only, hence concurrent-safe.
+    precomputes the caption trie and the image embedding.  Queries only
+    fill each node's memo slot, and two threads racing to fill one build
+    equal distributions, so queries are concurrent-safe.
     """
 
     def __init__(
@@ -74,6 +85,10 @@ class OracleBackend(ScorerBackend):
         self.vocabulary = frozenset(self.vocab_order)
         self.capabilities = Capabilities(has_terminal_token=True, concurrent_safe=True)
         self._index = {t: i for i, t in enumerate(self.vocab_order)}
+        u = 1.0 / (len(self.vocab_order) + 1)  # tokens plus terminal
+        self._floor = TokenDistribution(
+            probs=MappingProxyType({t: u for t in self.vocab_order}), terminal_p=u
+        )
         self._tries: dict[str, _TrieNode] = {}
         self._image_vecs: dict[str, np.ndarray] = {}
         for sc in scenes:
@@ -107,22 +122,25 @@ class OracleBackend(ScorerBackend):
             node = node.children.get(tok)
             if node is None or node.mass == 0:
                 break
-        n_outcomes = len(self.vocab_order) + 1  # tokens plus terminal
         if node is None or node.mass == 0:
             # no caption starts with this prefix: uniform floor
-            u = 1.0 / n_outcomes
-            return TokenDistribution(
-                probs={t: u for t in self.vocab_order}, terminal_p=u
-            )
+            return self._floor
+        dist = node.dist
+        if dist is None:
+            # a concurrent first query may build it twice; both are equal
+            dist = node.dist = self._node_distribution(node)
+        return dist
+
+    def _node_distribution(self, node: _TrieNode) -> TokenDistribution:
         lam = self.smoothing
-        denom = 1.0 + n_outcomes * lam
+        denom = 1.0 + (len(self.vocab_order) + 1) * lam
         probs = {}
         for tok in self.vocab_order:
             child = node.children.get(tok)
             c = float(child.mass / node.mass) if child is not None else 0.0
             probs[tok] = (c + lam) / denom
         terminal = (float(node.end / node.mass) + lam) / denom
-        return TokenDistribution(probs=probs, terminal_p=terminal)
+        return TokenDistribution(probs=MappingProxyType(probs), terminal_p=terminal)
 
     # -- contrastive ---------------------------------------------------
 

@@ -3,7 +3,8 @@
 Typical run, start to finish:
 
     genret gen-world --out run/world --seed 7
-    genret build-dataset --scene-graph run/world/scene_graph.json --out run/data
+    genret build-dataset --scene-graph run/world/scene_graph.json --out run/data \
+        --total 40
     genret score --instances run/world/instances.jsonl --backend oracle \
         --world run/world/world.json --scenes run/world/scenes.jsonl \
         --method generative --template "{O} is {A}" --out run/gen
@@ -265,6 +266,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 for i, err in exc.failures
             ),
         )
+        # what did score, in input order, replacing any earlier run's scores
+        write_score_cache(out / "scores.jsonl", (r for _, r in exc.completed))
         raise
     (out / "failures.jsonl").unlink(missing_ok=True)  # from an earlier, failed run
     write_score_cache(out / "scores.jsonl", scored)

@@ -21,7 +21,11 @@ ConfigurationError.
 Each batch function asks its backend once per image:
 `next_token_distributions` with every distinct prefix the sentences need, or
 `embed_batch` with the image and every sentence.  A remote backend turns
-that one call into one request (`/v1/logprobs` or `/v1/embed`).
+that one call into one request (`/v1/logprobs` or `/v1/embed`).  A backend
+may serve one distribution object for several prefixes (the oracle's
+uniform floor, a uniform backend's whole batch); each distinct object is
+checked once, at the first prefix it answers, so a bad one is reported
+under the same prefix as if every prefix were checked.
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default.  Note the
@@ -102,7 +106,8 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix):
         raise NormalizationError(
             f"backend declares a terminal token but served none for {list(prefix)}"
         )
-    if any(p < 0 for p in dist.probs.values()) or (dist.terminal_p or 0.0) < 0:
+    # a NaN entry has already failed the total
+    if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
 
 
@@ -148,8 +153,11 @@ def _generative_losses(
             f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
         )
     dists = dict(zip(prefixes, served))
+    checked: set[int] = set()  # ids of served objects that passed; all stay alive
     for prefix, dist in dists.items():
-        _check_distribution(dist, has_terminal, prefix)
+        if id(dist) not in checked:
+            _check_distribution(dist, has_terminal, prefix)
+            checked.add(id(dist))
 
     losses = []
     for s in sentences:

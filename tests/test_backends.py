@@ -107,6 +107,36 @@ def test_oracle_region_is_ignored(oracle):
     assert a.probs == b.probs and a.terminal_p == b.terminal_p
 
 
+def test_oracle_serves_one_object_per_prefix(oracle):
+    prefixes = [(), ("cat",), ("cat", "is")]
+    first = oracle.next_token_distributions("s0", None, prefixes + prefixes)
+    again = oracle.next_token_distributions("s0", (0, 0, 5, 5), prefixes)
+    for i in range(len(prefixes)):
+        assert first[i] is first[i + len(prefixes)] is again[i]
+
+
+def test_oracle_serves_one_floor_off_the_trie(oracle):
+    off = [("a5",), ("cat", "cat"), ("dog", "is", "a2", "a2"), ("zzz",)]
+    floor = oracle.next_token_distributions("s0", None, off)
+    floor += oracle.next_token_distributions("s0", None, off[:1])
+    assert all(d is floor[0] for d in floor)
+    u = 1 / (len(oracle.vocab_order) + 1)
+    assert floor[0].terminal_p == u and set(floor[0].probs.values()) == {u}
+    on = oracle.next_token_distributions("s0", None, [("cat",)])[0]
+    assert on is not floor[0]
+
+
+def test_oracle_answers_cannot_be_edited(oracle):
+    prefixes = [("cat",), ("a5",)]  # one trie node, one floor
+    served = oracle.next_token_distributions("s0", None, prefixes)
+    before = [dict(d.probs) for d in served]
+    for dist in served:
+        with pytest.raises(TypeError):
+            dist.probs["cat"] = 1.0
+    again = oracle.next_token_distributions("s0", None, prefixes)
+    assert [dict(d.probs) for d in again] == before
+
+
 def test_oracle_rejects_negative_smoothing():
     with pytest.raises(ValueError):
         OracleBackend(tiny_world(), smoothing=-0.1)

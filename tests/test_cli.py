@@ -649,22 +649,36 @@ def test_length_normalize_is_rejected_where_it_would_be_ignored(
     assert not out.exists()
 
 
-def test_score_writes_every_failure_before_exiting_1(pipeline, tmp_path, capsys):
+def _ghosted(pipeline, tmp_path):
+    """Two thirds of the pipeline's instances moved to unknown images, the
+    indices moved, and the untouched instances alone in a second file."""
     lines = Path(pipeline["instances"]).read_text().splitlines()
     ghosts = {i for i in range(len(lines)) if i % 3}
-    assert len(ghosts) > 5  # more than the error message lists
+    kept = [line for i, line in enumerate(lines) if i not in ghosts]
     for i in ghosts:
         rec = json.loads(lines[i])
         rec["image_id"] = f"ghost-{i}"
         lines[i] = json.dumps(rec)
     instances = tmp_path / "instances.jsonl"
     instances.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "scored"
-    args = [
+    clean = tmp_path / "kept.jsonl"
+    clean.write_text("\n".join(kept) + "\n")
+    return instances, ghosts, clean
+
+
+def _oracle_score(pipeline, out, instances):
+    return [
         "score", "--out", str(out), "--instances", str(instances),
         "--backend", "oracle", "--world", str(pipeline["world"] / "world.json"),
         "--scenes", str(pipeline["world"] / "scenes.jsonl"),
     ]
+
+
+def test_score_writes_every_failure_before_exiting_1(pipeline, tmp_path, capsys):
+    instances, ghosts, _ = _ghosted(pipeline, tmp_path)
+    assert len(ghosts) > 5  # more than the error message lists
+    out = tmp_path / "scored"
+    args = _oracle_score(pipeline, out, instances)
     rc = main(args)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[BatchScoringError]:")
@@ -674,11 +688,39 @@ def test_score_writes_every_failure_before_exiting_1(pipeline, tmp_path, capsys)
         assert f["image_id"] == f"ghost-{f['index']}"
         assert f["error"] == "UnknownImageError"
         assert f["image_id"] in f["message"]
-    assert not (out / "scores.jsonl").exists()
+    # the instances that did score, in input order
+    scored = [json.loads(x) for x in (out / "scores.jsonl").read_text().splitlines()]
+    want = [
+        inst.image_id
+        for i, inst in enumerate(read_instances(instances))
+        if i not in ghosts
+    ]
+    assert [r["image_id"] for r in scored] == want
     # a later clean run to the same directory leaves no stale report
     rc = main([*args[:4], pipeline["instances"], *args[5:]])
     assert rc == 0
     assert not (out / "failures.jsonl").exists()
+
+
+def test_failed_score_writes_what_a_clean_run_writes_for_the_rest(pipeline, tmp_path):
+    instances, _, kept = _ghosted(pipeline, tmp_path)
+    assert main(_oracle_score(pipeline, tmp_path / "failed", instances)) == 1
+    assert main(_oracle_score(pipeline, tmp_path / "clean", kept)) == 0
+    got = (tmp_path / "failed" / "scores.jsonl").read_bytes()
+    assert got == (tmp_path / "clean" / "scores.jsonl").read_bytes()
+    assert got  # some instances did score
+
+
+def test_failed_score_replaces_an_earlier_scores_file(pipeline, tmp_path):
+    instances, _, kept = _ghosted(pipeline, tmp_path)
+    out = tmp_path / "scored"
+    assert main(_oracle_score(pipeline, out, pipeline["instances"])) == 0
+    earlier = (out / "scores.jsonl").read_bytes()
+    assert main(_oracle_score(pipeline, out, instances)) == 1
+    assert main(_oracle_score(pipeline, tmp_path / "clean", kept)) == 0
+    got = (out / "scores.jsonl").read_bytes()
+    assert got != earlier
+    assert got == (tmp_path / "clean" / "scores.jsonl").read_bytes()
 
 
 def test_oracle_needs_world_and_scenes(pipeline, tmp_path, capsys):
@@ -732,3 +774,29 @@ def test_module_run_passes_the_exit_code_on(module, tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error[io]:")
+
+
+def _documented_commands() -> list[list[str]]:
+    """Every `genret ...` command of the CLI module docstring, with its
+    backslash-continued lines joined."""
+    import shlex
+
+    import genret.cli
+
+    text = genret.cli.__doc__.replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:]
+        for line in text.splitlines()
+        if line.strip().startswith("genret ")
+    ]
+
+
+def test_documented_typical_run_succeeds(tmp_path, monkeypatch, capsys):
+    commands = _documented_commands()
+    assert [c[0] for c in commands] == [
+        "gen-world", "build-dataset", "score", "calibrate", "evaluate", "report",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        rc = main(args)
+        assert rc == 0, (args, capsys.readouterr().err)

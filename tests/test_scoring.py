@@ -24,6 +24,7 @@ from genret import (
     sample_scenes,
     scored_to_records,
 )
+from genret.backends import Capabilities, ScorerBackend, TokenDistribution
 from genret.errors import (
     BatchScoringError,
     ConfigurationError,
@@ -164,6 +165,72 @@ def nan_instance(candidates):
 def test_nan_from_the_backend_is_rejected(score):
     with pytest.raises(NormalizationError):
         score()
+
+
+class SharedDistribution(ScorerBackend):
+    """Serves one object for every prefix; with a good root, the empty
+    prefix gets a fresh uniform distribution instead."""
+
+    def __init__(self, dist, has_terminal, good_root=False):
+        self.dist = dist
+        self.good_root = good_root
+        self.capabilities = Capabilities(has_terminal_token=has_terminal)
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        t = 1 / 3 if self.capabilities.has_terminal_token else None
+        root = TokenDistribution({"a": t or 0.5, "b": t or 0.5}, terminal_p=t)
+        return [root if self.good_root and not p else self.dist for p in prefixes]
+
+
+BAD_SHARED = {
+    "total": (TokenDistribution({"a": 0.25, "b": 0.25}), False, "sums to 0.500000000"),
+    "nan": (TokenDistribution({"a": math.nan, "b": 0.5}, 0.5), True, "sums to nan"),
+    "negative": (TokenDistribution({"a": -0.5, "b": 1.5}), False, "negative probability"),
+    "negative_terminal": (
+        TokenDistribution({"a": 0.75, "b": 0.75}, -0.5), True, "negative probability"
+    ),
+    "missing_terminal": (
+        TokenDistribution({"a": 0.5, "b": 0.5}), True, "declares a terminal token"
+    ),
+}
+BAD_MESSAGES = {
+    "sums to 0.500000000": "distribution for prefix {} sums to 0.500000000",
+    "sums to nan": "distribution for prefix {} sums to nan",
+    "negative probability": "negative probability for prefix {}",
+    "declares a terminal token": "backend declares a terminal token but served none for {}",
+}
+
+
+@pytest.mark.parametrize("good_root", [False, True], ids=["every_prefix", "after_root"])
+@pytest.mark.parametrize("case", sorted(BAD_SHARED))
+def test_a_shared_bad_distribution_fails_at_its_first_prefix(case, good_root):
+    dist, has_terminal, kind = BAD_SHARED[case]
+    backend = SharedDistribution(dist, has_terminal, good_root)
+    first = ["a"] if good_root else []
+    with pytest.raises(NormalizationError) as err:
+        generative_loss(backend, "x", None, ("a", "b", "a"))
+    assert str(err.value) == BAD_MESSAGES[kind].format(first)
+
+
+def test_a_shared_distribution_is_checked_once(monkeypatch):
+    import genret.scoring as scoring
+
+    calls = []
+    check = scoring._check_distribution
+    monkeypatch.setattr(
+        scoring, "_check_distribution", lambda *a: calls.append(a[2]) or check(*a)
+    )
+    loss = generative_loss(UniformBackend(["a", "b"]), "x", None, ("a", "b", "a"))
+    assert loss.value == pytest.approx(3 * math.log(2))
+    assert calls == [()]  # three prefixes, one served object
+
+
+def test_a_terminal_only_distribution_passes_the_check():
+    # an empty probs mapping gives the negativity scan nothing to scan; the
+    # loss then misses the token, which is the error that surfaces
+    backend = SharedDistribution(TokenDistribution({}, 1.0), has_terminal=True)
+    with pytest.raises(VocabularyError, match="token 'a' missing from served distribution"):
+        generative_loss(backend, "x", None, ("a",))
 
 
 # -- contrastive loss ----------------------------------------------------
