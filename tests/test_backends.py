@@ -137,6 +137,37 @@ def test_oracle_answers_cannot_be_edited(oracle):
     assert [dict(d.probs) for d in again] == before
 
 
+def test_oracle_memo_under_racing_threads():
+    # more threads than cores fill the same fresh memo slots at once; every
+    # answer must equal a sequential backend's, and once the race is over
+    # each prefix has one object
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec, scene = tiny_world(), exclusion_scene()
+    prefixes = [(), ("cat",), ("cat", "is"), ("dog",), ("dog", "is"), ("a0",), ("a5",)]
+    want = OracleBackend(spec, [scene]).next_token_distributions("s0", None, prefixes)
+    racing = OracleBackend(spec, [scene])
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [
+                pool.submit(racing.next_token_distributions, "s0", None, prefixes)
+                for _ in range(64)
+            ]
+            answers = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for got in answers:
+        assert [(dict(d.probs), d.terminal_p) for d in got] == [
+            (dict(d.probs), d.terminal_p) for d in want
+        ]
+    settled = racing.next_token_distributions("s0", None, prefixes)
+    again = racing.next_token_distributions("s0", None, prefixes)
+    assert all(a is b for a, b in zip(settled, again))
+
+
 def test_oracle_rejects_negative_smoothing():
     with pytest.raises(ValueError):
         OracleBackend(tiny_world(), smoothing=-0.1)
