@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import UnknownImageError, VocabularyError
+from ..errors import SchemaError, UnknownImageError, VocabularyError
 from ..world import SyntheticScene, WorldSpec, caption_process
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -95,6 +95,16 @@ class OracleBackend(ScorerBackend):
             self.register_scene(sc)
 
     def register_scene(self, scene: SyntheticScene) -> None:
+        """Precompute a scene's caption trie and image embedding.  A scene
+        word the world lacks is a SchemaError naming the scene and the word."""
+        for ent in scene.entities:
+            words = [("object", ent.obj, self.spec.objects)]
+            words += [("attribute", a, self.spec.attributes) for a in ent.attributes]
+            for kind, word, known in words:
+                if word not in known:
+                    raise SchemaError(
+                        f"scene {scene.scene_id!r} names {kind} {word!r}, which the world lacks"
+                    )
         dist = caption_process(scene)
         self._tries[scene.scene_id] = _build_trie(dist)
         freq = np.zeros(len(self.vocab_order))

@@ -12,9 +12,8 @@ table is the entire trainable surface of the package; there is no backbone
 behind it, so fitting it is cheap and exactly reproducible.
 
 Defaults record the reference schedule: lr 1e-5, weight decay 0.01, batch
-size 4, init mu -15.0 and sigma 0.5, max text length 16 tokens (metadata
-here, since sentences never reach the fit).  Desk-scale fits want a larger
-lr and fewer steps; the config is explicit so both uses stay honest.
+size 4, init mu -15.0 and sigma 0.5.  Desk-scale fits want a larger lr and
+fewer steps; the config is explicit so both uses stay honest.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ class FitConfig:
     seed: int = 0
     init_mu: float = -15.0
     init_sigma: float = 0.5
-    max_text_length: int = 16  # recorded for parity; the fit never sees text
 
 
 @dataclass

@@ -5,14 +5,14 @@ Typical run, start to finish:
     genret gen-world --out run/world --seed 7
     genret build-dataset --scene-graph run/world/scene_graph.json --out run/data \
         --total 40
-    genret score --instances run/world/instances.jsonl --backend oracle \
+    genret score --instances run/data/instances.jsonl --backend oracle \
         --world run/world/world.json --scenes run/world/scenes.jsonl \
         --method generative --template "{O} is {A}" --out run/gen
-    genret calibrate --instances run/world/instances.jsonl \
+    genret calibrate --instances run/data/instances.jsonl \
         --cache run/gen/scores.jsonl --steps 200 --lr 0.05 --out run/cal
-    genret evaluate --instances run/world/instances.jsonl \
+    genret evaluate --instances run/data/instances.jsonl \
         --cache run/gen/scores.jsonl --out run/eval
-    genret report --instances run/world/instances.jsonl \
+    genret report --instances run/data/instances.jsonl \
         --cache run/gen/scores.jsonl --out run/cmp
 
 Every command takes --out DIR and writes its resolved options there as
@@ -39,6 +39,7 @@ from .backends import (
     OracleBackend,
     RemoteBackend,
     UniformBackend,
+    write_score_cache,
 )
 from .calibration import (
     FitConfig,
@@ -58,7 +59,6 @@ from .core import (
     read_instances,
     read_json,
     stable_seed,
-    tokenize,
     write_instances,
     write_json,
     write_jsonl,
@@ -66,7 +66,7 @@ from .core import (
 from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
 from .errors import BatchScoringError, ConfigurationError, GenretError, SchemaError
 from .metrics import bucketize, compute_report
-from .scoring import batch_rank, rank_instance, write_score_cache
+from .scoring import batch_rank, rank_instance
 from .world import (
     make_instances,
     random_world,
@@ -193,9 +193,9 @@ def _cmd_build_dataset(args: argparse.Namespace) -> int:
 def _uniform_vocabulary(instances, template: Template) -> set[str]:
     vocab = {e for e in template.elements if isinstance(e, str)}
     for inst in instances:
-        vocab.update(tokenize(inst.anchor))
+        vocab.update(inst.anchor.split())
         for cand in inst.candidates:
-            vocab.update(tokenize(cand))
+            vocab.update(cand.split())
     return vocab
 
 

@@ -6,8 +6,10 @@ slots with concrete words and yields a flat token tuple; multi-word values
 contribute one token each, so ``{O} is {A}`` with object "traffic light" and
 attribute "red" renders to ``("traffic", "light", "is", "red")``.
 
-Words are case-folded exactly once, at ingestion.  Comparisons downstream are
-plain string equality.
+Words are case-folded once, by normalize_word, where they enter: in
+RankingInstance, WorldSpec, the scene-graph parser (and plan_instance's
+anchor argument) and world.scene_from_dict.  Everything downstream, render
+included, takes words as given and compares them by plain string equality.
 
 The file helpers at the end are the one on-disk format: every write is
 atomic, and undecodable input is a SchemaError naming the file.
@@ -40,11 +42,6 @@ def normalize_word(word: str) -> str:
     if not norm:
         raise SchemaError("word is empty")
     return norm
-
-
-def tokenize(word: str) -> tuple[str, ...]:
-    """Split a (possibly multi-word) value into lowercase tokens."""
-    return tuple(normalize_word(word).split())
 
 
 def is_finite_number(value: object) -> bool:
@@ -129,30 +126,27 @@ def parse_template(spec: str) -> Template:
     return Template(tuple(elements))
 
 
-def format_template(t: Template) -> str:
-    """Inverse of parse_template, up to whitespace normalization."""
-    return t.name
-
-
 def render(t: Template, attribute: str | None = None, obj: str | None = None) -> tuple[str, ...]:
-    """Fill slots and return the token sequence.
-
-    Only slots present in the template need a word; a missing word for a
-    present slot raises RenderError.  Values run through tokenize, so they
-    are case-folded here if nothing upstream did it.
+    """Fill each slot with its word's whitespace-separated tokens, as given:
+    words are folded where they enter the program, not here.  A present
+    slot whose word is missing or has no tokens raises RenderError.
     """
     out: list[str] = []
     for e in t.elements:
         if e is Slot.ATTRIBUTE:
-            if attribute is None:
-                raise RenderError(f"template {t.name!r} needs an attribute word")
-            out.extend(tokenize(attribute))
+            word = attribute
         elif e is Slot.OBJECT:
-            if obj is None:
-                raise RenderError(f"template {t.name!r} needs an object word")
-            out.extend(tokenize(obj))
+            word = obj
         else:
             out.append(e)
+            continue
+        tokens = word.split() if word is not None else None
+        if not tokens:
+            raise RenderError(
+                f"template {t.name!r} needs a word with tokens for its "
+                f"{e.name.lower()} slot, got {word!r}"
+            )
+        out += tokens
     return tuple(out)
 
 

@@ -60,13 +60,6 @@ class SceneGraphRecord:
     boxes: tuple[BoxAnnotation, ...]
 
 
-def _dedup(words: Iterable[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for w in words:
-        seen.setdefault(normalize_word(w), None)
-    return tuple(seen)
-
-
 def parse_scene_graph(source) -> list[SceneGraphRecord]:
     """Parse scene-graph JSON (path, or already-loaded list).
 
@@ -105,7 +98,9 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
             if not all(is_finite_number(v) for v in box):
                 raise SchemaError(f"{where}: box fields x, y, w, h must be numbers, got {list(box)}")
             try:
-                obj, attributes = normalize_word(names[0]), _dedup(attributes)
+                obj = normalize_word(names[0])
+                # folded, then deduplicated in first-seen order
+                attributes = tuple(dict.fromkeys(normalize_word(a) for a in attributes))
             except SchemaError as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
             boxes.append(BoxAnnotation(box=box, obj=obj, attributes=attributes))

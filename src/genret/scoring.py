@@ -48,7 +48,6 @@ from typing import Sequence
 import numpy as np
 
 from .backends.base import ScorerBackend, SentenceScoreSource, TokenDistribution
-from .backends.cached import read_score_cache, write_score_cache  # noqa: F401  (re-export)
 from .core import AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, render
 from .errors import (
     BatchScoringError,

@@ -37,7 +37,6 @@ from .core import (
     read_json,
     read_jsonl,
     render,
-    tokenize,
     write_json,
     write_jsonl,
 )
@@ -103,7 +102,7 @@ class WorldSpec:
         """All tokens any caption of this world can contain, sorted."""
         tokens: set[str] = set()
         for w in self.objects + self.attributes:
-            tokens.update(tokenize(w))
+            tokens.update(w.split())
         for tpl in CAPTION_TEMPLATES:
             tokens.update(e for e in tpl.elements if isinstance(e, str))
         return tuple(sorted(tokens))
@@ -219,7 +218,7 @@ def caption_process(scene: SyntheticScene) -> dict[tuple[str, ...], Fraction]:
     for ent in scene.entities:
         w_ent = Fraction(1, n)
         if not ent.attributes:
-            cap = tokenize(ent.obj)
+            cap = tuple(ent.obj.split())
             dist[cap] = dist.get(cap, Fraction(0)) + w_ent
             continue
         w = w_ent * Fraction(1, 2) * Fraction(1, len(ent.attributes))
@@ -345,16 +344,20 @@ def scene_to_dict(scene: SyntheticScene) -> dict:
 
 
 def scene_from_dict(d: dict) -> SyntheticScene:
+    """One scenes.jsonl record; its words enter here, so they are folded."""
     try:
         return SyntheticScene(
             scene_id=str(d["scene_id"]),
             entities=tuple(
-                Entity(obj=e["object"], attributes=tuple(e["attributes"]))
+                Entity(
+                    obj=normalize_word(e["object"]),
+                    attributes=tuple(normalize_word(a) for a in e["attributes"]),
+                )
                 for e in d["entities"]
             ),
             boxes=tuple(tuple(b) for b in d["boxes"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SchemaError) as exc:
         raise SchemaError(f"bad scene record: {exc}") from exc
 
 

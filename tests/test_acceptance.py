@@ -54,9 +54,9 @@ from genret import (
     sample_scenes,
     write_instances,
 )
+from genret.backends import write_score_cache
 from genret.cli import main
 from genret.errors import MetricError
-from genret.scoring import write_score_cache
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:class .* has positives:RuntimeWarning"

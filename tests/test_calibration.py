@@ -350,4 +350,3 @@ def test_fit_config_records_reference_defaults():
     assert config.batch_size == 4
     assert config.init_mu == -15.0
     assert config.init_sigma == 0.5
-    assert config.max_text_length == 16

@@ -723,6 +723,68 @@ def test_failed_score_replaces_an_earlier_scores_file(pipeline, tmp_path):
     assert got == (tmp_path / "clean" / "scores.jsonl").read_bytes()
 
 
+def _scenes_with(pipeline, tmp_path, edit):
+    """The pipeline's scenes.jsonl with edit() applied to the first record's
+    first entity."""
+    lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    edit(rec["entities"][0])
+    lines[0] = json.dumps(rec)
+    path = tmp_path / "scenes.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _score_with_scenes(pipeline, out, scenes):
+    return main(
+        [
+            "score", "--out", str(out), "--instances", pipeline["instances"],
+            "--backend", "oracle", "--world", str(pipeline["world"] / "world.json"),
+            "--scenes", str(scenes), "--method", "generative", "--template", "{O} is {A}",
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "edit,word",
+    [
+        (lambda entity: entity.update(object="obj99"), "obj99"),
+        (lambda entity: entity["attributes"].append("attr99"), "attr99"),
+    ],
+    ids=["object", "attribute"],
+)
+def test_scene_word_the_world_lacks_exits_4(pipeline, tmp_path, capsys, edit, word):
+    scenes = _scenes_with(pipeline, tmp_path, edit)
+    assert _score_with_scenes(pipeline, tmp_path / "x", scenes) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[schema]: scene "), err
+    assert repr(word) in err
+    assert json.loads(scenes.read_text().splitlines()[0])["scene_id"] in err
+
+
+@pytest.mark.parametrize("bad", [5, "", "  ", None])
+def test_scene_word_that_is_no_word_exits_4_at_the_line(pipeline, tmp_path, capsys, bad):
+    scenes = _scenes_with(pipeline, tmp_path, lambda entity: entity.update(object=bad))
+    assert _score_with_scenes(pipeline, tmp_path / "x", scenes) == 4
+    assert capsys.readouterr().err.startswith(f"error[schema]: {scenes}:1: ")
+
+
+def test_upper_case_scene_words_score_as_lower_case(pipeline, tmp_path):
+    lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for rec in records:
+        for entity in rec["entities"]:
+            entity["object"] = f"  {entity['object'].upper()} "
+            entity["attributes"] = [a.title() for a in entity["attributes"]]
+    shouted = tmp_path / "scenes.jsonl"
+    shouted.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert shouted.read_text().lower() != shouted.read_text()
+    assert _score_with_scenes(pipeline, tmp_path / "upper", shouted) == 0
+    assert (tmp_path / "upper" / "scores.jsonl").read_bytes() == (
+        pipeline["gen"] / "scores.jsonl"
+    ).read_bytes()
+
+
 def test_oracle_needs_world_and_scenes(pipeline, tmp_path, capsys):
     rc = main(
         [
@@ -796,6 +858,11 @@ def test_documented_typical_run_succeeds(tmp_path, monkeypatch, capsys):
     assert [c[0] for c in commands] == [
         "gen-world", "build-dataset", "score", "calibrate", "evaluate", "report",
     ]
+    # every later step reads the instances the dataset step builds
+    build = commands[1]
+    built = str(Path(build[build.index("--out") + 1]) / "instances.jsonl")
+    read = [c[c.index("--instances") + 1] for c in commands if "--instances" in c]
+    assert read == [built] * 4
     monkeypatch.chdir(tmp_path)
     for args in commands:
         rc = main(args)

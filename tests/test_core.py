@@ -17,7 +17,6 @@ from genret import (
     ScoredInstance,
     SyntheticScene,
     canonical_templates,
-    format_template,
     instance_from_dict,
     instance_to_dict,
     normalize_word,
@@ -28,7 +27,6 @@ from genret import (
     render,
     scored_to_records,
     stable_seed,
-    tokenize,
     write_instances,
 )
 from genret.core import is_finite_number
@@ -47,11 +45,6 @@ def test_normalize_word_folds_case_and_whitespace():
 def test_normalize_word_rejects_junk(bad):
     with pytest.raises(SchemaError):
         normalize_word(bad)
-
-
-def test_tokenize_splits_multiword_values():
-    assert tokenize("light  blue") == ("light", "blue")
-    assert tokenize("cat") == ("cat",)
 
 
 def test_stable_seed_is_stable_and_sensitive():
@@ -97,8 +90,8 @@ def test_is_finite_number_answers_as_before(value, expected):
 def test_parse_format_round_trip():
     for spec in CANONICAL_TEMPLATE_SPECS:
         t = parse_template(spec)
-        assert format_template(t) == spec
         assert t.name == spec
+        assert parse_template(t.name) == t
 
 
 def test_parse_template_normalizes_whitespace_in_name():
@@ -118,7 +111,19 @@ def test_template_requires_a_slot():
 
 def test_render_fills_slots_and_tokenizes_values():
     t = parse_template("{O} is {A}")
-    assert render(t, attribute="Light Blue", obj="CAR") == ("car", "is", "light", "blue")
+    # multi-word values contribute one token each
+    assert render(t, attribute="light  blue", obj="car") == ("car", "is", "light", "blue")
+    # words were folded where they entered; render passes them through
+    assert render(t, attribute="Light Blue", obj="CAR") == ("CAR", "is", "Light", "Blue")
+
+
+@pytest.mark.parametrize("empty", ["", "   "])
+def test_render_rejects_a_word_with_no_tokens(empty):
+    t = parse_template("{O} is {A}")
+    with pytest.raises(RenderError, match="attribute slot"):
+        render(t, attribute=empty, obj="car")
+    with pytest.raises(RenderError, match="object slot"):
+        render(t, attribute="red", obj=empty)
 
 
 def test_render_requires_words_for_present_slots():

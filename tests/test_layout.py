@@ -99,3 +99,38 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_") and not alias.name.startswith("__"):
                     offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {alias.name}")
     assert not offenders
+
+
+# Where words enter the program, by module and enclosing function: the
+# record and world constructors, the scene-graph parser (and plan_instance's
+# caller-given anchor), and the scenes.jsonl parser.  Downstream code, render
+# included, takes words as they were folded here.
+INGESTION_POINTS = {
+    "core.py": {"RankingInstance.__post_init__"},
+    "dataset.py": {"parse_scene_graph", "plan_instance"},
+    "world.py": {"WorldSpec.__post_init__", "scene_from_dict"},
+}
+
+
+def _uses_of(name, tree):
+    """(enclosing qualified function name, node) for each use of `name`."""
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    yield from walk(tree, "")
+
+
+def test_words_are_folded_only_where_they_enter():
+    found: dict[str, set[str]] = {}
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in _uses_of("normalize_word", tree):
+            found.setdefault(path.relative_to(PACKAGE).as_posix(), set()).add(scope)
+    assert found == INGESTION_POINTS
