@@ -29,9 +29,7 @@ def main():
     spec = random_world(seed=2, n_objects=8, n_attributes=20, attrs_per_object=4)
     counts = np.random.default_rng(2).integers(1, 4, size=60)
     scenes = sample_scenes(spec, [int(c) for c in counts])
-    instances = []
-    for scene in scenes:
-        instances.extend(make_instances(spec, scene, 12, AnchorKind.OBJECT, seed=0))
+    instances = make_instances(spec, scenes, 12, AnchorKind.OBJECT, seed=0)
     print(f"{len(scenes)} scenes -> {len(instances)} instances, 12 candidates each")
 
     backend = OracleBackend(spec, scenes, smoothing=1e-6)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance, is_finite_number, read_jsonl, write_jsonl
+from ..core import Method, ScoredInstance, checked_region, is_finite_number, read_jsonl, write_jsonl
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource
 
@@ -108,11 +108,7 @@ def _cache_record(rec) -> _Line:
     method = rec["method"]
     if method not in _METHODS:
         raise SchemaError(f"method must be one of {list(_METHODS)}, got {method!r}")
-    region = rec["region"]
-    if region is not None:
-        if not isinstance(region, list) or len(region) != 4:
-            raise SchemaError(f"region must be null or 4 numbers, got {region!r}")
-        region = tuple(_numbers(region, "region"))
+    region = checked_region(rec["region"])
     key = (rec["image_id"], region, rec["anchor"], rec["template_name"], method)
 
     loss, per = rec["loss"], rec["per_token"]

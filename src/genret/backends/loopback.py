@@ -21,8 +21,8 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core import is_finite_number
-from ..errors import GenretError
+from ..core import checked_region
+from ..errors import GenretError, SchemaError
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -43,17 +43,12 @@ class _Handler(BaseHTTPRequestHandler):
             request = json.loads(self.rfile.read(length))
             request_id = request.get("request_id")
             image_id = request.get("image_id")
-            region = request.get("region")
-            if region is not None:
-                if not (isinstance(region, list) and len(region) == 4
-                        and all(map(is_finite_number, region))):
-                    raise ValueError(f"region must be null or 4 finite numbers, got {region!r}")
-                region = tuple(region)
+            region = checked_region(request.get("region"))
             prefixes = [tuple(q.get("prefix", ())) for q in request.get("queries", [])]
             texts = request.get("texts") or []
             if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):
                 raise TypeError("texts must be a list of token lists")
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, SchemaError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
         backend = self.server.backend  # type: ignore[attr-defined]

@@ -95,8 +95,11 @@ class OracleBackend(ScorerBackend):
             self.register_scene(sc)
 
     def register_scene(self, scene: SyntheticScene) -> None:
-        """Precompute a scene's caption trie and image embedding.  A scene
-        word the world lacks is a SchemaError naming the scene and the word."""
+        """Precompute a scene's caption trie and image embedding.  A scene id
+        already registered, or a scene word the world lacks, is a
+        SchemaError naming the scene."""
+        if scene.scene_id in self._tries:
+            raise SchemaError(f"scene {scene.scene_id!r} is already registered")
         for ent in scene.entities:
             words = [("object", ent.obj, self.spec.objects)]
             words += [("attribute", a, self.spec.attributes) for a in ent.attributes]

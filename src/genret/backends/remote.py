@@ -23,12 +23,11 @@ The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once; one /v1/embed
 call embeds an instance's image and all of its sentences (`embed_batch`).
 `embed_image` and `embed_text` are single-item requests of the same form.
-A bounded semaphore caps concurrent in-flight requests (default 8).
+The caller's threads (batch_rank's `parallelism`) bound requests in flight.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from typing import Sequence
@@ -48,7 +47,6 @@ class RemoteBackend(ScorerBackend):
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.25,
-        max_in_flight: int = 8,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint.rstrip("/")
@@ -56,7 +54,6 @@ class RemoteBackend(ScorerBackend):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._gate = threading.BoundedSemaphore(max_in_flight)
         self._session = session or requests.Session()
 
     # -- transport -----------------------------------------------------
@@ -69,8 +66,7 @@ class RemoteBackend(ScorerBackend):
         last_body = None
         for attempt in range(self.max_retries + 1):
             try:
-                with self._gate:
-                    resp = self._session.post(url, json=payload, timeout=self.timeout)
+                resp = self._session.post(url, json=payload, timeout=self.timeout)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:

@@ -152,9 +152,7 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
         for v in rng.integers(args.min_entities, args.max_entities + 1, size=args.scenes)
     ]
     scenes = sample_scenes(spec, counts)
-    instances = []
-    for scene in scenes:
-        instances.extend(make_instances(spec, scene, args.candidates, kind, seed=args.seed))
+    instances = make_instances(spec, scenes, args.candidates, kind, seed=args.seed)
     write_world(out / "world.json", spec)
     write_scenes(out / "scenes.jsonl", scenes)
     write_scene_graph(out / "scene_graph.json", scenes_to_records(scenes))

@@ -7,9 +7,9 @@ contribute one token each, so ``{O} is {A}`` with object "traffic light" and
 attribute "red" renders to ``("traffic", "light", "is", "red")``.
 
 Words are case-folded once, by normalize_word, where they enter: in
-RankingInstance, WorldSpec, the scene-graph parser (and plan_instance's
-anchor argument) and world.scene_from_dict.  Everything downstream, render
-included, takes words as given and compares them by plain string equality.
+RankingInstance, WorldSpec, the scene-graph parser and world.scene_from_dict.
+Everything downstream, render included, takes words as given and compares
+them by plain string equality.
 
 The file helpers at the end are the one on-disk format: every write is
 atomic, and undecodable input is a SchemaError naming the file.
@@ -54,6 +54,17 @@ def is_finite_number(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def checked_region(region: object) -> tuple[float, float, float, float] | None:
+    """The region as a tuple, or None for null; anything else but 4 finite
+    numbers is a SchemaError.  Every region and scene box is checked here."""
+    if region is None:
+        return None
+    if isinstance(region, (list, tuple)) and len(region) == 4:
+        if all(map(is_finite_number, region)):
+            return tuple(region)
+    raise SchemaError(f"region must be null or 4 finite numbers, got {region!r}")
 
 
 def stable_seed(*parts: object) -> int:
@@ -210,13 +221,7 @@ class RankingInstance:
             self, "candidates", tuple(normalize_word(c) for c in self.candidates)
         )
         object.__setattr__(self, "positives", frozenset(self.positives))
-        if self.region is not None:
-            region = tuple(self.region)
-            if len(region) != 4:
-                raise SchemaError(f"region must have 4 entries, got {len(region)}")
-            if not all(is_finite_number(v) for v in region):
-                raise SchemaError(f"region entries must be finite numbers, got {list(region)}")
-            object.__setattr__(self, "region", region)
+        object.__setattr__(self, "region", checked_region(self.region))
         if self.negatives_explicit is not None:
             object.__setattr__(
                 self, "negatives_explicit", frozenset(self.negatives_explicit)
@@ -375,23 +380,27 @@ def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:
-    """parse() each non-blank line of a JSONL file, in order.  A line that is
-    not UTF-8 JSON, or that parse() rejects with SchemaError, raises
-    SchemaError prefixed with path:lineno."""
-    out = []
+def iter_jsonl(path: str | Path, parse: Callable[[object], _T]) -> Iterator[tuple[int, _T]]:
+    """(lineno, parse(record)) for each non-blank line of a JSONL file, in
+    order.  A line that is not UTF-8 JSON, or that parse() rejects with
+    SchemaError, raises SchemaError prefixed with path:lineno."""
     with open(path, "rb") as fh:  # decoded line by line, so errors have a lineno
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(parse(json.loads(line.decode("utf-8"))))
+                record = parse(json.loads(line.decode("utf-8")))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            yield lineno, record
+
+
+def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:
+    """The parsed records of iter_jsonl, as a list."""
+    return [record for _, record in iter_jsonl(path, parse)]
 
 
 def write_instances(path: str | Path, instances: Iterable[RankingInstance]) -> None:

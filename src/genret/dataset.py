@@ -14,7 +14,7 @@ the negatives may be counted (build_stats) or derived from a synthetic
 world's priors (world.world_stats); one table builder, ranked_tables, turns
 either kind of weight into the ranked tables, and the rule does not care
 which.  build_split is the one instance loop: world.make_instances runs it
-over one scene.
+over a world's scenes.
 
 A candidate is never used as a negative when the (anchor, candidate) pairing
 is realized elsewhere on the same image: such a word is true in context and
@@ -126,14 +126,13 @@ def write_scene_graph(path: str | Path, records: Iterable[SceneGraphRecord]) -> 
 
 @dataclass(frozen=True)
 class CooccurrenceStats:
-    """Pair counts plus the derived, pre-sorted ranking tables.
+    """Word counts plus the derived, pre-sorted ranking tables.
 
     Ranked sequences are (word, probability) tuples in descending
     probability, ties broken lexicographically, which makes every consumer
     of these tables deterministic for free.
     """
 
-    pair_counts: dict[tuple[str, str], int]
     object_counts: dict[str, int]
     attribute_counts: dict[str, int]
     attrs_given_object: dict[str, tuple[tuple[str, float], ...]]
@@ -201,7 +200,6 @@ def build_stats(records: Sequence[SceneGraphRecord]) -> CooccurrenceStats:
                 attribute_counts[a] = attribute_counts.get(a, 0) + 1
                 pair_counts[(bx.obj, a)] = pair_counts.get((bx.obj, a), 0) + 1
     return CooccurrenceStats(
-        pair_counts=pair_counts,
         object_counts=object_counts,
         attribute_counts=attribute_counts,
         **ranked_tables(pair_counts, object_counts, attribute_counts),
@@ -267,13 +265,12 @@ def plan_instance(
     stats: CooccurrenceStats,
     total: int = 50,
     anchor_kind: AnchorKind = AnchorKind.OBJECT,
-    anchor: str | None = None,
 ) -> NegativePlan:
     """Compute anchor, positives, exclusions and negatives for one box.
 
-    anchor_kind names the anchor word's kind.  For anchor_kind=ATTRIBUTE
-    the anchor is an attribute of the box; it defaults to the first one
-    listed.
+    anchor_kind names the anchor word's kind.  For anchor_kind=OBJECT the
+    anchor is the box's object; for anchor_kind=ATTRIBUTE it is the box's
+    first attribute.
     """
     anchor_kind = AnchorKind(anchor_kind)
     try:
@@ -289,8 +286,6 @@ def plan_instance(
     others = [b for i, b in enumerate(record.boxes) if i != anchor_box_index]
 
     if anchor_kind is AnchorKind.OBJECT:
-        if anchor is not None and normalize_word(anchor) != box.obj:
-            raise BuilderError("object anchor_kind anchors on the box object name")
         anchor_word = box.obj
         positives = box.attributes
         excluded = frozenset(
@@ -299,11 +294,7 @@ def plan_instance(
         cond = stats.attrs_given_object.get(anchor_word, ())
         prior = stats.attribute_prior
     else:
-        anchor_word = normalize_word(anchor) if anchor is not None else box.attributes[0]
-        if anchor_word not in box.attributes:
-            raise BuilderError(
-                f"anchor attribute {anchor_word!r} not on box #{anchor_box_index}"
-            )
+        anchor_word = box.attributes[0]
         positives = (box.obj,)
         excluded = frozenset(b.obj for b in others if anchor_word in b.attributes)
         cond = stats.objects_given_attr.get(anchor_word, ())
@@ -333,7 +324,6 @@ def build_instance(
     total: int = 50,
     anchor_kind: AnchorKind = AnchorKind.OBJECT,
     seed: int = 0,
-    anchor: str | None = None,
 ) -> RankingInstance:
     """Build one shuffled ranking instance for a box.
 
@@ -342,7 +332,7 @@ def build_instance(
     byte-identical.
     """
     anchor_kind = AnchorKind(anchor_kind)
-    plan = plan_instance(record, anchor_box_index, stats, total, anchor_kind, anchor)
+    plan = plan_instance(record, anchor_box_index, stats, total, anchor_kind)
     words = plan.positives + plan.negatives
     rng = np.random.default_rng(
         stable_seed(seed, record.image_id, anchor_box_index, anchor_kind.value)

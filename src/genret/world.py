@@ -13,8 +13,8 @@ distribution with rational weights, so it sums to 1 exactly; everything the
 oracle backend answers is derived from it.
 
 Ranking instances over a world's scenes are built by the dataset builder:
-make_instances is dataset.build_split over one scene, and world_stats, the
-world's priors passed through the table builder counted statistics use
+make_instances is dataset.build_split over a scene list, and world_stats,
+the world's priors passed through the table builder counted statistics use
 (dataset.ranked_tables), chooses the hard negatives.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -31,11 +30,12 @@ import numpy as np
 from .core import (
     AnchorKind,
     RankingInstance,
+    checked_region,
     is_finite_number,
+    iter_jsonl,
     normalize_word,
     parse_template,
     read_json,
-    read_jsonl,
     render,
     write_json,
     write_jsonl,
@@ -107,11 +107,6 @@ class WorldSpec:
             tokens.update(e for e in tpl.elements if isinstance(e, str))
         return tuple(sorted(tokens))
 
-    @cached_property
-    def stats(self) -> CooccurrenceStats:
-        """world_stats(self), derived once per world; callers only read it."""
-        return world_stats(self)
-
 
 @dataclass(frozen=True)
 class Entity:
@@ -139,14 +134,12 @@ def random_world(
     n_objects: int = 20,
     n_attributes: int = 60,
     attrs_per_object: int = 5,
-    prior_low: float = 0.15,
-    prior_high: float = 0.6,
 ) -> WorldSpec:
     """Generate a world with overlapping compatibility sets.
 
     Attribute vocabulary defaults to 60 so that 50-candidate attribute
     ranking instances are constructible.  Every object gets 1..attrs_per_object
-    compatible attributes with priors drawn uniformly from the given range.
+    compatible attributes with priors drawn uniformly from [0.15, 0.6).
     """
     rng = np.random.default_rng(seed)
     objects = tuple(f"obj{i:02d}" for i in range(n_objects))
@@ -158,7 +151,7 @@ def random_world(
         picks = sorted(rng.choice(n_attributes, size=k, replace=False).tolist())
         compat[o] = tuple(attributes[i] for i in picks)
         for a in compat[o]:
-            prior[(o, a)] = float(rng.uniform(prior_low, prior_high))
+            prior[(o, a)] = float(rng.uniform(0.15, 0.6))
     return WorldSpec(
         objects=objects,
         attributes=attributes,
@@ -177,8 +170,6 @@ class SceneSampler:
         self._ordinal = 0
 
     def sample_scene(self, n_entities: int) -> SyntheticScene:
-        if n_entities < 1:
-            raise WorldError("scene needs at least one entity")
         spec = self.spec
         entities = []
         boxes = []
@@ -243,7 +234,6 @@ def world_stats(spec: WorldSpec) -> CooccurrenceStats:
     for a in spec.attributes:
         attr_marginal.setdefault(a, 0.0)
     return CooccurrenceStats(
-        pair_counts={},
         object_counts={},
         attribute_counts={},
         # objects are drawn uniformly, so the object prior is flat; the
@@ -256,20 +246,21 @@ def world_stats(spec: WorldSpec) -> CooccurrenceStats:
 
 def make_instances(
     spec: WorldSpec,
-    scene: SyntheticScene,
+    scenes: Iterable[SyntheticScene],
     n_candidates: int,
     anchor_kind: AnchorKind,
     seed: int = 0,
 ) -> list[RankingInstance]:
-    """Build a scene's ranking instances with world-prior hard negatives.
+    """Build the scenes' ranking instances with world-prior hard negatives.
 
-    dataset.build_split over the scene's one record, with spec.stats
-    (world_stats) standing in for counted statistics: one instance per
-    entity that has attributes, by the same rule, and for equal scenes the
-    same instances, as build-dataset.
+    dataset.build_split over the scenes' records, with world_stats standing
+    in for counted statistics: one instance per entity that has attributes,
+    by the same rule, in scene-id order, and for equal scenes the same
+    instances, as build-dataset.
     """
-    records = scenes_to_records([scene])
-    return build_split(records, spec.stats, anchor_kind, seed, n_candidates)[0]
+    return build_split(
+        scenes_to_records(scenes), world_stats(spec), anchor_kind, seed, n_candidates
+    )[0]
 
 
 def scenes_to_records(scenes: Iterable[SyntheticScene]) -> list[SceneGraphRecord]:
@@ -344,20 +335,29 @@ def scene_to_dict(scene: SyntheticScene) -> dict:
 
 
 def scene_from_dict(d: dict) -> SyntheticScene:
-    """One scenes.jsonl record; its words enter here, so they are folded."""
+    """One scenes.jsonl record; its words enter here, so they are folded.
+    A missing field, or one of the wrong type or shape, is a SchemaError."""
     try:
+        scene_id, entities, boxes = d["scene_id"], d["entities"], d["boxes"]
+        if not isinstance(scene_id, str) or not scene_id:
+            raise SchemaError(f"scene_id must be a non-empty string, got {scene_id!r}")
+        for e in entities:
+            if not isinstance(e["attributes"], list):
+                raise SchemaError(f"attributes must be a list, got {e['attributes']!r}")
+        if None in boxes:
+            raise SchemaError("a scene box must be 4 finite numbers, got None")
         return SyntheticScene(
-            scene_id=str(d["scene_id"]),
+            scene_id=scene_id,
             entities=tuple(
                 Entity(
                     obj=normalize_word(e["object"]),
                     attributes=tuple(normalize_word(a) for a in e["attributes"]),
                 )
-                for e in d["entities"]
+                for e in entities
             ),
-            boxes=tuple(tuple(b) for b in d["boxes"]),
+            boxes=tuple(map(checked_region, boxes)),
         )
-    except (KeyError, TypeError, SchemaError) as exc:
+    except (KeyError, TypeError, SchemaError, WorldError) as exc:
         raise SchemaError(f"bad scene record: {exc}") from exc
 
 
@@ -366,4 +366,11 @@ def write_scenes(path: str | Path, scenes: Iterable[SyntheticScene]) -> None:
 
 
 def read_scenes(path: str | Path) -> list[SyntheticScene]:
-    return read_jsonl(path, scene_from_dict)
+    """The scenes of a scenes.jsonl file; a repeated scene id is a
+    SchemaError naming both lines."""
+    by_id: dict[str, tuple[int, SyntheticScene]] = {}
+    for lineno, scene in iter_jsonl(path, scene_from_dict):
+        earlier, _ = by_id.setdefault(scene.scene_id, (lineno, scene))
+        if earlier != lineno:
+            raise SchemaError(f"{path}:{lineno}: scene {scene.scene_id!r} repeats line {earlier}")
+    return [scene for _, scene in by_id.values()]

@@ -82,11 +82,7 @@ def bench():
     spec = random_world(seed=WORLD_SEED)
     counts = np.random.default_rng(WORLD_SEED).integers(1, 4, size=N_SCENES)
     scenes = sample_scenes(spec, [int(c) for c in counts])
-    instances = []
-    for scene in scenes:
-        instances.extend(
-            make_instances(spec, scene, N_CANDIDATES, AnchorKind.OBJECT, seed=0)
-        )
+    instances = make_instances(spec, scenes, N_CANDIDATES, AnchorKind.OBJECT, seed=0)
     backend = OracleBackend(spec, scenes, smoothing=1e-6)
     covered = {a for (_, a) in spec.attribute_prior}
     return {

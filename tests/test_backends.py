@@ -181,6 +181,16 @@ def test_register_scene_after_init():
     assert backend.scene_ids() == ("s0",)
 
 
+def test_register_scene_rejects_an_id_already_registered():
+    backend = OracleBackend(tiny_world(), [exclusion_scene()])
+    before = backend.next_token_distributions("s0", None, [("cat",)])
+    other = SyntheticScene("s0", (Entity("dog", ("a4",)),), ((0, 0, 1, 1),))
+    with pytest.raises(SchemaError, match="scene 's0' is already registered"):
+        backend.register_scene(other)
+    # the first scene still answers
+    assert backend.next_token_distributions("s0", None, [("cat",)]) == before
+
+
 # -- oracle contrastive side ----------------------------------------------
 
 
@@ -245,9 +255,7 @@ def scored_fixture(method=Method.GENERATIVE, spec_text="{O} is {A}"):
     spec = random_world(seed=1, n_objects=6, n_attributes=12, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3])
     backend = OracleBackend(spec, scenes)
-    instances = []
-    for sc in scenes:
-        instances += make_instances(spec, sc, 8, AnchorKind.OBJECT, seed=0)
+    instances = make_instances(spec, scenes, 8, AnchorKind.OBJECT, seed=0)
     template = parse_template(spec_text)
     scored = [
         rank_instance(backend, inst, template, method)

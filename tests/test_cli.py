@@ -769,6 +769,43 @@ def test_scene_word_that_is_no_word_exits_4_at_the_line(pipeline, tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error[schema]: {scenes}:1: ")
 
 
+def _set_box(index, box):
+    return lambda recs: recs[0]["boxes"].__setitem__(index, box)
+
+
+@pytest.mark.parametrize(
+    "edit,lineno,match",
+    [
+        (lambda recs: recs[0].update(scene_id=None), 1, "scene_id must be"),
+        (lambda recs: recs[0].update(scene_id=""), 1, "scene_id must be"),
+        (lambda recs: recs[0].update(scene_id=7), 1, "scene_id must be"),
+        (lambda recs: recs[0].update(scene_id=recs[1]["scene_id"]), 2, "repeats line 1"),
+        (lambda recs: recs[0].update(entities=[]), 1, "at least one entity"),
+        (lambda recs: recs[0]["boxes"].pop(), 1, "one box per entity"),
+        (lambda recs: recs[0]["entities"][0].update(attributes="attr01"), 1, "attributes must be a list"),
+        (_set_box(0, [0, 0, "a", None]), 1, "region must be null or 4 finite numbers"),
+        (_set_box(0, [0, 0, 1]), 1, "region must be null or 4 finite numbers"),
+        (_set_box(0, None), 1, "box must be 4 finite numbers"),
+    ],
+    ids=[
+        "null-id", "empty-id", "int-id", "repeated-id", "no-entities", "missing-box",
+        "attributes-string", "non-numeric-box", "short-box", "null-box",
+    ],
+)
+def test_malformed_scene_record_exits_4_at_the_line(
+    pipeline, tmp_path, capsys, edit, lineno, match
+):
+    lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    edit(records)
+    scenes = tmp_path / "scenes.jsonl"
+    scenes.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert _score_with_scenes(pipeline, tmp_path / "x", scenes) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[schema]: {scenes}:{lineno}: "), err
+    assert match in err
+
+
 def test_upper_case_scene_words_score_as_lower_case(pipeline, tmp_path):
     lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]

@@ -2,6 +2,7 @@ import json
 import math
 import numbers
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from genret import (
     stable_seed,
     write_instances,
 )
-from genret.core import is_finite_number
+from genret.core import checked_region, is_finite_number
 from genret.errors import RenderError, SchemaError, TemplateSyntaxError
 from genret.world import scene_to_dict
 
@@ -191,6 +192,38 @@ def test_instance_validation(kw):
         make_instance(**kw)
 
 
+@pytest.mark.parametrize(
+    "region,want",
+    [
+        (None, None),
+        ([0, 1, 2, 3], (0, 1, 2, 3)),
+        ((0.5, 1, 2.5, 3), (0.5, 1, 2.5, 3)),
+        (5, SchemaError),
+        ("abcd", SchemaError),
+        ({"x": 0, "y": 0, "w": 1, "h": 1}, SchemaError),
+        ([], SchemaError),
+        ([0, 1, 2], SchemaError),
+        ([0, 1, 2, 3, 4], SchemaError),
+        ([0, 0, "a", None], SchemaError),
+        ([0, 0, True, 1], SchemaError),
+        ([0, 0, float("nan"), 1], SchemaError),
+        ([0, 0, 1, float("inf")], SchemaError),
+    ],
+)
+def test_one_region_check(region, want):
+    # null or 4 finite numbers, one message for instances, cache lines,
+    # loopback requests and scene boxes
+    if want is not SchemaError:
+        assert checked_region(region) == want
+        assert make_instance(region=region).region == want
+        return
+    message = f"^region must be null or 4 finite numbers, got {re.escape(repr(region))}$"
+    with pytest.raises(SchemaError, match=message):
+        checked_region(region)
+    with pytest.raises(SchemaError, match=message):
+        make_instance(region=region)
+
+
 def test_labels_implicit_negatives():
     inst = make_instance()
     assert inst.labels() == {0: 0, 1: 1, 2: 0}
@@ -257,14 +290,15 @@ def test_read_instances_reports_line_numbers(tmp_path):
     # counted, and both undecodable and ill-shaped records name path:lineno
     scored = ScoredInstance(make_instance(), "t", Method.GENERATIVE, (1.0, 2.0, 3.0))
     scene = SyntheticScene("s0", (Entity("cat", ("red",)),), ((0, 0, 1, 1),))
+    # (a scene id may appear once per file, so the scene reader gets two scenes)
     readers = [
-        (read_instances, instance_to_dict(make_instance())),
-        (read_score_cache, scored_to_records(scored)[0]),
-        (read_scenes, scene_to_dict(scene)),
+        (read_instances, instance_to_dict(make_instance()), None),
+        (read_score_cache, scored_to_records(scored)[0], None),
+        (read_scenes, scene_to_dict(scene), scene_to_dict(replace(scene, scene_id="s1"))),
     ]
     path = tmp_path / "bad.jsonl"
-    for reader, good in readers:
-        path.write_text(json.dumps(good) + "\n\n" + json.dumps(good) + "\n")
+    for reader, good, second in readers:
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(second or good) + "\n")
         assert len(reader(path)) == 2
         for bad in (b"{notjson", b"{}", b"[1]", b"\xff"):
             path.write_bytes(json.dumps(good).encode() + b"\n\n" + bad + b"\n")

@@ -143,8 +143,6 @@ def test_build_stats_counts(stats):
     assert stats.attribute_counts == {
         "black": 3, "small": 2, "white": 1, "fluffy": 1, "brown": 1, "red": 1,
     }
-    assert stats.pair_counts[("cat", "black")] == 2
-    assert stats.pair_counts[("dog", "brown")] == 1
 
 
 def test_build_stats_tables_are_ranked(stats):
@@ -222,24 +220,6 @@ def test_plan_object_mode(records, stats):
     assert plan.excluded == frozenset({"cat"})  # img1's cat also wears black
     assert plan.conditional == ()
     assert plan.fallback == ("bird", "mat")
-
-
-def test_plan_object_mode_explicit_anchor(records, stats):
-    plan = plan_instance(
-        records[0], 0, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE, anchor="small"
-    )
-    assert plan.anchor == "small"
-    assert plan.positives == ("cat",)
-    assert plan.excluded == frozenset()
-    with pytest.raises(BuilderError, match="not on box"):
-        plan_instance(records[0], 0, stats, anchor_kind=AnchorKind.ATTRIBUTE, anchor="red")
-
-
-def test_plan_attribute_mode_anchor_must_match_object(records, stats):
-    plan = plan_instance(records[0], 0, stats, total=5, anchor="CAT")
-    assert plan.anchor == "cat"
-    with pytest.raises(BuilderError, match="anchors on the box object name"):
-        plan_instance(records[0], 0, stats, total=5, anchor="dog")
 
 
 @pytest.mark.parametrize(

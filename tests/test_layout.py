@@ -102,12 +102,12 @@ def test_no_module_imports_another_modules_private_names():
 
 
 # Where words enter the program, by module and enclosing function: the
-# record and world constructors, the scene-graph parser (and plan_instance's
-# caller-given anchor), and the scenes.jsonl parser.  Downstream code, render
+# record and world constructors, the scene-graph parser and the scenes.jsonl
+# parser.  Downstream code, render
 # included, takes words as they were folded here.
 INGESTION_POINTS = {
     "core.py": {"RankingInstance.__post_init__"},
-    "dataset.py": {"parse_scene_graph", "plan_instance"},
+    "dataset.py": {"parse_scene_graph"},
     "world.py": {"WorldSpec.__post_init__", "scene_from_dict"},
 }
 

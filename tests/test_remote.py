@@ -28,9 +28,7 @@ def setup():
     spec = random_world(seed=6, n_objects=6, n_attributes=14, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 2])
     backend = OracleBackend(spec, scenes)
-    instances = []
-    for sc in scenes:
-        instances += make_instances(spec, sc, 10, AnchorKind.OBJECT, seed=0)
+    instances = make_instances(spec, scenes, 10, AnchorKind.OBJECT, seed=0)
     return spec, scenes, backend, instances
 
 

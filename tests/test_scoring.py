@@ -344,24 +344,23 @@ def test_rank_instance_matches_single_sentence_losses_bit_for_bit(
     else:
         backend = UniformBackend(spec.vocabulary())  # has none
     template = parse_template(template_text)
-    for sc in scenes:
-        for inst in make_instances(spec, sc, 6, anchor_kind, seed=5):
-            scored = rank_instance(backend, inst, template, method, length_normalize)
-            scores, rows = [], []
-            for cand in inst.candidates:
-                if anchor_kind is AnchorKind.OBJECT:
-                    sentence = render(template, attribute=cand, obj=inst.anchor)
-                else:
-                    sentence = render(template, attribute=inst.anchor, obj=cand)
-                args = (backend, inst.image_id, inst.region, sentence)
-                if method is Method.CONTRASTIVE:
-                    scores.append(contrastive_loss(*args).value)
-                    continue
-                loss = generative_loss(*args)
-                scores.append(loss.value / len(sentence) if length_normalize else loss.value)
-                rows.append(loss.per_token)
-            assert scored.scores == tuple(scores)
-            assert scored.per_token == (tuple(rows) if method is Method.GENERATIVE else None)
+    for inst in make_instances(spec, scenes, 6, anchor_kind, seed=5):
+        scored = rank_instance(backend, inst, template, method, length_normalize)
+        scores, rows = [], []
+        for cand in inst.candidates:
+            if anchor_kind is AnchorKind.OBJECT:
+                sentence = render(template, attribute=cand, obj=inst.anchor)
+            else:
+                sentence = render(template, attribute=inst.anchor, obj=cand)
+            args = (backend, inst.image_id, inst.region, sentence)
+            if method is Method.CONTRASTIVE:
+                scores.append(contrastive_loss(*args).value)
+                continue
+            loss = generative_loss(*args)
+            scores.append(loss.value / len(sentence) if length_normalize else loss.value)
+            rows.append(loss.per_token)
+        assert scored.scores == tuple(scores)
+        assert scored.per_token == (tuple(rows) if method is Method.GENERATIVE else None)
 
 
 # -- batch_rank ----------------------------------------------------------
@@ -372,9 +371,7 @@ def batch_setup():
     spec = random_world(seed=11, n_objects=8, n_attributes=16, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3, 2])
     backend = OracleBackend(spec, scenes)
-    instances = []
-    for sc in scenes:
-        instances += make_instances(spec, sc, 10, AnchorKind.OBJECT, seed=3)
+    instances = make_instances(spec, scenes, 10, AnchorKind.OBJECT, seed=3)
     return backend, instances
 
 
@@ -404,7 +401,7 @@ def test_serialized_backend_matches_sequential_bit_for_bit(method):
     spec = random_world(seed=11, n_objects=8, n_attributes=16, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3, 2])
     backend = SerialOnly(spec, scenes)
-    instances = [i for sc in scenes for i in make_instances(spec, sc, 10, AnchorKind.OBJECT, seed=3)]
+    instances = make_instances(spec, scenes, 10, AnchorKind.OBJECT, seed=3)
     template = parse_template("{O} is {A}")
     seq = batch_rank(backend, instances, template, method, parallelism=1)
     par = batch_rank(backend, instances, template, method, parallelism=4)

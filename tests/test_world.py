@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,7 +165,7 @@ def exclusion_scene():
 def test_world_stats_are_normalized_priors():
     stats = world_stats(tiny_world())
     # nothing is counted, so only build-dataset's counts.json has counts
-    assert stats.pair_counts == stats.object_counts == stats.attribute_counts == {}
+    assert stats.object_counts == stats.attribute_counts == {}
     assert [w for w, _ in stats.attrs_given_object["dog"]] == ["a2", "a4", "a5"]
     assert stats.attrs_given_object["dog"][0][1] == pytest.approx(0.6 / 1.5)
     assert [w for w, _ in stats.objects_given_attr["a2"]] == ["dog", "cat"]
@@ -188,14 +189,14 @@ def test_world_stats_are_derived_once_per_world(monkeypatch):
     real = world.world_stats
     monkeypatch.setattr(world, "world_stats", lambda spec: calls.append(spec) or real(spec))
     spec = tiny_world()
-    for _ in range(3):
-        make_instances(spec, exclusion_scene(), 4, AnchorKind.OBJECT)
+    scenes = [replace(exclusion_scene(), scene_id=f"s{i}") for i in range(3)]
+    assert len(make_instances(spec, scenes, 4, AnchorKind.OBJECT)) == 9
     assert calls == [spec]
 
 
 def test_object_anchor_instances_respect_pairing_exclusion():
     spec = tiny_world()
-    insts = make_instances(spec, exclusion_scene(), 4, AnchorKind.OBJECT, seed=0)
+    insts = make_instances(spec, [exclusion_scene()], 4, AnchorKind.OBJECT, seed=0)
     assert len(insts) == 3
     first = insts[0]
     assert first.anchor == "cat"
@@ -216,7 +217,7 @@ def test_object_anchor_skips_attributeless_entities():
         entities=(Entity("cat", ()), Entity("dog", ("a4",))),
         boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
     )
-    insts = make_instances(tiny_world(), scene, 3, AnchorKind.OBJECT)
+    insts = make_instances(tiny_world(), [scene], 3, AnchorKind.OBJECT)
     assert len(insts) == 1
     assert insts[0].anchor == "dog"
 
@@ -231,7 +232,7 @@ def test_attribute_anchor_instances_collect_bearers():
         entities=(Entity("cat", ("a2",)), Entity("dog", ("a2", "a4"))),
         boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
     )
-    insts = make_instances(spec, scene, 2, AnchorKind.ATTRIBUTE)
+    insts = make_instances(spec, [scene], 2, AnchorKind.ATTRIBUTE)
     assert [i.anchor for i in insts] == ["a2", "a2"]
     a2 = insts[0]
     assert a2.anchor_kind is AnchorKind.ATTRIBUTE
@@ -243,19 +244,31 @@ def test_attribute_anchor_instances_collect_bearers():
 def test_make_instances_is_deterministic_per_seed():
     spec = tiny_world()
     scene = exclusion_scene()
-    a = make_instances(spec, scene, 4, AnchorKind.OBJECT, seed=9)
-    b = make_instances(spec, scene, 4, AnchorKind.OBJECT, seed=9)
-    c = make_instances(spec, scene, 4, AnchorKind.OBJECT, seed=10)
+    a = make_instances(spec, [scene], 4, AnchorKind.OBJECT, seed=9)
+    b = make_instances(spec, [scene], 4, AnchorKind.OBJECT, seed=9)
+    c = make_instances(spec, [scene], 4, AnchorKind.OBJECT, seed=10)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("anchor_kind", list(AnchorKind))
+def test_make_instances_over_scenes_concatenates_one_scene_results(anchor_kind):
+    spec = random_world(seed=3, n_objects=6, n_attributes=14, attrs_per_object=4)
+    scenes = sample_scenes(spec, [1, 3, 2, 2])
+    together = make_instances(spec, scenes, 5, anchor_kind, seed=4)
+    one_by_one = [
+        inst for sc in scenes for inst in make_instances(spec, [sc], 5, anchor_kind, seed=4)
+    ]
+    assert together == one_by_one
+    assert len({i.image_id for i in together}) > 1
 
 
 def test_make_instances_rejects_oversized_candidate_lists():
     spec = tiny_world()
     with pytest.raises(BuilderError):
-        make_instances(spec, exclusion_scene(), 7, AnchorKind.OBJECT)
+        make_instances(spec, [exclusion_scene()], 7, AnchorKind.OBJECT)
     with pytest.raises(BuilderError):
-        make_instances(spec, exclusion_scene(), 3, AnchorKind.ATTRIBUTE)
+        make_instances(spec, [exclusion_scene()], 3, AnchorKind.ATTRIBUTE)
 
 
 # -- export and serialization --------------------------------------------
