@@ -15,7 +15,8 @@ answers are to be read and called:
 - has_terminal_token: distributions carry an end-of-sentence probability,
   and generative losses get a terminal term
 - concurrent_safe: queries may run concurrently; otherwise the engine
-  serializes access behind a lock
+  scores the batch sequentially in the caller's thread, so no two calls
+  overlap
 """
 
 from __future__ import annotations

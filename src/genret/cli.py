@@ -352,8 +352,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         class_meta=class_meta,
         head_cut=args.head_cut,
         tail_cut=args.tail_cut,
-        pooling=args.pooling,
-        treat_unlabeled_as_negative=args.unlabeled_negative,
     )
     write_json(out / "report.json", report.to_dict())
     text = report.render_text()
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--length-normalize",
         action="store_true",
-        help="divide each generative sentence loss by its term count "
+        help="divide each generative sentence loss by its token count "
         "(not with contrastive scoring or --backend cached)",
     )
     p.add_argument("--parallelism", type=int, default=1)
@@ -538,8 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-cut", type=int, default=500)
     p.add_argument("--calibration", help="calibration JSON; ranks by probability")
     p.add_argument("--class-frequencies", help="counts JSON for bucket breakdowns")
-    p.add_argument("--pooling", choices=["class", "instance"], default="class")
-    p.add_argument("--unlabeled-negative", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="side-by-side table over every cached combo")

@@ -34,7 +34,7 @@ import numpy as np
 from .core import (
     AnchorKind,
     RankingInstance,
-    is_finite_number,
+    checked_region,
     normalize_word,
     read_json,
     stable_seed,
@@ -64,23 +64,38 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
     """Parse scene-graph JSON (path, or already-loaded list).
 
     Documented subset per image: image_id, objects[{x, y, w, h, names,
-    attributes?}].  Multi-name boxes keep their first name; words are
-    lowercased here and never again.
+    attributes?}].  An image_id is a non-empty string or an integer (Visual
+    Genome's ids are), stored as a string, and no two records may share
+    one.  Multi-name boxes keep their first name; words are lowercased here
+    and never again.
     """
     if isinstance(source, (str, Path)):
         return read_json(source, parse_scene_graph)
     if not isinstance(source, list):
         raise SchemaError("scene-graph JSON must be a list of image records")
     records = []
+    seen: dict[str, int] = {}
     for i, entry in enumerate(source):
         if not isinstance(entry, dict) or "image_id" not in entry:
             raise SchemaError(f"image record #{i} missing image_id")
+        raw_id = entry["image_id"]
+        if not ((isinstance(raw_id, str) and raw_id) or type(raw_id) is int):
+            raise SchemaError(
+                f"image record #{i}: image_id must be a non-empty string or an "
+                f"integer, got {raw_id!r}"
+            )
+        image_id = str(raw_id)
+        earlier = seen.setdefault(image_id, i)
+        if earlier != i:
+            raise SchemaError(
+                f"image record #{i}: image_id {image_id!r} repeats image record #{earlier}"
+            )
         objects = entry.get("objects", [])
         if not isinstance(objects, (list, tuple)):
-            raise SchemaError(f"image {entry['image_id']}: objects must be a list")
+            raise SchemaError(f"image {image_id}: objects must be a list")
         boxes = []
         for j, ob in enumerate(objects):
-            where = f"image {entry['image_id']} object #{j}"
+            where = f"image {image_id} object #{j}"
             if not isinstance(ob, dict):
                 raise SchemaError(f"{where}: object entry must be a dict")
             names = ob.get("names")
@@ -92,19 +107,14 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
             if not isinstance(attributes, (list, tuple)):
                 raise SchemaError(f"{where}: attributes must be a list")
             try:
-                box = (ob["x"], ob["y"], ob["w"], ob["h"])
-            except KeyError as exc:
-                raise SchemaError(f"{where}: missing box field {exc}") from exc
-            if not all(is_finite_number(v) for v in box):
-                raise SchemaError(f"{where}: box fields x, y, w, h must be numbers, got {list(box)}")
-            try:
+                box = checked_region([ob.get(k) for k in "xywh"])
                 obj = normalize_word(names[0])
                 # folded, then deduplicated in first-seen order
                 attributes = tuple(dict.fromkeys(normalize_word(a) for a in attributes))
             except SchemaError as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
             boxes.append(BoxAnnotation(box=box, obj=obj, attributes=attributes))
-        records.append(SceneGraphRecord(image_id=str(entry["image_id"]), boxes=tuple(boxes)))
+        records.append(SceneGraphRecord(image_id=image_id, boxes=tuple(boxes)))
     return records
 
 

@@ -101,15 +101,13 @@ def mean_recall_at_k(scored: Sequence[ScoredInstance], k: int) -> float:
 
 
 def _average_precision(entries: list[tuple[float, int, int, int]]) -> float | None:
-    """AP of one pooled list of (score, inst_idx, cand_idx, label).
+    """AP of one pooled list of (score, inst_idx, cand_idx, label) that holds
+    at least one positive.
 
-    Returns None when the list has no positives, or positives but nothing
-    to rank them against.
+    Returns None when there is nothing to rank the positives against.
     """
     entries = sorted(entries, key=lambda e: (e[0], e[1], e[2]))
     n_pos = sum(e[3] for e in entries)
-    if n_pos == 0:
-        return None
     if n_pos == len(entries):
         return None  # no labeled negatives to rank against
     precisions = []
@@ -121,23 +119,13 @@ def _average_precision(entries: list[tuple[float, int, int, int]]) -> float | No
     return sum(precisions) / n_pos
 
 
-def _labels(s: ScoredInstance, treat_unlabeled_as_negative: bool) -> dict[int, int]:
-    labels = s.instance.labels()
-    if treat_unlabeled_as_negative:
-        for i in range(len(s.instance.candidates)):
-            labels.setdefault(i, 0)
-    return labels
-
-
-def _class_aps(
-    scored: Sequence[ScoredInstance], treat_unlabeled_as_negative: bool
-) -> dict[str, float]:
+def _class_aps(scored: Sequence[ScoredInstance]) -> dict[str, float]:
     """Word -> AP of its labeled candidates pooled across instances, in word
     order.  Classes without positives are left out; classes with positives
     but no labeled negatives too, with one warning each."""
     per_class: dict[str, list[tuple[float, int, int, int]]] = {}
     for idx, s in enumerate(scored):
-        for i, label in _labels(s, treat_unlabeled_as_negative).items():
+        for i, label in s.instance.labels().items():
             word = s.instance.candidates[i]
             per_class.setdefault(word, []).append((s.scores[i], idx, i, label))
     aps = {}
@@ -164,34 +152,14 @@ def _class_mean(aps: Iterable[float]) -> float:
     return sum(aps) / len(aps)
 
 
-def mean_average_precision(
-    scored: Sequence[ScoredInstance],
-    pooling: str = "class",
-    treat_unlabeled_as_negative: bool = False,
-) -> float:
-    """Unweighted mean AP.
+def mean_average_precision(scored: Sequence[ScoredInstance]) -> float:
+    """Unweighted class mean of AP.
 
-    pooling="class" (default) pools each class's labeled candidates across
-    instances and averages per-class APs; pooling="instance" computes AP per
-    instance over its labeled candidates and averages those.  Classes with
-    positives but no labeled negatives are skipped with a warning.
-    treat_unlabeled_as_negative forces a 0 label onto unlabeled candidates
-    even when explicit negatives exist.
+    Each class's labeled candidates are pooled across instances and ranked
+    by score; unlabeled candidates are ignored.  Classes with positives but
+    no labeled negatives are skipped with a warning.
     """
-    if pooling == "class":
-        return _class_mean(_class_aps(scored, treat_unlabeled_as_negative).values())
-    if pooling != "instance":
-        raise MetricError(f"unknown pooling {pooling!r}")
-    aps = []
-    for idx, s in enumerate(scored):
-        labels = _labels(s, treat_unlabeled_as_negative)
-        entries = [(s.scores[i], idx, i, label) for i, label in labels.items()]
-        ap = _average_precision(entries)
-        if ap is not None:
-            aps.append(ap)
-    if not aps:
-        raise MetricError("mAP undefined: no instance with usable labels")
-    return sum(aps) / len(aps)
+    return _class_mean(_class_aps(scored).values())
 
 
 def mean_balanced_accuracy(
@@ -341,25 +309,19 @@ def compute_report(
     class_meta: Mapping[str, ClassMeta] | None = None,
     head_cut: int = 5000,
     tail_cut: int = 500,
-    pooling: str = "class",
-    treat_unlabeled_as_negative: bool = False,
 ) -> MetricReport:
     """Assemble the full report; breakdowns appear when class_meta is given.
 
-    A bucket's or type's mAP is the mean of its classes' pooled APs, so
-    breakdowns need pooling="class".
+    A bucket's or type's mAP is the mean of its classes' APs, taken from the
+    same per-class table as the overall mAP.
     """
     if not scored:
         raise MetricError("no scored instances")
-    if class_meta and pooling != "class":
-        raise MetricError(
-            f"per-bucket and per-type mAP need class pooling, got pooling={pooling!r}"
-        )
     report_ma: dict[float, float] = {}
     if probs is not None:
         for t in thresholds:
             report_ma[t] = mean_balanced_accuracy(scored, probs, t)
-    class_aps = _class_aps(scored, treat_unlabeled_as_negative) if pooling == "class" else None
+    class_aps = _class_aps(scored)
     per_bucket: dict[str, dict[str, float]] = {}
     per_type: dict[str, dict[str, float]] = {}
     if class_meta:
@@ -378,11 +340,7 @@ def compute_report(
     return MetricReport(
         mean_rank=mean_rank(scored),
         mean_recall_at_k={k: mean_recall_at_k(scored, k) for k in ks},
-        mean_ap=(
-            _class_mean(class_aps.values())
-            if class_aps is not None
-            else mean_average_precision(scored, pooling, treat_unlabeled_as_negative)
-        ),
+        mean_ap=_class_mean(class_aps.values()),
         f1_at_k={k: overall_f1_at_k(scored, k) for k in ks},
         mean_balanced_accuracy=report_ma,
         per_bucket=per_bucket,

@@ -40,7 +40,6 @@ monotone transform of the scores.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -292,24 +291,6 @@ def rank_instance(
     )
 
 
-class _SerializedBackend(ScorerBackend):
-    """Mutex wrapper the engine puts around non-concurrent-safe backends."""
-
-    def __init__(self, inner: ScorerBackend):
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.capabilities = inner.capabilities
-        self.vocabulary = inner.vocabulary
-
-    def next_token_distributions(self, image_id, region, prefixes):
-        with self._lock:
-            return self._inner.next_token_distributions(image_id, region, prefixes)
-
-    def embed_batch(self, image_id, region, sentences):
-        with self._lock:
-            return self._inner.embed_batch(image_id, region, sentences)
-
-
 def batch_rank(
     backend,
     instances: Sequence[RankingInstance],
@@ -321,19 +302,16 @@ def batch_rank(
     """rank_instance over a batch, optionally across worker threads.
 
     Results keep input order and match sequential execution bit for bit.
-    Failures do not stop the batch: after the whole batch ran, if anything
-    failed a BatchScoringError is raised carrying per-instance failures and
-    the completed results.
+    A ScorerBackend that is not concurrent_safe runs sequentially in the
+    caller's thread whatever parallelism asks for.  Failures do not stop the
+    batch: after the whole batch ran, if anything failed a BatchScoringError
+    is raised carrying per-instance failures and the completed results.
     """
     if not isinstance(parallelism, int) or parallelism < 1:
         raise ConfigurationError(f"parallelism must be a positive integer, got {parallelism}")
     _check_length_normalize(method, length_normalize)
-    if (
-        parallelism > 1
-        and isinstance(backend, ScorerBackend)
-        and not backend.capabilities.concurrent_safe
-    ):
-        backend = _SerializedBackend(backend)
+    if isinstance(backend, ScorerBackend) and not backend.capabilities.concurrent_safe:
+        parallelism = 1
 
     def one(inst: RankingInstance) -> ScoredInstance:
         return rank_instance(backend, inst, template, method, length_normalize)

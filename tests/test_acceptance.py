@@ -249,9 +249,15 @@ def test_04_metrics_match_bruteforce_on_randomized_fixtures():
 
 
 def test_05_closed_form_metric_values():
-    # ascending-score labels +, -, + so AP = (1/1 + 2/3) / 2 = 5/6
+    # "a" is labeled +, -, + across instances, in ascending-score order, so
+    # its class AP = (1/1 + 2/3) / 2 = 5/6; z0 and z2 have no positive and
+    # z1 no negative, so "a" is the only class averaged
     ap = mean_average_precision(
-        [make_scored(("a", "b", "c"), {0, 2}, (1.0, 2.0, 3.0))], pooling="instance"
+        [
+            make_scored(("a", "z0"), {0}, (1.0, 9.0), image_id="img0"),
+            make_scored(("a", "z1"), {1}, (2.0, 0.5), image_id="img1"),
+            make_scored(("a", "z2"), {0}, (3.0, 9.0), image_id="img2"),
+        ]
     )
     ap_dev = abs(ap - 5 / 6)
     batch = [

@@ -375,19 +375,6 @@ def test_evaluate_with_calibration_and_buckets(pipeline, tmp_path):
     assert config["options"]["threshold"] == [0.5]
 
 
-def test_evaluate_breakdowns_need_class_pooling(pipeline, tmp_path, capsys):
-    rc = main(
-        [
-            "evaluate", "--out", str(tmp_path / "x"), "--instances", pipeline["instances"],
-            "--cache", str(pipeline["gen"] / "scores.jsonl"),
-            "--class-frequencies", str(pipeline["counts"]),
-            "--head-cut", "5", "--tail-cut", "2", "--pooling", "instance",
-        ]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error[MetricError]: per-bucket and per-type")
-
-
 # -- report ---------------------------------------------------------------------
 
 

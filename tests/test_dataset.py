@@ -121,13 +121,18 @@ def test_scene_graph_rewrite_is_byte_identical(tmp_path, records):
         ({"image_id": "x"}, "must be a list"),
         ([{"objects": []}], "missing image_id"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": []}]}], "empty names"),
-        ([{"image_id": "x", "objects": [{"names": ["cat"], "x": 0, "y": 0, "w": 1}]}], "missing box field"),
+        ([{"image_id": "x", "objects": [{"names": ["cat"], "x": 0, "y": 0, "w": 1}]}], "image x object #0: region must be null"),
         ([{"image_id": "x", "objects": 7}], "image x: objects must be a list"),
         ([{"image_id": "x", "objects": [5]}], "image x object #0: object entry must be a dict"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": "cat"}]}], "image x object #0: names must be a list"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": 5}]}], "image x object #0: attributes must be a list"),
         ([{"image_id": "x", "objects": [{"x": 0, "y": 0, "w": 1, "h": 1, "names": ["cat"], "attributes": [5]}]}], "image x object #0: word must be a string"),
-        ([{"image_id": "x", "objects": [{"x": "a", "y": None, "w": 1, "h": 1, "names": ["cat"]}]}], "image x object #0: box fields"),
+        ([{"image_id": "x", "objects": [{"x": "a", "y": None, "w": 1, "h": 1, "names": ["cat"]}]}], "image x object #0: region must be null"),
+        ([{"image_id": None}, {"image_id": None}], "image record #0: image_id must be a non-empty string or an integer, got None"),
+        ([{"image_id": ""}], "image record #0: image_id must be a non-empty string or an integer, got ''"),
+        ([{"image_id": "x"}, {"image_id": True}], "image record #1: image_id must be a non-empty string or an integer, got True"),
+        ([{"image_id": 1.0}], "image record #0: image_id must be a non-empty string or an integer, got 1.0"),
+        ([{"image_id": 7}, {"image_id": "8"}, {"image_id": "7"}], "image record #2: image_id '7' repeats image record #0"),
     ],
 )
 def test_parse_scene_graph_rejects(raw, match):

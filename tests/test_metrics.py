@@ -155,16 +155,6 @@ def test_ap_pools_one_class_across_instances():
     assert abs(got - 5 / 6) < 1e-12  # summation lands one ulp off 5/6
 
 
-def test_ap_instance_pooling_averages_per_instance():
-    batch = [
-        make_scored(("a", "b", "c"), {1}, (1.0, 2.0, 3.0)),
-        make_scored(("a", "b"), {0}, (1.0, 3.0), image_id="img1"),
-    ]
-    # AP 1/2 and AP 1.0
-    got = mean_average_precision(batch, pooling="instance")
-    assert got == pytest.approx(0.75, abs=1e-12)
-
-
 def test_ap_positive_only_class_warns_and_is_skipped():
     batch = [
         make_scored(("lonely", "other"), {0}, (0.5, 2.0), image_id="img0"),
@@ -177,18 +167,18 @@ def test_ap_positive_only_class_warns_and_is_skipped():
 
 
 def test_ap_explicit_negatives_leave_the_rest_unlabeled():
-    s = make_scored(("a", "b", "c"), {0}, (2.0, 1.0, 0.5), negatives={1})
-    assert mean_average_precision([s], pooling="instance") == pytest.approx(0.5)
-    got = mean_average_precision(
-        [s], pooling="instance", treat_unlabeled_as_negative=True
-    )
-    assert got == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_ap_rejects_unknown_pooling():
-    s = make_scored(("a", "b"), {0}, (1.0, 2.0))
-    with pytest.raises(MetricError, match="pooling"):
-        mean_average_precision([s], pooling="global")
+    # img1 labels "c" negative and leaves its "a" unlabeled; that "a" ranks
+    # above img0's positive "a" in the pooled "a" list but does not lower
+    # the class's AP, so every class scores AP 1
+    batch = [
+        make_scored(("a", "b"), {0}, (1.0, 2.0), image_id="img0"),
+        make_scored(("b", "a", "c"), {0}, (1.0, 0.5, 3.0), negatives={2}, image_id="img1"),
+        make_scored(("c", "a"), {0}, (1.0, 4.0), image_id="img2"),
+    ]
+    assert mean_average_precision(batch) == pytest.approx(1.0)
+    # labeled negative, img1's "a" would halve the class's AP: (1 + 1/2 + 1) / 3
+    batch[1] = make_scored(("b", "a", "c"), {0}, (1.0, 0.5, 3.0), image_id="img1")
+    assert mean_average_precision(batch) == pytest.approx(5 / 6, abs=1e-12)
 
 
 def test_ap_undefined_without_usable_class():
@@ -412,12 +402,3 @@ def test_breakdowns_average_their_own_classes(report_inputs):
         aps = [ap for w, ap in class_aps.items() if meta[w].bucket == bucket]
         assert stats["mean_ap"] == pytest.approx(sum(aps) / len(aps), abs=1e-12)
     assert len({stats["mean_ap"] for stats in report.per_bucket.values()}) > 1
-
-
-def test_breakdowns_reject_instance_pooling(report_inputs):
-    scored, _, meta = report_inputs
-    with pytest.raises(MetricError, match="class pooling"):
-        compute_report(scored, ks=(5,), class_meta=meta, pooling="instance")
-    # without breakdowns, instance pooling still reports
-    report = compute_report(scored, ks=(5,), pooling="instance")
-    assert report.mean_ap == mean_average_precision(scored, pooling="instance")

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -384,16 +386,40 @@ def test_parallel_matches_sequential_bit_for_bit(batch_setup):
 
 
 class SerialOnly(OracleBackend):
-    """An oracle that declares itself unsafe to share and counts batch calls."""
+    """An oracle that declares itself unsafe to share, counts batch calls and
+    records the most calls it ever had in flight at once."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.capabilities = replace(self.capabilities, concurrent_safe=False)
         self.embed_batches = 0
+        self.in_flight = self.max_in_flight = 0
+        self._count_lock = threading.Lock()
+
+    def _enter(self):
+        with self._count_lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(0.001)  # widen the window an overlapping call would hit
+
+    def _leave(self):
+        with self._count_lock:
+            self.in_flight -= 1
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        self._enter()
+        try:
+            return super().next_token_distributions(image_id, region, prefixes)
+        finally:
+            self._leave()
 
     def embed_batch(self, image_id, region, sentences):
-        self.embed_batches += 1
-        return super().embed_batch(image_id, region, sentences)
+        self._enter()
+        try:
+            self.embed_batches += 1
+            return super().embed_batch(image_id, region, sentences)
+        finally:
+            self._leave()
 
 
 @pytest.mark.parametrize("method", [Method.GENERATIVE, Method.CONTRASTIVE])
@@ -406,9 +432,11 @@ def test_serialized_backend_matches_sequential_bit_for_bit(method):
     seq = batch_rank(backend, instances, template, method, parallelism=1)
     par = batch_rank(backend, instances, template, method, parallelism=4)
     assert [s.scores for s in seq] == [s.scores for s in par]
-    # the lock wrapper hands the whole batch on rather than splitting it
+    # one embed_batch call per contrastive instance and run, none generative
     want = 2 * len(instances) if method is Method.CONTRASTIVE else 0
     assert backend.embed_batches == want
+    # parallelism=4 still never overlaps two calls to an unsafe backend
+    assert backend.max_in_flight == 1
 
 
 def test_batch_rank_validates_parallelism(batch_setup):
