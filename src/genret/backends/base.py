@@ -9,8 +9,9 @@ either.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
-the first contrastive request.  Capabilities describe how a backend's
-answers are to be read and called:
+the first contrastive request.  The engine asks for embeddings through
+`embed_batch`, whose default is built on those two per-item calls.
+Capabilities describe how a backend's answers are to be read and called:
 
 - has_terminal_token: distributions carry an end-of-sentence probability,
   and generative losses get a terminal term
@@ -79,9 +80,12 @@ class ScorerBackend(ABC):
 
     def embed_batch(
         self, image_id: str, region, sentences: Sequence[tuple[str, ...]]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Batch form: the image embedding and one embedding per sentence, in
-        order; backends with per-call overhead should override."""
+    ) -> tuple[np.ndarray, np.ndarray | list[np.ndarray]]:
+        """Batch form: the image embedding and the sentences' embeddings in
+        order, as an (n, d) array or n vectors of length d.  This default
+        makes one `embed_image` and one `embed_text` call per sentence;
+        backends with per-call overhead (the oracle, the remote client)
+        override it."""
         return self.embed_image(image_id, region), [self.embed_text(s) for s in sentences]
 
 

@@ -4,9 +4,10 @@ Not a production server: it exists so the remote client can be exercised
 end-to-end against a local backend without leaving the process.  Runs a
 threaded stdlib HTTP server on an ephemeral localhost port and speaks the
 wire protocol documented in remote.py: each /v1/logprobs request is one
-`next_token_distributions` call with all of its prefixes, and /v1/embed asks
-for the image's embedding (when the request names an image_id) and one
-embedding per sentence in `texts`.  Malformed fields (a region that is
+`next_token_distributions` call with all of its prefixes, and each
+/v1/embed request that names an image_id is one `embed_batch` call with all
+of its sentences; a request naming no image embeds each sentence in
+`texts` with `embed_text`.  Malformed fields (a region that is
 neither null nor 4 finite numbers among them) and requests the
 backend rejects (an embed request to a backend without a contrastive side
 among them) get 400, any other backend exception 500.
@@ -20,6 +21,8 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
 
 from ..core import checked_region
 from ..errors import GenretError, SchemaError
@@ -66,8 +69,11 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ValueError("an embed request needs an image_id or texts")
                 payload = {"request_id": request_id}
                 if image_id is not None:
-                    payload["image"] = backend.embed_image(image_id, region).tolist()
-                payload["texts"] = [backend.embed_text(tuple(t)).tolist() for t in texts]
+                    image, vecs = backend.embed_batch(image_id, region, [tuple(t) for t in texts])
+                    payload["image"] = np.asarray(image, dtype=float).tolist()
+                    payload["texts"] = np.asarray(vecs, dtype=float).tolist()
+                else:
+                    payload["texts"] = [backend.embed_text(tuple(t)).tolist() for t in texts]
                 status = 200
             else:
                 status, payload = 404, {"error": f"unknown path {self.path}"}

@@ -19,10 +19,16 @@ its first query and keeps it, and the floor is built once per backend, so
 every later query of a prefix returns the very object served before: a
 scoring run pays for the trie nodes it visits, not for the prefixes it
 asks about.  Served `probs` are read-only mappings, so no caller can change
-what a later query gets.  The contrastive side is a
-bag-of-words embedder: text maps to normalized token counts, an image to
-normalized expected token frequencies under its caption distribution, which
-makes it order-invariant by construction.
+what a later query gets.
+
+The contrastive side is a bag-of-words embedder: text maps to normalized
+token counts, an image to normalized expected token frequencies under its
+caption distribution, which makes it order-invariant by construction.
+`embed_batch` fills one (n, V) count matrix for all of an instance's
+sentences and divides each row by its norm; `embed_text` is its one-row
+case.  Counts are small integers, so a row's squared norm is exact in any
+summation order and every row is bit-identical to the sentence embedded
+alone.
 """
 
 from __future__ import annotations
@@ -164,12 +170,23 @@ class OracleBackend(ScorerBackend):
         return vec.copy()
 
     def embed_text(self, tokens) -> np.ndarray:
-        if not tokens:
+        return self._bag_of_words([tokens])[0]
+
+    def embed_batch(self, image_id, region, sentences):
+        return self.embed_image(image_id, region), self._bag_of_words(sentences)
+
+    def _bag_of_words(self, sentences) -> np.ndarray:
+        """One unit-norm row of token counts per sentence, as an (n, V)
+        array; the counts are exact, so the row norms are too."""
+        if not all(sentences):
             raise ValueError("cannot embed an empty sentence")
-        counts = np.zeros(len(self.vocab_order))
-        for tok in tokens:
-            idx = self._index.get(tok)
-            if idx is None:
-                raise VocabularyError(f"token {tok!r} not in oracle vocabulary")
-            counts[idx] += 1.0
-        return counts / float(np.linalg.norm(counts))
+        n, width, index = len(sentences), len(self.vocab_order), self._index
+        try:
+            # one flat cell index per token: its row's offset plus its column
+            cells = [
+                row * width + index[tok] for row, tokens in enumerate(sentences) for tok in tokens
+            ]
+        except KeyError as exc:
+            raise VocabularyError(f"token {exc.args[0]!r} not in oracle vocabulary") from None
+        counts = np.bincount(cells, minlength=n * width).reshape(n, width).astype(float)
+        return counts / np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]

@@ -21,8 +21,10 @@ every distribution before it takes a log.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once; one /v1/embed
-call embeds an instance's image and all of its sentences (`embed_batch`).
-`embed_image` and `embed_text` are single-item requests of the same form.
+call embeds an instance's image and all of its sentences (`embed_batch`),
+and its `texts` decode into one (n, d) array; empty or unequal-length text
+vectors are a TransportError.  `embed_image` and `embed_text` are
+single-item requests of the same form.
 The caller's threads (batch_rank's `parallelism`) bound requests in flight.
 """
 
@@ -151,7 +153,7 @@ class RemoteBackend(ScorerBackend):
 
     def _embed(self, image_id, region, sentences):
         """One /v1/embed request: the image's vector when image_id is given
-        (else None), and one vector per sentence."""
+        (else None), and the sentences' vectors as one (n, d) array."""
         payload: dict = {
             "request_id": uuid.uuid4().hex,
             "texts": [list(s) for s in sentences],
@@ -169,7 +171,18 @@ class RemoteBackend(ScorerBackend):
                 body=str(data)[:2000],
             )
         image = _vector(data, "image", data.get("image")) if image_id is not None else None
-        return image, [_vector(data, f"text #{i}", v) for i, v in enumerate(texts)]
+        try:
+            rows = np.asarray(texts, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TransportError(
+                f"embed text vectors are ragged or non-numeric: {exc}", body=str(data)[:2000]
+            ) from exc
+        if texts and (rows.ndim != 2 or not rows.shape[1]):
+            raise TransportError(
+                f"embed text vectors must be non-empty lists of numbers, got shape {rows.shape}",
+                body=str(data)[:2000],
+            )
+        return image, rows
 
 
 def _vector(data: dict, what: str, vector) -> np.ndarray:

@@ -8,7 +8,12 @@ Two losses, both in nats, both "lower is better":
   one.  Position 0 conditions on the image alone.
 - contrastive: the euclidean distance between unit-norm image and sentence
   embeddings, which lives in [0, 2] and decreases monotonically in cosine
-  similarity.
+  similarity.  An instance's sentence embeddings are read as one (n, d)
+  matrix G, checked in one vectorized norm test, and each distance is
+  sqrt(d.dot(d)) over one row d of f - G: the expression np.linalg.norm
+  evaluates for one vector, so a score is bit-identical whether its
+  sentence was embedded alone or with others.  (A summed or einsum row
+  norm would change the last bits of some scores.)
 
 Each method has one path, a batch function over the sentences of one image
 (`_generative_losses`, `_contrastive_losses`).  The single-sentence API
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -85,9 +91,10 @@ def _checked_sentences(
     sentences = [tuple(s) for s in sentences]
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
-    if backend.vocabulary is not None:
+    vocabulary = backend.vocabulary
+    if vocabulary is not None and not vocabulary.issuperset(chain.from_iterable(sentences)):
         for s in sentences:
-            unknown = [t for t in s if t not in backend.vocabulary]
+            unknown = [t for t in s if t not in vocabulary]
             if unknown:
                 raise VocabularyError(f"tokens not in backend vocabulary: {unknown}")
     return sentences
@@ -109,13 +116,44 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix):
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
 
 
-def _check_embedding(vec: np.ndarray, what: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(vec))
+def _embedding_array(vecs, what: str) -> np.ndarray:
+    try:
+        return np.asarray(vecs, dtype=float)
+    except (TypeError, ValueError):
+        raise NormalizationError(f"{what} is not numeric") from None
+
+
+def _text_rows(texts, width: int) -> np.ndarray:
+    """The text embeddings as one (n, width) array; a row of another shape
+    is named by its sentence index."""
+    try:
+        rows = np.asarray(texts, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is not None and rows.shape == (len(texts), width):
+        return rows
+    for i, vec in enumerate(texts):
+        shape = _embedding_array(vec, f"text embedding {i}").shape
+        if shape != (width,):
+            raise NormalizationError(
+                f"text embedding {i} has shape {shape}, expected ({width},)"
+            )
+    # every row has the image's width, so there were no rows
+    return np.empty((0, width))
+
+
+def _check_unit_rows(rows: np.ndarray, what: str) -> None:
+    """Each row of a 2-D embedding array must have unit norm; `what` names
+    row i via `what.format(i)`.  A tolerance test, so the summation order
+    of the norms does not matter."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise NormalizationError(f"{what} embedding has norm {norm:.9f}, expected 1")
-    return vec
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NormalizationError(
+            f"{what.format(i)} has norm {norms[i]:.9f}, expected 1"
+        )
 
 
 def _neg_log(p: float, what: str) -> float:
@@ -176,24 +214,27 @@ def _contrastive_losses(
     image_id: str,
     region,
     sentences: Sequence[Sequence[str]],
-) -> list[ContrastiveLoss]:
+) -> list[float]:
     """Contrastive losses of sentences about one image, in input order.
 
     The image embedding and every sentence's embedding are fetched in one
     batched call, so a remote backend answers an instance in one request.
+    Returns the distances as floats; see the module docstring for how they
+    are computed.
     """
     sentences = _checked_sentences(backend, sentences)
     image, texts = backend.embed_batch(image_id, region, sentences)
-    texts = list(texts)
     if len(texts) != len(sentences):
         raise NormalizationError(
             f"backend returned {len(texts)} text embeddings for {len(sentences)} sentences"
         )
-    f = _check_embedding(image, "image")
-    return [
-        ContrastiveLoss(value=float(np.linalg.norm(f - _check_embedding(g, "text"))))
-        for g in texts
-    ]
+    f = _embedding_array(image, "image embedding")
+    if f.ndim != 1:
+        raise NormalizationError(f"image embedding has shape {f.shape}, expected a vector")
+    _check_unit_rows(f[None, :], "image embedding")
+    texts = _text_rows(texts, f.size)
+    _check_unit_rows(texts, "text embedding {}")
+    return [math.sqrt(d.dot(d)) for d in f - texts]
 
 
 def generative_loss(
@@ -213,7 +254,7 @@ def contrastive_loss(
     sentence: Sequence[str],
 ) -> ContrastiveLoss:
     """Euclidean distance between unit-norm image and sentence embeddings."""
-    return _contrastive_losses(backend, image_id, region, [sentence])[0]
+    return ContrastiveLoss(value=_contrastive_losses(backend, image_id, region, [sentence])[0])
 
 
 def _candidate_sentence(
@@ -280,8 +321,7 @@ def rank_instance(
             ]
             per_token = tuple(l.per_token for l in losses)
         else:
-            losses = _contrastive_losses(backend, instance.image_id, instance.region, sentences)
-            scores = [l.value for l in losses]
+            scores = _contrastive_losses(backend, instance.image_id, instance.region, sentences)
     return ScoredInstance(
         instance=instance,
         template_name=template.name,

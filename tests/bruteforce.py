@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 # -- ranking -------------------------------------------------------------
 
@@ -25,6 +27,17 @@ def naive_rank(scores, idx: int) -> int:
 
 def naive_positive_ranks(scores, positives) -> list[int]:
     return [naive_rank(scores, i) for i in sorted(positives)]
+
+
+# -- bag-of-words embedding ----------------------------------------------
+
+
+def naive_text_embedding(vocab, tokens):
+    """The one-sentence form: token counts over their np.linalg.norm."""
+    counts = np.zeros(len(vocab))
+    for tok in tokens:
+        counts[list(vocab).index(tok)] += 1.0
+    return counts / float(np.linalg.norm(counts))
 
 
 # -- caption language model ----------------------------------------------

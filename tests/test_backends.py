@@ -209,6 +209,13 @@ def test_embed_text_rejects_oov_and_empty(oracle):
         oracle.embed_text(())
 
 
+def test_embed_batch_rejects_oov_and_empty_like_embed_text(oracle):
+    with pytest.raises(VocabularyError, match="'zebra'"):
+        oracle.embed_batch("s0", None, [("cat",), ("cat", "zebra")])
+    with pytest.raises(ValueError, match="empty sentence"):
+        oracle.embed_batch("s0", None, [("cat",), ()])
+
+
 def test_embed_image_expected_frequencies(oracle):
     vec = oracle.embed_image("s0", None)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)

@@ -130,6 +130,36 @@ def test_loopback_answers_a_post_with_one_backend_call():
     assert backend.calls == [prefixes]
 
 
+class EmbedCountingOracle(OracleBackend):
+    """Records every embed_batch and embed_text call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.batches, self.texts = [], []
+
+    def embed_batch(self, image_id, region, sentences):
+        self.batches.append(list(sentences))
+        return super().embed_batch(image_id, region, sentences)
+
+    def embed_text(self, tokens):
+        self.texts.append(tokens)
+        return super().embed_text(tokens)
+
+
+def test_loopback_answers_an_image_embed_with_one_embed_batch_call(setup):
+    spec, scenes, _, _ = setup
+    backend = EmbedCountingOracle(spec, scenes)
+    sentences = [("obj00", "is"), ("is",), ("obj00",)]
+    with LoopbackServer(backend) as url:
+        remote = remote_for(url, backend)
+        remote.embed_batch("scene-000000", None, sentences)
+        assert backend.batches == [sentences] and backend.texts == []
+        # a request naming no image embeds each sentence on its own
+        backend.batches.clear()
+        remote.embed_text(("obj00", "is"))
+        assert backend.batches == [] and backend.texts == [("obj00", "is")]
+
+
 def test_contrastive_request_to_a_server_without_it_is_a_400():
     # the server's backend refuses the contrastive side; the client sees its 400
     backend = UniformBackend(["a0", "cat", "is"])
@@ -301,6 +331,11 @@ def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
         {"texts": [[1.0], [1.0]]},  # no image vector
         {"image": "x", "texts": [[1.0], [1.0]]},
         {"image": [1.0], "texts": [[1.0], ["x"]]},
+        {"image": [1.0], "texts": [[1.0, 0.0], [1.0]]},  # ragged
+        {"image": [1.0], "texts": [[1.0], []]},  # an empty vector
+        {"image": [1.0], "texts": [[], []]},
+        {"image": [1.0], "texts": [1.0, 0.0]},  # numbers, not vectors
+        {"image": [1.0], "texts": [[[1.0]], [[0.0]]]},  # nested too deep
     ],
 )
 def test_malformed_embed_reply_is_a_transport_error(setup, reply):

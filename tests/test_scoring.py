@@ -36,6 +36,7 @@ from genret.errors import (
 )
 from genret.scoring import contrastive_loss, generative_loss
 
+from bruteforce import naive_text_embedding
 from test_world import exclusion_scene, tiny_world
 
 
@@ -132,6 +133,17 @@ class NanProbability(UniformBackend):
 
 
 class NanTextEmbedding(OracleBackend):
+    def embed_batch(self, image_id, region, sentences):
+        image, texts = super().embed_batch(image_id, region, sentences)
+        return image, np.full_like(texts, math.nan)
+
+
+class NanTextPerItem(OracleBackend):
+    """Implements only the per-item embeds, so the engine reaches them
+    through the base class's embed_batch."""
+
+    embed_batch = ScorerBackend.embed_batch
+
     def embed_text(self, tokens):
         return np.full(len(self.vocab_order), math.nan)
 
@@ -161,12 +173,83 @@ def nan_instance(candidates):
             NanTextEmbedding(tiny_world(), [one_cat_scene()]), nan_instance(("a0",)),
             parse_template("{O} is {A}"), Method.CONTRASTIVE,
         ),
+        lambda: contrastive_loss(
+            NanTextPerItem(tiny_world(), [one_cat_scene()]), "s0", None, ("cat",)
+        ),
+        lambda: rank_instance(
+            NanTextPerItem(tiny_world(), [one_cat_scene()]), nan_instance(("a0",)),
+            parse_template("{O} is {A}"), Method.CONTRASTIVE,
+        ),
     ],
-    ids=["generative_loss", "rank_generative", "contrastive_loss", "rank_contrastive"],
+    ids=[
+        "generative_loss", "rank_generative", "contrastive_loss", "rank_contrastive",
+        "contrastive_loss_per_item", "rank_contrastive_per_item",
+    ],
 )
 def test_nan_from_the_backend_is_rejected(score):
     with pytest.raises(NormalizationError):
         score()
+
+
+class FaultyEmbedBatch(OracleBackend):
+    """An oracle whose embed_batch output passes through `fault`."""
+
+    def __init__(self, fault):
+        super().__init__(tiny_world(), [one_cat_scene()])
+        self.fault = fault
+
+    def embed_batch(self, image_id, region, sentences):
+        return self.fault(*super().embed_batch(image_id, region, sentences))
+
+
+def _scaled_row(texts, i, factor):
+    texts = texts.copy()
+    texts[i] *= factor
+    return texts
+
+
+BAD_EMBED_BATCHES = {
+    "width": (lambda f, G: (f, G[:, :-1]), r"text embedding 0 has shape \(8,\), expected \(9,\)"),
+    "ragged": (lambda f, G: (f, [G[0], G[1][:-1]]), r"text embedding 1 has shape \(8,\)"),
+    "non_numeric": (lambda f, G: (f, [G[0], ["x"] * 9]), "text embedding 1 is not numeric"),
+    "image_2d": (lambda f, G: ([[1.0, 0.0]], G), r"image embedding has shape \(1, 2\)"),
+    "image_norm": (lambda f, G: (2 * f, G), "image embedding has norm 2.000000000"),
+    "nan_row": (lambda f, G: (f, _scaled_row(G, 1, math.nan)), "text embedding 1 has norm nan"),
+    "non_unit_row": (
+        lambda f, G: (f, _scaled_row(G, 1, 2.0)), "text embedding 1 has norm 2.000000000"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_EMBED_BATCHES)
+def test_malformed_embedding_batch_is_a_normalization_error(kind):
+    fault, message = BAD_EMBED_BATCHES[kind]
+    backend = FaultyEmbedBatch(fault)
+    assert len(backend.vocab_order) == 9  # the widths in the messages
+    with pytest.raises(NormalizationError, match=message):
+        rank_instance(
+            backend, nan_instance(("a0", "a1")), parse_template("{O} is {A}"),
+            Method.CONTRASTIVE,
+        )
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+@pytest.mark.parametrize("spec_text", ["{A} {O}", "{O} is {A}", "{A} {O} is {A}"])
+def test_contrastive_scores_are_bit_identical_to_per_sentence_norms(seed, spec_text):
+    spec = random_world(seed=seed, n_objects=10, n_attributes=30, attrs_per_object=5)
+    scenes = sample_scenes(spec, [3, 2, 3, 1])
+    backend = OracleBackend(spec, scenes)
+    template = parse_template(spec_text)
+    for inst in make_instances(spec, scenes, 20, AnchorKind.OBJECT, seed=seed):
+        sentences = [render(template, attribute=c, obj=inst.anchor) for c in inst.candidates]
+        image, rows = backend.embed_batch(inst.image_id, inst.region, sentences)
+        assert rows.shape == (len(sentences), len(backend.vocab_order))
+        for row, s in zip(rows, sentences):
+            want = naive_text_embedding(backend.vocab_order, s)
+            assert row.tobytes() == backend.embed_text(s).tobytes() == want.tobytes()
+        want_scores = [float(np.linalg.norm(image - backend.embed_text(s))) for s in sentences]
+        scored = rank_instance(backend, inst, template, Method.CONTRASTIVE)
+        assert [v.hex() for v in scored.scores] == [v.hex() for v in want_scores]
 
 
 class SharedDistribution(ScorerBackend):
