@@ -1,11 +1,30 @@
 """Backend interfaces the scoring engine runs against.
 
-A ScorerBackend answers token-level questions: the next-token distributions
-under a batch of image-conditioned prefixes (`next_token_distributions`, the
-one method every backend implements), and unit-norm embeddings for the
-contrastive path.  A SentenceScoreSource answers at sentence granularity
-(ready-made losses); score-cache replay lives there.  The engine accepts
-either.
+A ScorerBackend answers token-level questions about one image at a time.
+The generative side has two methods:
+
+- `score_sentences(image_id, region, sentences)` is what the scoring
+  engine calls, once per instance.  For each sentence it returns one
+  `(p, total)` pair per position, in order: p is the probability of the
+  token the sentence realizes there given the image and the tokens before
+  it, and total is the mass of that position's whole distribution (which
+  a normalized backend serves as 1).  A backend that declares a terminal
+  token adds one last pair, the end-of-sentence probability after the
+  whole sentence.  The engine checks every pair (counts, totals within
+  NORM_TOL, 0 <= p <= total) before it takes a logarithm.
+- `next_token_distributions(image_id, region, prefixes)` returns whole
+  next-token distributions, one per prefix; it is the one abstract method,
+  and the form the `/v1/logprobs` wire speaks.
+
+The default `score_sentences` is an adapter over `next_token_distributions`,
+so a backend that can only serve whole distributions (the remote client, the
+uniform backend, test doubles and proxies) implements nothing more.  It asks
+once for every distinct prefix the sentences need (sentences of a template
+family share most of theirs), checks each distinct distribution object it
+is served once, at the first prefix that object answers, and reads the
+realized entries.  A backend that can reach the realized tokens directly
+(the oracle walks its caption trie) overrides it and serves no V-sized
+distributions at all.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
@@ -13,8 +32,9 @@ the first contrastive request.  The engine asks for embeddings through
 `embed_batch`, whose default is built on those two per-item calls.
 Capabilities describe how a backend's answers are to be read and called:
 
-- has_terminal_token: distributions carry an end-of-sentence probability,
-  and generative losses get a terminal term
+- has_terminal_token: each sentence's scores end with the end-of-sentence
+  probability (served distributions carry one), and generative losses get
+  a terminal term
 - concurrent_safe: queries may run concurrently; otherwise the engine
   scores the batch sequentially in the caller's thread, so no two calls
   overlap
@@ -29,7 +49,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core import Method
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, NormalizationError, VocabularyError
+
+#: how far a distribution's total (or an embedding's norm) may be from 1
+NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,6 +91,49 @@ class ScorerBackend(ABC):
     ) -> list[TokenDistribution]:
         """One distribution per prefix, in order."""
 
+    def score_sentences(
+        self, image_id: str, region, sentences: Sequence[tuple[str, ...]]
+    ) -> list[list[tuple[float, float]]]:
+        """Per sentence, one (realized probability, position total) pair per
+        token, plus the terminal's pair last when one is declared.
+
+        This default serves them from `next_token_distributions`: one call
+        for every distinct prefix, each distinct served object checked
+        once, at the first prefix it answers.
+        """
+        has_terminal = self.capabilities.has_terminal_token
+        needed: dict[tuple[str, ...], None] = {}
+        for s in sentences:
+            last = len(s) + 1 if has_terminal else len(s)
+            for i in range(last):
+                needed.setdefault(s[:i], None)
+        prefixes = list(needed)
+        served = list(self.next_token_distributions(image_id, region, prefixes))
+        if len(served) != len(prefixes):
+            raise NormalizationError(
+                f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
+            )
+        dists = dict(zip(prefixes, served))
+        totals: dict[int, float] = {}  # id of each checked object -> its total; all stay alive
+        for prefix, dist in dists.items():
+            if id(dist) not in totals:
+                totals[id(dist)] = _check_distribution(dist, has_terminal, prefix)
+
+        rows = []
+        for s in sentences:
+            row = []
+            for i, tok in enumerate(s):
+                dist = dists[s[:i]]
+                p = dist.probs.get(tok)
+                if p is None:
+                    raise VocabularyError(f"token {tok!r} missing from served distribution")
+                row.append((p, totals[id(dist)]))
+            if has_terminal:
+                dist = dists[s]
+                row.append((dist.terminal_p, totals[id(dist)]))
+            rows.append(row)
+        return rows
+
     def embed_image(self, image_id: str, region) -> np.ndarray:
         raise ConfigurationError(
             f"{type(self).__name__} has no contrastive support"
@@ -87,6 +153,25 @@ class ScorerBackend(ABC):
         backends with per-call overhead (the oracle, the remote client)
         override it."""
         return self.embed_image(image_id, region), [self.embed_text(s) for s in sentences]
+
+
+def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> float:
+    """A served distribution's total, once it passed every whole-distribution
+    check; the errors name `prefix`."""
+    total = dist.total()
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NormalizationError(
+            f"distribution for prefix {list(prefix)} sums to {total:.9f}"
+        )
+    if has_terminal and dist.terminal_p is None:
+        raise NormalizationError(
+            f"backend declares a terminal token but served none for {list(prefix)}"
+        )
+    # a NaN entry has already failed the total
+    if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
+        raise NormalizationError(f"negative probability for prefix {list(prefix)}")
+    return total
 
 
 class SentenceScoreSource(ABC):

@@ -10,7 +10,9 @@ of its sentences; a request naming no image embeds each sentence in
 `texts` with `embed_text`.  Malformed fields (a region that is
 neither null nor 4 finite numbers among them) and requests the
 backend rejects (an embed request to a backend without a contrastive side
-among them) get 400, any other backend exception 500.
+among them) get 400.  A fault of the backend itself gets 500: any other
+exception it raises, and an embedding it returns that is not a numeric
+array (ragged or non-numeric rows), whose message names that output.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -26,6 +28,17 @@ import numpy as np
 
 from ..core import checked_region
 from ..errors import GenretError, SchemaError
+
+
+class _BackendOutputError(Exception):
+    """The served backend answered with something the wire cannot carry."""
+
+
+def _wire_array(value, what: str) -> list:
+    try:
+        return np.asarray(value, dtype=float).tolist()
+    except (TypeError, ValueError) as exc:
+        raise _BackendOutputError(f"backend returned a malformed {what}: {exc}") from None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -70,13 +83,17 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = {"request_id": request_id}
                 if image_id is not None:
                     image, vecs = backend.embed_batch(image_id, region, [tuple(t) for t in texts])
-                    payload["image"] = np.asarray(image, dtype=float).tolist()
-                    payload["texts"] = np.asarray(vecs, dtype=float).tolist()
+                    payload["image"] = _wire_array(image, "image embedding")
+                    payload["texts"] = _wire_array(vecs, "text embedding batch")
                 else:
-                    payload["texts"] = [backend.embed_text(tuple(t)).tolist() for t in texts]
+                    payload["texts"] = [
+                        _wire_array(backend.embed_text(tuple(t)), "text embedding") for t in texts
+                    ]
                 status = 200
             else:
                 status, payload = 404, {"error": f"unknown path {self.path}"}
+        except _BackendOutputError as exc:
+            status, payload = 500, {"error": str(exc)}
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for
             status, payload = 400, {"error": str(exc)}

@@ -23,14 +23,17 @@ and backend-output checks however it was asked for.  A backend without a
 contrastive side fails its first contrastive call with the base class's
 ConfigurationError.
 
-Each batch function asks its backend once per image:
-`next_token_distributions` with every distinct prefix the sentences need, or
-`embed_batch` with the image and every sentence.  A remote backend turns
-that one call into one request (`/v1/logprobs` or `/v1/embed`).  A backend
-may serve one distribution object for several prefixes (the oracle's
-uniform floor, a uniform backend's whole batch); each distinct object is
-checked once, at the first prefix it answers, so a bad one is reported
-under the same prefix as if every prefix were checked.
+Each batch function asks its backend once per image: `score_sentences`
+with every sentence, or `embed_batch` with the image and every sentence.
+`score_sentences` returns, per sentence, the realized token's probability
+at each position and that position's total mass (see backends/base.py);
+the backend shares the work of common prefixes, so the engine neither
+deduplicates prefixes nor sees a whole distribution.  Before it takes a
+logarithm the engine checks every position: the number of positions is
+the sentence's length (plus the terminal when the backend declares one),
+the total is within NORM_TOL of 1 (a NaN total fails), and 0 <= p <=
+total; p == 0 is an InfiniteLossError.  A remote backend turns each call
+into one request (`/v1/logprobs` or `/v1/embed`).
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default.  Note the
@@ -52,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends.base import ScorerBackend, SentenceScoreSource, TokenDistribution
+from .backends.base import NORM_TOL, ScorerBackend, SentenceScoreSource
 from .core import AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, render
 from .errors import (
     BatchScoringError,
@@ -61,8 +64,6 @@ from .errors import (
     NormalizationError,
     VocabularyError,
 )
-
-_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,6 @@ def _checked_sentences(
     return sentences
 
 
-def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix):
-    total = dist.total()
-    # written so that a NaN total fails too
-    if not abs(total - 1.0) <= _NORM_TOL:
-        raise NormalizationError(
-            f"distribution for prefix {list(prefix)} sums to {total:.9f}"
-        )
-    if has_terminal and dist.terminal_p is None:
-        raise NormalizationError(
-            f"backend declares a terminal token but served none for {list(prefix)}"
-        )
-    # a NaN entry has already failed the total
-    if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
-        raise NormalizationError(f"negative probability for prefix {list(prefix)}")
-
-
 def _embedding_array(vecs, what: str) -> np.ndarray:
     try:
         return np.asarray(vecs, dtype=float)
@@ -148,18 +133,12 @@ def _check_unit_rows(rows: np.ndarray, what: str) -> None:
     of the norms does not matter."""
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     # written so that a NaN norm fails too
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         i = bad[0]
         raise NormalizationError(
             f"{what.format(i)} has norm {norms[i]:.9f}, expected 1"
         )
-
-
-def _neg_log(p: float, what: str) -> float:
-    if p <= 0.0:
-        raise InfiniteLossError(f"zero probability for {what}")
-    return -math.log(p)
 
 
 def _generative_losses(
@@ -168,45 +147,54 @@ def _generative_losses(
     region,
     sentences: Sequence[Sequence[str]],
 ) -> list[GenerativeLoss]:
-    """Generative losses of sentences about one image, in input order.
-
-    Every prefix distribution the sentences need is fetched once, in a
-    single batched call: sentences sharing a prefix share the fetched
-    distribution, which is both the batching win for remote backends and
-    the shared-prefix reuse that makes template families cheap to score.
-    """
+    """Generative losses of sentences about one image, in input order, from
+    one `score_sentences` call; every position is checked before its
+    logarithm is taken."""
     sentences = _checked_sentences(backend, sentences)
     has_terminal = backend.capabilities.has_terminal_token
-    needed: dict[tuple[str, ...], None] = {}
-    for s in sentences:
-        last = len(s) + 1 if has_terminal else len(s)
-        for i in range(last):
-            needed.setdefault(s[:i], None)
-    prefixes = list(needed)
-    served = list(backend.next_token_distributions(image_id, region, prefixes))
-    if len(served) != len(prefixes):
+    rows = list(backend.score_sentences(image_id, region, sentences))
+    if len(rows) != len(sentences):
         raise NormalizationError(
-            f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
+            f"backend scored {len(rows)} sentences of {len(sentences)}"
         )
-    dists = dict(zip(prefixes, served))
-    checked: set[int] = set()  # ids of served objects that passed; all stay alive
-    for prefix, dist in dists.items():
-        if id(dist) not in checked:
-            _check_distribution(dist, has_terminal, prefix)
-            checked.add(id(dist))
-
     losses = []
-    for s in sentences:
-        per_token = []
-        for i, tok in enumerate(s):
-            p = dists[s[:i]].probs.get(tok)
-            if p is None:
-                raise VocabularyError(f"token {tok!r} missing from served distribution")
-            per_token.append(_neg_log(p, f"token {tok!r} at position {i}"))
-        if has_terminal:
-            per_token.append(_neg_log(dists[s].terminal_p, "the terminal token"))
+    for s, row in zip(sentences, rows):
+        try:
+            per_token = _position_losses(s, row, has_terminal)
+        except (TypeError, ValueError):
+            # a position that is not a pair of numbers
+            raise NormalizationError(f"backend returned malformed scores for {list(s)}") from None
         losses.append(GenerativeLoss(value=float(sum(per_token)), per_token=tuple(per_token)))
     return losses
+
+
+def _position_losses(s: tuple[str, ...], row, has_terminal: bool) -> list[float]:
+    """-log p at each checked position of one sentence's scores."""
+    if len(row) != len(s) + has_terminal:
+        raise NormalizationError(
+            f"backend scored {len(row)} positions of {list(s)}, expected {len(s) + has_terminal}"
+        )
+    per_token = []
+    for i, (p, total) in enumerate(row):
+        # each test is written so that a NaN fails it too
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise NormalizationError(
+                f"distribution for prefix {list(s[:i])} sums to {total:.9f}"
+            )
+        if not 0.0 < p <= total:
+            if p == 0.0:
+                raise InfiniteLossError(f"zero probability for {_position(s, i)}")
+            raise NormalizationError(
+                f"probability {p!r} for {_position(s, i)} is outside [0, {total!r}]"
+            )
+        per_token.append(-math.log(p))
+    return per_token
+
+
+def _position(sentence: tuple[str, ...], i: int) -> str:
+    if i < len(sentence):
+        return f"token {sentence[i]!r} at position {i}"
+    return "the terminal token"
 
 
 def _contrastive_losses(

@@ -138,15 +138,20 @@ def test_oracle_answers_cannot_be_edited(oracle):
 
 
 def test_oracle_memo_under_racing_threads():
-    # more threads than cores fill the same fresh memo slots at once; every
+    # more threads than cores build the scene's trie and fill the same
+    # fresh memo slots at once, through both generative methods; every
     # answer must equal a sequential backend's, and once the race is over
-    # each prefix has one object
+    # every query reads the trie installed first and each prefix has one
+    # object
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     spec, scene = tiny_world(), exclusion_scene()
     prefixes = [(), ("cat",), ("cat", "is"), ("dog",), ("dog", "is"), ("a0",), ("a5",)]
-    want = OracleBackend(spec, [scene]).next_token_distributions("s0", None, prefixes)
+    sentences = [("cat", "is", "a0"), ("dog", "a2"), ("a5", "cat"), ("cat", "cat")]
+    sequential = OracleBackend(spec, [scene])
+    want = sequential.next_token_distributions("s0", None, prefixes)
+    want_scores = sequential.score_sentences("s0", None, sentences)
     racing = OracleBackend(spec, [scene])
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -154,18 +159,47 @@ def test_oracle_memo_under_racing_threads():
         with ThreadPoolExecutor(max_workers=16) as pool:
             futures = [
                 pool.submit(racing.next_token_distributions, "s0", None, prefixes)
-                for _ in range(64)
+                for _ in range(32)
+            ]
+            scored = [
+                pool.submit(racing.score_sentences, "s0", None, sentences) for _ in range(32)
             ]
             answers = [f.result(timeout=60) for f in futures]
+            scores = [f.result(timeout=60) for f in scored]
     finally:
         sys.setswitchinterval(old)
     for got in answers:
         assert [(dict(d.probs), d.terminal_p) for d in got] == [
             (dict(d.probs), d.terminal_p) for d in want
         ]
+    assert all(got == want_scores for got in scores)
+    trie = racing._tries["s0"]
     settled = racing.next_token_distributions("s0", None, prefixes)
     again = racing.next_token_distributions("s0", None, prefixes)
     assert all(a is b for a, b in zip(settled, again))
+    assert racing._tries["s0"] is trie
+
+
+def test_oracle_builds_a_trie_on_its_first_generative_query():
+    backend = OracleBackend(tiny_world(), [exclusion_scene()])
+    backend.embed_batch("s0", None, [("cat", "is", "a0")])
+    assert backend._tries == {}  # contrastive scoring reads no trie
+    rows = backend.score_sentences("s0", None, [("cat", "is", "a0")])
+    trie = backend._tries["s0"]
+    assert backend.next_token_distributions("s0", None, [("cat",)])[0].probs["is"] == rows[0][1][0]
+    assert backend._tries["s0"] is trie
+    with pytest.raises(UnknownImageError):
+        backend.score_sentences("nope", None, [("cat",)])
+    with pytest.raises(VocabularyError, match="zebra"):
+        backend.score_sentences("s0", None, [("cat", "zebra")])
+
+
+def test_register_scene_rejects_an_unknown_word_before_any_query():
+    backend = OracleBackend(tiny_world())
+    unknown = SyntheticScene("s1", (Entity("cat", ("zebra",)),), ((0, 0, 1, 1),))
+    with pytest.raises(SchemaError, match="names attribute 'zebra'"):
+        backend.register_scene(unknown)
+    assert backend.scene_ids() == ()
 
 
 def test_oracle_rejects_negative_smoothing():

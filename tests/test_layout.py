@@ -68,6 +68,9 @@ def test_one_generative_primitive():
                 definers.add(f"{path.relative_to(PACKAGE).as_posix()}:{node.name}")
     assert not definers
     assert {f.name for f in fields(Capabilities)} == {"has_terminal_token", "concurrent_safe"}
+    # the engine scores sentences through score_sentences alone; serving
+    # whole distributions is a backend matter (the base class's adapter)
+    assert "next_token_distributions" not in (PACKAGE / "scoring.py").read_text(encoding="utf-8")
 
 
 def test_all_lists_every_public_name():

@@ -434,6 +434,26 @@ def test_backend_crash_gets_500_naming_the_exception():
         assert resp.json()["error"] == "RuntimeError: boom"
 
 
+class RaggedEmbedBatch(OracleBackend):
+    """An oracle whose embed_batch drops one element of the second text row."""
+
+    def embed_batch(self, image_id, region, sentences):
+        image, texts = super().embed_batch(image_id, region, sentences)
+        return image, [texts[0], texts[1][:-1]]
+
+
+def test_malformed_backend_embedding_gets_500_naming_the_backend_output(setup):
+    spec, scenes, _, _ = setup
+    with LoopbackServer(RaggedEmbedBatch(spec, scenes)) as url:
+        body = {"request_id": "r", "image_id": scenes[0].scene_id, "texts": [["obj00"]] * 2}
+        resp = requests.post(f"{url}/v1/embed", json=body, timeout=10)
+        assert resp.status_code == 500
+        assert resp.json()["error"].startswith("backend returned a malformed text embedding batch")
+        # a request the backend rejects keeps its 400
+        resp = requests.post(f"{url}/v1/embed", json={**body, "image_id": "nope"}, timeout=10)
+        assert resp.status_code == 400
+
+
 def test_connection_failure_raises_transport_error():
     # nothing listens on this port; keep retries tight
     remote = RemoteBackend("http://127.0.0.1:9", max_retries=1, backoff=0.01)

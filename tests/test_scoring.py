@@ -17,6 +17,7 @@ from genret import (
     SyntheticScene,
     UniformBackend,
     batch_rank,
+    caption_process,
     make_instances,
     parse_template,
     random_world,
@@ -34,9 +35,9 @@ from genret.errors import (
     NormalizationError,
     VocabularyError,
 )
-from genret.scoring import contrastive_loss, generative_loss
+from genret.scoring import _candidate_sentence, contrastive_loss, generative_loss
 
-from bruteforce import naive_text_embedding
+from bruteforce import naive_generative_loss, naive_text_embedding
 from test_world import exclusion_scene, tiny_world
 
 
@@ -298,12 +299,13 @@ def test_a_shared_bad_distribution_fails_at_its_first_prefix(case, good_root):
 
 
 def test_a_shared_distribution_is_checked_once(monkeypatch):
-    import genret.scoring as scoring
+    # the check lives in ScorerBackend's score_sentences adapter
+    import genret.backends.base as base
 
     calls = []
-    check = scoring._check_distribution
+    check = base._check_distribution
     monkeypatch.setattr(
-        scoring, "_check_distribution", lambda *a: calls.append(a[2]) or check(*a)
+        base, "_check_distribution", lambda *a: calls.append(a[2]) or check(*a)
     )
     loss = generative_loss(UniformBackend(["a", "b"]), "x", None, ("a", "b", "a"))
     assert loss.value == pytest.approx(3 * math.log(2))
@@ -316,6 +318,139 @@ def test_a_terminal_only_distribution_passes_the_check():
     backend = SharedDistribution(TokenDistribution({}, 1.0), has_terminal=True)
     with pytest.raises(VocabularyError, match="token 'a' missing from served distribution"):
         generative_loss(backend, "x", None, ("a",))
+
+
+class ServedScores(ScorerBackend):
+    """Scores its sentences itself: every position (0.5, 1.0), terminal
+    included, passed through `fault`; whole distributions are never asked."""
+
+    capabilities = Capabilities(has_terminal_token=True)
+
+    def __init__(self, fault=lambda rows: rows):
+        self.fault = fault
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        raise AssertionError("the engine asks for sentence scores only")
+
+    def score_sentences(self, image_id, region, sentences):
+        return self.fault([[(0.5, 1.0)] * (len(s) + 1) for s in sentences])
+
+
+def _set(rows, i, j, value):
+    rows[i] = list(rows[i])
+    rows[i][j] = value
+    return rows
+
+
+# sentences ("cat", "a") and ("cat", "b"): three positions each
+BAD_SCORES = {
+    "short_list": (lambda r: r[:-1], NormalizationError, "backend scored 1 sentences of 2"),
+    "extra_position": (
+        lambda r: [r[0] + [(0.5, 1.0)], r[1]], NormalizationError,
+        r"backend scored 4 positions of \['cat', 'a'\], expected 3",
+    ),
+    "missing_position": (
+        lambda r: [r[0], r[1][:1] + r[1][2:]], NormalizationError,
+        r"backend scored 2 positions of \['cat', 'b'\], expected 3",
+    ),
+    "missing_terminal": (
+        lambda r: [row[:-1] for row in r], NormalizationError,
+        r"backend scored 2 positions of \['cat', 'a'\], expected 3",
+    ),
+    "total_off": (
+        lambda r: _set(r, 1, 1, (0.5, 0.75)), NormalizationError,
+        r"distribution for prefix \['cat'\] sums to 0.750000000",
+    ),
+    "nan_total": (
+        lambda r: _set(r, 0, 2, (0.5, math.nan)), NormalizationError,
+        r"distribution for prefix \['cat', 'a'\] sums to nan",
+    ),
+    "negative_p": (
+        lambda r: _set(r, 0, 1, (-0.25, 1.0)), NormalizationError,
+        r"probability -0.25 for token 'a' at position 1 is outside \[0, 1.0\]",
+    ),
+    "p_above_total": (
+        lambda r: _set(r, 1, 0, (1.25, 1.0)), NormalizationError,
+        r"probability 1.25 for token 'cat' at position 0 is outside \[0, 1.0\]",
+    ),
+    "nan_p": (
+        lambda r: _set(r, 1, 2, (math.nan, 1.0)), NormalizationError,
+        r"probability nan for the terminal token is outside \[0, 1.0\]",
+    ),
+    "zero_p": (
+        lambda r: _set(r, 1, 1, (0.0, 1.0)), InfiniteLossError,
+        "zero probability for token 'b' at position 1",
+    ),
+    "not_a_pair": (
+        lambda r: _set(r, 0, 0, 0.5), NormalizationError,
+        r"backend returned malformed scores for \['cat', 'a'\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCORES)
+def test_each_sentence_position_is_checked(case):
+    fault, error, message = BAD_SCORES[case]
+    with pytest.raises(error, match=message):
+        rank_instance(
+            ServedScores(fault), nan_instance(("a", "b")), parse_template("{O} {A}"),
+            Method.GENERATIVE,
+        )
+
+
+def test_served_sentence_scores_within_tolerance_are_summed():
+    near = ServedScores(lambda r: _set(r, 0, 1, (0.5, 1.0 + 0.5e-6)))
+    scored = rank_instance(
+        near, nan_instance(("a", "b")), parse_template("{O} {A}"), Method.GENERATIVE
+    )
+    assert scored.scores == (3 * math.log(2),) * 2
+    assert scored.per_token == ((math.log(2),) * 3,) * 2
+
+
+class AdaptedOracle(OracleBackend):
+    """The oracle served through the base class's adapter over its whole
+    next-token distributions."""
+
+    score_sentences = ScorerBackend.score_sentences
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+@pytest.mark.parametrize("spec_text", ["{A} {O}", "{O} is {A}", "{A} {O} is {A}"])
+def test_oracle_sentence_scores_are_bit_identical_to_the_adapter(seed, spec_text):
+    spec = random_world(seed=seed, n_objects=10, n_attributes=30, attrs_per_object=5)
+    scenes = sample_scenes(spec, [3, 2, 3, 1])
+    walked, adapted = OracleBackend(spec, scenes), AdaptedOracle(spec, scenes)
+    template = parse_template(spec_text)
+    instances = make_instances(spec, scenes, 20, AnchorKind.OBJECT, seed=seed)
+    instances += make_instances(spec, scenes, 8, AnchorKind.ATTRIBUTE, seed=seed)
+    for inst in instances:
+        want = rank_instance(adapted, inst, template, Method.GENERATIVE)
+        got = rank_instance(walked, inst, template, Method.GENERATIVE)
+        assert _hex(got.scores) == _hex(want.scores)
+        assert [_hex(t) for t in got.per_token] == [_hex(t) for t in want.per_token]
+        sentences = [_candidate_sentence(inst, template, c) for c in inst.candidates]
+        for got_row, want_row in zip(
+            walked.score_sentences(inst.image_id, None, sentences),
+            adapted.score_sentences(inst.image_id, None, sentences),
+        ):
+            assert [_hex(pair) for pair in got_row] == [_hex(pair) for pair in want_row]
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_oracle_sentence_scores_match_the_caption_scan_at_smoothing_0(seed):
+    spec = random_world(seed=seed, n_objects=10, n_attributes=30, attrs_per_object=5)
+    scenes = sample_scenes(spec, [3, 2])
+    backend = OracleBackend(spec, scenes, smoothing=0.0)
+    for scene in scenes:
+        captions = caption_process(scene)
+        for caption in sorted(captions):
+            got = generative_loss(backend, scene.scene_id, None, caption).value
+            want = naive_generative_loss(captions, caption, spec.vocabulary(), 0.0)
+            assert got.hex() == want.hex()
 
 
 # -- contrastive loss ----------------------------------------------------
@@ -489,10 +624,10 @@ class SerialOnly(OracleBackend):
         with self._count_lock:
             self.in_flight -= 1
 
-    def next_token_distributions(self, image_id, region, prefixes):
+    def score_sentences(self, image_id, region, sentences):
         self._enter()
         try:
-            return super().next_token_distributions(image_id, region, prefixes)
+            return super().score_sentences(image_id, region, sentences)
         finally:
             self._leave()
 
@@ -570,7 +705,9 @@ def test_prefix_fetches_are_deduplicated(batch_setup):
 
     calls = []
 
-    class Counting:
+    class Counting(ScorerBackend):
+        # serves whole distributions only, so the engine reaches it through
+        # the base class's score_sentences adapter, which deduplicates
         capabilities = backend.capabilities
         vocabulary = backend.vocabulary
 
