@@ -48,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import Method
+from ..core import Method, RankingInstance
 from ..errors import ConfigurationError, NormalizationError, VocabularyError
 
 #: how far a distribution's total (or an embedding's norm) may be from 1
@@ -175,7 +175,15 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> 
 
 
 class SentenceScoreSource(ABC):
-    """Sentence-level scorer: returns (loss, per_token or None) directly."""
+    """Sentence-level scorer: returns recorded losses (and per_token rows)
+    directly, with no token-level work.  This is what cache replay speaks.
+
+    The scoring engine asks `instance_scores` once per instance.  Its
+    default reads each candidate through `sentence_score`, the one abstract
+    method, so a source that can only answer per candidate (a proxy that
+    counts lookups, say) implements nothing more; the score cache overrides
+    it with one lookup per instance.
+    """
 
     @abstractmethod
     def sentence_score(
@@ -188,3 +196,31 @@ class SentenceScoreSource(ABC):
         candidate: str,
     ) -> tuple[float, tuple[float, ...] | None]:
         ...
+
+    def instance_scores(
+        self, instance: RankingInstance, template_name: str, method: Method
+    ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...] | None]:
+        """The scores of `instance`'s candidates, in order, and their
+        per_token rows (see `scores_and_per_token`)."""
+        return scores_and_per_token(
+            [
+                self.sentence_score(
+                    instance.image_id, instance.region, instance.anchor,
+                    template_name, method, cand,
+                )
+                for cand in instance.candidates
+            ],
+            method,
+        )
+
+
+def scores_and_per_token(
+    entries: Sequence[tuple[float, tuple[float, ...] | None]], method: Method
+) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...] | None]:
+    """One instance's (loss, per_token row) entries as its scores and
+    per_token rows; the rows are None unless the method is generative and
+    every candidate has one."""
+    scores, rows = zip(*entries)
+    if Method(method) is Method.GENERATIVE and None not in rows:
+        return scores, rows
+    return scores, None

@@ -16,19 +16,34 @@ candidate) with a `candidate` string, a scalar `loss` and one `per_token`
 row (the dicts `scored_to_records` builds), is still read line by line,
 because recorded caches are the exact-replay contract; files of either
 form concatenate into one cache.  Every field of every line is checked on
-read, and a bad one is a SchemaError naming path:lineno.  A key recorded
-twice must carry the same values both times; a conflict is a SchemaError
-naming the key.
+read, and a bad one is a SchemaError naming path:lineno.  A number is
+checked by is_finite_number, so an integer literal too large for a float
+is a bad field; a list of numbers is first checked whole (its types and
+its float sum), and only a list that fails that is walked number by
+number, which names the bad value.  A key recorded twice must carry the
+same values both times; a conflict is a SchemaError naming the key.
+
+CachedScoreBackend keeps one table keyed by scored instance, (image_id,
+region, anchor, template_name, method), each entry mapping a candidate to
+its (loss, per_token row).  A per-instance line with a new key and
+distinct candidates goes in whole; per-candidate lines, repeated keys and
+a line naming a candidate twice merge candidate by candidate under the
+conflict rule.  Replay asks `instance_scores` once per instance.
+`sentence_score` reads the same table per candidate; it stays the
+abstract method of SentenceScoreSource because per-candidate sources
+(such as proxies that count each lookup) answer through it.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
 from ..core import Method, ScoredInstance, checked_region, is_finite_number, read_jsonl, write_jsonl
 from ..errors import CacheMissError, SchemaError
-from .base import SentenceScoreSource
+from .base import SentenceScoreSource, scores_and_per_token
 
 _KEY_FIELDS = ("image_id", "region", "anchor", "template_name", "method")
 _INSTANCE_FIELDS = frozenset(_KEY_FIELDS + ("candidates", "loss", "per_token"))
@@ -85,13 +100,43 @@ def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> Non
     write_jsonl(path, map(_line, scored))
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _all_finite(values: list) -> bool:
+    """The whole-list fast path of is_finite_number: True only when every
+    value is an int or a float that it accepts.  With only ints and floats,
+    a finite float sum means every value is (a NaN or an infinity carries
+    into the sum, and an int too large for a float raises OverflowError
+    there).  False may still be a good list, such as one whose sum
+    overflows; the per-number rule decides those."""
+    try:
+        return _NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values, 0.0))
+    except OverflowError:
+        return False
+
+
 def _numbers(value, field: str) -> list:
+    """`value`, once it is a list of numbers that is_finite_number accepts."""
     if not isinstance(value, list):
         raise SchemaError(f"{field} must be a list of numbers, got {type(value).__name__}")
-    if not all(map(is_finite_number, value)):
-        bad = next(v for v in value if not is_finite_number(v))
-        raise SchemaError(f"{field} entries must be finite numbers, got {bad!r}")
+    if not _all_finite(value):
+        for v in value:
+            if not is_finite_number(v):
+                raise SchemaError(f"{field} entries must be finite numbers, got {v!r}")
     return value
+
+
+def _per_token_rows(per, n: int) -> list:
+    """A per-instance line's per_token field as n row tuples (None each when
+    it is null), its numbers checked as one list when every row is a list."""
+    if per is None:
+        return [None] * n
+    if not isinstance(per, list) or len(per) != n:
+        raise SchemaError(f"per_token must be null or one list per candidate ({n})")
+    if set(map(type, per)) == {list} and _all_finite(list(chain.from_iterable(per))):
+        return list(map(tuple, per))
+    return [tuple(_numbers(row, "per_token row")) for row in per]
 
 
 def _cache_record(rec) -> _Line:
@@ -119,22 +164,17 @@ def _cache_record(rec) -> _Line:
         n = len(candidates)
         if len(_numbers(loss, "loss")) != n:
             raise SchemaError(f"{len(loss)} losses for {n} candidates")
-        if per is None:
-            rows = [None] * n
-        elif not isinstance(per, list) or len(per) != n:
-            raise SchemaError(f"per_token must be null or one list per candidate ({n})")
-        else:
-            rows = [tuple(_numbers(row, "per_token row")) for row in per]
+        rows = _per_token_rows(per, n)
     else:
         candidates = [rec["candidate"]]
         if not is_finite_number(loss):
             raise SchemaError(f"loss must be a finite number, got {loss!r}")
         loss = [loss]
         rows = [tuple(_numbers(per, "per_token")) if per is not None else None]
-    if not all(isinstance(c, str) for c in candidates):
+    if not all(map(isinstance, candidates, repeat(str))):
         bad = next(c for c in candidates if not isinstance(c, str))
         raise SchemaError(f"candidates must be strings, got {bad!r}")
-    return key, candidates, [float(x) for x in loss], rows
+    return key, candidates, list(map(float, loss)), rows
 
 
 def read_score_cache(path: str | Path) -> list[dict]:
@@ -143,12 +183,13 @@ def read_score_cache(path: str | Path) -> list[dict]:
 
 
 class CachedScoreBackend(SentenceScoreSource):
-    """Replays previously computed sentence scores, query for query."""
+    """Replays previously computed scores, one lookup per instance."""
 
     def __init__(self, records: Iterable[dict] = ()):
         """`records` are cache lines of either form, each checked."""
-        self._table: dict[tuple, tuple[float, tuple[float, ...] | None]] = {}
-        self._combos: set[tuple[str, str]] = set()
+        # (image_id, region, anchor, template_name, method) ->
+        #     {candidate: (loss, per_token row or None)}
+        self._table: dict[tuple, dict[str, tuple[float, tuple[float, ...] | None]]] = {}
         self._add(map(_cache_record, records))
 
     @classmethod
@@ -162,19 +203,26 @@ class CachedScoreBackend(SentenceScoreSource):
         return cache
 
     def _add(self, lines: Iterable[_Line]) -> None:
-        """Index checked lines.  A key recorded again must carry the same
-        loss and per_token: an identical repeat (a run concatenated twice)
-        is harmless, a conflicting one is a SchemaError."""
-        setdefault = self._table.setdefault
+        """Index checked lines.  A line whose key is new and whose
+        candidates are distinct goes in whole; otherwise it merges candidate
+        by candidate.  A candidate recorded again must carry the same loss
+        and per_token: an identical repeat (a run concatenated twice) is
+        harmless, a conflicting one is a SchemaError."""
+        table = self._table
         for key, candidates, losses, rows in lines:
-            self._combos.add((key[4], key[3]))
-            for cand, loss, per in zip(candidates, losses, rows):
-                entry = (loss, per)
-                kept = setdefault(key + (cand,), entry)
+            entries = table.setdefault(key, {})
+            if not entries:
+                entries.update(zip(candidates, zip(losses, rows)))
+                if len(entries) == len(candidates):
+                    continue
+                entries.clear()  # a candidate named twice: check the repeat
+            setdefault = entries.setdefault
+            for cand, entry in zip(candidates, zip(losses, rows)):
+                kept = setdefault(cand, entry)
                 if kept is not entry and kept != entry:
                     image_id, region, anchor, template_name, method = key
                     what = (
-                        f"loss {kept[0]!r} and {loss!r}" if kept[0] != loss
+                        f"loss {kept[0]!r} and {entry[0]!r}" if kept[0] != entry[0]
                         else "two different per_token rows"
                     )
                     raise SchemaError(
@@ -184,11 +232,24 @@ class CachedScoreBackend(SentenceScoreSource):
                     )
 
     def __len__(self) -> int:
-        return len(self._table)
+        """The number of (instance, candidate) entries."""
+        return sum(map(len, self._table.values()))
 
     def combos(self) -> set[tuple[Method, str]]:
         """All (method, template_name) pairs this cache holds."""
-        return {(Method(m), t) for m, t in self._combos}
+        return {(Method(method), template_name) for *_, template_name, method in self._table}
+
+    def instance_scores(self, instance, template_name, method):
+        key = (
+            instance.image_id, instance.region, instance.anchor,
+            template_name, Method(method).value,
+        )
+        entries = self._table.get(key, {})
+        try:
+            found = [entries[cand] for cand in instance.candidates]
+        except KeyError as exc:
+            raise _miss(key, exc.args[0]) from None
+        return scores_and_per_token(found, method)
 
     def sentence_score(self, image_id, region, anchor, template_name, method, candidate):
         key = (
@@ -197,13 +258,16 @@ class CachedScoreBackend(SentenceScoreSource):
             anchor,
             template_name,
             Method(method).value,
-            candidate,
         )
         try:
-            return self._table[key]
+            return self._table[key][candidate]
         except KeyError:
-            raise CacheMissError(
-                f"no cached score for image={image_id!r} anchor={anchor!r} "
-                f"template={template_name!r} method={Method(method).value} "
-                f"candidate={candidate!r}"
-            ) from None
+            raise _miss(key, candidate) from None
+
+
+def _miss(key: tuple, candidate: str) -> CacheMissError:
+    image_id, _, anchor, template_name, method = key
+    return CacheMissError(
+        f"no cached score for image={image_id!r} anchor={anchor!r} "
+        f"template={template_name!r} method={method} candidate={candidate!r}"
+    )

@@ -11,8 +11,9 @@ of its sentences; a request naming no image embeds each sentence in
 neither null nor 4 finite numbers among them) and requests the
 backend rejects (an embed request to a backend without a contrastive side
 among them) get 400.  A fault of the backend itself gets 500: any other
-exception it raises, and an embedding it returns that is not a numeric
-array (ragged or non-numeric rows), whose message names that output.
+exception it raises, an embedding it returns that is not a numeric array
+(ragged or non-numeric rows), and an answer JSON cannot encode (such as
+Fraction probabilities); the message names that output.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -46,7 +47,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _reply(self, status: int, payload: dict):
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload).encode("utf-8")
+        except (TypeError, ValueError) as exc:
+            # only a backend's answer can hold what JSON cannot encode
+            status = 500
+            error = f"backend returned output JSON cannot encode: {exc}"
+            body = json.dumps({"error": error}).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

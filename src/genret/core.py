@@ -44,16 +44,25 @@ def normalize_word(word: str) -> str:
     return norm
 
 
+#: the least int that float() cannot convert: it rounds past the largest float
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
 def is_finite_number(value: object) -> bool:
-    """True for an int or a finite float; a bool is not a number here."""
+    """True for a real number that converts to a finite float.  A bool is
+    not a number here, nor an int too large for a float (a JSON integer
+    literal may have any length)."""
     # exact-type fast paths for what JSON decodes to; the ABC check is slow
     if type(value) is float:
         return math.isfinite(value)
     if type(value) is int:
-        return True
+        return -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def checked_region(region: object) -> tuple[float, float, float, float] | None:
@@ -277,13 +286,13 @@ class ScoredInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
         if len(self.scores) != len(self.instance.candidates):
             raise SchemaError("one score per candidate required")
-        if not all(math.isfinite(s) for s in self.scores):
+        if not all(map(math.isfinite, self.scores)):
             raise SchemaError("scores must be finite")
         if self.per_token is not None:
-            per = tuple(tuple(float(x) for x in row) for row in self.per_token)
+            per = tuple(tuple(map(float, row)) for row in self.per_token)
             object.__setattr__(self, "per_token", per)
             if len(per) != len(self.scores):
                 raise SchemaError("one per_token row per candidate required")

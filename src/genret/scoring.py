@@ -272,9 +272,11 @@ def rank_instance(
 
     The template must contain the slot of the ranked kind (attribute slot
     for object anchors and vice versa).  A SentenceScoreSource (cache
-    replay) is consulted by key and returns scores exactly as recorded,
-    length_normalize included; token-level backends compute fresh.
-    length_normalize applies to generative scoring only.
+    replay) is asked once per instance, by `instance_scores`, and returns
+    the scores exactly as recorded, length_normalize included, with the
+    per_token rows when every candidate's generative row was recorded;
+    token-level backends compute fresh.  length_normalize applies to
+    generative scoring only.
     """
     method = Method(method)
     _check_length_normalize(method, length_normalize)
@@ -289,16 +291,7 @@ def rank_instance(
 
     per_token = None
     if isinstance(backend, SentenceScoreSource):
-        rows = [
-            backend.sentence_score(
-                instance.image_id, instance.region, instance.anchor,
-                template.name, method, cand,
-            )
-            for cand in instance.candidates
-        ]
-        scores = [loss for loss, _ in rows]
-        if method is Method.GENERATIVE and all(per is not None for _, per in rows):
-            per_token = tuple(per for _, per in rows)
+        scores, per_token = backend.instance_scores(instance, template.name, method)
     else:
         sentences = [_candidate_sentence(instance, template, c) for c in instance.candidates]
         if method is Method.GENERATIVE:

@@ -11,6 +11,8 @@ from genret import (
     Method,
     OracleBackend,
     RankingInstance,
+    ScoredInstance,
+    SentenceScoreSource,
     SyntheticScene,
     UniformBackend,
     caption_process,
@@ -23,7 +25,7 @@ from genret import (
     scored_to_records,
     write_score_cache,
 )
-from genret.core import write_jsonl
+from genret.core import is_finite_number, write_jsonl
 from genret.errors import CacheMissError, SchemaError, UnknownImageError, VocabularyError
 from genret.scoring import generative_loss
 
@@ -428,3 +430,182 @@ def test_scored_to_records_carries_anchor_and_region():
     assert rec["anchor"] == scored[0].instance.anchor
     assert rec["region"] == list(scored[0].instance.region)
     assert rec["method"] == "generative"
+
+
+# -- the instance table --------------------------------------------------
+
+
+def test_interleaved_v1_lines_replay_like_their_v2_rewrite(tmp_path):
+    instances, template, scored = scored_fixture()
+    per_instance = [scored_to_records(s) for s in scored]
+    # candidate j of every instance before candidate j + 1 of any
+    interleaved = [recs[j] for j in range(len(per_instance[0])) for recs in per_instance]
+    assert len(interleaved) == sum(map(len, per_instance))
+    v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+    write_jsonl(v1, interleaved)
+    write_score_cache(v2, scored)
+    replays = [
+        [rank_instance(CachedScoreBackend.from_file(p), i, template, Method.GENERATIVE)
+         for i in instances]
+        for p in (v1, v2)
+    ]
+    assert replays[0] == replays[1] == scored
+
+
+def _one_line(scored: ScoredInstance, **changes) -> dict:
+    """The per-instance cache line of a generative `scored`, fields replaced
+    by `changes`."""
+    inst = scored.instance
+    return {
+        "image_id": inst.image_id,
+        "region": list(inst.region),
+        "anchor": inst.anchor,
+        "template_name": scored.template_name,
+        "method": scored.method.value,
+        "candidates": list(inst.candidates),
+        "loss": list(scored.scores),
+        "per_token": [list(row) for row in scored.per_token],
+        **changes,
+    }
+
+
+def test_a_v2_line_naming_a_candidate_twice_is_checked_like_two_lines():
+    _, _, scored = scored_fixture()
+    line = _one_line(scored[0])
+    first, loss, row = line["candidates"][0], line["loss"][0], line["per_token"][0]
+    twice = {
+        **line,
+        "candidates": line["candidates"] + [first],
+        "loss": line["loss"] + [loss + 5],
+        "per_token": line["per_token"] + [row],
+    }
+    with pytest.raises(SchemaError, match=f"^conflicting records .*candidate={first!r}: loss"):
+        CachedScoreBackend([twice])
+    other_row = {**twice, "loss": line["loss"] + [loss], "per_token": line["per_token"] + [row + [0.5]]}
+    with pytest.raises(SchemaError, match="two different per_token rows"):
+        CachedScoreBackend([other_row])
+    same = CachedScoreBackend([{**twice, "loss": line["loss"] + [loss]}])
+    assert len(same) == len(line["candidates"])
+    assert same.sentence_score(
+        scored[0].instance.image_id, scored[0].instance.region, scored[0].instance.anchor,
+        line["template_name"], Method.GENERATIVE, first,
+    ) == (loss, tuple(row))
+
+
+def test_len_counts_candidate_entries_across_merged_lines():
+    _, _, scored = scored_fixture()
+    a, b = scored[0], scored[1]
+    n_a, n_b = len(a.instance.candidates), len(b.instance.candidates)
+    half = _one_line(a, candidates=list(a.instance.candidates[:2]), loss=list(a.scores[:2]),
+                     per_token=[list(r) for r in a.per_token[:2]])
+    cache = CachedScoreBackend([half, _one_line(b), _one_line(a)])
+    assert len(cache) == n_a + n_b
+
+
+def test_instance_scores_miss_names_the_first_missing_candidate():
+    _, template, scored = scored_fixture()
+    inst = scored[0].instance
+    cands = inst.candidates
+    empty = CachedScoreBackend()
+    with pytest.raises(CacheMissError) as absent:
+        empty.instance_scores(inst, template.name, Method.GENERATIVE)
+    assert str(absent.value) == (
+        f"no cached score for image={inst.image_id!r} anchor={inst.anchor!r} "
+        f"template={template.name!r} method=generative candidate={cands[0]!r}"
+    )
+    # the key holds candidates 0 and 2 only: candidate 1 is the first missing
+    partial = CachedScoreBackend([
+        _one_line(scored[0], candidates=[cands[0], cands[2]],
+                  loss=[scored[0].scores[0], scored[0].scores[2]],
+                  per_token=[list(scored[0].per_token[0]), list(scored[0].per_token[2])]),
+    ])
+    with pytest.raises(CacheMissError, match=f"candidate={cands[1]!r}$"):
+        partial.instance_scores(inst, template.name, Method.GENERATIVE)
+    with pytest.raises(CacheMissError, match="method=contrastive"):
+        CachedScoreBackend(scored_to_records(scored[0])).instance_scores(
+            inst, template.name, Method.CONTRASTIVE
+        )
+
+
+def test_rank_instance_asks_the_cache_once_per_instance(monkeypatch):
+    instances, template, scored = scored_fixture()
+    cache = CachedScoreBackend(map(_one_line, scored))
+    asked = []
+    real = CachedScoreBackend.instance_scores
+
+    def counted(self, instance, template_name, method):
+        asked.append(instance)
+        return real(self, instance, template_name, method)
+
+    def refused(self, *key):
+        raise AssertionError("sentence_score called during replay")
+
+    monkeypatch.setattr(CachedScoreBackend, "instance_scores", counted)
+    monkeypatch.setattr(CachedScoreBackend, "sentence_score", refused)
+    assert [rank_instance(cache, i, template, Method.GENERATIVE) for i in instances] == scored
+    assert asked == list(instances)
+
+
+def test_the_default_instance_scores_reads_each_candidate_through_sentence_score():
+    instances, template, scored = scored_fixture()
+    cache = CachedScoreBackend(map(_one_line, scored))
+    keys = []
+
+    class PerCandidate(SentenceScoreSource):
+        def sentence_score(self, *key):
+            keys.append(key)
+            return cache.sentence_score(*key)
+
+    source = PerCandidate()
+    assert [rank_instance(source, i, template, Method.GENERATIVE) for i in instances] == scored
+    assert len(keys) == sum(len(i.candidates) for i in instances)
+
+
+def _per_number_rule(values, field):
+    """The per-number rule that the whole-list fast path must agree with:
+    the message for the first value is_finite_number rejects, else None."""
+    for v in values:
+        if not is_finite_number(v):
+            return f"{field} entries must be finite numbers, got {v!r}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([True], id="bool"),
+        pytest.param([float("nan")], id="nan"),
+        pytest.param([float("inf")], id="inf"),
+        pytest.param([1.0, float("-inf")], id="minus-inf-second"),
+        pytest.param(["1.0"], id="string"),
+        pytest.param([None], id="null"),
+        pytest.param([[1.0]], id="nested-list"),
+        pytest.param([], id="empty"),
+        pytest.param([1e308, 1e308], id="finite-sum-overflows"),
+        pytest.param([1, 2.5, -3], id="mixed-int-float"),
+        pytest.param([10**400], id="int-too-big"),
+        pytest.param([10**400, -(10**400), 1.0], id="too-big-ints-cancel"),
+    ],
+)
+def test_whole_list_number_checks_agree_with_the_per_number_rule(values):
+    _, _, scored = scored_fixture()
+    n = max(len(values), 1)
+    cands = list(scored[0].instance.candidates[:n])
+    loss_line = _one_line(scored[0], candidates=cands, loss=values,
+                          per_token=[[0.5]] * n)
+    expected = _per_number_rule(values, "loss")
+    if expected is None and len(values) != n:
+        expected = f"{len(values)} losses for {n} candidates"
+    row_line = _one_line(scored[0], candidates=cands[:1], loss=[0.5], per_token=[values])
+    v1_line = {**scored_to_records(scored[0])[0], "per_token": values}
+    for line, message in (
+        (loss_line, expected),
+        (row_line, _per_number_rule(values, "per_token row")),
+        (v1_line, _per_number_rule(values, "per_token")),
+    ):
+        if message is None:
+            CachedScoreBackend([line])
+        else:
+            with pytest.raises(SchemaError) as err:
+                CachedScoreBackend([line])
+            assert str(err.value) == message

@@ -552,17 +552,26 @@ def _set_first(field, value):
     return mutate
 
 
+def _set_first_token(value):
+    def mutate(rec):
+        rec["per_token"][0][0] = value
+    return mutate
+
+
 def _drop_last_loss(rec):
     rec["loss"] = rec["loss"][:-1]
 
 
 NAN = float("nan")
+TOO_BIG = 10**400  # a JSON integer literal no float can hold
 # name -> (mutation of a per-candidate line, mutation of a per-instance line)
 BAD_CACHE_LINES = {
     "loss-string": (_set("loss", "abc"), _set("loss", "abc")),
     "loss-entry-string": (None, _set_first("loss", "abc")),
     "loss-null": (_set("loss", None), _set("loss", None)),
     "loss-nan": (_set("loss", NAN), _set_first("loss", NAN)),
+    "loss-too-big-int": (_set("loss", TOO_BIG), _set_first("loss", TOO_BIG)),
+    "per-token-too-big-int": (_set_first("per_token", TOO_BIG), _set_first_token(TOO_BIG)),
     "per-token-string": (_set("per_token", "xy"), _set("per_token", "xy")),
     "per-token-int": (_set("per_token", 5), _set("per_token", 5)),
     "per-token-row-string": (None, _set_first("per_token", "xy")),

@@ -85,6 +85,16 @@ def test_is_finite_number_answers_as_before(value, expected):
     assert _abc_is_finite_number(value) is expected
 
 
+def test_is_finite_number_rejects_ints_no_float_can_hold():
+    limit = 2**1024 - 2**970  # float() rounds this and beyond past the largest float
+    for n in (limit - 1, 1 - limit):
+        assert is_finite_number(n) and math.isfinite(float(n))
+    for n in (limit, -limit, 10**400, Fraction(10**400)):
+        assert not is_finite_number(n)
+        with pytest.raises(OverflowError):
+            float(n)
+
+
 # -- templates -----------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from genret import (
     OracleBackend,
     RankingInstance,
     RemoteBackend,
+    TokenDistribution,
     UniformBackend,
     make_instances,
     parse_template,
@@ -432,6 +434,34 @@ def test_backend_crash_gets_500_naming_the_exception():
         )
         assert resp.status_code == 500
         assert resp.json()["error"] == "RuntimeError: boom"
+
+
+class FractionBackend(UniformBackend):
+    """A uniform backend serving its probabilities as Fractions."""
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        dists = super().next_token_distributions(image_id, region, prefixes)
+        return [
+            TokenDistribution({t: Fraction(p) for t, p in d.probs.items()}) for d in dists
+        ]
+
+
+def test_backend_answer_json_cannot_encode_gets_500_naming_the_backend_output():
+    body = {"request_id": "r", "image_id": "x", "queries": [{"prefix": []}]}
+    with LoopbackServer(FractionBackend(["a", "b"])) as url:
+        resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
+        assert resp.status_code == 500
+        assert resp.json()["error"] == (
+            "backend returned output JSON cannot encode: "
+            "Object of type Fraction is not JSON serializable"
+        )
+    # a valid answer keeps its bytes
+    with LoopbackServer(UniformBackend(["a", "b"])) as url:
+        resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
+        assert resp.status_code == 200
+        assert resp.content == (
+            b'{"request_id": "r", "results": [{"probs": {"a": 0.5, "b": 0.5}}]}'
+        )
 
 
 class RaggedEmbedBatch(OracleBackend):
