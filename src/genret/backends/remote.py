@@ -26,19 +26,24 @@ and its `texts` decode into one (n, d) array; empty or unequal-length text
 vectors are a TransportError.  `embed_image` and `embed_text` are
 single-item requests of the same form.
 The caller's threads (batch_rank's `parallelism`) bound requests in flight.
+
+`requests` is imported when a RemoteBackend is built, so a command that
+never builds one does not pay for importing it.
 """
 
 from __future__ import annotations
 
 import time
 import uuid
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import requests
 
 from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
+
+if TYPE_CHECKING:
+    import requests
 
 
 class RemoteBackend(ScorerBackend):
@@ -51,6 +56,8 @@ class RemoteBackend(ScorerBackend):
         backoff: float = 0.25,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.endpoint = endpoint.rstrip("/")
         self.capabilities = capabilities
         self.timeout = timeout
@@ -61,6 +68,8 @@ class RemoteBackend(ScorerBackend):
     # -- transport -----------------------------------------------------
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests  # already imported by __init__
+
         url = f"{self.endpoint}{path}"
         delay = self.backoff
         last_error: str = "no attempts made"

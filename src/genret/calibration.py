@@ -9,7 +9,10 @@ probability; L = mu_c lands exactly on 0.5.  The pairs are fit by plain
 gradient descent on binary cross-entropy over (mu, log sigma), with the
 learning rate decayed linearly to zero and decoupled weight decay.  This
 table is the entire trainable surface of the package; there is no backbone
-behind it, so fitting it is cheap and exactly reproducible.
+behind it, so fitting it is cheap and exactly reproducible.  A full batch
+(no batch size, or one at least the number of labeled examples) is every
+example in file order at every step, with no random draws; smaller batches
+come from a seeded shuffle.
 
 Defaults record the reference schedule: lr 1e-5, weight decay 0.01, batch
 size 4, init mu -15.0 and sigma 0.5.  Desk-scale fits want a larger lr and
@@ -19,7 +22,9 @@ fewer steps; the config is explicit so both uses stay honest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -111,8 +116,15 @@ def read_table(path: str | Path) -> CalibrationTable:
     return read_json(path, _table_from_raw)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
+    """Settings of one fit; a field outside its domain is a ParameterError
+    naming the field."""
+
     learning_rate: float = 1e-5
     weight_decay: float = 0.01
     batch_size: int | None = 4  # None runs full-batch steps
@@ -120,6 +132,24 @@ class FitConfig:
     seed: int = 0
     init_mu: float = -15.0
     init_sigma: float = 0.5
+
+    def __post_init__(self):
+        def require(name: str, ok: bool, domain: str) -> None:
+            if not ok:
+                raise ParameterError(f"{name} must be {domain}, got {getattr(self, name)!r}")
+
+        lr, wd, bs = self.learning_rate, self.weight_decay, self.batch_size
+        require("learning_rate", is_finite_number(lr) and lr >= 0, "a finite number >= 0")
+        require("weight_decay", is_finite_number(wd) and wd >= 0, "a finite number >= 0")
+        require("batch_size", bs is None or (_is_int(bs) and bs >= 1), "None or an int >= 1")
+        require("max_steps", _is_int(self.max_steps) and self.max_steps >= 0, "an int >= 0")
+        require("seed", _is_int(self.seed) and self.seed >= 0, "an int >= 0")
+        require("init_mu", is_finite_number(self.init_mu), "a finite number")
+        require(
+            "init_sigma",
+            is_finite_number(self.init_sigma) and self.init_sigma > 0,
+            "a finite number > 0",
+        )
 
 
 @dataclass
@@ -155,10 +185,9 @@ def bce_and_grads(
     p = _sigmoid(z)
     dz = p - labels
     n = len(losses)
-    grad_mu = np.zeros_like(mu)
-    grad_ls = np.zeros_like(log_sigma)
-    np.add.at(grad_mu, cls_idx, dz / sigma / n)
-    np.add.at(grad_ls, cls_idx, -z * dz / n)
+    # bincount adds each class's terms in index order, as np.add.at would
+    grad_mu = np.bincount(cls_idx, dz / sigma / n, minlength=len(mu))
+    grad_ls = np.bincount(cls_idx, -z * dz / n, minlength=len(log_sigma))
     return float(per.mean()), grad_mu, grad_ls
 
 
@@ -176,6 +205,25 @@ def _collect(scored: Sequence[ScoredInstance], classes: dict[str, int]):
     )
 
 
+def _batches(arrays: tuple[np.ndarray, ...], batch_size: int | None, seed: int):
+    """Endless training batches over aligned example arrays.
+
+    A batch as large as the set is the arrays themselves, in file order,
+    with no draws.  A smaller one takes the next slice of a seeded
+    permutation, drawn again when the current one has no full slice left,
+    and sorted so the summation order is fixed.
+    """
+    n = len(arrays[0])
+    if batch_size is None or batch_size >= n:
+        yield from repeat(arrays)
+    rng = np.random.default_rng(seed)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - batch_size + 1, batch_size):
+            take = np.sort(order[start : start + batch_size])
+            yield tuple(a[take] for a in arrays)
+
+
 def fit(
     scored: Sequence[ScoredInstance],
     config: FitConfig = FitConfig(),
@@ -185,7 +233,8 @@ def fit(
 
     The table covers every candidate class encountered, including classes
     whose candidates were all unlabeled; those keep their init values.
-    Batches are drawn from a seeded shuffle, so the fit is deterministic.
+    A full batch is every labeled example in file order, with no draws;
+    smaller batches come from a seeded shuffle, so the fit is deterministic.
     Divergence (non-finite loss or parameters) raises OptimizationError
     naming the step.
     """
@@ -205,21 +254,10 @@ def fit(
 
     mu = np.full(len(words), config.init_mu, dtype=float)
     log_sigma = np.full(len(words), math.log(config.init_sigma), dtype=float)
-    rng = np.random.default_rng(config.seed)
     history = FitHistory()
-    n = len(losses)
-    batch = n if config.batch_size is None else min(config.batch_size, n)
-    order = np.array([], dtype=int)
-    cursor = 0
-    for step in range(config.max_steps):
-        if cursor + batch > len(order):
-            order = rng.permutation(n)
-            cursor = 0
-        take = np.sort(order[cursor : cursor + batch])  # fixed summation order
-        cursor += batch
-        loss, grad_mu, grad_ls = bce_and_grads(
-            mu, log_sigma, cls_idx[take], losses[take], labels[take]
-        )
+    batches = _batches((cls_idx, losses, labels), config.batch_size, config.seed)
+    for step, batch in zip(range(config.max_steps), batches):
+        loss, grad_mu, grad_ls = bce_and_grads(mu, log_sigma, *batch)
         if not math.isfinite(loss):
             raise OptimizationError(step, f"training loss became {loss}")
         lr = config.learning_rate * (1.0 - step / config.max_steps)

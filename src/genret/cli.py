@@ -15,6 +15,10 @@ Typical run, start to finish:
     genret report --instances run/data/instances.jsonl \
         --cache run/gen/scores.jsonl --out run/cmp
 
+calibrate's --val-instances and --val-cache add a validation loss column;
+--val-cache may name the --cache file (one merged cache holding both
+splits), which is then read once.
+
 Every command takes --out DIR and writes its resolved options there as
 config.json.  A single --seed funnels all randomness, every library writer
 writes atomically (core.atomic_write: temp file, then rename), and nothing
@@ -125,10 +129,8 @@ def _resolve_combo(
 
 
 def _replay(
-    instances_path: str, cache_path: str, method_arg: str | None, template_arg: str | None
+    instances: list, cache: CachedScoreBackend, method_arg: str | None, template_arg: str | None
 ) -> tuple[list[ScoredInstance], Method, Template]:
-    instances = read_instances(instances_path)
-    cache = CachedScoreBackend.from_file(cache_path)
     method, template = _resolve_combo(cache, method_arg, template_arg)
     scored = [rank_instance(cache, inst, template, method) for inst in instances]
     return scored, method, template
@@ -279,15 +281,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
-    scored, method, template = _replay(args.instances, args.cache, args.method, args.template)
-    validation = None
-    if (args.val_instances is None) != (args.val_cache is None):
-        raise ConfigurationError("--val-instances and --val-cache go together")
-    if args.val_instances is not None:
-        validation, _, _ = _replay(
-            args.val_instances, args.val_cache, method.value, template.name
-        )
     config = FitConfig(
         learning_rate=args.lr,
         weight_decay=args.weight_decay,
@@ -297,15 +290,24 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         init_mu=args.init_mu,
         init_sigma=args.init_sigma,
     )
+    out = _ensure_out(args.out)
+    instances = read_instances(args.instances)
+    cache = CachedScoreBackend.from_file(args.cache)
+    scored, method, template = _replay(instances, cache, args.method, args.template)
+    validation = None
+    if (args.val_instances is None) != (args.val_cache is None):
+        raise ConfigurationError("--val-instances and --val-cache go together")
+    if args.val_instances is not None:
+        val_instances = read_instances(args.val_instances)
+        same = Path(args.val_cache).resolve() == Path(args.cache).resolve()
+        val_cache = cache if same else CachedScoreBackend.from_file(args.val_cache)
+        validation, _, _ = _replay(val_instances, val_cache, method.value, template.name)
     table, history = fit(scored, config, validation=validation)
     write_table(out / "calibration.json", table)
     history.to_csv(out / "loss_curve.csv")
     _emit_config(out, args, {"method": method.value, "template": template.name})
-    last = history.train_loss[-1] if history.train_loss else float("nan")
-    print(
-        f"calibrated {len(table.classes)} classes, {args.steps} steps, "
-        f"final train loss {last:.6f} -> {out}"
-    )
+    loss = f", final train loss {history.train_loss[-1]:.6f}" if history.train_loss else ""
+    print(f"calibrated {len(table.classes)} classes, {args.steps} steps{loss} -> {out}")
     return 0
 
 
@@ -321,7 +323,9 @@ def _counts(raw) -> dict:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
-    scored, method, template = _replay(args.instances, args.cache, args.method, args.template)
+    instances = read_instances(args.instances)
+    cache = CachedScoreBackend.from_file(args.cache)
+    scored, method, template = _replay(instances, cache, args.method, args.template)
     probs = None
     thresholds = args.threshold or []
     if args.calibration:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar, Union
 
 from .errors import RenderError, SchemaError, TemplateSyntaxError
 
@@ -269,13 +269,19 @@ class RankingInstance:
         return out
 
 
+def ranking_order(scores: Sequence[float]) -> tuple[int, ...]:
+    """Candidate indices, best first: ascending score, index-stable ties."""
+    return tuple(sorted(range(len(scores)), key=lambda i: (scores[i], i)))
+
+
 @dataclass(frozen=True)
 class ScoredInstance:
     """A RankingInstance plus one score per candidate (lower is better).
 
     per_token holds the per-position loss terms for generative scoring
-    (None for contrastive).  Ranking order is ascending score with ties
-    broken by candidate index; see scoring.ranking_order.
+    (None for contrastive).  `order` is the ranking_order of the scores,
+    computed on first use and kept, so every metric of one instance shares
+    one sort.
     """
 
     instance: RankingInstance
@@ -296,6 +302,10 @@ class ScoredInstance:
             object.__setattr__(self, "per_token", per)
             if len(per) != len(self.scores):
                 raise SchemaError("one per_token row per candidate required")
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return ranking_order(self.scores)
 
 
 def instance_to_dict(inst: RankingInstance) -> dict:

@@ -111,4 +111,5 @@ class OptimizationError(GenretError):
 
 
 class ParameterError(GenretError):
-    """Calibration parameter out of its valid range."""
+    """A parameter given to the library lies outside its domain: a fit
+    setting, a calibration table's sigma, or a report threshold."""

@@ -1,8 +1,9 @@
 """Retrieval metrics over scored ranking instances.
 
-Unless a docstring says otherwise, ranks come from the engine's canonical
-order (ascending score, candidate-index ties), so every metric except
-balanced accuracy depends on scores only through that order.
+Unless a docstring says otherwise, ranks come from the canonical order
+(core.ranking_order: ascending score, candidate-index ties), so every
+metric except balanced accuracy depends on scores only through that order.
+Each ScoredInstance sorts once and keeps its order, which every metric reads.
 
 Candidate labeling: positives are labeled 1; with explicit negatives only
 those are labeled 0 and the rest stay unlabeled; without explicit negatives
@@ -16,9 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import ScoredInstance
-from .errors import MetricError
-from .scoring import ranking_order
+from .core import ScoredInstance, is_finite_number
+from .errors import MetricError, ParameterError
 
 BUCKETS = ("head", "medium", "tail")
 
@@ -63,7 +63,7 @@ def bucketize(
 
 def positive_ranks(scored: ScoredInstance) -> list[int]:
     """1-based rank of each positive, in ascending positive-index order."""
-    order = ranking_order(scored.scores)
+    order = scored.order
     rank_of = [0] * len(order)
     for pos, idx in enumerate(order):
         rank_of[idx] = pos + 1
@@ -208,7 +208,7 @@ def overall_f1_at_k(scored: Sequence[ScoredInstance], k: int) -> float:
         raise MetricError(f"k must be >= 1, got {k}")
     tp = predicted = actual = 0
     for s in scored:
-        top = ranking_order(s.scores)[:k]
+        top = s.order[:k]
         predicted += len(top)
         actual += len(s.instance.positives)
         tp += sum(1 for i in top if i in s.instance.positives)
@@ -313,8 +313,12 @@ def compute_report(
     """Assemble the full report; breakdowns appear when class_meta is given.
 
     A bucket's or type's mAP is the mean of its classes' APs, taken from the
-    same per-class table as the overall mAP.
+    same per-class table as the overall mAP.  Each threshold must be a
+    finite number in [0, 1], else ParameterError, with or without probs.
     """
+    for t in thresholds:
+        if not (is_finite_number(t) and 0 <= t <= 1):
+            raise ParameterError(f"threshold must be a finite number in [0, 1], got {t!r}")
     if not scored:
         raise MetricError("no scored instances")
     report_ma: dict[float, float] = {}

@@ -80,11 +80,6 @@ class ContrastiveLoss:
     value: float
 
 
-def ranking_order(scores: Sequence[float]) -> tuple[int, ...]:
-    """Candidate indices, best first: ascending score, index-stable ties."""
-    return tuple(sorted(range(len(scores)), key=lambda i: (scores[i], i)))
-
-
 def _checked_sentences(
     backend: ScorerBackend, sentences: Sequence[Sequence[str]]
 ) -> list[tuple[str, ...]]:

@@ -350,3 +350,138 @@ def test_fit_config_records_reference_defaults():
     assert config.batch_size == 4
     assert config.init_mu == -15.0
     assert config.init_sigma == 0.5
+
+
+# -- the fit loop against the reshuffling loop it replaced ----------------------
+
+
+def _reshuffling_fit(scored, config, validation=None):
+    """The fit loop as it was: a seeded permutation drawn whenever the
+    current one has no full batch left (so every step when the batch is the
+    whole set), each batch sorted and gathered, and gradients summed with
+    np.add.at.  Returns (mu, sigma, train losses, val losses)."""
+
+    def collect(batch, index):
+        rows = [
+            (index[s.instance.candidates[i]], s.scores[i], label)
+            for s in batch
+            for i, label in s.instance.labels().items()
+        ]
+        cls, loss, lab = zip(*rows)
+        return np.array(cls, dtype=int), np.array(loss, dtype=float), np.array(lab, dtype=float)
+
+    def bce(mu, log_sigma, cls_idx, losses, labels):
+        sigma = np.exp(log_sigma[cls_idx])
+        z = -(losses - mu[cls_idx]) / sigma
+        per = np.logaddexp(0.0, z) - labels * z
+        p = np.empty_like(z)  # the package's two-sided sigmoid, as numpy evaluates it
+        pos = z >= 0
+        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        p[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        dz = p - labels
+        n = len(losses)
+        grad_mu = np.zeros_like(mu)
+        grad_ls = np.zeros_like(log_sigma)
+        np.add.at(grad_mu, cls_idx, dz / sigma / n)
+        np.add.at(grad_ls, cls_idx, -z * dz / n)
+        return float(per.mean()), grad_mu, grad_ls
+
+    words = sorted({w for s in scored for w in s.instance.candidates})
+    index = {w: i for i, w in enumerate(words)}
+    cls_idx, losses, labels = collect(scored, index)
+    val = collect(validation, index) if validation is not None else None
+    mu = np.full(len(words), config.init_mu)
+    log_sigma = np.full(len(words), math.log(config.init_sigma))
+    rng = np.random.default_rng(config.seed)
+    n = len(losses)
+    batch = n if config.batch_size is None else min(config.batch_size, n)
+    order = np.array([], dtype=int)
+    cursor = 0
+    train_curve, val_curve = [], []
+    for step in range(config.max_steps):
+        if cursor + batch > len(order):
+            order = rng.permutation(n)
+            cursor = 0
+        take = np.sort(order[cursor : cursor + batch])
+        cursor += batch
+        loss, grad_mu, grad_ls = bce(mu, log_sigma, cls_idx[take], losses[take], labels[take])
+        lr = config.learning_rate * (1.0 - step / config.max_steps)
+        decay = 1.0 - lr * config.weight_decay
+        mu = mu * decay - lr * grad_mu
+        log_sigma = log_sigma * decay - lr * grad_ls
+        train_curve.append(loss)
+        val_curve.append(None if val is None else bce(mu, log_sigma, *val)[0])
+    return mu, np.exp(log_sigma), train_curve, val_curve
+
+
+def _shifted_batch():
+    # the separable batch's classes with other losses and explicit
+    # negatives, so validation rows differ from training rows
+    words = tuple(f"c{j}" for j in range(8))
+    return [
+        make_scored(
+            words, {i}, [0.7 * ((i + 3 * j) % 8) - 1.1 for j in range(8)],
+            negatives={(i + 1) % 8, (i + 5) % 8}, image_id=f"val{i}",
+        )
+        for i in range(8)
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [None, 64, 1000, 4])
+@pytest.mark.parametrize("with_validation", [False, True])
+def test_fit_equals_the_reshuffling_loop_exactly(batch_size, with_validation):
+    # 64 labeled examples: None, 64 and 1000 are full batches, which now use
+    # the arrays as they are; 4 keeps its seeded draws
+    batch = separable_batch()
+    validation = _shifted_batch() if with_validation else None
+    config = desk_config(
+        learning_rate=0.4, weight_decay=0.05, batch_size=batch_size, max_steps=90, seed=11
+    )
+    table, history = fit(batch, config, validation=validation)
+    mu, sigma, train_curve, val_curve = _reshuffling_fit(batch, config, validation)
+    assert sum(len(s.instance.labels()) for s in batch) == 64
+    assert list(table.mu) == list(mu)
+    assert list(table.sigma) == list(sigma)
+    assert history.train_loss == train_curve
+    assert history.val_loss == val_curve
+    assert (None in history.val_loss) != with_validation
+
+
+# -- FitConfig's domains ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_steps", -3),
+        ("max_steps", 2.5),
+        ("max_steps", True),
+        ("learning_rate", -0.3),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("weight_decay", -5.0),
+        ("weight_decay", math.nan),
+        ("init_sigma", 0.0),
+        ("init_sigma", -1.0),
+        ("init_sigma", math.inf),
+        ("init_mu", math.nan),
+        ("init_mu", -math.inf),
+        ("batch_size", 0),
+        ("batch_size", -4),
+        ("batch_size", 2.0),
+        ("seed", -1),
+    ],
+)
+def test_fit_config_rejects_a_value_outside_its_domain(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        desk_config(**{field: value})
+
+
+def test_fit_config_accepts_the_edges_of_its_domains():
+    config = desk_config(
+        learning_rate=0.0, weight_decay=0.0, max_steps=0, batch_size=1,
+        init_mu=-1e300, init_sigma=1e-300, seed=np.int64(2),
+    )
+    assert config.max_steps == 0
+    assert desk_config(batch_size=None).batch_size is None
+    assert desk_config(max_steps=np.int32(3)).max_steps == 3

@@ -333,6 +333,90 @@ def test_calibrate_val_flags_go_together(pipeline, tmp_path, capsys):
     assert "go together" in capsys.readouterr().err
 
 
+def _calibrate_on_merged(pipeline, out, val_cache, *extra):
+    return main(
+        [
+            "calibrate", "--out", str(out), "--instances", pipeline["instances"],
+            "--cache", str(pipeline["merged"]), "--method", "generative",
+            "--template", "{O} is {A}", "--lr", "0.3", "--steps", "40",
+            "--init-mu", "0", "--init-sigma", "1",
+            "--val-instances", pipeline["instances"], "--val-cache", str(val_cache),
+            *extra,
+        ]
+    )
+
+
+@pytest.mark.parametrize("batch_size", ["0", "4"])
+def test_calibrate_reads_a_cache_named_twice_once(pipeline, tmp_path, monkeypatch, batch_size):
+    from genret import cli
+
+    loads = []
+    real = cli.CachedScoreBackend
+
+    class Counting:
+        @staticmethod
+        def from_file(path):
+            loads.append(Path(path).name)
+            return real.from_file(path)
+
+    monkeypatch.setattr(cli, "CachedScoreBackend", Counting)
+    merged = pipeline["merged"]
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(merged.read_bytes())
+    same = merged.parent / ".." / merged.parent.name / merged.name  # another spelling
+    runs = {}
+    for name, val_cache in (("same", merged), ("spelled", same), ("copy", copy)):
+        loads.clear()
+        rc = _calibrate_on_merged(pipeline, tmp_path / name, val_cache, "--batch-size", batch_size)
+        assert rc == 0
+        runs[name] = list(loads)
+    assert runs == {
+        "same": ["scores.jsonl"],
+        "spelled": ["scores.jsonl"],
+        "copy": ["scores.jsonl", "copy.jsonl"],
+    }
+    for artifact in ("calibration.json", "loss_curve.csv"):
+        once = (tmp_path / "same" / artifact).read_bytes()
+        assert (tmp_path / "spelled" / artifact).read_bytes() == once
+        assert (tmp_path / "copy" / artifact).read_bytes() == once
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--steps", "-3", "max_steps"),
+        ("--init-sigma", "0", "init_sigma"),
+        ("--init-sigma", "-0.5", "init_sigma"),
+        ("--init-mu", "nan", "init_mu"),
+        ("--lr", "-0.3", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--weight-decay", "-5", "weight_decay"),
+        ("--seed", "-1", "seed"),
+    ],
+)
+def test_calibrate_rejects_a_fit_setting_outside_its_domain(
+    pipeline, tmp_path, capsys, flag, value, field
+):
+    out = tmp_path / "cal"
+    rc = _calibrate_on_merged(pipeline, out, pipeline["merged"], flag, value)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error[ParameterError]: {field} must be")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+def test_calibrate_zero_steps_writes_the_init_table(pipeline, tmp_path, capsys):
+    out = tmp_path / "cal"
+    rc = _calibrate_on_merged(pipeline, out, pipeline["merged"], "--steps", "0")
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert ", 0 steps -> " in printed and "nan" not in printed
+    assert (out / "loss_curve.csv").read_text() == "step,train_loss,val_loss\n"
+    table = read_table(out / "calibration.json")
+    assert set(table.mu) == {0.0} and set(table.sigma) == {1.0}
+
+
 # -- evaluate -------------------------------------------------------------------
 
 
@@ -373,6 +457,23 @@ def test_evaluate_with_calibration_and_buckets(pipeline, tmp_path):
     assert report.per_bucket
     config = json.loads((out / "config.json").read_text())
     assert config["options"]["threshold"] == [0.5]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "1.5"])
+def test_evaluate_rejects_a_threshold_outside_zero_one(pipeline, tmp_path, capsys, threshold):
+    rc = main(
+        [
+            "evaluate", "--out", str(tmp_path / "eval"), "--instances", pipeline["instances"],
+            "--cache", str(pipeline["gen"] / "scores.jsonl"),
+            "--calibration", str(pipeline["cal"] / "calibration.json"),
+            "--threshold", threshold,
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[ParameterError]: threshold must be")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 # -- report ---------------------------------------------------------------------

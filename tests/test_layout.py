@@ -1,6 +1,9 @@
 """Source layout rules that keep one decision in one module."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -137,3 +140,21 @@ def test_words_are_folded_only_where_they_enter():
         for scope in _uses_of("normalize_word", tree):
             found.setdefault(path.relative_to(PACKAGE).as_posix(), set()).add(scope)
     assert found == INGESTION_POINTS
+
+
+def test_importing_the_cli_leaves_requests_unimported():
+    # every command imports genret.cli; only a RemoteBackend needs requests,
+    # so building one is what imports it (checked in a fresh interpreter)
+    env = dict(os.environ)
+    src = str(PACKAGE.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    probe = (
+        "import sys, genret.cli; before = 'requests' in sys.modules; "
+        "genret.cli.RemoteBackend('http://127.0.0.1:9'); "
+        "print(before, 'requests' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -29,7 +29,7 @@ from genret import (
     overall_f1_at_k,
     positive_ranks,
 )
-from genret.errors import MetricError
+from genret.errors import MetricError, ParameterError
 
 VOCAB = [f"w{i:02d}" for i in range(24)]
 
@@ -402,3 +402,58 @@ def test_breakdowns_average_their_own_classes(report_inputs):
         aps = [ap for w, ap in class_aps.items() if meta[w].bucket == bucket]
         assert stats["mean_ap"] == pytest.approx(sum(aps) / len(aps), abs=1e-12)
     assert len({stats["mean_ap"] for stats in report.per_bucket.values()}) > 1
+
+
+# -- one ranking per instance ---------------------------------------------------
+
+
+def test_report_sorts_each_instance_once_and_matches_bruteforce(monkeypatch):
+    import genret.core
+
+    sorts = []
+    real = genret.core.ranking_order
+
+    def counting(scores):
+        sorts.append(tuple(scores))
+        return real(scores)
+
+    monkeypatch.setattr(genret.core, "ranking_order", counting)
+    rng = np.random.default_rng(16)
+    checked = 0
+    for _ in range(30):
+        scored, probs = random_scored(rng)
+        sorts.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                expected_ap = bf.naive_mean_ap(scored)
+            except ZeroDivisionError:
+                continue
+            report = compute_report(
+                scored, ks=(1, 5, 15), thresholds=(0.25, 0.5), probs=probs
+            )
+        assert sorted(sorts) == sorted(tuple(s.scores) for s in scored)
+        assert report.mean_rank == bf.naive_mean_rank(scored)
+        for k in (1, 5, 15):
+            assert report.mean_recall_at_k[k] == bf.naive_mean_recall_at_k(scored, k)
+            assert report.f1_at_k[k] == bf.naive_f1_at_k(scored, k)
+        assert report.mean_ap == pytest.approx(expected_ap, abs=1e-12)
+        checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0, 1.5, -1e-12, True, "0.5"])
+def test_report_rejects_a_threshold_outside_zero_one(report_inputs, threshold):
+    scored, probs, _ = report_inputs
+    with pytest.raises(ParameterError, match="threshold must be a finite number in"):
+        compute_report(scored, ks=(1,), thresholds=(0.5, threshold), probs=probs)
+    with pytest.raises(ParameterError):  # checked with or without probs
+        compute_report(scored, ks=(1,), thresholds=(threshold,))
+
+
+def test_report_accepts_the_ends_of_zero_one(report_inputs):
+    scored, probs, _ = report_inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = compute_report(scored, ks=(1,), thresholds=(0, 1.0), probs=probs)
+    assert set(report.mean_balanced_accuracy) == {0, 1.0}
