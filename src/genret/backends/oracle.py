@@ -10,9 +10,9 @@ mass extending p.  Multiplying the served values along a full caption
 (terminal step included) therefore recovers the caption's exact emission
 probability when smoothing is 0.
 
-Additive smoothing lifts every outcome by `smoothing` and renormalizes, so
-counterfactual sentences keep finite losses; a prefix no caption starts
-with gets the uniform floor distribution.
+Additive smoothing lifts every outcome by `smoothing` (a finite number >= 0)
+and renormalizes, so counterfactual sentences keep finite losses; a prefix
+no caption starts with gets the uniform floor distribution.
 
 Each probability is computed once.  A scene's caption trie is built on its
 first generative query (registration checks the scene and keeps its caption
@@ -47,6 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..core import check_parameter
 from ..errors import SchemaError, UnknownImageError, VocabularyError
 from ..world import SyntheticScene, WorldSpec, caption_process
 from .base import Capabilities, ScorerBackend, TokenDistribution
@@ -111,8 +112,7 @@ class OracleBackend(ScorerBackend):
         scenes: Iterable[SyntheticScene] = (),
         smoothing: float = 1e-6,
     ):
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        check_parameter("smoothing", smoothing, "a finite number >= 0")
         self.spec = spec
         self.smoothing = float(smoothing)
         self.vocab_order: tuple[str, ...] = spec.vocabulary()

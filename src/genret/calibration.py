@@ -22,7 +22,6 @@ fewer steps; the config is explicit so both uses stay honest.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -30,7 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoredInstance, atomic_write, is_finite_number, read_json, write_json
+from .core import (
+    ScoredInstance, atomic_write, check_parameter, is_finite_number, read_json, write_json
+)
 from .errors import CoverageError, OptimizationError, ParameterError, SchemaError
 
 
@@ -116,10 +117,6 @@ def read_table(path: str | Path) -> CalibrationTable:
     return read_json(path, _table_from_raw)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of one fit; a field outside its domain is a ParameterError
@@ -134,22 +131,14 @@ class FitConfig:
     init_sigma: float = 0.5
 
     def __post_init__(self):
-        def require(name: str, ok: bool, domain: str) -> None:
-            if not ok:
-                raise ParameterError(f"{name} must be {domain}, got {getattr(self, name)!r}")
-
-        lr, wd, bs = self.learning_rate, self.weight_decay, self.batch_size
-        require("learning_rate", is_finite_number(lr) and lr >= 0, "a finite number >= 0")
-        require("weight_decay", is_finite_number(wd) and wd >= 0, "a finite number >= 0")
-        require("batch_size", bs is None or (_is_int(bs) and bs >= 1), "None or an int >= 1")
-        require("max_steps", _is_int(self.max_steps) and self.max_steps >= 0, "an int >= 0")
-        require("seed", _is_int(self.seed) and self.seed >= 0, "an int >= 0")
-        require("init_mu", is_finite_number(self.init_mu), "a finite number")
-        require(
-            "init_sigma",
-            is_finite_number(self.init_sigma) and self.init_sigma > 0,
-            "a finite number > 0",
-        )
+        check_parameter("learning_rate", self.learning_rate, "a finite number >= 0")
+        check_parameter("weight_decay", self.weight_decay, "a finite number >= 0")
+        if self.batch_size is not None:
+            check_parameter("batch_size", self.batch_size, "an int >= 1")
+        check_parameter("max_steps", self.max_steps, "an int >= 0")
+        check_parameter("seed", self.seed, "an int >= 0")
+        check_parameter("init_mu", self.init_mu, "a finite number")
+        check_parameter("init_sigma", self.init_sigma, "a finite number > 0")
 
 
 @dataclass
@@ -165,6 +154,13 @@ class FitHistory:
                 fh.write(f"{s},{tr!r},{'' if vl is None else repr(vl)}\n")
 
 
+def _bce(mu, log_sigma, cls_idx, losses, labels) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean BCE softplus(z) - y z, z = -(L - mu) / sigma, with its sigma and z."""
+    sigma = np.exp(log_sigma[cls_idx])
+    z = -(losses - mu[cls_idx]) / sigma
+    return float((np.logaddexp(0.0, z) - labels * z).mean()), sigma, z
+
+
 def bce_and_grads(
     mu: np.ndarray,
     log_sigma: np.ndarray,
@@ -172,23 +168,16 @@ def bce_and_grads(
     losses: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean binary cross-entropy and its gradients w.r.t. (mu, log sigma).
-
-    With z = -(L - mu) / sigma the per-example loss is softplus(z) - y z,
-    so dloss/dmu = (p - y) / sigma and dloss/dlog_sigma = -z (p - y).
-    Weight decay is an optimizer behavior, not part of this loss.
-    """
-    sigma = np.exp(log_sigma[cls_idx])
-    diff = losses - mu[cls_idx]
-    z = -diff / sigma
-    per = np.logaddexp(0.0, z) - labels * z
-    p = _sigmoid(z)
-    dz = p - labels
+    """Mean binary cross-entropy (_bce) and its gradients w.r.t. (mu, log sigma),
+    dloss/dmu = (p - y) / sigma and dloss/dlog_sigma = -z (p - y).  Weight decay
+    is an optimizer behavior, not part of this loss."""
+    loss, sigma, z = _bce(mu, log_sigma, cls_idx, losses, labels)
+    dz = _sigmoid(z) - labels
     n = len(losses)
     # bincount adds each class's terms in index order, as np.add.at would
     grad_mu = np.bincount(cls_idx, dz / sigma / n, minlength=len(mu))
     grad_ls = np.bincount(cls_idx, -z * dz / n, minlength=len(log_sigma))
-    return float(per.mean()), grad_mu, grad_ls
+    return loss, grad_mu, grad_ls
 
 
 def _collect(scored: Sequence[ScoredInstance], classes: dict[str, int]):
@@ -224,6 +213,7 @@ def _batches(arrays: tuple[np.ndarray, ...], batch_size: int | None, seed: int):
             yield tuple(a[take] for a in arrays)
 
 
+@np.errstate(all="ignore")  # a diverging fit is an OptimizationError, not warnings
 def fit(
     scored: Sequence[ScoredInstance],
     config: FitConfig = FitConfig(),
@@ -268,7 +258,7 @@ def fit(
             raise OptimizationError(step, "parameters became non-finite")
         vl = None
         if val_arrays is not None:
-            vl, _, _ = bce_and_grads(mu, log_sigma, *val_arrays)
+            vl = _bce(mu, log_sigma, *val_arrays)[0]
         history.steps.append(step)
         history.train_loss.append(loss)
         history.val_loss.append(vl)

@@ -26,6 +26,8 @@ embeds a timestamp, so a rerun with equal inputs is byte-identical.
 
 Exit codes: 0 success, 1 pipeline error, 2 usage, 3 I/O, 4 bad input (schema
 or malformed JSON).  Failures print one line, `error[category]: detail`, to stderr.
+A numeric option outside its domain exits 1 with one line, `error[ParameterError]:
+<name> must be <domain>, got <value>`; argparse rejects only a non-number.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .core import (
     ScoredInstance,
     Template,
     atomic_write,
+    check_parameter,
     parse_template,
     read_instances,
     read_json,
@@ -140,7 +143,6 @@ def _replay(
 
 
 def _cmd_gen_world(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
     kind = AnchorKind(args.anchor_kind)
     spec = random_world(
         seed=args.seed,
@@ -148,6 +150,10 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
         n_attributes=args.attributes,
         attrs_per_object=args.attrs_per_object,
     )
+    check_parameter("scenes", args.scenes, "an int >= 0")
+    check_parameter("min_entities", args.min_entities, "an int >= 1")
+    check_parameter("max_entities - min_entities", args.max_entities - args.min_entities,
+                    "an int >= 0")
     rng = np.random.default_rng(stable_seed(args.seed, "entity-counts"))
     counts = [
         int(v)
@@ -155,6 +161,7 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
     ]
     scenes = sample_scenes(spec, counts)
     instances = make_instances(spec, scenes, args.candidates, kind, seed=args.seed)
+    out = _ensure_out(args.out)
     write_world(out / "world.json", spec)
     write_scenes(out / "scenes.jsonl", scenes)
     write_scene_graph(out / "scene_graph.json", scenes_to_records(scenes))
@@ -316,8 +323,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _counts(raw) -> dict:
     # type() rather than isinstance(): a bool is not a count
-    if not isinstance(raw, dict) or not all(type(c) is int for c in raw.values()):
-        raise SchemaError("counts must map words to integers")
+    if not isinstance(raw, dict) or not all(type(c) is int and c >= 0 for c in raw.values()):
+        raise SchemaError("counts must map words to integers >= 0")
     return raw
 
 
@@ -444,12 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seed_help: str | None = None) -> None:
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        if seed_help:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
 
     p = sub.add_parser("gen-world", help="sample a synthetic world, its scenes, and instances")
-    common(p)
+    common(p, "seeds the world, its scenes and the candidate shuffles")
     p.add_argument("--objects", type=int, default=20)
     p.add_argument("--attributes", type=int, default=60)
     p.add_argument("--attrs-per-object", type=int, default=5)
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_world)
 
     p = sub.add_parser("build-dataset", help="build ranking instances from a scene graph")
-    common(p)
+    common(p, "seeds the candidate shuffles")
     p.add_argument("--scene-graph", required=True, help="scene-graph JSON file")
     p.add_argument(
         "--mode",
@@ -483,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("score", help="score instances with a chosen backend")
-    common(p)
+    common(p, "unused: scoring draws nothing")
     p.add_argument("--instances", required=True)
     p.add_argument(
         "--backend", required=True, choices=["oracle", "uniform", "cached", "remote"]
@@ -511,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("calibrate", help="fit per-class probability calibration")
-    common(p)
+    common(p, "seeds the batch shuffles (a full batch draws nothing)")
     p.add_argument("--instances", required=True)
     p.add_argument("--cache", required=True, help="scores JSONL to fit on")
     p.add_argument("--method", choices=[m.value for m in Method], default=None)

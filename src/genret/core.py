@@ -29,7 +29,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar, Union
 
-from .errors import RenderError, SchemaError, TemplateSyntaxError
+from .errors import ParameterError, RenderError, SchemaError, TemplateSyntaxError
 
 _T = TypeVar("_T")
 
@@ -63,6 +63,26 @@ def is_finite_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+DOMAINS: dict[str, Callable[[object], bool]] = {
+    "an int >= 0": lambda v: _is_int(v) and v >= 0,
+    "an int >= 1": lambda v: _is_int(v) and v >= 1,
+    "a finite number": is_finite_number,
+    "a finite number >= 0": lambda v: is_finite_number(v) and v >= 0,
+    "a finite number > 0": lambda v: is_finite_number(v) and v > 0,
+    "a finite number in [0, 1]": lambda v: is_finite_number(v) and 0 <= v <= 1,
+}
+
+
+def check_parameter(name: str, value: object, domain: str) -> None:
+    """Raise ParameterError unless `value` lies in `domain`, a DOMAINS key."""
+    if not DOMAINS[domain](value):
+        raise ParameterError(f"{name} must be {domain}, got {value!r}")
 
 
 def checked_region(region: object) -> tuple[float, float, float, float] | None:

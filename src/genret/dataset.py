@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     AnchorKind,
     RankingInstance,
+    check_parameter,
     checked_region,
     normalize_word,
     read_json,
@@ -374,6 +375,7 @@ def build_split(
     Output order is (image_id, box index).  Returns the instances plus a
     manifest dict with counts and the config hash.
     """
+    check_parameter("seed", seed, "an int >= 0")
     anchor_kind = AnchorKind(anchor_kind)
     instances = []
     images = set()

@@ -111,5 +111,5 @@ class OptimizationError(GenretError):
 
 
 class ParameterError(GenretError):
-    """A parameter given to the library lies outside its domain: a fit
-    setting, a calibration table's sigma, or a report threshold."""
+    """A parameter given to the library lies outside its domain: any numeric
+    parameter (core.check_parameter) or a calibration table's sigma."""

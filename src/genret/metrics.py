@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import ScoredInstance, is_finite_number
-from .errors import MetricError, ParameterError
+from .core import ScoredInstance, check_parameter
+from .errors import MetricError
 
 BUCKETS = ("head", "medium", "tail")
 
@@ -30,6 +30,12 @@ class ClassMeta:
     attribute_type: str | None = None
 
 
+def _check_cutoffs(head_cut: int, tail_cut: int) -> None:
+    check_parameter("tail_cut", tail_cut, "an int >= 1")
+    check_parameter("head_cut", head_cut, "an int >= 1")
+    check_parameter("head_cut - tail_cut", head_cut - tail_cut, "an int >= 1")
+
+
 def bucketize(
     class_frequencies: Mapping[str, int],
     head_cut: int = 5000,
@@ -39,12 +45,9 @@ def bucketize(
     """Split classes by training-set frequency.
 
     head: count >= head_cut, tail: count < tail_cut, medium: the rest
-    (boundary counts equal to tail_cut are medium).
+    (boundary counts equal to tail_cut are medium); head_cut > tail_cut >= 1.
     """
-    if not (isinstance(head_cut, int) and isinstance(tail_cut, int)):
-        raise MetricError("cutoffs must be integers")
-    if not head_cut > tail_cut >= 1:
-        raise MetricError(f"need head_cut > tail_cut >= 1, got {head_cut}, {tail_cut}")
+    _check_cutoffs(head_cut, tail_cut)
     out = {}
     for word, count in class_frequencies.items():
         if count >= head_cut:
@@ -84,8 +87,7 @@ def mean_recall_at_k(scored: Sequence[ScoredInstance], k: int) -> float:
     A positive is retrieved when it ranks within the top k of its own
     instance; per-class recall pools retrieved/total over instances.
     """
-    if k < 1:
-        raise MetricError(f"k must be >= 1, got {k}")
+    check_parameter("k", k, "an int >= 1")
     totals: dict[str, int] = {}
     hits: dict[str, int] = {}
     for s in scored:
@@ -204,8 +206,7 @@ def overall_f1_at_k(scored: Sequence[ScoredInstance], k: int) -> float:
     positives / all positives.  Every prediction that is not a positive
     counts against precision, labeled or not.
     """
-    if k < 1:
-        raise MetricError(f"k must be >= 1, got {k}")
+    check_parameter("k", k, "an int >= 1")
     tp = predicted = actual = 0
     for s in scored:
         top = s.order[:k]
@@ -314,11 +315,12 @@ def compute_report(
 
     A bucket's or type's mAP is the mean of its classes' APs, taken from the
     same per-class table as the overall mAP.  Each threshold must be a
-    finite number in [0, 1], else ParameterError, with or without probs.
+    finite number in [0, 1] and head_cut > tail_cut >= 1, else ParameterError,
+    with or without probs and class_meta (bucket_cutoffs records the cuts).
     """
     for t in thresholds:
-        if not (is_finite_number(t) and 0 <= t <= 1):
-            raise ParameterError(f"threshold must be a finite number in [0, 1], got {t!r}")
+        check_parameter("threshold", t, "a finite number in [0, 1]")
+    _check_cutoffs(head_cut, tail_cut)
     if not scored:
         raise MetricError("no scored instances")
     report_ma: dict[float, float] = {}

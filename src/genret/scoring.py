@@ -56,7 +56,9 @@ from typing import Sequence
 import numpy as np
 
 from .backends.base import NORM_TOL, ScorerBackend, SentenceScoreSource
-from .core import AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, render
+from .core import (
+    AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, check_parameter, render
+)
 from .errors import (
     BatchScoringError,
     ConfigurationError,
@@ -323,8 +325,7 @@ def batch_rank(
     batch: after the whole batch ran, if anything failed a BatchScoringError
     is raised carrying per-instance failures and the completed results.
     """
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise ConfigurationError(f"parallelism must be a positive integer, got {parallelism}")
+    check_parameter("parallelism", parallelism, "an int >= 1")
     _check_length_normalize(method, length_normalize)
     if isinstance(backend, ScorerBackend) and not backend.capabilities.concurrent_safe:
         parallelism = 1

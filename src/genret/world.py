@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     AnchorKind,
     RankingInstance,
+    check_parameter,
     checked_region,
     is_finite_number,
     iter_jsonl,
@@ -141,6 +142,12 @@ def random_world(
     ranking instances are constructible.  Every object gets 1..attrs_per_object
     compatible attributes with priors drawn uniformly from [0.15, 0.6).
     """
+    check_parameter("seed", seed, "an int >= 0")
+    check_parameter("n_objects", n_objects, "an int >= 1")
+    check_parameter("n_attributes", n_attributes, "an int >= 1")
+    check_parameter("attrs_per_object", attrs_per_object, "an int >= 1")
+    check_parameter("n_attributes - attrs_per_object", n_attributes - attrs_per_object,
+                    "an int >= 0")
     rng = np.random.default_rng(seed)
     objects = tuple(f"obj{i:02d}" for i in range(n_objects))
     attributes = tuple(f"attr{i:02d}" for i in range(n_attributes))

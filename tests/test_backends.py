@@ -26,7 +26,9 @@ from genret import (
     write_score_cache,
 )
 from genret.core import is_finite_number, write_jsonl
-from genret.errors import CacheMissError, SchemaError, UnknownImageError, VocabularyError
+from genret.errors import (
+    CacheMissError, ParameterError, SchemaError, UnknownImageError, VocabularyError
+)
 from genret.scoring import generative_loss
 
 from test_world import exclusion_scene, tiny_world
@@ -205,7 +207,7 @@ def test_register_scene_rejects_an_unknown_word_before_any_query():
 
 
 def test_oracle_rejects_negative_smoothing():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^smoothing must be"):
         OracleBackend(tiny_world(), smoothing=-0.1)
 
 

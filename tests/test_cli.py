@@ -120,6 +120,23 @@ def test_gen_world_writes_everything(pipeline):
     assert all(len(i.candidates) == 10 for i in instances)
 
 
+@pytest.mark.parametrize(
+    "extra,name",
+    [
+        (["--min-entities", "3", "--max-entities", "2"], "max_entities - min_entities"),
+        (["--attributes", "3", "--attrs-per-object", "4"], "n_attributes - attrs_per_object"),
+    ],
+)
+def test_gen_world_rejects_a_count_outside_its_domain(tmp_path, capsys, extra, name):
+    out = tmp_path / "world"
+    rc = main(["gen-world", "--out", str(out), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[ParameterError]: {name} must be")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_world_rerun_is_byte_identical(pipeline, tmp_path):
     world = pipeline["world"]
     again = tmp_path / "again"
@@ -476,6 +493,18 @@ def test_evaluate_rejects_a_threshold_outside_zero_one(pipeline, tmp_path, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_commands_that_draw_nothing_take_no_seed(pipeline, tmp_path, capsys, command):
+    args = [
+        command, "--out", str(tmp_path / "out"), "--instances", pipeline["instances"],
+        "--cache", str(pipeline["gen"] / "scores.jsonl"),
+    ]
+    assert main([*args, "--seed", "1"]) == 2
+    assert main(args) == 0
+    config = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert "seed" not in config["options"]
+
+
 # -- report ---------------------------------------------------------------------
 
 
@@ -595,6 +624,7 @@ def _world_json(prior=0.5, compatible=("red",)):
         ("evaluate", "--calibration", '{"red": {"mu": 0.0}}'),
         ("evaluate", "--class-frequencies", "[1, 2]"),
         ("evaluate", "--class-frequencies", '{"red": 1.5}'),
+        ("evaluate", "--class-frequencies", '{"red": -5}'),
         ("evaluate", "--calibration", '{"red": {"mu": 1, "sigma": -1}}'),
         ("evaluate", "--calibration", '{"red": {"mu": 1, "sigma": 0}}'),
         ("score", "--world", '{"objects": ["cat"]}'),

@@ -30,8 +30,8 @@ from genret import (
     stable_seed,
     write_instances,
 )
-from genret.core import checked_region, is_finite_number
-from genret.errors import RenderError, SchemaError, TemplateSyntaxError
+from genret.core import DOMAINS, check_parameter, checked_region, is_finite_number
+from genret.errors import ParameterError, RenderError, SchemaError, TemplateSyntaxError
 from genret.world import scene_to_dict
 
 
@@ -93,6 +93,34 @@ def test_is_finite_number_rejects_ints_no_float_can_hold():
         assert not is_finite_number(n)
         with pytest.raises(OverflowError):
             float(n)
+
+
+#: domain -> (values inside it, values outside it); a bool is no number here
+DOMAIN_EDGES = {
+    "an int >= 0": ((0, 7, np.int64(3)), (-1, 1.0, True, False, math.nan, "1", None)),
+    "an int >= 1": ((1, np.int32(2)), (0, -1, 2.0, True, math.inf, "2")),
+    "a finite number": (
+        (-1e308, 0, -3, 0.5, np.float32(2)),
+        (math.nan, math.inf, -math.inf, True, "0", 10**400),
+    ),
+    "a finite number >= 0": ((0, 0.0, 1e308, 10**300), (-1e-300, -1, math.nan, math.inf, False)),
+    "a finite number > 0": ((1e-300, 1, 1e308), (0, -0.0, -1, math.nan, math.inf, True)),
+    "a finite number in [0, 1]": (
+        (0, 1, 0.5, 1.0),
+        (-1e-300, 1.0000001, math.nan, math.inf, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(set(DOMAINS) | set(DOMAIN_EDGES)))
+def test_check_parameter_holds_each_domain(domain):
+    inside, outside = DOMAIN_EDGES[domain]
+    for value in inside:
+        check_parameter("x", value, domain)
+    for value in outside:
+        with pytest.raises(ParameterError) as info:
+            check_parameter("x", value, domain)
+        assert str(info.value) == f"x must be {domain}, got {value!r}"
 
 
 # -- templates -----------------------------------------------------------

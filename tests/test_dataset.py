@@ -19,7 +19,7 @@ from genret import (
     write_instances,
     write_scene_graph,
 )
-from genret.errors import BuilderError, SchemaError, StatsError
+from genret.errors import BuilderError, ParameterError, SchemaError, StatsError
 
 
 def box(obj, attrs, rect=(0.0, 0.0, 10.0, 10.0)):
@@ -315,6 +315,12 @@ def test_build_split_orders_and_skips(records, stats):
         json.dumps({"anchor_kind": "object", "seed": 1, "total": 4}, sort_keys=True).encode()
     ).hexdigest()
     assert manifest["config_hash"] == expected_hash
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, None])
+def test_build_split_rejects_a_seed_outside_its_domain(records, stats, seed):
+    with pytest.raises(ParameterError, match="^seed must be an int >= 0"):
+        build_split(records, stats, total=4, seed=seed)
 
 
 def test_build_split_rebuild_is_byte_identical(tmp_path, records, stats):

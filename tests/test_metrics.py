@@ -243,9 +243,9 @@ def test_metric_errors_on_empty_or_bad_k():
     with pytest.raises(MetricError):
         mean_rank([])
     s = make_scored(("a", "b"), {0}, (1.0, 2.0))
-    with pytest.raises(MetricError, match="k must be"):
+    with pytest.raises(ParameterError, match="^k must be"):
         mean_recall_at_k([s], 0)
-    with pytest.raises(MetricError, match="k must be"):
+    with pytest.raises(ParameterError, match="^k must be"):
         overall_f1_at_k([s], 0)
     with pytest.raises(MetricError):
         compute_report([])
@@ -310,7 +310,7 @@ def test_bucketize_attribute_types_pass_through():
     [(500, 500), (100, 500), (10, 0), (5000.0, 500), (5000, "500")],
 )
 def test_bucketize_rejects_bad_cutoffs(head_cut, tail_cut):
-    with pytest.raises(MetricError):
+    with pytest.raises(ParameterError, match="_cut must be"):
         bucketize({"a": 1}, head_cut, tail_cut)
 
 
@@ -449,6 +449,19 @@ def test_report_rejects_a_threshold_outside_zero_one(report_inputs, threshold):
         compute_report(scored, ks=(1,), thresholds=(0.5, threshold), probs=probs)
     with pytest.raises(ParameterError):  # checked with or without probs
         compute_report(scored, ks=(1,), thresholds=(threshold,))
+
+
+@pytest.mark.parametrize(
+    "head_cut,tail_cut,name",
+    [(500, 500, "head_cut - tail_cut"), (10, 0, "tail_cut"), (-1, 1, "head_cut"),
+     (5000.0, 500, "head_cut")],
+)
+def test_report_checks_the_cutoffs_it_records_without_class_meta(
+    report_inputs, head_cut, tail_cut, name
+):
+    scored, _, _ = report_inputs
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        compute_report(scored, ks=(1,), head_cut=head_cut, tail_cut=tail_cut)
 
 
 def test_report_accepts_the_ends_of_zero_one(report_inputs):

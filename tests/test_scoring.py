@@ -33,6 +33,7 @@ from genret.errors import (
     ConfigurationError,
     InfiniteLossError,
     NormalizationError,
+    ParameterError,
     VocabularyError,
 )
 from genret.scoring import _candidate_sentence, contrastive_loss, generative_loss
@@ -659,7 +660,7 @@ def test_serialized_backend_matches_sequential_bit_for_bit(method):
 
 def test_batch_rank_validates_parallelism(batch_setup):
     backend, instances = batch_setup
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="^parallelism must be"):
         batch_rank(backend, instances, parse_template("{A}"), Method.GENERATIVE, parallelism=0)
 
 

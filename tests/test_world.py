@@ -22,7 +22,7 @@ from genret import (
     write_scenes,
     write_world,
 )
-from genret.errors import BuilderError, SchemaError, WorldError
+from genret.errors import BuilderError, ParameterError, SchemaError, WorldError
 
 
 def tiny_world(**kw):
@@ -94,6 +94,28 @@ def test_random_world_shape_and_determinism():
     for (o, a), p in w1.attribute_prior.items():
         assert 0.15 <= p <= 0.6
         assert a in w1.compatibility[o]
+
+
+@pytest.mark.parametrize(
+    "kw,name",
+    [
+        (dict(seed=-1), "seed"),
+        (dict(seed=1.0), "seed"),
+        (dict(n_objects=0), "n_objects"),
+        (dict(n_attributes=0), "n_attributes"),
+        (dict(n_attributes=True), "n_attributes"),
+        (dict(attrs_per_object=0), "attrs_per_object"),
+        (dict(n_attributes=4, attrs_per_object=5), "n_attributes - attrs_per_object"),
+    ],
+)
+def test_random_world_rejects_a_parameter_outside_its_domain(kw, name):
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} must be"):
+        random_world(**{"n_objects": 3, "n_attributes": 6, "attrs_per_object": 2, **kw})
+
+
+def test_random_world_accepts_as_many_attributes_per_object_as_there_are():
+    spec = random_world(seed=0, n_objects=3, n_attributes=2, attrs_per_object=2)
+    assert all(1 <= len(a) <= 2 for a in spec.compatibility.values())
 
 
 def test_sample_scenes_deterministic_with_ordinal_ids():
