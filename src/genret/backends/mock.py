@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..errors import ConfigurationError
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
 
@@ -15,7 +16,7 @@ class UniformBackend(ScorerBackend):
     def __init__(self, vocabulary, include_terminal: bool = False):
         self.vocab_order = tuple(sorted(set(vocabulary)))
         if not self.vocab_order:
-            raise ValueError("vocabulary is empty")
+            raise ConfigurationError("vocabulary is empty")
         self.vocabulary = frozenset(self.vocab_order)
         self.include_terminal = include_terminal
         self.capabilities = Capabilities(

@@ -10,9 +10,10 @@ mass extending p.  Multiplying the served values along a full caption
 (terminal step included) therefore recovers the caption's exact emission
 probability when smoothing is 0.
 
-Additive smoothing lifts every outcome by `smoothing` (a finite number >= 0)
-and renormalizes, so counterfactual sentences keep finite losses; a prefix
-no caption starts with gets the uniform floor distribution.
+Additive smoothing lifts every outcome by `smoothing` and renormalizes, so
+counterfactual sentences keep finite losses; a prefix no caption starts
+with gets the uniform floor distribution.  Smoothing is a finite number
+>= 0 whose product with the vocabulary size plus one is finite.
 
 Each probability is computed once.  A scene's caption trie is built on its
 first generative query (registration checks the scene and keeps its caption
@@ -116,6 +117,8 @@ class OracleBackend(ScorerBackend):
         self.spec = spec
         self.smoothing = float(smoothing)
         self.vocab_order: tuple[str, ...] = spec.vocabulary()
+        check_parameter("(vocabulary size + 1) * smoothing",
+                        (len(self.vocab_order) + 1) * self.smoothing, "a finite number")
         self.vocabulary = frozenset(self.vocab_order)
         self.capabilities = Capabilities(has_terminal_token=True, concurrent_safe=True)
         self._index = {t: i for i, t in enumerate(self.vocab_order)}

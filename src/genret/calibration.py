@@ -32,7 +32,9 @@ import numpy as np
 from .core import (
     ScoredInstance, atomic_write, check_parameter, is_finite_number, read_json, write_json
 )
-from .errors import CoverageError, OptimizationError, ParameterError, SchemaError
+from .errors import (
+    ConfigurationError, CoverageError, OptimizationError, ParameterError, SchemaError
+)
 
 
 def _sigmoid(z):
@@ -230,11 +232,11 @@ def fit(
     """
     words = sorted({w for s in scored for w in s.instance.candidates})
     if not words:
-        raise ValueError("no candidates to calibrate")
+        raise ConfigurationError("no candidates to calibrate")
     index = {w: i for i, w in enumerate(words)}
     cls_idx, losses, labels = _collect(scored, index)
     if len(losses) == 0:
-        raise ValueError("no labeled examples to fit on")
+        raise ConfigurationError("no labeled examples to fit on")
     val_arrays = None
     if validation is not None:
         missing = {w for s in validation for w in s.instance.candidates} - set(words)

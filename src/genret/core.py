@@ -7,7 +7,7 @@ contribute one token each, so ``{O} is {A}`` with object "traffic light" and
 attribute "red" renders to ``("traffic", "light", "is", "red")``.
 
 Words are case-folded once, by normalize_word, where they enter: in
-RankingInstance, WorldSpec, the scene-graph parser and world.scene_from_dict.
+RankingInstance, WorldSpec and dataset.image_record (both scene files).
 Everything downstream, render included, takes words as given and compares
 them by plain string equality.
 

@@ -1,7 +1,8 @@
 """Ranking-benchmark construction from scene-graph annotations.
 
 Input is the common scene-graph JSON layout: a list of images, each with
-annotated boxes carrying object names and attribute lists.  From a training
+annotated boxes carrying object names and attribute lists, each parsed by
+image_record (in scene_graph.json and scenes.jsonl alike).  From a training
 split we count object/attribute co-occurrence, then build fixed-size ranking
 instances whose negatives are chosen hardest-first: by conditional
 probability given the anchor word, falling back to marginal priors when the
@@ -61,15 +62,50 @@ class SceneGraphRecord:
     boxes: tuple[BoxAnnotation, ...]
 
 
-def parse_scene_graph(source) -> list[SceneGraphRecord]:
-    """Parse scene-graph JSON (path, or already-loaded list).
+def image_record(entry: object) -> SceneGraphRecord:
+    """Parse and check one image record, of scene_graph.json or scenes.jsonl.
 
-    Documented subset per image: image_id, objects[{x, y, w, h, names,
-    attributes?}].  An image_id is a non-empty string or an integer (Visual
-    Genome's ids are), stored as a string, and no two records may share
-    one.  Multi-name boxes keep their first name; words are lowercased here
-    and never again.
+    Documented subset: image_id, objects[{x, y, w, h, names, attributes?}].
+    An image_id is a non-empty string or an integer (Visual Genome's ids
+    are), stored as a string.  Multi-name boxes keep their first name, and
+    attributes may be missing or null.  Words are lowercased here and never
+    again; attributes are deduplicated in first-seen order.
     """
+    if not isinstance(entry, dict) or "image_id" not in entry:
+        raise SchemaError("missing image_id")
+    raw_id = entry["image_id"]
+    if not ((isinstance(raw_id, str) and raw_id) or type(raw_id) is int):
+        raise SchemaError(f"image_id must be a non-empty string or an integer, got {raw_id!r}")
+    image_id = str(raw_id)
+    objects = entry.get("objects", [])
+    if not isinstance(objects, (list, tuple)):
+        raise SchemaError(f"image {image_id}: objects must be a list")
+    boxes = []
+    for j, ob in enumerate(objects):
+        where = f"image {image_id} object #{j}"
+        if not isinstance(ob, dict):
+            raise SchemaError(f"{where}: object entry must be a dict")
+        names = ob.get("names")
+        if not names:
+            raise SchemaError(f"{where}: empty names")
+        if not isinstance(names, (list, tuple)):
+            raise SchemaError(f"{where}: names must be a list")
+        attributes = ob.get("attributes") or ()
+        if not isinstance(attributes, (list, tuple)):
+            raise SchemaError(f"{where}: attributes must be a list")
+        try:
+            box = checked_region([ob.get(k) for k in "xywh"])
+            obj = normalize_word(names[0])
+            attributes = tuple(dict.fromkeys(normalize_word(a) for a in attributes))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        boxes.append(BoxAnnotation(box=box, obj=obj, attributes=attributes))
+    return SceneGraphRecord(image_id=image_id, boxes=tuple(boxes))
+
+
+def parse_scene_graph(source) -> list[SceneGraphRecord]:
+    """Parse scene-graph JSON (path, or already-loaded list) into image
+    records, no two sharing an image_id; an error names the record's index."""
     if isinstance(source, (str, Path)):
         return read_json(source, parse_scene_graph)
     if not isinstance(source, list):
@@ -77,50 +113,21 @@ def parse_scene_graph(source) -> list[SceneGraphRecord]:
     records = []
     seen: dict[str, int] = {}
     for i, entry in enumerate(source):
-        if not isinstance(entry, dict) or "image_id" not in entry:
-            raise SchemaError(f"image record #{i} missing image_id")
-        raw_id = entry["image_id"]
-        if not ((isinstance(raw_id, str) and raw_id) or type(raw_id) is int):
-            raise SchemaError(
-                f"image record #{i}: image_id must be a non-empty string or an "
-                f"integer, got {raw_id!r}"
-            )
-        image_id = str(raw_id)
-        earlier = seen.setdefault(image_id, i)
+        try:
+            record = image_record(entry)
+        except SchemaError as exc:
+            raise SchemaError(f"image record #{i}: {exc}") from exc
+        earlier = seen.setdefault(record.image_id, i)
         if earlier != i:
             raise SchemaError(
-                f"image record #{i}: image_id {image_id!r} repeats image record #{earlier}"
+                f"image record #{i}: image_id {record.image_id!r} repeats image record #{earlier}"
             )
-        objects = entry.get("objects", [])
-        if not isinstance(objects, (list, tuple)):
-            raise SchemaError(f"image {image_id}: objects must be a list")
-        boxes = []
-        for j, ob in enumerate(objects):
-            where = f"image {image_id} object #{j}"
-            if not isinstance(ob, dict):
-                raise SchemaError(f"{where}: object entry must be a dict")
-            names = ob.get("names")
-            if not names:
-                raise SchemaError(f"{where}: empty names")
-            if not isinstance(names, (list, tuple)):
-                raise SchemaError(f"{where}: names must be a list")
-            attributes = ob.get("attributes") or ()
-            if not isinstance(attributes, (list, tuple)):
-                raise SchemaError(f"{where}: attributes must be a list")
-            try:
-                box = checked_region([ob.get(k) for k in "xywh"])
-                obj = normalize_word(names[0])
-                # folded, then deduplicated in first-seen order
-                attributes = tuple(dict.fromkeys(normalize_word(a) for a in attributes))
-            except SchemaError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            boxes.append(BoxAnnotation(box=box, obj=obj, attributes=attributes))
-        records.append(SceneGraphRecord(image_id=image_id, boxes=tuple(boxes)))
+        records.append(record)
     return records
 
 
 def record_to_dict(record: SceneGraphRecord) -> dict:
-    """Inverse of parse_scene_graph for one record."""
+    """Inverse of image_record."""
     objects = []
     for bx in record.boxes:
         x, y, w, h = bx.box

@@ -16,6 +16,10 @@ Ranking instances over a world's scenes are built by the dataset builder:
 make_instances is dataset.build_split over a scene list, and world_stats,
 the world's priors passed through the table builder counted statistics use
 (dataset.ranked_tables), chooses the hard negatives.
+
+A scenes.jsonl line is the scene's scene-graph image record, equal to its
+element of scene_graph.json, and read_scenes parses it with the scene
+graph's own dataset.image_record.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .core import (
     AnchorKind,
     RankingInstance,
     check_parameter,
-    checked_region,
     is_finite_number,
     iter_jsonl,
     normalize_word,
@@ -46,7 +49,9 @@ from .dataset import (
     CooccurrenceStats,
     SceneGraphRecord,
     build_split,
+    image_record,
     ranked_tables,
+    record_to_dict,
 )
 from .errors import SchemaError, WorldError
 
@@ -331,52 +336,28 @@ def read_world(path: str | Path) -> WorldSpec:
     return read_json(path, world_from_dict)
 
 
-def scene_to_dict(scene: SyntheticScene) -> dict:
-    return {
-        "scene_id": scene.scene_id,
-        "entities": [
-            {"object": e.obj, "attributes": list(e.attributes)} for e in scene.entities
-        ],
-        "boxes": [list(b) for b in scene.boxes],
-    }
-
-
-def scene_from_dict(d: dict) -> SyntheticScene:
-    """One scenes.jsonl record; its words enter here, so they are folded.
-    A missing field, or one of the wrong type or shape, is a SchemaError."""
+def _scene_from_record(entry: object) -> SyntheticScene:
+    """One scenes.jsonl line; the oracle cannot score a scene with no objects."""
+    record = image_record(entry)
     try:
-        scene_id, entities, boxes = d["scene_id"], d["entities"], d["boxes"]
-        if not isinstance(scene_id, str) or not scene_id:
-            raise SchemaError(f"scene_id must be a non-empty string, got {scene_id!r}")
-        for e in entities:
-            if not isinstance(e["attributes"], list):
-                raise SchemaError(f"attributes must be a list, got {e['attributes']!r}")
-        if None in boxes:
-            raise SchemaError("a scene box must be 4 finite numbers, got None")
         return SyntheticScene(
-            scene_id=scene_id,
-            entities=tuple(
-                Entity(
-                    obj=normalize_word(e["object"]),
-                    attributes=tuple(normalize_word(a) for a in e["attributes"]),
-                )
-                for e in entities
-            ),
-            boxes=tuple(map(checked_region, boxes)),
+            scene_id=record.image_id,
+            entities=tuple(Entity(obj=bx.obj, attributes=bx.attributes) for bx in record.boxes),
+            boxes=tuple(bx.box for bx in record.boxes),
         )
-    except (KeyError, TypeError, SchemaError, WorldError) as exc:
-        raise SchemaError(f"bad scene record: {exc}") from exc
+    except WorldError as exc:
+        raise SchemaError(f"image {record.image_id}: {exc}") from exc
 
 
 def write_scenes(path: str | Path, scenes: Iterable[SyntheticScene]) -> None:
-    write_jsonl(path, map(scene_to_dict, scenes))
+    write_jsonl(path, map(record_to_dict, scenes_to_records(scenes)))
 
 
 def read_scenes(path: str | Path) -> list[SyntheticScene]:
     """The scenes of a scenes.jsonl file; a repeated scene id is a
     SchemaError naming both lines."""
     by_id: dict[str, tuple[int, SyntheticScene]] = {}
-    for lineno, scene in iter_jsonl(path, scene_from_dict):
+    for lineno, scene in iter_jsonl(path, _scene_from_record):
         earlier, _ = by_id.setdefault(scene.scene_id, (lineno, scene))
         if earlier != lineno:
             raise SchemaError(f"{path}:{lineno}: scene {scene.scene_id!r} repeats line {earlier}")

@@ -27,7 +27,12 @@ from genret import (
 )
 from genret.core import is_finite_number, write_jsonl
 from genret.errors import (
-    CacheMissError, ParameterError, SchemaError, UnknownImageError, VocabularyError
+    CacheMissError,
+    ConfigurationError,
+    ParameterError,
+    SchemaError,
+    UnknownImageError,
+    VocabularyError,
 )
 from genret.scoring import generative_loss
 
@@ -211,6 +216,16 @@ def test_oracle_rejects_negative_smoothing():
         OracleBackend(tiny_world(), smoothing=-0.1)
 
 
+def test_oracle_rejects_smoothing_whose_renormalizer_overflows():
+    # the renormalizer is 1 + (V + 1) * smoothing; V + 1 = 10 here
+    assert len(tiny_world().vocabulary()) + 1 == 10
+    with pytest.raises(ParameterError, match=r"^\(vocabulary size \+ 1\) \* smoothing must be"):
+        OracleBackend(tiny_world(), smoothing=1e308)
+    backend = OracleBackend(tiny_world(), [exclusion_scene()], smoothing=1e307)
+    dist = backend.next_token_distributions("s0", None, [("cat",)])[0]
+    assert dist.total() == pytest.approx(1.0)
+
+
 def test_register_scene_after_init():
     spec = tiny_world()
     backend = OracleBackend(spec)
@@ -289,7 +304,7 @@ def test_uniform_backend_distribution():
 
 
 def test_uniform_backend_rejects_empty_vocabulary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="vocabulary is empty"):
         UniformBackend([])
 
 

@@ -20,7 +20,7 @@ from genret import (
     write_table,
 )
 from genret.calibration import bce_and_grads
-from genret.errors import CoverageError, OptimizationError, ParameterError
+from genret.errors import ConfigurationError, CoverageError, OptimizationError, ParameterError
 
 
 def make_scored(candidates, positives, scores, negatives=None, image_id="img0"):
@@ -279,7 +279,7 @@ def test_fit_weight_decay_shrinks_even_untouched_classes():
 
 
 def test_fit_rejects_empty_input():
-    with pytest.raises(ValueError, match="no candidates"):
+    with pytest.raises(ConfigurationError, match="no candidates"):
         fit([], desk_config())
 
 

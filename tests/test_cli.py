@@ -13,6 +13,7 @@ from genret import (
     LoopbackServer,
     MetricReport,
     OracleBackend,
+    parse_scene_graph,
     read_instances,
     read_scenes,
     read_score_cache,
@@ -852,10 +853,10 @@ def test_failed_score_replaces_an_earlier_scores_file(pipeline, tmp_path):
 
 def _scenes_with(pipeline, tmp_path, edit):
     """The pipeline's scenes.jsonl with edit() applied to the first record's
-    first entity."""
+    first object."""
     lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
     rec = json.loads(lines[0])
-    edit(rec["entities"][0])
+    edit(rec["objects"][0])
     lines[0] = json.dumps(rec)
     path = tmp_path / "scenes.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -872,11 +873,27 @@ def _score_with_scenes(pipeline, out, scenes):
     )
 
 
+def test_both_scene_files_hold_the_same_records(pipeline):
+    world = pipeline["world"]
+    lines = (world / "scenes.jsonl").read_text().splitlines()
+    graph = json.loads((world / "scene_graph.json").read_text())
+    assert [json.loads(line) for line in lines] == graph
+    scenes = read_scenes(world / "scenes.jsonl")
+    records = parse_scene_graph(world / "scene_graph.json")
+    assert [
+        (sc.scene_id, [(e.obj, e.attributes) for e in sc.entities], sc.boxes)
+        for sc in scenes
+    ] == [
+        (r.image_id, [(b.obj, b.attributes) for b in r.boxes], tuple(b.box for b in r.boxes))
+        for r in records
+    ]
+
+
 @pytest.mark.parametrize(
     "edit,word",
     [
-        (lambda entity: entity.update(object="obj99"), "obj99"),
-        (lambda entity: entity["attributes"].append("attr99"), "attr99"),
+        (lambda ob: ob.update(names=["obj99"]), "obj99"),
+        (lambda ob: ob["attributes"].append("attr99"), "attr99"),
     ],
     ids=["object", "attribute"],
 )
@@ -886,37 +903,60 @@ def test_scene_word_the_world_lacks_exits_4(pipeline, tmp_path, capsys, edit, wo
     err = capsys.readouterr().err
     assert err.startswith("error[schema]: scene "), err
     assert repr(word) in err
-    assert json.loads(scenes.read_text().splitlines()[0])["scene_id"] in err
+    assert json.loads(scenes.read_text().splitlines()[0])["image_id"] in err
 
 
 @pytest.mark.parametrize("bad", [5, "", "  ", None])
 def test_scene_word_that_is_no_word_exits_4_at_the_line(pipeline, tmp_path, capsys, bad):
-    scenes = _scenes_with(pipeline, tmp_path, lambda entity: entity.update(object=bad))
+    scenes = _scenes_with(pipeline, tmp_path, lambda ob: ob.update(names=[bad]))
     assert _score_with_scenes(pipeline, tmp_path / "x", scenes) == 4
     assert capsys.readouterr().err.startswith(f"error[schema]: {scenes}:1: ")
 
 
-def _set_box(index, box):
-    return lambda recs: recs[0]["boxes"].__setitem__(index, box)
+def _set_object(**fields):
+    return lambda recs: recs[0]["objects"][0].update(fields)
+
+
+def _drop_from_object(*keys):
+    return lambda recs: [recs[0]["objects"][0].pop(k) for k in keys]
+
+
+def _old_layout(recs):
+    # the layout scenes.jsonl had before it held scene-graph image records
+    recs[0] = {
+        "scene_id": recs[0]["image_id"],
+        "entities": [{"object": ob["names"][0], "attributes": ob["attributes"]}
+                     for ob in recs[0]["objects"]],
+        "boxes": [[ob[k] for k in "xywh"] for ob in recs[0]["objects"]],
+    }
 
 
 @pytest.mark.parametrize(
     "edit,lineno,match",
     [
-        (lambda recs: recs[0].update(scene_id=None), 1, "scene_id must be"),
-        (lambda recs: recs[0].update(scene_id=""), 1, "scene_id must be"),
-        (lambda recs: recs[0].update(scene_id=7), 1, "scene_id must be"),
-        (lambda recs: recs[0].update(scene_id=recs[1]["scene_id"]), 2, "repeats line 1"),
-        (lambda recs: recs[0].update(entities=[]), 1, "at least one entity"),
-        (lambda recs: recs[0]["boxes"].pop(), 1, "one box per entity"),
-        (lambda recs: recs[0]["entities"][0].update(attributes="attr01"), 1, "attributes must be a list"),
-        (_set_box(0, [0, 0, "a", None]), 1, "region must be null or 4 finite numbers"),
-        (_set_box(0, [0, 0, 1]), 1, "region must be null or 4 finite numbers"),
-        (_set_box(0, None), 1, "box must be 4 finite numbers"),
+        (lambda recs: recs[0].update(image_id=None), 1, "image_id must be"),
+        (lambda recs: recs[0].update(image_id=""), 1, "image_id must be"),
+        (lambda recs: recs[0].update(image_id=True), 1, "image_id must be"),
+        (lambda recs: recs[0].update(image_id=1.0), 1, "image_id must be"),
+        (lambda recs: recs[0].update(image_id=recs[1]["image_id"]), 2, "repeats line 1"),
+        (_old_layout, 1, "missing image_id"),
+        (lambda recs: recs[0].update(objects=[]), 1, "at least one entity"),
+        (lambda recs: recs[0].pop("objects"), 1, "at least one entity"),
+        (lambda recs: recs[0].update(objects=7), 1, "objects must be a list"),
+        (lambda recs: recs[0]["objects"].__setitem__(0, 5), 1, "object entry must be a dict"),
+        (_set_object(names=[]), 1, "empty names"),
+        (_set_object(names="obj01"), 1, "names must be a list"),
+        (_set_object(attributes="attr01"), 1, "attributes must be a list"),
+        (_drop_from_object(*"xywh"), 1, "region must be null or 4 finite numbers"),
+        (_set_object(x="a", h=None), 1, "region must be null or 4 finite numbers"),
+        (_drop_from_object("h"), 1, "region must be null or 4 finite numbers"),
+        (_set_object(x=None, y=None, w=None, h=None), 1, "region must be null or 4 finite numbers"),
     ],
     ids=[
-        "null-id", "empty-id", "int-id", "repeated-id", "no-entities", "missing-box",
-        "attributes-string", "non-numeric-box", "short-box", "null-box",
+        "null-id", "empty-id", "bool-id", "float-id", "repeated-id", "old-layout",
+        "no-entities", "missing-objects", "objects-not-a-list", "object-not-a-dict",
+        "empty-names", "names-string", "attributes-string", "missing-box",
+        "non-numeric-box", "short-box", "null-box",
     ],
 )
 def test_malformed_scene_record_exits_4_at_the_line(
@@ -937,9 +977,9 @@ def test_upper_case_scene_words_score_as_lower_case(pipeline, tmp_path):
     lines = (pipeline["world"] / "scenes.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     for rec in records:
-        for entity in rec["entities"]:
-            entity["object"] = f"  {entity['object'].upper()} "
-            entity["attributes"] = [a.title() for a in entity["attributes"]]
+        for ob in rec["objects"]:
+            ob["names"] = [f"  {ob['names'][0].upper()} "]
+            ob["attributes"] = [a.title() for a in ob["attributes"]]
     shouted = tmp_path / "scenes.jsonl"
     shouted.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert shouted.read_text().lower() != shouted.read_text()
@@ -958,6 +998,26 @@ def test_oracle_needs_world_and_scenes(pipeline, tmp_path, capsys):
     )
     assert rc == 1
     assert "needs --world and --scenes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,extra,message",
+    [
+        ("calibrate", lambda p: ["--cache", str(p["gen"] / "scores.jsonl")],
+         "no candidates to calibrate"),
+        ("score", lambda p: ["--backend", "uniform"], "vocabulary is empty"),
+    ],
+    ids=["calibrate", "score-uniform"],
+)
+def test_nothing_to_work_on_exits_1_with_one_line(
+    pipeline, tmp_path, capsys, command, extra, message
+):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = main([command, "--out", str(tmp_path / "x"), "--instances", str(empty), *extra(pipeline)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error[ConfigurationError]: {message}\n"
 
 
 def test_remote_needs_an_endpoint(pipeline, tmp_path, monkeypatch, capsys):

@@ -34,8 +34,6 @@ IN_DOMAIN = {
     ("score", "--seed", "-1"): None,  # score draws nothing, so any seed will do
     # unsmoothed, a token no caption of the scene continues with has p = 0
     ("score", "--smoothing", "0"): "BatchScoringError",
-    # the smoothed total overflows, so every distribution sums to 0
-    ("score", "--smoothing", "1e308"): "BatchScoringError",
     ("calibrate", "--seed", "0"): None,
     ("calibrate", "--batch-size", "0"): None,  # 0 or less: full batch
     ("calibrate", "--batch-size", "-1"): None,

@@ -25,14 +25,15 @@ from genret import (
     read_instances,
     read_scenes,
     read_score_cache,
+    record_to_dict,
     render,
+    scenes_to_records,
     scored_to_records,
     stable_seed,
     write_instances,
 )
 from genret.core import DOMAINS, check_parameter, checked_region, is_finite_number
 from genret.errors import ParameterError, RenderError, SchemaError, TemplateSyntaxError
-from genret.world import scene_to_dict
 
 
 # -- words and seeds -----------------------------------------------------
@@ -329,10 +330,11 @@ def test_read_instances_reports_line_numbers(tmp_path):
     scored = ScoredInstance(make_instance(), "t", Method.GENERATIVE, (1.0, 2.0, 3.0))
     scene = SyntheticScene("s0", (Entity("cat", ("red",)),), ((0, 0, 1, 1),))
     # (a scene id may appear once per file, so the scene reader gets two scenes)
+    scene_lines = map(record_to_dict, scenes_to_records([scene, replace(scene, scene_id="s1")]))
     readers = [
         (read_instances, instance_to_dict(make_instance()), None),
         (read_score_cache, scored_to_records(scored)[0], None),
-        (read_scenes, scene_to_dict(scene), scene_to_dict(replace(scene, scene_id="s1"))),
+        (read_scenes, *scene_lines),
     ]
     path = tmp_path / "bad.jsonl"
     for reader, good, second in readers:

@@ -105,7 +105,7 @@ def test_scene_graph_shape_errors_name_the_file(tmp_path):
     path.write_text(json.dumps([{"objects": []}]))
     with pytest.raises(SchemaError) as err:
         parse_scene_graph(path)
-    assert str(err.value) == f"{path}: image record #0 missing image_id"
+    assert str(err.value) == f"{path}: image record #0: missing image_id"
 
 
 def test_scene_graph_rewrite_is_byte_identical(tmp_path, records):

@@ -108,13 +108,13 @@ def test_no_module_imports_another_modules_private_names():
 
 
 # Where words enter the program, by module and enclosing function: the
-# record and world constructors, the scene-graph parser and the scenes.jsonl
-# parser.  Downstream code, render
+# instance and world constructors, and the one scene record parser, which
+# reads scene_graph.json and scenes.jsonl alike.  Downstream code, render
 # included, takes words as they were folded here.
 INGESTION_POINTS = {
     "core.py": {"RankingInstance.__post_init__"},
-    "dataset.py": {"parse_scene_graph"},
-    "world.py": {"WorldSpec.__post_init__", "scene_from_dict"},
+    "dataset.py": {"image_record"},
+    "world.py": {"WorldSpec.__post_init__"},
 }
 
 
@@ -158,3 +158,32 @@ def test_importing_the_cli_leaves_requests_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def _unused_imports(tree):
+    """Names a module imports and never uses (a name used only in an
+    annotation counts as used: annotations are parsed, if not evaluated)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name for name in imported if name not in used}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # what a deletion leaves behind; a package __init__ re-exports, so it
+    # imports names it does not use itself
+    checked, offenders = 0, set()
+    for path in PACKAGE.rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        checked += 1
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {name}")
+    assert checked >= 15  # the rule still sees the modules it guards
+    assert not offenders

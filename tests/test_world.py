@@ -13,6 +13,7 @@ from genret import (
     WorldSpec,
     caption_process,
     make_instances,
+    parse_scene_graph,
     random_world,
     read_scenes,
     read_world,
@@ -349,3 +350,36 @@ def test_scene_file_round_trip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     write_scenes(path, scenes)
     assert read_scenes(path) == scenes
+
+
+def _one_scene_file(tmp_path, image_id, **box):
+    record = {"image_id": image_id, "objects": [{"x": 0, "y": 0, "w": 4, "h": 3,
+                                                 "names": ["cat"], **box}]}
+    path = tmp_path / "scenes.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return path, record
+
+
+def test_scene_file_takes_an_integer_id_as_the_scene_graph_does(tmp_path):
+    path, record = _one_scene_file(tmp_path, 2417, attributes=["red"])
+    (scene,) = read_scenes(path)
+    assert scene.scene_id == "2417"
+    assert parse_scene_graph([record])[0].image_id == scene.scene_id
+
+
+@pytest.mark.parametrize("box", [{}, {"attributes": None}], ids=["missing", "null"])
+def test_scene_file_reads_a_missing_attribute_list_as_empty(tmp_path, box):
+    path, _ = _one_scene_file(tmp_path, "s0", **box)
+    (scene,) = read_scenes(path)
+    assert scene.entities == (Entity("cat", ()),)
+    assert caption_process(scene) == {("cat",): Fraction(1)}
+
+
+def test_scene_file_reads_a_repeated_attribute_once(tmp_path):
+    path, record = _one_scene_file(tmp_path, "s0", attributes=["red", "Red", "blue"])
+    (scene,) = read_scenes(path)
+    assert scene.entities == (Entity("cat", ("red", "blue")),)
+    assert parse_scene_graph([record])[0].boxes[0].attributes == ("red", "blue")
+    # each distinct attribute carries half the entity's caption mass
+    red = sum(p for cap, p in caption_process(scene).items() if "red" in cap)
+    assert red == Fraction(1, 2)
