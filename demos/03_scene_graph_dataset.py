@@ -14,7 +14,6 @@ from genret import (
     build_split,
     build_stats,
     parse_scene_graph,
-    plan_instance,
     write_instances,
 )
 
@@ -64,16 +63,21 @@ def main():
 
     # total is capped by the corpus: the img-101 white cat can reach only
     # 3 negatives once its sibling box's attributes are excluded
-    plan = plan_instance(records[0], 0, stats, total=4, anchor_kind=AnchorKind.OBJECT)
-    print(f"\nplan for image 101 box 0 (anchor {plan.anchor!r}):")
-    print(f"  positives   {plan.positives}")
-    print(f"  excluded    {sorted(plan.excluded)}  # on-image, other cat boxes")
-    print(f"  conditional {plan.conditional}  # co-occur with cat, hard first")
-    print(f"  fallback    {plan.fallback}  # global prior fills the rest")
-
     split, manifest = build_split(
         records, stats, anchor_kind=AnchorKind.OBJECT, seed=7, total=4
     )
+    inst = split[0]
+    print(f"\ninstance for image 101 box 0 (anchor {inst.anchor!r}):")
+    print(f"  candidates {inst.candidates}  # shuffled under the seed")
+    print(f"  positives  {tuple(inst.candidates[i] for i in sorted(inst.positives))}")
+    print("  (white is excluded: the other cat box on image 101 wears it)")
+    given_cat = dict(stats.attrs_given_object[inst.anchor])
+    prior = dict(stats.attribute_prior)
+    negatives = [w for i, w in enumerate(inst.candidates) if i not in inst.positives]
+    print("  negatives, hardest first (co-occur with cat, then the global prior):")
+    for w in sorted(negatives, key=lambda w: (-given_cat.get(w, 0.0), -prior[w], w)):
+        print(f"    {w:8s} P(w | cat) {given_cat.get(w, 0.0):.3f}  prior {prior[w]:.3f}")
+
     print(f"\nbuild_split -> {len(split)} instances")
     print("manifest:", json.dumps(manifest, indent=2))
 

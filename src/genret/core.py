@@ -244,33 +244,34 @@ class RankingInstance:
     negatives_explicit: frozenset[int] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise SchemaError(f"image_id must be a non-empty string, got {self.image_id!r}")
         object.__setattr__(self, "anchor_kind", AnchorKind(self.anchor_kind))
         object.__setattr__(self, "anchor", normalize_word(self.anchor))
         object.__setattr__(
             self, "candidates", tuple(normalize_word(c) for c in self.candidates)
         )
-        object.__setattr__(self, "positives", frozenset(self.positives))
         object.__setattr__(self, "region", checked_region(self.region))
-        if self.negatives_explicit is not None:
-            object.__setattr__(
-                self, "negatives_explicit", frozenset(self.negatives_explicit)
-            )
-        if not self.image_id:
-            raise SchemaError("image_id is empty")
         if not self.candidates:
             raise SchemaError("candidate list is empty")
         if len(set(self.candidates)) != len(self.candidates):
             raise SchemaError(f"duplicate candidates in instance for {self.anchor!r}")
-        if not self.positives:
-            raise SchemaError("positives is empty")
+        # a bool is no index, and an index is stored as an int (a numpy
+        # integer as the int it equals, which JSON can write)
         n = len(self.candidates)
-        if not all(isinstance(i, int) and 0 <= i < n for i in self.positives):
+        positives = frozenset(self.positives)
+        if not positives:
+            raise SchemaError("positives is empty")
+        if not all(_is_int(i) and 0 <= i < n for i in positives):
             raise SchemaError("positive index out of range")
+        object.__setattr__(self, "positives", frozenset(map(int, positives)))
         if self.negatives_explicit is not None:
-            if not all(isinstance(i, int) and 0 <= i < n for i in self.negatives_explicit):
+            negatives = frozenset(self.negatives_explicit)
+            if not all(_is_int(i) and 0 <= i < n for i in negatives):
                 raise SchemaError("explicit-negative index out of range")
-            if self.positives & self.negatives_explicit:
+            if self.positives & negatives:
                 raise SchemaError("positives and explicit negatives overlap")
+            object.__setattr__(self, "negatives_explicit", frozenset(map(int, negatives)))
 
     def labels(self) -> dict[int, int]:
         """Candidate index -> binary label, for labeled candidates only.
@@ -357,13 +358,10 @@ def instance_from_dict(d: dict) -> RankingInstance:
     unknown = set(d) - _INSTANCE_FIELDS
     if unknown:
         raise SchemaError(f"instance record has unknown fields: {sorted(unknown)}")
-    image_id = d["image_id"]
-    if not isinstance(image_id, str) or not image_id:
-        raise SchemaError(f"image_id must be a non-empty string, got {image_id!r}")
     try:
         # RankingInstance converts each field to its tuple/set/enum form
         return RankingInstance(
-            image_id=image_id,
+            image_id=d["image_id"],
             anchor_kind=d["anchor_kind"],
             anchor=d["anchor"],
             candidates=d["candidates"],

@@ -2,24 +2,31 @@
 
 Input is the common scene-graph JSON layout: a list of images, each with
 annotated boxes carrying object names and attribute lists, each parsed by
-image_record (in scene_graph.json and scenes.jsonl alike).  From a training
-split we count object/attribute co-occurrence, then build fixed-size ranking
-instances whose negatives are chosen hardest-first: by conditional
-probability given the anchor word, falling back to marginal priors when the
-conditional table runs dry.
+image_record (in scene_graph.json and scenes.jsonl alike).  The statistics
+behind the negatives may be counted over a training split (build_stats) or
+derived from a synthetic world's priors (world.world_stats); one table
+builder, ranked_tables, turns either kind of weight into the ranked tables
+of CooccurrenceStats.
 
-One rule builds both directions.  anchor_kind=OBJECT anchors on the box's
-object and ranks attribute candidates; anchor_kind=ATTRIBUTE anchors on one
-of the box's attributes and ranks object candidates.  The statistics behind
-the negatives may be counted (build_stats) or derived from a synthetic
-world's priors (world.world_stats); one table builder, ranked_tables, turns
-either kind of weight into the ranked tables, and the rule does not care
-which.  build_split is the one instance loop: world.make_instances runs it
-over a world's scenes.
+build_split is the one instance builder (world.make_instances runs it over
+a world's scenes).  It makes one instance per box with attributes, by one
+rule for both anchor kinds:
 
-A candidate is never used as a negative when the (anchor, candidate) pairing
-is realized elsewhere on the same image: such a word is true in context and
-would poison the negative set.
+- anchor_kind=OBJECT anchors on the box's object and ranks attributes.  The
+  box's attributes are the positives; the attributes of the same object on
+  the image's other boxes are excluded.
+- anchor_kind=ATTRIBUTE anchors on the box's first attribute and ranks
+  objects.  The box's object is the positive; the objects of the image's
+  other boxes that carry the anchor are excluded.
+- The words are the positives, then negatives hardest first: down the
+  anchor's conditional table, then down the ranked kind's prior, skipping
+  positives, exclusions and words already chosen, until there are `total`.
+- The words are shuffled by a permutation seeded by (seed, image_id, box
+  index, anchor kind), so rebuilding a split under one seed is
+  byte-identical.
+
+An excluded word is true in context, since its pairing with the anchor is
+realized elsewhere on the same image, and would poison the negative set.
 """
 
 from __future__ import annotations
@@ -68,8 +75,9 @@ def image_record(entry: object) -> SceneGraphRecord:
     Documented subset: image_id, objects[{x, y, w, h, names, attributes?}].
     An image_id is a non-empty string or an integer (Visual Genome's ids
     are), stored as a string.  Multi-name boxes keep their first name, and
-    attributes may be missing or null.  Words are lowercased here and never
-    again; attributes are deduplicated in first-seen order.
+    attributes may be missing or null but are otherwise a list.  Words are
+    lowercased here and never again; attributes are deduplicated in
+    first-seen order.
     """
     if not isinstance(entry, dict) or "image_id" not in entry:
         raise SchemaError("missing image_id")
@@ -90,8 +98,10 @@ def image_record(entry: object) -> SceneGraphRecord:
             raise SchemaError(f"{where}: empty names")
         if not isinstance(names, (list, tuple)):
             raise SchemaError(f"{where}: names must be a list")
-        attributes = ob.get("attributes") or ()
-        if not isinstance(attributes, (list, tuple)):
+        attributes = ob.get("attributes")
+        if attributes is None:
+            attributes = ()
+        elif not isinstance(attributes, (list, tuple)):
             raise SchemaError(f"{where}: attributes must be a list")
         try:
             box = checked_region([ob.get(k) for k in "xywh"])
@@ -158,17 +168,6 @@ class CooccurrenceStats:
     object_prior: tuple[tuple[str, float], ...]
     attribute_prior: tuple[tuple[str, float], ...]
 
-    def conditional(self, anchor_kind: AnchorKind, anchor: str, word: str) -> float:
-        """P(word | anchor), 0.0 for unseen pairs."""
-        table = (
-            self.attrs_given_object if anchor_kind is AnchorKind.OBJECT
-            else self.objects_given_attr
-        )
-        for w, p in table.get(anchor, ()):
-            if w == word:
-                return p
-        return 0.0
-
 
 def _ranked(pairs: dict[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -224,149 +223,56 @@ def build_stats(records: Sequence[SceneGraphRecord]) -> CooccurrenceStats:
     )
 
 
-@dataclass(frozen=True)
-class NegativePlan:
-    """The negative-selection outcome before shuffling.
-
-    `conditional` holds hard negatives in non-increasing conditional
-    probability given the anchor; `fallback` holds the prior-ordered filler
-    appended after the conditional table was exhausted.  Kept as a separate
-    artifact so audits can check ordering without reverse-engineering the
-    shuffled instance.
-    """
-
-    anchor: str
-    positives: tuple[str, ...]
-    excluded: frozenset[str]
-    conditional: tuple[str, ...]
-    fallback: tuple[str, ...]
-
-    @property
-    def negatives(self) -> tuple[str, ...]:
-        return self.conditional + self.fallback
-
-
-def select_negatives(
-    need: int,
-    conditional_ranked: Sequence[tuple[str, float]],
-    prior_ranked: Sequence[tuple[str, float]],
-    skip: frozenset[str],
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Pick `need` negatives, hardest first.
-
-    Walks the conditional ranking, then the prior ranking, skipping `skip`
-    and anything already chosen.  Raises BuilderError on shortfall.
-    """
-    chosen: dict[str, None] = {}
-    for w, _ in conditional_ranked:
-        if len(chosen) >= need:
-            break
-        if w not in skip:
-            chosen.setdefault(w, None)
-    n_cond = len(chosen)
-    for w, _ in prior_ranked:
-        if len(chosen) >= need:
-            break
-        if w not in skip and w not in chosen:
-            chosen.setdefault(w, None)
-    if len(chosen) < need:
-        raise BuilderError(
-            f"vocabulary exhausted: needed {need} negatives, found {len(chosen)}"
-        )
-    words = tuple(chosen)
-    return words[:n_cond], words[n_cond:]
-
-
-def plan_instance(
+def _box_instance(
     record: SceneGraphRecord,
-    anchor_box_index: int,
+    index: int,
     stats: CooccurrenceStats,
-    total: int = 50,
-    anchor_kind: AnchorKind = AnchorKind.OBJECT,
-) -> NegativePlan:
-    """Compute anchor, positives, exclusions and negatives for one box.
-
-    anchor_kind names the anchor word's kind.  For anchor_kind=OBJECT the
-    anchor is the box's object; for anchor_kind=ATTRIBUTE it is the box's
-    first attribute.
-    """
-    anchor_kind = AnchorKind(anchor_kind)
-    try:
-        box = record.boxes[anchor_box_index]
-    except IndexError as exc:
-        raise BuilderError(
-            f"image {record.image_id} has no box #{anchor_box_index}"
-        ) from exc
-    if not box.attributes:
-        raise BuilderError(
-            f"image {record.image_id} box #{anchor_box_index} has no attributes"
-        )
-    others = [b for i, b in enumerate(record.boxes) if i != anchor_box_index]
-
-    if anchor_kind is AnchorKind.OBJECT:
-        anchor_word = box.obj
-        positives = box.attributes
-        excluded = frozenset(
-            a for b in others if b.obj == anchor_word for a in b.attributes
-        )
-        cond = stats.attrs_given_object.get(anchor_word, ())
-        prior = stats.attribute_prior
-    else:
-        anchor_word = box.attributes[0]
-        positives = (box.obj,)
-        excluded = frozenset(b.obj for b in others if anchor_word in b.attributes)
-        cond = stats.objects_given_attr.get(anchor_word, ())
-        prior = stats.object_prior
-
-    if len(positives) > total:
-        raise BuilderError(
-            f"{len(positives)} ground-truth words exceed total={total}"
-        )
-    skip = frozenset(positives) | excluded
-    conditional, fallback = select_negatives(
-        total - len(positives), cond, prior, skip
-    )
-    return NegativePlan(
-        anchor=anchor_word,
-        positives=positives,
-        excluded=excluded,
-        conditional=conditional,
-        fallback=fallback,
-    )
-
-
-def build_instance(
-    record: SceneGraphRecord,
-    anchor_box_index: int,
-    stats: CooccurrenceStats,
-    total: int = 50,
-    anchor_kind: AnchorKind = AnchorKind.OBJECT,
-    seed: int = 0,
+    total: int,
+    anchor_kind: AnchorKind,
+    seed: int,
 ) -> RankingInstance:
-    """Build one shuffled ranking instance for a box.
+    """The module's one rule, applied to box `index`, which has attributes."""
+    box = record.boxes[index]
+    others = record.boxes[:index] + record.boxes[index + 1:]
+    if anchor_kind is AnchorKind.OBJECT:
+        anchor = box.obj
+        positives = box.attributes
+        excluded = {a for b in others if b.obj == anchor for a in b.attributes}
+        tiers = (stats.attrs_given_object.get(anchor, ()), stats.attribute_prior)
+    else:
+        anchor = box.attributes[0]
+        positives = (box.obj,)
+        excluded = {b.obj for b in others if anchor in b.attributes}
+        tiers = (stats.objects_given_attr.get(anchor, ()), stats.object_prior)
+    if len(positives) > total:
+        raise BuilderError(f"{len(positives)} ground-truth words exceed total={total}")
 
-    Candidate order is a deterministic permutation seeded per (seed,
-    image, box, anchor_kind), so rebuilding a split with the same seed is
-    byte-identical.
-    """
-    anchor_kind = AnchorKind(anchor_kind)
-    plan = plan_instance(record, anchor_box_index, stats, total, anchor_kind)
-    words = plan.positives + plan.negatives
+    need = total - len(positives)
+    skip = excluded.union(positives)
+    negatives: dict[str, None] = {}  # insertion-ordered, hardest first
+    for table in tiers:
+        for w, _ in table:
+            if len(negatives) >= need:
+                break
+            if w not in skip:
+                negatives[w] = None
+    if len(negatives) < need:
+        raise BuilderError(
+            f"vocabulary exhausted: needed {need} negatives, found {len(negatives)}"
+        )
+
+    words = positives + tuple(negatives)
     rng = np.random.default_rng(
-        stable_seed(seed, record.image_id, anchor_box_index, anchor_kind.value)
+        stable_seed(seed, record.image_id, index, anchor_kind.value)
     )
-    perm = rng.permutation(len(words))
-    candidates = tuple(words[i] for i in perm)
-    pos_words = set(plan.positives)
-    positives = frozenset(i for i, w in enumerate(candidates) if w in pos_words)
+    candidates = tuple(words[i] for i in rng.permutation(len(words)))
     return RankingInstance(
         image_id=record.image_id,
         anchor_kind=anchor_kind,
-        anchor=plan.anchor,
+        anchor=anchor,
         candidates=candidates,
-        positives=positives,
-        region=record.boxes[anchor_box_index].box,
-        negatives_explicit=None,
+        positives=frozenset(i for i, w in enumerate(candidates) if w in positives),
+        region=box.box,
     )
 
 
@@ -377,10 +283,12 @@ def build_split(
     seed: int = 0,
     total: int = 50,
 ) -> tuple[list[RankingInstance], dict]:
-    """Build instances for every eligible box of every record.
+    """Build an instance for every box with attributes, by the module's rule.
 
     Output order is (image_id, box index).  Returns the instances plus a
-    manifest dict with counts and the config hash.
+    manifest dict with counts and the config hash.  A box with more
+    positives than `total`, or whose tables hold too few negatives, is a
+    BuilderError.
     """
     check_parameter("seed", seed, "an int >= 0")
     anchor_kind = AnchorKind(anchor_kind)
@@ -390,7 +298,7 @@ def build_split(
         for i, bx in enumerate(rec.boxes):
             if not bx.attributes:
                 continue
-            instances.append(build_instance(rec, i, stats, total, anchor_kind, seed))
+            instances.append(_box_instance(rec, i, stats, total, anchor_kind, seed))
             images.add(rec.image_id)
     config = {"anchor_kind": anchor_kind.value, "seed": seed, "total": total}
     manifest = {

@@ -2,12 +2,13 @@
 
 Everything here is written the slow, obvious way, sharing nothing with the
 package internals except the documented conventions (ascending-loss order,
-index tie break, class pooling rules).  Tests compare the fast library
+index tie break, class pooling rules, the builder's seeded shuffle).  Tests compare the fast library
 against these.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -78,6 +79,45 @@ def naive_generative_loss(captions, sentence, vocab, smoothing) -> float:
     _, terminal = caption_conditional(captions, sentence, vocab, smoothing)
     loss += -math.log(terminal)
     return loss
+
+
+# -- benchmark construction ----------------------------------------------
+
+
+def naive_instance_words(record, box_index, stats, total, anchor_kind):
+    """A box's candidate words before the shuffle: the positives, then the
+    first eligible words of the conditional table followed by the prior.
+
+    Returns fewer than `total` words when the tables run dry.
+    """
+    box = record.boxes[box_index]
+    others = [b for j, b in enumerate(record.boxes) if j != box_index]
+    if anchor_kind == "object":
+        positives = list(box.attributes)
+        excluded = [a for b in others if b.obj == box.obj for a in b.attributes]
+        table = stats.attrs_given_object.get(box.obj, ())
+        prior = stats.attribute_prior
+    else:
+        anchor = box.attributes[0]
+        positives = [box.obj]
+        excluded = [b.obj for b in others if anchor in b.attributes]
+        table = stats.objects_given_attr.get(anchor, ())
+        prior = stats.object_prior
+    negatives = []
+    for word, _ in list(table) + list(prior):
+        if word not in positives and word not in excluded and word not in negatives:
+            negatives.append(word)
+    return positives + negatives[: total - len(positives)]
+
+
+def naive_shuffle(words, seed, image_id, box_index, anchor_kind):
+    """`words` in the builder's seeded order: numpy's permutation under the
+    top 63 bits of sha256 over the key parts joined by U+001F."""
+    key = "\x1f".join(str(part) for part in (seed, image_id, box_index, anchor_kind))
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big") >> 1)
+    words = list(words)
+    return [words[i] for i in rng.permutation(len(words))]
 
 
 # -- metrics -------------------------------------------------------------

@@ -47,7 +47,6 @@ from genret import (
     mean_recall_at_k,
     overall_f1_at_k,
     parse_template,
-    plan_instance,
     random_world,
     rank_instance,
     ranking_order,
@@ -328,7 +327,7 @@ def _synthetic_corpus(n_images=2500, boxes_per_image=4):
 
     Every object draws from a 30-attribute window, weighted toward the
     window head, so each anchor has a non-trivial conditional tier and the
-    50-candidate plans must fall back to the prior tier.
+    50-candidate instances must fall back to the prior tier.
     """
     rng = np.random.default_rng(424242)
     objects = [f"obj{j:02d}" for j in range(40)]
@@ -391,21 +390,16 @@ def test_07_dataset_builder_audit(tmp_path):
         if negatives & excluded:
             bad.append(f"{inst.image_id}/{bi}: on-image exclusion violated")
             continue
-        plan = plan_instance(rec, bi, stats, total=50, anchor_kind=AnchorKind.OBJECT)
+        words = bf.naive_instance_words(rec, bi, stats, 50, "object")
+        if list(inst.candidates) != bf.naive_shuffle(words, 123, rec.image_id, bi, "object"):
+            bad.append(f"{inst.image_id}/{bi}: differs from the naive builder")
+            continue
         if inst.anchor not in cond_tables:
             cond_tables[inst.anchor] = dict(stats.attrs_given_object[inst.anchor])
         table = cond_tables[inst.anchor]
-        probs = [table[w] for w in plan.conditional]
-        if any(p <= 0.0 for p in probs) or any(
-            later > earlier for later, earlier in zip(probs[1:], probs)
-        ):
-            bad.append(f"{inst.image_id}/{bi}: conditional tier out of order")
-            continue
-        if any(w in table for w in plan.fallback):
-            bad.append(f"{inst.image_id}/{bi}: fallback word has conditional mass")
-            continue
-        if set(plan.negatives) != negatives:
-            bad.append(f"{inst.image_id}/{bi}: plan and instance disagree")
+        probs = [table.get(w, 0.0) for w in words[len(positives):]]
+        if any(later > earlier for later, earlier in zip(probs[1:], probs)):
+            bad.append(f"{inst.image_id}/{bi}: hard negatives out of order")
 
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_instances(first, split)
@@ -418,7 +412,7 @@ def test_07_dataset_builder_audit(tmp_path):
     ok = len(split) == 10_000 and not bad and identical
     detail = (
         f"{len(split)} instances: 50 unique candidates each, exclusions clean, "
-        f"conditional tier ordered, rebuild byte-identical"
+        f"equal to the naive builder, hard negatives first, rebuild byte-identical"
         if ok
         else "; ".join(bad[:5]) + ("" if identical else "; rebuild differs")
     )

@@ -554,9 +554,20 @@ def test_missing_file_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[io]:")
 
 
-def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (lambda rec: {"image_id": "x"}, "instance record missing fields"),
+        # a bool is no candidate index, though JSON's true equals 1
+        (lambda rec: {**rec, "positives": [True]}, "positive index out of range"),
+        (lambda rec: {**rec, "negatives_explicit": [False]}, "explicit-negative index out of range"),
+    ],
+    ids=["missing-fields", "bool-positive", "bool-explicit-negative"],
+)
+def test_malformed_instances_exit_4(pipeline, tmp_path, capsys, edit, match):
+    rec = json.loads(Path(pipeline["instances"]).read_text().splitlines()[0])
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"image_id": "x"}\n')
+    bad.write_text(json.dumps(edit(rec)) + "\n")
     rc = main(
         [
             "evaluate", "--out", str(tmp_path / "x"), "--instances", str(bad),
@@ -564,7 +575,7 @@ def test_malformed_instances_exit_4(pipeline, tmp_path, capsys):
         ]
     )
     assert rc == 4
-    assert capsys.readouterr().err.startswith("error[schema]:")
+    assert capsys.readouterr().err.startswith(f"error[schema]: {bad}:1: {match}")
 
 
 def test_null_image_id_exits_4_naming_the_line(pipeline, tmp_path, capsys):
@@ -947,6 +958,9 @@ def _old_layout(recs):
         (_set_object(names=[]), 1, "empty names"),
         (_set_object(names="obj01"), 1, "names must be a list"),
         (_set_object(attributes="attr01"), 1, "attributes must be a list"),
+        (_set_object(attributes=0), 1, "attributes must be a list"),
+        (_set_object(attributes=False), 1, "attributes must be a list"),
+        (_set_object(attributes={}), 1, "attributes must be a list"),
         (_drop_from_object(*"xywh"), 1, "region must be null or 4 finite numbers"),
         (_set_object(x="a", h=None), 1, "region must be null or 4 finite numbers"),
         (_drop_from_object("h"), 1, "region must be null or 4 finite numbers"),
@@ -955,7 +969,8 @@ def _old_layout(recs):
     ids=[
         "null-id", "empty-id", "bool-id", "float-id", "repeated-id", "old-layout",
         "no-entities", "missing-objects", "objects-not-a-list", "object-not-a-dict",
-        "empty-names", "names-string", "attributes-string", "missing-box",
+        "empty-names", "names-string", "attributes-string", "attributes-zero",
+        "attributes-false", "attributes-empty-dict", "missing-box",
         "non-numeric-box", "short-box", "null-box",
     ],
 )

@@ -224,6 +224,9 @@ def test_instance_normalizes_words():
         dict(region=(1, 2, 3)),
         dict(region=(0, 0, True, 1)),  # a bool is not a coordinate
         dict(image_id=""),
+        dict(image_id=5),  # an id is a string wherever the instance came from
+        dict(positives=frozenset({True})),  # a bool is no candidate index
+        dict(negatives_explicit=frozenset({False})),
     ],
 )
 def test_instance_validation(kw):
@@ -287,6 +290,12 @@ def test_scored_instance_checks_alignment_and_finiteness():
 def test_instance_dict_round_trip():
     inst = make_instance(region=(1, 2, 3, 4), negatives_explicit=frozenset({0}))
     assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+def test_numpy_integer_indices_are_stored_as_ints():
+    inst = make_instance(positives=[np.int64(1)], negatives_explicit=[np.int64(0)])
+    record = json.loads(json.dumps(instance_to_dict(inst)))
+    assert (record["positives"], record["negatives_explicit"]) == ([1], [0])
 
 
 def test_instance_from_dict_is_strict():

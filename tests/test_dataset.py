@@ -1,21 +1,21 @@
 """Scene-graph parsing, co-occurrence stats, and benchmark construction."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+import bruteforce as bf
 from genret import (
     AnchorKind,
     BoxAnnotation,
+    CooccurrenceStats,
     SceneGraphRecord,
-    build_instance,
     build_split,
     build_stats,
     parse_scene_graph,
-    plan_instance,
     record_to_dict,
-    select_negatives,
     write_instances,
     write_scene_graph,
 )
@@ -60,6 +60,14 @@ def records():
 @pytest.fixture()
 def stats(records):
     return build_stats(records)
+
+
+@pytest.fixture()
+def roomy_stats(stats):
+    """stats plus one zero-mass word at the attribute prior's tail.  The
+    white cat on img1 reaches only 3 negatives from the corpus, so building
+    img1 at total=5 needs it; the other boxes stop before it."""
+    return dataclasses.replace(stats, attribute_prior=stats.attribute_prior + (("zzz", 0.0),))
 
 
 # -- parsing ----------------------------------------------------------------
@@ -168,107 +176,107 @@ def test_build_stats_distributions_normalize(stats):
     assert sum(p for _, p in stats.attribute_prior) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_conditional_lookup(stats):
-    assert stats.conditional(AnchorKind.OBJECT, "cat", "black") == pytest.approx(0.4)
-    assert stats.conditional(AnchorKind.ATTRIBUTE, "black", "cat") == pytest.approx(2 / 3)
-    assert stats.conditional(AnchorKind.OBJECT, "cat", "red") == 0.0
-    assert stats.conditional(AnchorKind.OBJECT, "unseen", "black") == 0.0
-
-
 def test_build_stats_requires_records():
     with pytest.raises(StatsError):
         build_stats([])
 
 
-# -- negative selection --------------------------------------------------------
-
-
-def test_select_negatives_walks_tiers_in_order():
-    cond = (("a", 0.5), ("b", 0.3), ("c", 0.2))
-    prior = (("z", 0.9), ("a", 0.5), ("y", 0.1))
-    conditional, fallback = select_negatives(3, cond, prior, frozenset({"b"}))
-    assert conditional == ("a", "c")
-    assert fallback == ("z",)
-
-
-def test_select_negatives_never_repeats_across_tiers():
-    cond = (("a", 0.5),)
-    prior = (("a", 0.9), ("b", 0.1))
-    conditional, fallback = select_negatives(2, cond, prior, frozenset())
-    assert conditional == ("a",)
-    assert fallback == ("b",)
-
-
-def test_select_negatives_shortfall():
-    with pytest.raises(BuilderError, match="vocabulary exhausted"):
-        select_negatives(3, (("a", 1.0),), (("b", 1.0),), frozenset())
-
-
-# -- instance planning -----------------------------------------------------------
-
-
-def test_plan_attribute_mode(records, stats):
-    plan = plan_instance(records[0], 0, stats, total=5)
-    assert plan.anchor == "cat"
-    assert plan.positives == ("black", "small")
-    # the other cat box on img1 wears white, so white is off the table
-    assert plan.excluded == frozenset({"white"})
-    assert plan.conditional == ("fluffy",)
-    assert plan.fallback == ("brown", "red")
-    assert plan.negatives == ("fluffy", "brown", "red")
-
-
-def test_plan_object_mode(records, stats):
-    plan = plan_instance(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
-    assert plan.anchor == "black"  # defaults to the box's first attribute
-    assert plan.positives == ("dog",)
-    assert plan.excluded == frozenset({"cat"})  # img1's cat also wears black
-    assert plan.conditional == ()
-    assert plan.fallback == ("bird", "mat")
-
-
-@pytest.mark.parametrize(
-    "box_index,total,match",
-    [
-        (9, 50, "no box"),
-        (2, 50, "no attributes"),  # the bare mat on img2
-        (0, 0, "exceed"),
-    ],
-)
-def test_plan_errors(records, stats, box_index, total, match):
-    with pytest.raises(BuilderError, match=match):
-        plan_instance(records[1], box_index, stats, total=total)
-
-
-def test_plans_order_hard_negatives_first(records, stats):
-    """Conditional tier is non-increasing in P(word | anchor) and the
-    fallback tier never contains a word the conditional table knows."""
-    for rec in records:
-        for i, bx in enumerate(rec.boxes):
-            if not bx.attributes:
-                continue
-            for anchor_kind, total in (
-                (AnchorKind.OBJECT, 4),
-                (AnchorKind.ATTRIBUTE, 3),
-            ):
-                plan = plan_instance(rec, i, stats, total=total, anchor_kind=anchor_kind)
-                probs = [
-                    stats.conditional(anchor_kind, plan.anchor, w)
-                    for w in plan.conditional
-                ]
-                assert all(
-                    hi >= lo for hi, lo in zip(probs, probs[1:])
-                ), (rec.image_id, i, anchor_kind)
-                assert all(probs), "conditional tier must come from the table"
-                for w in plan.fallback:
-                    assert stats.conditional(anchor_kind, plan.anchor, w) == 0.0
-
-
 # -- instance building --------------------------------------------------------
 
 
-def test_build_instance_fields(records, stats):
-    inst = build_instance(records[0], 0, stats, total=5, seed=3)
+def built(record, box_index, stats, total, anchor_kind=AnchorKind.OBJECT, seed=0):
+    """build_split's instance for one box, from a split of its record alone."""
+    instances, _ = build_split([record], stats, anchor_kind=anchor_kind, seed=seed, total=total)
+    eligible = [i for i, b in enumerate(record.boxes) if b.attributes]
+    return instances[eligible.index(box_index)]
+
+
+def build_order(inst, box_index, seed=0):
+    """The instance's words before its seeded shuffle."""
+    order = bf.naive_shuffle(
+        range(len(inst.candidates)), seed, inst.image_id, box_index, inst.anchor_kind.value
+    )
+    words = [None] * len(order)
+    for word, i in zip(inst.candidates, order):
+        words[i] = word
+    return words
+
+
+def hand_stats(conditional, prior):
+    """Stats whose only tables are P(attribute | o) and the attribute prior."""
+    return CooccurrenceStats(
+        object_counts={}, attribute_counts={},
+        attrs_given_object={"o": conditional}, objects_given_attr={},
+        object_prior=(), attribute_prior=prior,
+    )
+
+
+def test_negatives_walk_the_conditional_table_then_the_prior():
+    # the one box's positive b is skipped in both tiers
+    stats = hand_stats((("a", 0.5), ("b", 0.3), ("c", 0.2)), (("z", 0.9), ("a", 0.5), ("y", 0.1)))
+    inst = built(SceneGraphRecord("one", (box("o", ("b",)),)), 0, stats, total=4)
+    assert build_order(inst, 0) == ["b", "a", "c", "z"]
+
+
+def test_negatives_never_repeat_across_tiers():
+    stats = hand_stats((("a", 0.5),), (("a", 0.9), ("b", 0.1)))
+    inst = built(SceneGraphRecord("one", (box("o", ("p",)),)), 0, stats, total=3)
+    assert build_order(inst, 0) == ["p", "a", "b"]
+
+
+def test_exhausted_vocabulary_names_the_shortfall():
+    stats = hand_stats((("a", 1.0),), (("b", 1.0),))
+    with pytest.raises(BuilderError, match="^vocabulary exhausted: needed 3 negatives, found 2$"):
+        build_split([SceneGraphRecord("one", (box("o", ("p",)),))], stats, total=4)
+
+
+def test_more_positives_than_total_is_an_error(records, stats):
+    with pytest.raises(BuilderError, match="^1 ground-truth words exceed total=0$"):
+        build_split(records[1:2], stats, total=0)
+
+
+def test_object_anchor_words(records, roomy_stats):
+    inst = built(records[0], 0, roomy_stats, total=5)
+    assert inst.anchor == "cat"
+    # positives; fluffy from P(attribute | cat), since white is off the table
+    # (the other cat box on img1 wears it); then the prior fills the rest
+    assert build_order(inst, 0) == ["black", "small", "fluffy", "brown", "red"]
+
+
+def test_attribute_anchor_words(records, stats):
+    inst = built(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
+    assert inst.anchor == "black"  # the box's first attribute
+    # img1's cat also wears black, so cat is off the table, and dog is the
+    # positive: P(object | black) has nothing left and the prior fills in
+    assert build_order(inst, 2) == ["dog", "bird", "mat"]
+
+
+def test_every_box_is_built_by_the_rule_hard_negatives_first(records, stats):
+    """Each instance equals the naive builder's words under the seeded
+    shuffle, and its negatives with conditional mass come first, in
+    non-increasing P(word | anchor)."""
+    for anchor_kind, total in ((AnchorKind.OBJECT, 4), (AnchorKind.ATTRIBUTE, 3)):
+        instances, _ = build_split(records, stats, anchor_kind=anchor_kind, seed=5, total=total)
+        tables = (
+            stats.attrs_given_object if anchor_kind is AnchorKind.OBJECT
+            else stats.objects_given_attr
+        )
+        boxes = [(rec, i) for rec in records for i, b in enumerate(rec.boxes) if b.attributes]
+        assert len(instances) == len(boxes)
+        for inst, (rec, i) in zip(instances, boxes):
+            words = bf.naive_instance_words(rec, i, stats, total, anchor_kind.value)
+            assert len(words) == total
+            assert list(inst.candidates) == bf.naive_shuffle(
+                words, 5, rec.image_id, i, anchor_kind.value
+            ), (rec.image_id, i, anchor_kind)
+            table = dict(tables.get(inst.anchor, ()))
+            n_pos = len(inst.positives)
+            probs = [table.get(w, 0.0) for w in build_order(inst, i, seed=5)[n_pos:]]
+            assert probs == sorted(probs, reverse=True), (rec.image_id, i, anchor_kind)
+
+
+def test_built_instance_fields(records, roomy_stats):
+    inst = built(records[0], 0, roomy_stats, total=5, seed=3)
     assert inst.image_id == "img1"
     assert inst.anchor == "cat"
     # attribute candidates anchor on an object word
@@ -279,17 +287,17 @@ def test_build_instance_fields(records, stats):
     assert inst.negatives_explicit is None
 
 
-def test_build_instance_shuffle_is_seeded(records, stats):
-    a = build_instance(records[0], 0, stats, total=5, seed=3)
-    b = build_instance(records[0], 0, stats, total=5, seed=3)
-    c = build_instance(records[0], 0, stats, total=5, seed=4)
+def test_built_shuffle_is_seeded(records, roomy_stats):
+    a = built(records[0], 0, roomy_stats, total=5, seed=3)
+    b = built(records[0], 0, roomy_stats, total=5, seed=3)
+    c = built(records[0], 0, roomy_stats, total=5, seed=4)
     assert a == b
     assert a.candidates != c.candidates
     assert sorted(a.candidates) == sorted(c.candidates)
 
 
-def test_build_instance_object_mode(records, stats):
-    inst = build_instance(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
+def test_built_attribute_anchor_instance(records, stats):
+    inst = built(records[0], 2, stats, total=3, anchor_kind=AnchorKind.ATTRIBUTE)
     assert inst.anchor == "black"
     assert inst.anchor_kind is AnchorKind.ATTRIBUTE
     assert {inst.candidates[i] for i in inst.positives} == {"dog"}

@@ -187,3 +187,32 @@ def test_no_module_imports_a_name_it_never_uses():
             offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {name}")
     assert checked >= 15  # the rule still sees the modules it guards
     assert not offenders
+
+
+def _unused_private_names(tree):
+    """Underscore-prefixed functions, classes and assignments at module
+    level that the module never loads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return private - loaded
+
+
+def test_no_module_keeps_a_private_name_it_never_uses():
+    # what a deletion leaves behind, as with unused imports
+    checked, offenders = 0, set()
+    for path in PACKAGE.rglob("*.py"):
+        checked += 1
+        for name in _unused_private_names(ast.parse(path.read_text(encoding="utf-8"))):
+            offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {name}")
+    assert checked >= 15
+    assert not offenders
