@@ -7,13 +7,16 @@ wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and each
 /v1/embed request that names an image_id is one `embed_batch` call with all
 of its sentences; a request naming no image embeds each sentence in
-`texts` with `embed_text`.  Malformed fields (a region that is
-neither null nor 4 finite numbers among them) and requests the
-backend rejects (an embed request to a backend without a contrastive side
-among them) get 400.  A fault of the backend itself gets 500: any other
-exception it raises, an embedding it returns that is not a numeric array
-(ragged or non-numeric rows), and an answer JSON cannot encode (such as
-Fraction probabilities); the message names that output.
+`texts` with `embed_text`.  A backend may serve one object for many
+prefixes (the oracle keeps one per trie node), so a /v1/logprobs reply
+JSON-encodes each distinct object once, within the reply, and joins the
+pieces into the bytes `json.dumps` of the whole reply gives.  Malformed
+fields (a region that is neither null nor 4 finite numbers among them) and
+requests the backend rejects (an embed request to a backend without a
+contrastive side among them) get 400.  A fault of the backend itself gets
+500: any other exception it raises, an embedding it returns that is not a
+numeric array (ragged or non-numeric rows), and an answer JSON cannot
+encode (such as Fraction probabilities); the message names that output.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -42,18 +45,36 @@ def _wire_array(value, what: str) -> list:
         raise _BackendOutputError(f"backend returned a malformed {what}: {exc}") from None
 
 
+def _logprobs_json(request_id, dists: list) -> str:
+    """The /v1/logprobs reply, byte-equal to `json.dumps` of
+    {"request_id": ..., "results": [...]}, with each distinct object of
+    `dists` encoded once.  `dists` holds every object for the whole call,
+    so no id is reused while it keys them."""
+    encoded: dict[int, str] = {}
+    for dist in dists:
+        if id(dist) not in encoded:
+            res = {"probs": dict(dist.probs)}
+            if dist.terminal_p is not None:
+                res["terminal_p"] = dist.terminal_p
+            try:
+                encoded[id(dist)] = json.dumps(res)
+            except (TypeError, ValueError) as exc:
+                raise _BackendOutputError(
+                    f"backend returned output JSON cannot encode: {exc}"
+                ) from None
+    results = ", ".join([encoded[id(dist)] for dist in dists])
+    return f'{{"request_id": {json.dumps(request_id)}, "results": [{results}]}}'
+
+
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output clean
         pass
 
     def _reply(self, status: int, payload: dict):
-        try:
-            body = json.dumps(payload).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            # only a backend's answer can hold what JSON cannot encode
-            status = 500
-            error = f"backend returned output JSON cannot encode: {exc}"
-            body = json.dumps({"error": error}).encode("utf-8")
+        self._send(status, json.dumps(payload))
+
+    def _send(self, status: int, text: str):
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -77,13 +98,8 @@ class _Handler(BaseHTTPRequestHandler):
         backend = self.server.backend  # type: ignore[attr-defined]
         try:
             if self.path == "/v1/logprobs":
-                results = []
-                for dist in backend.next_token_distributions(image_id, region, prefixes):
-                    res = {"probs": dict(dist.probs)}
-                    if dist.terminal_p is not None:
-                        res["terminal_p"] = dist.terminal_p
-                    results.append(res)
-                status, payload = 200, {"request_id": request_id, "results": results}
+                dists = list(backend.next_token_distributions(image_id, region, prefixes))
+                status, text = 200, _logprobs_json(request_id, dists)
             elif self.path == "/v1/embed":
                 if image_id is None and not texts:
                     raise ValueError("an embed request needs an image_id or texts")
@@ -96,18 +112,19 @@ class _Handler(BaseHTTPRequestHandler):
                     payload["texts"] = [
                         _wire_array(backend.embed_text(tuple(t)), "text embedding") for t in texts
                     ]
-                status = 200
+                status, text = 200, json.dumps(payload)
             else:
-                status, payload = 404, {"error": f"unknown path {self.path}"}
+                status, text = 404, json.dumps({"error": f"unknown path {self.path}"})
         except _BackendOutputError as exc:
-            status, payload = 500, {"error": str(exc)}
+            self._reply(500, {"error": str(exc)})
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for
-            status, payload = 400, {"error": str(exc)}
+            self._reply(400, {"error": str(exc)})
         except Exception as exc:
             # answer rather than drop the connection, which reads as transient
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._reply(status, payload)
+            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+        else:
+            self._send(status, text)
 
 
 class LoopbackServer:

@@ -14,8 +14,10 @@ at least one of the two.
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
 5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
-statuses, malformed bodies (non-numeric values included) and request_id
-mismatches raise TransportError carrying the raw body.  Whether a served
+statuses, malformed bodies and request_id mismatches raise TransportError
+carrying the raw body.  A served probability or terminal_p must be a JSON
+number a float can hold: a float (NaN included), or an int inside the float
+range; a string, a bool or a larger int is malformed.  Whether a served
 distribution sums to one is checked by the scoring engine, which checks
 every distribution before it takes a log.
 
@@ -39,6 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..core import is_finite_number
 from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -137,16 +140,12 @@ class RemoteBackend(ScorerBackend):
             if not isinstance(probs, dict):
                 raise TransportError(f"result #{i} has no probs", body=str(res)[:2000])
             terminal = res.get("terminal_p")
-            try:
-                dist = TokenDistribution(
-                    probs={str(k): float(v) for k, v in probs.items()},
-                    terminal_p=float(terminal) if terminal is not None else None,
-                )
-            except (TypeError, ValueError) as exc:
+            bad = _non_numbers(probs.values() if terminal is None else [*probs.values(), terminal])
+            if bad:
                 raise TransportError(
-                    f"result #{i} has a non-numeric value: {exc}", body=str(res)[:2000]
-                ) from exc
-            out.append(dist)
+                    f"result #{i} has a non-numeric value: {bad[0]!r}", body=str(res)[:2000]
+                )
+            out.append(TokenDistribution(probs=probs, terminal_p=terminal))
         return out
 
     # -- contrastive ---------------------------------------------------
@@ -192,6 +191,14 @@ class RemoteBackend(ScorerBackend):
                 body=str(data)[:2000],
             )
         return image, rows
+
+
+def _non_numbers(values) -> list:
+    """The values that are not JSON numbers a float can hold, in order; see
+    the module docstring.  `values` is read twice, so it is a collection."""
+    if set(map(type, values)) <= {float}:
+        return []  # the common case, with no loop in Python
+    return [v for v in values if type(v) is not float and not is_finite_number(v)]
 
 
 def _vector(data: dict, what: str, vector) -> np.ndarray:

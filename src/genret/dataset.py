@@ -291,6 +291,7 @@ def build_split(
     BuilderError.
     """
     check_parameter("seed", seed, "an int >= 0")
+    check_parameter("total", total, "an int >= 1")
     anchor_kind = AnchorKind(anchor_kind)
     instances = []
     images = set()

@@ -231,8 +231,8 @@ def test_exhausted_vocabulary_names_the_shortfall():
 
 
 def test_more_positives_than_total_is_an_error(records, stats):
-    with pytest.raises(BuilderError, match="^1 ground-truth words exceed total=0$"):
-        build_split(records[1:2], stats, total=0)
+    with pytest.raises(BuilderError, match="^2 ground-truth words exceed total=1$"):
+        build_split(records[:1], stats, total=1)
 
 
 def test_object_anchor_words(records, roomy_stats):
@@ -329,6 +329,12 @@ def test_build_split_orders_and_skips(records, stats):
 def test_build_split_rejects_a_seed_outside_its_domain(records, stats, seed):
     with pytest.raises(ParameterError, match="^seed must be an int >= 0"):
         build_split(records, stats, total=4, seed=seed)
+
+
+@pytest.mark.parametrize("total", [0, 2.5, True])
+def test_build_split_rejects_a_total_outside_its_domain(records, stats, total):
+    with pytest.raises(ParameterError, match="^total must be an int >= 1"):
+        build_split(records, stats, total=total)
 
 
 def test_build_split_rebuild_is_byte_identical(tmp_path, records, stats):

@@ -313,6 +313,10 @@ def ask_embedding(remote):
         ({"results": [{"probs": {"a": "lots"}}]}, ask_distribution),
         ({"results": [{"probs": {"a": [1.0]}}]}, ask_distribution),
         ({"results": [{"probs": {"a": 1.0}, "terminal_p": "none"}]}, ask_distribution),
+        ({"results": [{"probs": {"a": "0.5", "b": 0.5}}]}, ask_distribution),
+        ({"results": [{"probs": {"a": True}}]}, ask_distribution),
+        ({"results": [{"probs": {"a": 1.0}, "terminal_p": False}]}, ask_distribution),
+        ({"results": [{"probs": {"a": 10**400}}]}, ask_distribution),  # past the float range
         ({"results": ["oops"]}, ask_distribution),
         ({"texts": [["x", 1.0]]}, ask_embedding),
     ],
@@ -324,6 +328,18 @@ def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
         with pytest.raises(TransportError) as err:
             ask(remote)
         assert err.value.body
+
+
+def test_integer_probabilities_score_as_the_equal_floats():
+    losses = []
+    for zero, one in ((0, 1), (0.0, 1.0)):
+        reply = {"results": [{"probs": {"a": zero, "b": one}, "terminal_p": zero}]}
+        with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
+            remote = RemoteBackend(url, backoff=0.01)  # no terminal: one result per sentence
+            dist = remote.next_token_distributions("x", None, [()])[0]
+            assert dist.probs == {"a": 0.0, "b": 1.0} and dist.terminal_p == 0.0
+            losses.append(generative_loss(remote, "x", None, ("b",)))
+    assert repr(losses[0]) == repr(losses[1])
 
 
 @pytest.mark.parametrize(
@@ -437,19 +453,20 @@ def test_backend_crash_gets_500_naming_the_exception():
 
 
 class FractionBackend(UniformBackend):
-    """A uniform backend serving its probabilities as Fractions."""
+    """A uniform backend serving its probabilities as Fractions, in one
+    object for every prefix."""
 
     def next_token_distributions(self, image_id, region, prefixes):
-        dists = super().next_token_distributions(image_id, region, prefixes)
-        return [
-            TokenDistribution({t: Fraction(p) for t, p in d.probs.items()}) for d in dists
-        ]
+        dist = super().next_token_distributions(image_id, region, [()])[0]
+        return [TokenDistribution({t: Fraction(p) for t, p in dist.probs.items()})] * len(prefixes)
 
 
 def test_backend_answer_json_cannot_encode_gets_500_naming_the_backend_output():
     body = {"request_id": "r", "image_id": "x", "queries": [{"prefix": []}]}
     with LoopbackServer(FractionBackend(["a", "b"])) as url:
-        resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
+        # one object answers both prefixes
+        two = {**body, "queries": [{"prefix": []}, {"prefix": ["a"]}]}
+        resp = requests.post(f"{url}/v1/logprobs", json=two, timeout=10)
         assert resp.status_code == 500
         assert resp.json()["error"] == (
             "backend returned output JSON cannot encode: "
@@ -462,6 +479,46 @@ def test_backend_answer_json_cannot_encode_gets_500_naming_the_backend_output():
         assert resp.content == (
             b'{"request_id": "r", "results": [{"probs": {"a": 0.5, "b": 0.5}}]}'
         )
+
+
+def expected_logprobs_reply(request_id, dists) -> bytes:
+    """json.dumps of the whole /v1/logprobs reply, one result per served object."""
+    results = []
+    for d in dists:
+        res = {"probs": dict(d.probs)}
+        if d.terminal_p is not None:
+            res["terminal_p"] = d.terminal_p
+        results.append(res)
+    return json.dumps({"request_id": request_id, "results": results}).encode("utf-8")
+
+
+@pytest.mark.parametrize("request_id", ["r", 7, None, ["a", 1]])
+def test_replies_sharing_objects_keep_the_bytes_of_the_whole_reply(setup, request_id):
+    _, scenes, oracle, _ = setup
+    scene = scenes[0].scene_id
+    obj = oracle.next_token_distributions(scene, None, [()])[0]
+    tok = next(t for t, p in obj.probs.items() if p > 0.01)
+    # several off-trie prefixes share the floor; () comes twice
+    oracle_prefixes = [(), (tok,), ("is",), (), ("nowhere",), ("at", "all"), (tok, "is")]
+    uniform = UniformBackend(["b", "a", "c"], include_terminal=True)
+    for backend, image_id, prefixes in (
+        (oracle, scene, oracle_prefixes),
+        (uniform, "x", [(), ("a",), ("a", "b"), ("c",)]),
+    ):
+        served = backend.next_token_distributions(image_id, None, prefixes)
+        assert len({id(d) for d in served}) < len(served)
+        with LoopbackServer(backend) as url:
+            resp = requests.post(
+                f"{url}/v1/logprobs",
+                json={
+                    "request_id": request_id,
+                    "image_id": image_id,
+                    "queries": [{"prefix": list(p)} for p in prefixes],
+                },
+                timeout=10,
+            )
+        assert resp.status_code == 200
+        assert resp.content == expected_logprobs_reply(request_id, served)
 
 
 class RaggedEmbedBatch(OracleBackend):
