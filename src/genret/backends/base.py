@@ -30,14 +30,12 @@ Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
 the first contrastive request.  The engine asks for embeddings through
 `embed_batch`, whose default is built on those two per-item calls.
-Capabilities describe how a backend's answers are to be read and called:
-
-- has_terminal_token: each sentence's scores end with the end-of-sentence
-  probability (served distributions carry one), and generative losses get
-  a terminal term
-- concurrent_safe: queries may run concurrently; otherwise the engine
-  scores the batch sequentially in the caller's thread, so no two calls
-  overlap
+Capabilities say how to read a backend's answers.  Its one flag,
+has_terminal_token, means each sentence's scores end with the
+end-of-sentence probability (served distributions carry one), and
+generative losses get a terminal term.  batch_rank may call one backend
+from several threads (`parallelism`); one that is not thread-safe runs at
+parallelism 1, the default.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ NORM_TOL = 1e-6
 @dataclass(frozen=True)
 class Capabilities:
     has_terminal_token: bool = False
-    concurrent_safe: bool = True
 
 
 @dataclass(frozen=True)

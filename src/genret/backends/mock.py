@@ -18,16 +18,13 @@ class UniformBackend(ScorerBackend):
         if not self.vocab_order:
             raise ConfigurationError("vocabulary is empty")
         self.vocabulary = frozenset(self.vocab_order)
-        self.include_terminal = include_terminal
-        self.capabilities = Capabilities(
-            has_terminal_token=include_terminal, concurrent_safe=True
-        )
+        self.capabilities = Capabilities(has_terminal_token=include_terminal)
 
     def next_token_distributions(self, image_id, region, prefixes) -> list[TokenDistribution]:
-        n = len(self.vocab_order) + (1 if self.include_terminal else 0)
-        u = 1.0 / n
+        terminal = self.capabilities.has_terminal_token
+        u = 1.0 / (len(self.vocab_order) + terminal)
         dist = TokenDistribution(
             probs={t: u for t in self.vocab_order},
-            terminal_p=u if self.include_terminal else None,
+            terminal_p=u if terminal else None,
         )
         return [dist] * len(prefixes)

@@ -16,8 +16,8 @@ with gets the uniform floor distribution.  Smoothing is a finite number
 >= 0 whose product with the vocabulary size plus one is finite.
 
 Each probability is computed once.  A scene's caption trie is built on its
-first generative query (registration checks the scene and keeps its caption
-masses), and a trie node fills its memo on its first query: each child
+first generative query (the constructor checks each scene and keeps its
+caption masses), and a trie node fills its memo on its first query: each child
 token's probability, the one value every other token gets, the terminal
 probability and the total of the whole distribution.  `score_sentences`
 walks each sentence down the trie and reads the memo of every node it
@@ -49,7 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core import check_parameter
-from ..errors import SchemaError, UnknownImageError, VocabularyError
+from ..errors import RenderError, SchemaError, UnknownImageError, VocabularyError
 from ..world import SyntheticScene, WorldSpec, caption_process
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -94,17 +94,18 @@ def _build_trie(dist: dict[tuple[str, ...], Fraction]) -> _TrieNode:
 
 
 class OracleBackend(ScorerBackend):
-    """Ground-truth backend over registered synthetic scenes.
+    """Ground-truth backend over a fixed set of synthetic scenes.
 
     Image identifiers are scene ids.  The region argument is accepted and
-    ignored: the oracle conditions on the whole scene.  Scene registration
-    checks the scene and computes its caption masses and image embedding.
-    Queries only build a scene's trie, fill node memos and build node
-    distributions, each on first use.  Two threads racing to build one
-    compute equal values: a node keeps whichever memo or distribution was
-    stored last, and the scene keeps the trie installed first
-    (`dict.setdefault`), so the losing thread's trie is dropped and no node
-    of it is served again.  Queries are therefore concurrent-safe.
+    ignored: the oracle conditions on the whole scene.  The scene set is
+    fixed at construction, which checks each scene (a repeated scene id or
+    a word the world lacks is a SchemaError naming the scene) and computes
+    its caption masses and image embedding.  Queries only build a scene's
+    trie, fill node memos and build node distributions, each on first use.
+    Two threads racing to build one compute equal values: a node keeps
+    whichever memo or distribution was stored last, and the scene keeps the
+    trie installed first (`dict.setdefault`), so the losing thread's trie is
+    dropped and no node of it is served again.  So threads may share it.
     """
 
     def __init__(
@@ -114,13 +115,12 @@ class OracleBackend(ScorerBackend):
         smoothing: float = 1e-6,
     ):
         check_parameter("smoothing", smoothing, "a finite number >= 0")
-        self.spec = spec
         self.smoothing = float(smoothing)
         self.vocab_order: tuple[str, ...] = spec.vocabulary()
         check_parameter("(vocabulary size + 1) * smoothing",
                         (len(self.vocab_order) + 1) * self.smoothing, "a finite number")
         self.vocabulary = frozenset(self.vocab_order)
-        self.capabilities = Capabilities(has_terminal_token=True, concurrent_safe=True)
+        self.capabilities = Capabilities(has_terminal_token=True)
         self._index = {t: i for i, t in enumerate(self.vocab_order)}
         u = 1.0 / (len(self.vocab_order) + 1)  # tokens plus terminal
         self._floor = TokenDistribution(
@@ -130,36 +130,26 @@ class OracleBackend(ScorerBackend):
         self._captions: dict[str, dict[tuple[str, ...], Fraction]] = {}
         self._tries: dict[str, _TrieNode] = {}
         self._image_vecs: dict[str, np.ndarray] = {}
-        for sc in scenes:
-            self.register_scene(sc)
-
-    def register_scene(self, scene: SyntheticScene) -> None:
-        """Check a scene and compute its caption masses and image embedding;
-        its trie waits for the first generative query.  A scene id already
-        registered, or a scene word the world lacks, is a SchemaError
-        naming the scene."""
-        if scene.scene_id in self._captions:
-            raise SchemaError(f"scene {scene.scene_id!r} is already registered")
-        for ent in scene.entities:
-            words = [("object", ent.obj, self.spec.objects)]
-            words += [("attribute", a, self.spec.attributes) for a in ent.attributes]
-            for kind, word, known in words:
-                if word not in known:
-                    raise SchemaError(
-                        f"scene {scene.scene_id!r} names {kind} {word!r}, which the world lacks"
-                    )
-        dist = caption_process(scene)
-        self._captions[scene.scene_id] = dist
-        freq = np.zeros(len(self.vocab_order))
-        for caption, p in dist.items():
-            fp = float(p)
-            for tok in caption:
-                freq[self._index[tok]] += fp
-        norm = float(np.linalg.norm(freq))
-        self._image_vecs[scene.scene_id] = freq / norm
-
-    def scene_ids(self) -> tuple[str, ...]:
-        return tuple(self._captions)
+        # each scene's trie waits for its first generative query
+        for scene in scenes:
+            if scene.scene_id in self._captions:
+                raise SchemaError(f"scene {scene.scene_id!r} is already registered")
+            for ent in scene.entities:
+                words = [("object", ent.obj, spec.objects)]
+                words += [("attribute", a, spec.attributes) for a in ent.attributes]
+                for kind, word, known in words:
+                    if word not in known:
+                        raise SchemaError(
+                            f"scene {scene.scene_id!r} names {kind} {word!r}, which the world lacks"
+                        )
+            dist = caption_process(scene)
+            self._captions[scene.scene_id] = dist
+            freq = np.zeros(len(self.vocab_order))
+            for caption, p in dist.items():
+                fp = float(p)
+                for tok in caption:
+                    freq[self._index[tok]] += fp
+            self._image_vecs[scene.scene_id] = freq / float(np.linalg.norm(freq))
 
     # -- generative ---------------------------------------------------
 
@@ -257,7 +247,7 @@ class OracleBackend(ScorerBackend):
         """One unit-norm row of token counts per sentence, as an (n, V)
         array; the counts are exact, so the row norms are too."""
         if not all(sentences):
-            raise ValueError("cannot embed an empty sentence")
+            raise RenderError("cannot embed an empty sentence")
         n, width, index = len(sentences), len(self.vocab_order), self._index
         try:
             # one flat cell index per token: its row's offset plus its column

@@ -14,10 +14,11 @@ at least one of the two.
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
 5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
-statuses, malformed bodies and request_id mismatches raise TransportError
-carrying the raw body.  A served probability or terminal_p must be a JSON
-number a float can hold: a float (NaN included), or an int inside the float
-range; a string, a bool or a larger int is malformed.  Whether a served
+statuses, malformed bodies (a body that is not a JSON object included) and
+request_id mismatches raise TransportError carrying the raw body.  A served
+probability or terminal_p must be a JSON number a float can hold: a float
+(NaN included), or an int inside the float range; a string, a bool or a
+larger int is malformed.  Whether a served
 distribution sums to one is checked by the scoring engine, which checks
 every distribution before it takes a log.
 
@@ -100,6 +101,11 @@ class RemoteBackend(ScorerBackend):
                         raise TransportError(
                             f"{url} returned unparseable JSON: {exc}", body=resp.text
                         ) from exc
+                    if not isinstance(data, dict):
+                        raise TransportError(
+                            f"{url} returned {type(data).__name__}, not a JSON object",
+                            body=resp.text,
+                        )
                     if data.get("request_id") != payload["request_id"]:
                         raise TransportError(
                             f"{url} echoed wrong request_id", body=resp.text

@@ -207,14 +207,6 @@ def _uniform_vocabulary(instances, template: Template) -> set[str]:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    if args.length_normalize and args.backend == "cached":
-        raise ConfigurationError(
-            "--length-normalize does not apply to --backend cached: a cache "
-            "replays its losses as recorded"
-        )
-    if args.length_normalize and args.method == Method.CONTRASTIVE.value:
-        raise ConfigurationError("--length-normalize applies to generative scoring only")
-    out = _ensure_out(args.out)
     instances = read_instances(args.instances)
     resolved: dict = {}
 
@@ -245,9 +237,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 )
             backend = RemoteBackend(
                 endpoint,
-                capabilities=Capabilities(
-                    has_terminal_token=args.terminal, concurrent_safe=True
-                ),
+                capabilities=Capabilities(has_terminal_token=args.terminal),
             )
             resolved["endpoint"] = endpoint
 
@@ -261,6 +251,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             length_normalize=args.length_normalize,
         )
     except BatchScoringError as exc:
+        out = _ensure_out(args.out)
         write_jsonl(
             out / "failures.jsonl",
             (
@@ -276,6 +267,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
         # what did score, in input order, replacing any earlier run's scores
         write_score_cache(out / "scores.jsonl", (r for _, r in exc.completed))
         raise
+    # made only once batch_rank accepted the options, so a rejected one leaves no directory
+    out = _ensure_out(args.out)
     (out / "failures.jsonl").unlink(missing_ok=True)  # from an earlier, failed run
     write_score_cache(out / "scores.jsonl", scored)
     resolved.update({"method": method.value, "template": template.name})

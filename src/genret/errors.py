@@ -18,7 +18,8 @@ class TemplateSyntaxError(GenretError):
 
 
 class RenderError(GenretError):
-    """A template slot has no word to fill it."""
+    """A sentence cannot be formed: a template slot has no word to fill it,
+    or a sentence to score has no tokens."""
 
 
 class SchemaError(GenretError):

@@ -21,7 +21,9 @@ Each method has one path, a batch function over the sentences of one image
 both call it, so every score passes the same empty-sentence, vocabulary
 and backend-output checks however it was asked for.  A backend without a
 contrastive side fails its first contrastive call with the base class's
-ConfigurationError.
+ConfigurationError.  Each scoring rule is checked once, here: `rank_instance`
+and `batch_rank` check `method` and `length_normalize` before any backend
+is asked anything.
 
 Each batch function asks its backend once per image: `score_sentences`
 with every sentence, or `embed_batch` with the image and every sentence.
@@ -36,8 +38,9 @@ total; p == 0 is an InfiniteLossError.  A remote backend turns each call
 into one request (`/v1/logprobs` or `/v1/embed`).
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
-divides the generative value by token count and is off by default.  Note the
-cost asymmetry: generative scoring spends one decoding step per token where
+divides the generative value by token count and is off by default;
+contrastive scoring and cache replay, which returns losses as recorded,
+reject it.  Note the cost asymmetry: generative scoring spends one decoding step per token where
 contrastive spends a single encoding per sentence.
 
 Candidates are ranked by ascending score with ties broken by candidate
@@ -64,6 +67,7 @@ from .errors import (
     ConfigurationError,
     InfiniteLossError,
     NormalizationError,
+    RenderError,
     VocabularyError,
 )
 
@@ -88,7 +92,7 @@ def _checked_sentences(
     """The checks every sentence passes before the backend is asked anything."""
     sentences = [tuple(s) for s in sentences]
     if not all(sentences):
-        raise ValueError("cannot score an empty sentence")
+        raise RenderError("cannot score an empty sentence")
     vocabulary = backend.vocabulary
     if vocabulary is not None and not vocabulary.issuperset(chain.from_iterable(sentences)):
         for s in sentences:
@@ -250,11 +254,22 @@ def _candidate_sentence(
     return render(template, attribute=instance.anchor, obj=candidate)
 
 
-def _check_length_normalize(method, length_normalize: bool) -> None:
-    # == rather than is: batch_rank checks the method before converting it
-    if length_normalize and method == Method.CONTRASTIVE:
+def _checked_method(method) -> Method:
+    try:
+        return Method(method)
+    except ValueError:
+        allowed = ", ".join(repr(m.value) for m in Method)
+        raise ConfigurationError(f"unknown method {method!r}; expected one of {allowed}") from None
+
+
+def _check_length_normalize(backend, method: Method, length_normalize: bool) -> None:
+    if length_normalize and method is Method.CONTRASTIVE:
         raise ConfigurationError(
             "length_normalize applies to generative scoring only, not contrastive"
+        )
+    if length_normalize and isinstance(backend, SentenceScoreSource):
+        raise ConfigurationError(
+            "length_normalize does not apply to a replay, which returns losses as recorded"
         )
 
 
@@ -270,13 +285,12 @@ def rank_instance(
     The template must contain the slot of the ranked kind (attribute slot
     for object anchors and vice versa).  A SentenceScoreSource (cache
     replay) is asked once per instance, by `instance_scores`, and returns
-    the scores exactly as recorded, length_normalize included, with the
-    per_token rows when every candidate's generative row was recorded;
-    token-level backends compute fresh.  length_normalize applies to
-    generative scoring only.
+    the scores exactly as recorded, with the per_token rows when every
+    candidate's generative row was recorded; token-level backends compute
+    fresh.  length_normalize applies to fresh generative scoring only.
     """
-    method = Method(method)
-    _check_length_normalize(method, length_normalize)
+    method = _checked_method(method)
+    _check_length_normalize(backend, method, length_normalize)
     ranked_slot = (
         Slot.ATTRIBUTE if instance.anchor_kind is AnchorKind.OBJECT else Slot.OBJECT
     )
@@ -320,36 +334,28 @@ def batch_rank(
     """rank_instance over a batch, optionally across worker threads.
 
     Results keep input order and match sequential execution bit for bit.
-    A ScorerBackend that is not concurrent_safe runs sequentially in the
-    caller's thread whatever parallelism asks for.  Failures do not stop the
-    batch: after the whole batch ran, if anything failed a BatchScoringError
+    At parallelism 1 (the default) the batch runs in the caller's thread.
+    The options are checked once, before any instance is scored.  Failures
+    do not stop the batch: after the whole batch ran, if anything failed a BatchScoringError
     is raised carrying per-instance failures and the completed results.
     """
     check_parameter("parallelism", parallelism, "an int >= 1")
-    _check_length_normalize(method, length_normalize)
-    if isinstance(backend, ScorerBackend) and not backend.capabilities.concurrent_safe:
-        parallelism = 1
+    method = _checked_method(method)
+    _check_length_normalize(backend, method, length_normalize)
 
-    def one(inst: RankingInstance) -> ScoredInstance:
-        return rank_instance(backend, inst, template, method, length_normalize)
+    def one(inst: RankingInstance) -> ScoredInstance | Exception:
+        try:
+            return rank_instance(backend, inst, template, method, length_normalize)
+        except Exception as exc:  # noqa: BLE001 - collected per instance
+            return exc
 
-    results: list[ScoredInstance | None] = [None] * len(instances)
-    failures: list[tuple[int, Exception]] = []
     if parallelism == 1:
-        for i, inst in enumerate(instances):
-            try:
-                results[i] = one(inst)
-            except Exception as exc:  # noqa: BLE001 - collected per instance
-                failures.append((i, exc))
+        outcomes = list(map(one, instances))
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {i: pool.submit(one, inst) for i, inst in enumerate(instances)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((i, exc))
+            outcomes = list(pool.map(one, instances))
+    failures = [(i, r) for i, r in enumerate(outcomes) if isinstance(r, Exception)]
     if failures:
-        completed = [(i, r) for i, r in enumerate(results) if r is not None]
-        raise BatchScoringError(sorted(failures), completed)
-    return [r for r in results if r is not None]
+        completed = [(i, r) for i, r in enumerate(outcomes) if not isinstance(r, Exception)]
+        raise BatchScoringError(failures, completed)
+    return outcomes

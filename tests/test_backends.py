@@ -30,6 +30,7 @@ from genret.errors import (
     CacheMissError,
     ConfigurationError,
     ParameterError,
+    RenderError,
     SchemaError,
     UnknownImageError,
     VocabularyError,
@@ -203,12 +204,10 @@ def test_oracle_builds_a_trie_on_its_first_generative_query():
         backend.score_sentences("s0", None, [("cat", "zebra")])
 
 
-def test_register_scene_rejects_an_unknown_word_before_any_query():
-    backend = OracleBackend(tiny_world())
+def test_oracle_rejects_a_scene_with_an_unknown_word():
     unknown = SyntheticScene("s1", (Entity("cat", ("zebra",)),), ((0, 0, 1, 1),))
-    with pytest.raises(SchemaError, match="names attribute 'zebra'"):
-        backend.register_scene(unknown)
-    assert backend.scene_ids() == ()
+    with pytest.raises(SchemaError, match="scene 's1' names attribute 'zebra'"):
+        OracleBackend(tiny_world(), [exclusion_scene(), unknown])
 
 
 def test_oracle_rejects_negative_smoothing():
@@ -226,22 +225,10 @@ def test_oracle_rejects_smoothing_whose_renormalizer_overflows():
     assert dist.total() == pytest.approx(1.0)
 
 
-def test_register_scene_after_init():
-    spec = tiny_world()
-    backend = OracleBackend(spec)
-    assert backend.scene_ids() == ()
-    backend.register_scene(exclusion_scene())
-    assert backend.scene_ids() == ("s0",)
-
-
-def test_register_scene_rejects_an_id_already_registered():
-    backend = OracleBackend(tiny_world(), [exclusion_scene()])
-    before = backend.next_token_distributions("s0", None, [("cat",)])
+def test_oracle_rejects_a_repeated_scene_id():
     other = SyntheticScene("s0", (Entity("dog", ("a4",)),), ((0, 0, 1, 1),))
     with pytest.raises(SchemaError, match="scene 's0' is already registered"):
-        backend.register_scene(other)
-    # the first scene still answers
-    assert backend.next_token_distributions("s0", None, [("cat",)]) == before
+        OracleBackend(tiny_world(), [exclusion_scene(), other])
 
 
 # -- oracle contrastive side ----------------------------------------------
@@ -258,14 +245,14 @@ def test_embed_text_is_normalized_counts(oracle):
 def test_embed_text_rejects_oov_and_empty(oracle):
     with pytest.raises(VocabularyError):
         oracle.embed_text(("cat", "zebra"))
-    with pytest.raises(ValueError):
+    with pytest.raises(RenderError, match="empty sentence"):
         oracle.embed_text(())
 
 
 def test_embed_batch_rejects_oov_and_empty_like_embed_text(oracle):
     with pytest.raises(VocabularyError, match="'zebra'"):
         oracle.embed_batch("s0", None, [("cat",), ("cat", "zebra")])
-    with pytest.raises(ValueError, match="empty sentence"):
+    with pytest.raises(RenderError, match="empty sentence"):
         oracle.embed_batch("s0", None, [("cat",), ()])
 
 

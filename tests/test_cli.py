@@ -784,7 +784,7 @@ def test_length_normalize_is_rejected_where_it_would_be_ignored(
         ]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error[ConfigurationError]: --length-normalize")
+    assert capsys.readouterr().err.startswith("error[ConfigurationError]: length_normalize")
     assert not out.exists()
 
 

@@ -10,7 +10,15 @@ from pathlib import Path
 
 import genret
 import genret.backends
-from genret.backends import Capabilities, ScorerBackend
+from genret.backends import (
+    CachedScoreBackend,
+    Capabilities,
+    OracleBackend,
+    RemoteBackend,
+    ScorerBackend,
+    SentenceScoreSource,
+    UniformBackend,
+)
 
 PACKAGE = Path(genret.__file__).parent
 
@@ -70,10 +78,44 @@ def test_one_generative_primitive():
             ):
                 definers.add(f"{path.relative_to(PACKAGE).as_posix()}:{node.name}")
     assert not definers
-    assert {f.name for f in fields(Capabilities)} == {"has_terminal_token", "concurrent_safe"}
+    assert {f.name for f in fields(Capabilities)} == {"has_terminal_token"}
     # the engine scores sentences through score_sentences alone; serving
     # whole distributions is a backend matter (the base class's adapter)
     assert "next_token_distributions" not in (PACKAGE / "scoring.py").read_text(encoding="utf-8")
+
+
+# The backend contract, method by method.  A public method added to a
+# backend (a scene listing, another per-item path) fails the pin below until
+# it is listed here on purpose.
+SCORER_METHODS = {
+    "next_token_distributions", "score_sentences", "embed_image", "embed_text", "embed_batch",
+}
+SOURCE_METHODS = {"sentence_score", "instance_scores"}
+BACKEND_METHODS = {
+    ScorerBackend: SCORER_METHODS,
+    OracleBackend: SCORER_METHODS,
+    UniformBackend: SCORER_METHODS,
+    RemoteBackend: SCORER_METHODS,
+    SentenceScoreSource: SOURCE_METHODS,
+    CachedScoreBackend: SOURCE_METHODS | {"combos", "from_file"},
+}
+
+
+def _package_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("genret."):
+            yield sub
+        yield from _package_subclasses(sub)
+
+
+def test_backends_have_exactly_the_listed_public_methods():
+    backends = {ScorerBackend, SentenceScoreSource}
+    for abc in (ScorerBackend, SentenceScoreSource):
+        backends.update(_package_subclasses(abc))
+    assert backends == set(BACKEND_METHODS)
+    for cls, methods in BACKEND_METHODS.items():
+        public = {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
+        assert public == methods, cls.__name__
 
 
 def test_all_lists_every_public_name():

@@ -19,8 +19,10 @@ from genret import (
     random_world,
     rank_instance,
     sample_scenes,
+    write_instances,
 )
 from genret.backends.loopback import _Handler
+from genret.cli import main
 from genret.errors import NormalizationError, TransportError
 from genret.scoring import contrastive_loss, generative_loss
 
@@ -330,6 +332,44 @@ def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
         assert err.value.body
 
 
+def raw_reply(body):
+    """A handler that answers every POST with `body` as JSON, as it is."""
+
+    class Handler(_Handler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self._send(200, json.dumps(body))
+
+    return Handler
+
+
+@pytest.mark.parametrize("ask", [ask_distribution, ask_embedding])
+@pytest.mark.parametrize("body", [[], "x", 3])
+def test_a_reply_that_is_not_a_json_object_is_a_transport_error(setup, body, ask):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend, handler=raw_reply(body)) as url:
+        with pytest.raises(TransportError, match="not a JSON object") as err:
+            ask(remote_for(url, backend))
+    assert err.value.body == json.dumps(body)
+
+
+def test_score_names_a_non_object_reply_a_transport_error(setup, tmp_path):
+    _, _, backend, instances = setup
+    write_instances(tmp_path / "instances.jsonl", instances)
+    out = tmp_path / "out"
+    with LoopbackServer(backend, handler=raw_reply([])) as url:
+        rc = main(
+            [
+                "score", "--out", str(out), "--instances", str(tmp_path / "instances.jsonl"),
+                "--backend", "remote", "--endpoint", url, "--method", "contrastive",
+            ]
+        )
+    assert rc == 1
+    failures = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+    assert len(failures) == len(instances)
+    assert {f["error"] for f in failures} == {"TransportError"}
+
+
 def test_integer_probabilities_score_as_the_equal_floats():
     losses = []
     for zero, one in ((0, 1), (0.0, 1.0)):
@@ -408,7 +448,7 @@ def test_malformed_region_gets_400(setup, path, region):
 
 
 def test_backend_rejecting_a_request_gets_400(setup):
-    # OracleBackend.embed_text raises ValueError on empty text
+    # OracleBackend.embed_text raises RenderError on empty text
     _, _, backend, _ = setup
     server = LoopbackServer(backend, handler=CountingHandler)
     with server as url:

@@ -1,7 +1,4 @@
 import math
-import threading
-import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +31,7 @@ from genret.errors import (
     InfiniteLossError,
     NormalizationError,
     ParameterError,
+    RenderError,
     VocabularyError,
 )
 from genret.scoring import _candidate_sentence, contrastive_loss, generative_loss
@@ -90,8 +88,12 @@ def test_vocabulary_check_guards_generative_and_contrastive():
 
 def test_empty_sentence_is_rejected():
     backend = UniformBackend(["a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(RenderError, match="empty sentence"):
         generative_loss(backend, "x", None, ())
+    oracle = OracleBackend(tiny_world(), [exclusion_scene()])
+    for loss in (generative_loss, contrastive_loss):
+        with pytest.raises(RenderError, match="empty sentence"):
+            loss(oracle, "s0", None, [])
 
 
 def test_unnormalized_backend_is_rejected():
@@ -604,48 +606,23 @@ def test_parallel_matches_sequential_bit_for_bit(batch_setup):
     assert [s.scores for s in seq] == [s.scores for s in par]
 
 
-class SerialOnly(OracleBackend):
-    """An oracle that declares itself unsafe to share, counts batch calls and
-    records the most calls it ever had in flight at once."""
+class CountingOracle(OracleBackend):
+    """An oracle that records the image of each embed_batch call."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.capabilities = replace(self.capabilities, concurrent_safe=False)
-        self.embed_batches = 0
-        self.in_flight = self.max_in_flight = 0
-        self._count_lock = threading.Lock()
-
-    def _enter(self):
-        with self._count_lock:
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(0.001)  # widen the window an overlapping call would hit
-
-    def _leave(self):
-        with self._count_lock:
-            self.in_flight -= 1
-
-    def score_sentences(self, image_id, region, sentences):
-        self._enter()
-        try:
-            return super().score_sentences(image_id, region, sentences)
-        finally:
-            self._leave()
+        self.embed_batches = []  # list.append is atomic, so threads lose no call
 
     def embed_batch(self, image_id, region, sentences):
-        self._enter()
-        try:
-            self.embed_batches += 1
-            return super().embed_batch(image_id, region, sentences)
-        finally:
-            self._leave()
+        self.embed_batches.append(image_id)
+        return super().embed_batch(image_id, region, sentences)
 
 
 @pytest.mark.parametrize("method", [Method.GENERATIVE, Method.CONTRASTIVE])
-def test_serialized_backend_matches_sequential_bit_for_bit(method):
+def test_threaded_batch_matches_sequential_bit_for_bit(method):
     spec = random_world(seed=11, n_objects=8, n_attributes=16, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3, 2])
-    backend = SerialOnly(spec, scenes)
+    backend = CountingOracle(spec, scenes)
     instances = make_instances(spec, scenes, 10, AnchorKind.OBJECT, seed=3)
     template = parse_template("{O} is {A}")
     seq = batch_rank(backend, instances, template, method, parallelism=1)
@@ -653,9 +630,7 @@ def test_serialized_backend_matches_sequential_bit_for_bit(method):
     assert [s.scores for s in seq] == [s.scores for s in par]
     # one embed_batch call per contrastive instance and run, none generative
     want = 2 * len(instances) if method is Method.CONTRASTIVE else 0
-    assert backend.embed_batches == want
-    # parallelism=4 still never overlaps two calls to an unsafe backend
-    assert backend.max_in_flight == 1
+    assert len(backend.embed_batches) == want
 
 
 def test_batch_rank_validates_parallelism(batch_setup):
@@ -680,6 +655,37 @@ def test_length_normalize_is_rejected_for_contrastive(batch_setup):
     # once, before any instance is scored, not as one failure per instance
     with pytest.raises(ConfigurationError, match="generative scoring only"):
         batch_rank(Refusing(), instances, template, "contrastive", length_normalize=True)
+
+
+def test_length_normalize_is_rejected_for_a_replay(batch_setup):
+    # a cache returns its losses as recorded, so the flag would do nothing
+    backend, instances = batch_setup
+    template = parse_template("{A} {O}")
+    fresh = batch_rank(backend, instances, template, Method.GENERATIVE)
+    cache = CachedScoreBackend(rec for s in fresh for rec in scored_to_records(s))
+    with pytest.raises(ConfigurationError, match="^length_normalize does not apply to a replay"):
+        rank_instance(cache, instances[0], template, Method.GENERATIVE, length_normalize=True)
+    with pytest.raises(ConfigurationError, match="^length_normalize does not apply to a replay"):
+        batch_rank(cache, instances, template, Method.GENERATIVE, length_normalize=True)
+
+
+@pytest.mark.parametrize("method", ["foo", None, "Generative"])
+def test_an_unknown_method_is_one_configuration_error(batch_setup, method):
+    backend, instances = batch_setup
+    template = parse_template("{O} is {A}")
+
+    class Refusing(ScorerBackend):
+        vocabulary = backend.vocabulary
+
+        def next_token_distributions(self, image_id, region, prefixes):
+            raise AssertionError("asked the backend before checking the method")
+
+    allowed = "expected one of 'generative', 'contrastive'"
+    with pytest.raises(ConfigurationError, match=allowed):
+        rank_instance(Refusing(), instances[0], template, method)
+    # once, before any instance is scored, not as one failure per instance
+    with pytest.raises(ConfigurationError, match=allowed):
+        batch_rank(Refusing(), instances, template, method)
 
 
 def test_batch_failures_are_collected_not_fatal(batch_setup):
