@@ -71,7 +71,8 @@ class TokenDistribution:
     terminal_p: float | None = None
 
     def total(self) -> float:
-        return float(sum(self.probs.values())) + (self.terminal_p or 0.0)
+        # a float sum: ints whose sum a float cannot hold make it inf, not an OverflowError
+        return sum(self.probs.values(), 0.0) + (self.terminal_p or 0.0)
 
 
 class ScorerBackend(ABC):

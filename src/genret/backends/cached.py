@@ -16,12 +16,11 @@ candidate) with a `candidate` string, a scalar `loss` and one `per_token`
 row (the dicts `scored_to_records` builds), is still read line by line,
 because recorded caches are the exact-replay contract; files of either
 form concatenate into one cache.  Every field of every line is checked on
-read, and a bad one is a SchemaError naming path:lineno.  A number is
-checked by is_finite_number, so an integer literal too large for a float
-is a bad field; a list of numbers is first checked whole (its types and
-its float sum), and only a list that fails that is walked number by
-number, which names the bad value.  A key recorded twice must carry the
-same values both times; a conflict is a SchemaError naming the key.
+read, and a bad one is a SchemaError naming path:lineno.  Numbers pass
+core's file rule, non_finite (a line's per_token rows as one list), so
+NaN, an infinity, a bool, a string or an integer too large for a float is
+a bad field, named by its first bad value.  A key recorded twice must
+carry the same values both times; a conflict is a SchemaError naming it.
 
 CachedScoreBackend keeps one table keyed by scored instance, (image_id,
 region, anchor, template_name, method), each entry mapping a candidate to
@@ -36,12 +35,11 @@ abstract method of SentenceScoreSource because per-candidate sources
 
 from __future__ import annotations
 
-import math
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance, checked_region, is_finite_number, read_jsonl, write_jsonl
+from ..core import Method, ScoredInstance, checked_region, non_finite, read_jsonl, write_jsonl
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource, scores_and_per_token
 
@@ -100,30 +98,12 @@ def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> Non
     write_jsonl(path, map(_line, scored))
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _all_finite(values: list) -> bool:
-    """The whole-list fast path of is_finite_number: True only when every
-    value is an int or a float that it accepts.  With only ints and floats,
-    a finite float sum means every value is (a NaN or an infinity carries
-    into the sum, and an int too large for a float raises OverflowError
-    there).  False may still be a good list, such as one whose sum
-    overflows; the per-number rule decides those."""
-    try:
-        return _NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values, 0.0))
-    except OverflowError:
-        return False
-
-
 def _numbers(value, field: str) -> list:
     """`value`, once it is a list of numbers that is_finite_number accepts."""
     if not isinstance(value, list):
         raise SchemaError(f"{field} must be a list of numbers, got {type(value).__name__}")
-    if not _all_finite(value):
-        for v in value:
-            if not is_finite_number(v):
-                raise SchemaError(f"{field} entries must be finite numbers, got {v!r}")
+    if bad := non_finite(value):
+        raise SchemaError(f"{field} entries must be finite numbers, got {bad[0]!r}")
     return value
 
 
@@ -134,7 +114,7 @@ def _per_token_rows(per, n: int) -> list:
         return [None] * n
     if not isinstance(per, list) or len(per) != n:
         raise SchemaError(f"per_token must be null or one list per candidate ({n})")
-    if set(map(type, per)) == {list} and _all_finite(list(chain.from_iterable(per))):
+    if all(map(isinstance, per, repeat(list))) and not non_finite(list(chain.from_iterable(per))):
         return list(map(tuple, per))
     return [tuple(_numbers(row, "per_token row")) for row in per]
 
@@ -167,7 +147,7 @@ def _cache_record(rec) -> _Line:
         rows = _per_token_rows(per, n)
     else:
         candidates = [rec["candidate"]]
-        if not is_finite_number(loss):
+        if non_finite([loss]):
             raise SchemaError(f"loss must be a finite number, got {loss!r}")
         loss = [loss]
         rows = [tuple(_numbers(per, "per_token")) if per is not None else None]

@@ -11,8 +11,9 @@ of its sentences; a request naming no image embeds each sentence in
 prefixes (the oracle keeps one per trie node), so a /v1/logprobs reply
 JSON-encodes each distinct object once, within the reply, and joins the
 pieces into the bytes `json.dumps` of the whole reply gives.  Malformed
-fields (a region that is neither null nor 4 finite numbers among them) and
-requests the backend rejects (an embed request to a backend without a
+fields (a region that is neither null nor 4 finite numbers, a query that
+is not an object, a prefix or `texts` entry that is not a list of strings)
+and requests the backend rejects (an embed request to a backend without a
 contrastive side among them) get 400.  A fault of the backend itself gets
 500: any other exception it raises, an embedding it returns that is not a
 numeric array (ragged or non-numeric rows), and an answer JSON cannot
@@ -25,8 +26,10 @@ encode (such as Fraction probabilities); the message names that output.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import repeat
 
 import numpy as np
 
@@ -66,6 +69,15 @@ def _logprobs_json(request_id, dists: list) -> str:
     return f'{{"request_id": {json.dumps(request_id)}, "results": [{results}]}}'
 
 
+def _token_lists(value, what: str) -> list[tuple[str, ...]]:
+    """A request's list of token lists (prefixes or texts), as tuples."""
+    if isinstance(value, list) and all(
+        isinstance(tokens, list) and all(map(isinstance, tokens, repeat(str))) for tokens in value
+    ):
+        return list(map(tuple, value))
+    raise TypeError(f"{what} must be a list of token lists")
+
+
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output clean
         pass
@@ -88,10 +100,11 @@ class _Handler(BaseHTTPRequestHandler):
             request_id = request.get("request_id")
             image_id = request.get("image_id")
             region = checked_region(request.get("region"))
-            prefixes = [tuple(q.get("prefix", ())) for q in request.get("queries", [])]
-            texts = request.get("texts") or []
-            if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):
-                raise TypeError("texts must be a list of token lists")
+            queries = request.get("queries", [])
+            if not isinstance(queries, list) or not all(isinstance(q, dict) for q in queries):
+                raise TypeError("queries must be a list of objects")
+            prefixes = _token_lists([q.get("prefix") for q in queries], "query prefixes")
+            texts = _token_lists(request.get("texts", []), "texts")
         except (AttributeError, TypeError, ValueError, SchemaError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
@@ -105,12 +118,12 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ValueError("an embed request needs an image_id or texts")
                 payload = {"request_id": request_id}
                 if image_id is not None:
-                    image, vecs = backend.embed_batch(image_id, region, [tuple(t) for t in texts])
+                    image, vecs = backend.embed_batch(image_id, region, texts)
                     payload["image"] = _wire_array(image, "image embedding")
                     payload["texts"] = _wire_array(vecs, "text embedding batch")
                 else:
                     payload["texts"] = [
-                        _wire_array(backend.embed_text(tuple(t)), "text embedding") for t in texts
+                        _wire_array(backend.embed_text(t), "text embedding") for t in texts
                     ]
                 status, text = 200, json.dumps(payload)
             else:
@@ -138,17 +151,24 @@ class LoopbackServer:
     def start(self) -> str:
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler)
         self._server.backend = self._backend  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._serve, args=(self._server,), daemon=True)
         self._thread.start()
         host, port = self._server.server_address[:2]
         self.url = f"http://{host}:{port}"
         return self.url
 
+    def _serve(self, server: ThreadingHTTPServer) -> None:
+        # handle_request sleeps in select until a connection arrives, so an
+        # idle server costs no CPU; stop() wakes it with a connection of its own
+        while self._server is server:
+            server.handle_request()
+
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            socket.create_connection(server.server_address[:2]).close()
+            self._thread.join()
+            server.server_close()
 
     def __enter__(self) -> str:
         return self.start()

@@ -82,6 +82,7 @@ class _Memo:
 
 
 def _build_trie(dist: dict[tuple[str, ...], Fraction]) -> _TrieNode:
+    """The caption trie; every node's mass is > 0, as each caption's is."""
     root = _TrieNode()
     for caption, p in dist.items():
         node = root
@@ -169,11 +170,10 @@ class OracleBackend(ScorerBackend):
             unknown = sorted(set(chain.from_iterable(sentences)) - self.vocabulary)
             raise VocabularyError(f"tokens not in oracle vocabulary: {unknown}")
         floor = self._floor_score
-        root = trie if trie.mass != 0 else None
         rows = []
         for s in sentences:
             row = []
-            node = root
+            node = trie
             for tok in s:
                 if node is None:
                     row.append(floor)
@@ -181,8 +181,6 @@ class OracleBackend(ScorerBackend):
                 memo = node.memo or self._memo(node)
                 row.append(memo.children.get(tok, memo.other))
                 node = node.children.get(tok)
-                if node is not None and node.mass == 0:
-                    node = None
             row.append(floor if node is None else (node.memo or self._memo(node)).terminal)
             rows.append(row)
         return rows
@@ -195,11 +193,9 @@ class OracleBackend(ScorerBackend):
         node = trie
         for tok in prefix:
             node = node.children.get(tok)
-            if node is None or node.mass == 0:
-                break
-        if node is None or node.mass == 0:
-            # no caption starts with this prefix: uniform floor
-            return self._floor
+            if node is None:
+                # no caption starts with this prefix: uniform floor
+                return self._floor
         dist = node.dist
         if dist is None:
             # a concurrent first query may build it twice; both are equal

@@ -15,19 +15,21 @@ Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
 5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
 statuses, malformed bodies (a body that is not a JSON object included) and
-request_id mismatches raise TransportError carrying the raw body.  A served
-probability or terminal_p must be a JSON number a float can hold: a float
-(NaN included), or an int inside the float range; a string, a bool or a
-larger int is malformed.  Whether a served
-distribution sums to one is checked by the scoring engine, which checks
-every distribution before it takes a log.
+request_id mismatches raise TransportError carrying the raw body.
+
+The client checks types and the engine checks values.  Every number in a
+reply (a probability, a terminal_p, an embedding value) must pass core's
+wire rule, `non_numbers`: a float, NaN and the infinities included, or an
+int inside the float range; anything else makes the reply malformed.  The
+scoring engine checks that each distribution sums to one and each
+embedding has unit norm, which NaN and the infinities fail too.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once; one /v1/embed
 call embeds an instance's image and all of its sentences (`embed_batch`),
-and its `texts` decode into one (n, d) array; empty or unequal-length text
-vectors are a TransportError.  `embed_image` and `embed_text` are
-single-item requests of the same form.
+read into a vector and one (n, d) array once `image` is a non-empty list,
+`texts` are non-empty lists of one length and every value passes the
+wire rule.  `embed_image` and `embed_text` are single-item requests.
 The caller's threads (batch_rank's `parallelism`) bound requests in flight.
 
 `requests` is imported when a RemoteBackend is built, so a command that
@@ -38,11 +40,12 @@ from __future__ import annotations
 
 import time
 import uuid
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core import is_finite_number
+from ..core import non_numbers
 from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -146,7 +149,7 @@ class RemoteBackend(ScorerBackend):
             if not isinstance(probs, dict):
                 raise TransportError(f"result #{i} has no probs", body=str(res)[:2000])
             terminal = res.get("terminal_p")
-            bad = _non_numbers(probs.values() if terminal is None else [*probs.values(), terminal])
+            bad = non_numbers(probs.values() if terminal is None else [*probs.values(), terminal])
             if bad:
                 raise TransportError(
                     f"result #{i} has a non-numeric value: {bad[0]!r}", body=str(res)[:2000]
@@ -156,16 +159,13 @@ class RemoteBackend(ScorerBackend):
 
     # -- contrastive ---------------------------------------------------
 
-    def embed_batch(self, image_id, region, sentences):
-        return self._embed(image_id, region, sentences)
-
     def embed_image(self, image_id, region) -> np.ndarray:
-        return self._embed(image_id, region, [])[0]
+        return self.embed_batch(image_id, region, [])[0]
 
     def embed_text(self, tokens) -> np.ndarray:
-        return self._embed(None, None, [tokens])[1][0]
+        return self.embed_batch(None, None, [tokens])[1][0]
 
-    def _embed(self, image_id, region, sentences):
+    def embed_batch(self, image_id, region, sentences):
         """One /v1/embed request: the image's vector when image_id is given
         (else None), and the sentences' vectors as one (n, d) array."""
         payload: dict = {
@@ -178,41 +178,18 @@ class RemoteBackend(ScorerBackend):
             payload["region"] = list(region)
         data = self._post("/v1/embed", payload)
         texts = data.get("texts")
+        image = data.get("image") if image_id is not None else []
         if not isinstance(texts, list) or len(texts) != len(sentences):
-            raise TransportError(
-                f"expected {len(sentences)} text vectors, got "
-                f"{len(texts) if isinstance(texts, list) else type(texts).__name__}",
-                body=str(data)[:2000],
+            problem = f"not the {len(sentences)} text vectors asked for"
+        elif not isinstance(image, list) or (image_id is not None and not image):
+            problem = "no image vector"
+        elif not all(isinstance(t, list) and t for t in texts) or len(set(map(len, texts))) > 1:
+            problem = "text vectors that are not non-empty lists of one length"
+        elif bad := non_numbers([*image, *chain.from_iterable(texts)]):
+            problem = f"a non-numeric value: {bad[0]!r}"
+        else:
+            return (
+                np.array(image, dtype=float) if image_id is not None else None,
+                np.array(texts, dtype=float),
             )
-        image = _vector(data, "image", data.get("image")) if image_id is not None else None
-        try:
-            rows = np.asarray(texts, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise TransportError(
-                f"embed text vectors are ragged or non-numeric: {exc}", body=str(data)[:2000]
-            ) from exc
-        if texts and (rows.ndim != 2 or not rows.shape[1]):
-            raise TransportError(
-                f"embed text vectors must be non-empty lists of numbers, got shape {rows.shape}",
-                body=str(data)[:2000],
-            )
-        return image, rows
-
-
-def _non_numbers(values) -> list:
-    """The values that are not JSON numbers a float can hold, in order; see
-    the module docstring.  `values` is read twice, so it is a collection."""
-    if set(map(type, values)) <= {float}:
-        return []  # the common case, with no loop in Python
-    return [v for v in values if type(v) is not float and not is_finite_number(v)]
-
-
-def _vector(data: dict, what: str, vector) -> np.ndarray:
-    if not isinstance(vector, list) or not vector:
-        raise TransportError(f"embed response has no {what} vector", body=str(data)[:2000])
-    try:
-        return np.asarray(vector, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise TransportError(
-            f"embed {what} vector has a non-numeric value: {exc}", body=str(data)[:2000]
-        ) from exc
+        raise TransportError(f"embed response has {problem}", body=str(data)[:2000])

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ScoredInstance, atomic_write, check_parameter, is_finite_number, read_json, write_json
+    DOMAINS, ScoredInstance, atomic_write, check_parameter, is_finite_number, read_json, write_json
 )
 from .errors import (
     ConfigurationError, CoverageError, OptimizationError, ParameterError, SchemaError
@@ -107,8 +107,7 @@ def _table_from_raw(raw) -> CalibrationTable:
     if not isinstance(raw, dict) or not all(
         isinstance(p, dict)
         and is_finite_number(p.get("mu"))
-        and is_finite_number(p.get("sigma"))
-        and p["sigma"] > 0
+        and DOMAINS["a finite number > 0"](p.get("sigma"))
         for p in raw.values()
     ):
         raise SchemaError("a calibration table maps each class to numeric mu and positive sigma")

@@ -56,6 +56,7 @@ from .calibration import (
 )
 from .core import (
     CANONICAL_TEMPLATE_SPECS,
+    DOMAINS,
     AnchorKind,
     Method,
     ScoredInstance,
@@ -315,8 +316,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _counts(raw) -> dict:
-    # type() rather than isinstance(): a bool is not a count
-    if not isinstance(raw, dict) or not all(type(c) is int and c >= 0 for c in raw.values()):
+    if not isinstance(raw, dict) or not all(map(DOMAINS["an int >= 0"], raw.values())):
         raise SchemaError("counts must map words to integers >= 0")
     return raw
 

@@ -11,6 +11,10 @@ RankingInstance, WorldSpec and dataset.image_record (both scene files).
 Everything downstream, render included, takes words as given and compares
 them by plain string equality.
 
+Every number rule lives here: DOMAINS for parameters, is_finite_number and
+non_finite for files, whose numbers must be finite, and non_numbers for the
+wire, whose values the scoring engine judges.
+
 The file helpers at the end are the one on-disk format: every write is
 atomic, and undecodable input is a SchemaError naming the file.
 """
@@ -22,12 +26,12 @@ import json
 import math
 import numbers
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar, Union
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TextIO, TypeVar, Union
 
 from .errors import ParameterError, RenderError, SchemaError, TemplateSyntaxError
 
@@ -65,13 +69,33 @@ def is_finite_number(value: object) -> bool:
         return False
 
 
-def _is_int(value: object) -> bool:
+def is_int(value: object) -> bool:
+    """True for an integer that is not a bool (a numpy integer counts)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def non_numbers(values: Collection) -> list:
+    """The wire rule: the values that are neither a float (NaN and the
+    infinities included) nor an int a float can hold, in order."""
+    if set(map(type, values)) <= {float}:
+        return []  # the common case, with no loop in Python
+    return [v for v in values if type(v) is not float and not is_finite_number(v)]
+
+
+def non_finite(values: Collection) -> list:
+    """The file rule: the values is_finite_number rejects, in order.  With
+    only ints and floats, a finite float sum means every value passes (a NaN
+    or an infinity carries into it, a huge int overflows), so only a list
+    that fails that is walked."""
+    with suppress(OverflowError):
+        if {int, float}.issuperset(map(type, values)) and math.isfinite(sum(values, 0.0)):
+            return []
+    return [v for v in values if not is_finite_number(v)]
+
+
 DOMAINS: dict[str, Callable[[object], bool]] = {
-    "an int >= 0": lambda v: _is_int(v) and v >= 0,
-    "an int >= 1": lambda v: _is_int(v) and v >= 1,
+    "an int >= 0": lambda v: is_int(v) and v >= 0,
+    "an int >= 1": lambda v: is_int(v) and v >= 1,
     "a finite number": is_finite_number,
     "a finite number >= 0": lambda v: is_finite_number(v) and v >= 0,
     "a finite number > 0": lambda v: is_finite_number(v) and v > 0,
@@ -262,12 +286,12 @@ class RankingInstance:
         positives = frozenset(self.positives)
         if not positives:
             raise SchemaError("positives is empty")
-        if not all(_is_int(i) and 0 <= i < n for i in positives):
+        if not all(is_int(i) and 0 <= i < n for i in positives):
             raise SchemaError("positive index out of range")
         object.__setattr__(self, "positives", frozenset(map(int, positives)))
         if self.negatives_explicit is not None:
             negatives = frozenset(self.negatives_explicit)
-            if not all(_is_int(i) and 0 <= i < n for i in negatives):
+            if not all(is_int(i) and 0 <= i < n for i in negatives):
                 raise SchemaError("explicit-negative index out of range")
             if self.positives & negatives:
                 raise SchemaError("positives and explicit negatives overlap")

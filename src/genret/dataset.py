@@ -44,6 +44,7 @@ from .core import (
     RankingInstance,
     check_parameter,
     checked_region,
+    is_int,
     normalize_word,
     read_json,
     stable_seed,
@@ -82,7 +83,7 @@ def image_record(entry: object) -> SceneGraphRecord:
     if not isinstance(entry, dict) or "image_id" not in entry:
         raise SchemaError("missing image_id")
     raw_id = entry["image_id"]
-    if not ((isinstance(raw_id, str) and raw_id) or type(raw_id) is int):
+    if not ((isinstance(raw_id, str) and raw_id) or is_int(raw_id)):
         raise SchemaError(f"image_id must be a non-empty string or an integer, got {raw_id!r}")
     image_id = str(raw_id)
     objects = entry.get("objects", [])

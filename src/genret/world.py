@@ -36,6 +36,7 @@ from .core import (
     RankingInstance,
     check_parameter,
     is_finite_number,
+    is_int,
     iter_jsonl,
     normalize_word,
     parse_template,
@@ -312,7 +313,7 @@ def world_from_dict(d: dict) -> WorldSpec:
         }
         seed = d["rng_seed"]
         # checked, not coerced: a hand-edited seed or prior must not load as another
-        if isinstance(seed, bool) or not isinstance(seed, int):
+        if not is_int(seed):
             raise SchemaError(f"bad world record: rng_seed must be an integer, got {seed!r}")
         for (o, a), p in prior.items():
             if not is_finite_number(p):

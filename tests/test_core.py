@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from genret import (
     CANONICAL_TEMPLATE_SPECS,
@@ -32,7 +32,9 @@ from genret import (
     stable_seed,
     write_instances,
 )
-from genret.core import DOMAINS, check_parameter, checked_region, is_finite_number
+from genret.core import (
+    DOMAINS, check_parameter, checked_region, is_finite_number, is_int, non_finite, non_numbers,
+)
 from genret.errors import ParameterError, RenderError, SchemaError, TemplateSyntaxError
 
 
@@ -94,6 +96,43 @@ def test_is_finite_number_rejects_ints_no_float_can_hold():
         assert not is_finite_number(n)
         with pytest.raises(OverflowError):
             float(n)
+
+
+# what JSON decodes a number to, and the values next to it a reader may meet
+decoded_values = st.lists(
+    st.one_of(
+        st.floats(),
+        st.integers(),
+        st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1]),
+        st.sampled_from([True, False, "1.0", None, [1.0], {}]),
+    ),
+    max_size=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(decoded_values)
+def test_non_finite_is_the_per_value_rule_in_order(values):
+    # the whole-list fast path never changes the answer
+    assert non_finite(values) == [v for v in values if not is_finite_number(v)]
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(decoded_values)
+def test_non_numbers_admits_any_float_and_the_ints_a_float_can_hold(values):
+    held = [v for v in values if isinstance(v, float) or (is_int(v) and is_finite_number(v))]
+    assert non_numbers(values) == [v for v in values if all(v is not h for h in held)]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (3, True), (np.int64(3), True),
+        (True, False), (3.0, False), ("3", False), (Fraction(3), False),
+    ],
+)
+def test_is_int_takes_no_bool(value, expected):
+    assert is_int(value) is expected
 
 
 #: domain -> (values inside it, values outside it); a bool is no number here

@@ -175,6 +175,48 @@ def _uses_of(name, tree):
     yield from walk(tree, "")
 
 
+_NUMBER_TYPES = {"bool", "int", "float"}
+
+
+def _number_type_spellings(tree):
+    """Line numbers where a value is judged by its number type:
+    isinstance(_, bool), type(_) compared with int, float or bool,
+    map(type, ...), or the numbers module."""
+    def is_name(node, names):
+        return isinstance(node, ast.Name) and node.id in names
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_name(node.func, {"isinstance"}) and node.args[1:]:
+            classes = node.args[1]
+            if any(is_name(c, {"bool"}) for c in getattr(classes, "elts", [classes])):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and is_name(node.func, {"map"}) and node.args:
+            if is_name(node.args[0], {"type"}):
+                yield node.lineno
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(o, ast.Call) and is_name(o.func, {"type"}) for o in operands
+            ) and any(is_name(o, _NUMBER_TYPES) for o in operands):
+                yield node.lineno
+        elif is_name(node, {"numbers"}) or (
+            isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        ) or (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)):
+            yield node.lineno
+
+
+def test_only_core_spells_a_numbers_type():
+    # which number may enter the program (from a parameter, a file or the
+    # wire) is decided by core's rules alone; a private copy of a rule can
+    # drift from it unseen
+    found = set()
+    for path in PACKAGE.rglob("*.py"):
+        for line in _number_type_spellings(ast.parse(path.read_text(encoding="utf-8"))):
+            found.add(f"{path.relative_to(PACKAGE).as_posix()}:{line}")
+    assert {f for f in found if not f.startswith("core.py:")} == set()
+    assert any(f.startswith("core.py:") for f in found)  # the rule still sees what it guards
+
+
 def test_words_are_folded_only_where_they_enter():
     found: dict[str, set[str]] = {}
     for path in PACKAGE.rglob("*.py"):

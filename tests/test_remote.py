@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -394,6 +395,15 @@ def test_integer_probabilities_score_as_the_equal_floats():
         {"image": [1.0], "texts": [[], []]},
         {"image": [1.0], "texts": [1.0, 0.0]},  # numbers, not vectors
         {"image": [1.0], "texts": [[[1.0]], [[0.0]]]},  # nested too deep
+        {"image": [], "texts": [[1.0], [1.0]]},
+        # values the wire rule rejects, in the image or in a text vector
+        {"image": [True, 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
+        {"image": ["1.0", 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
+        {"image": [10**400, 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
+        {"image": [1.0, 0.0], "texts": [[1.0, 0.0], [False, 1.0]]},
+        {"image": [1.0, 0.0], "texts": [[1.0, 0.0], ["1.0", 0.0]]},
+        {"image": [1.0, 0.0], "texts": [[1.0, 0.0], [0.0, 10**400]]},
+        {"image": [1.0, None], "texts": [[1.0, 0.0], [0.0, 1.0]]},
     ],
 )
 def test_malformed_embed_reply_is_a_transport_error(setup, reply):
@@ -405,6 +415,15 @@ def test_malformed_embed_reply_is_a_transport_error(setup, reply):
         assert err.value.body
 
 
+def test_bools_and_strings_in_an_embedding_do_not_score():
+    # each vector has unit norm if true and "1.0" read as 1.0
+    reply = {"image": [True, 0.0], "texts": [["1.0", False]]}
+    with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
+        with pytest.raises(TransportError, match="non-numeric value: True") as err:
+            contrastive_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
+    assert "['1.0', False]" in err.value.body
+
+
 def test_nan_text_embedding_is_rejected_by_the_engine(setup):
     _, _, backend, _ = setup
     reply = {"image": [1.0, 0.0], "texts": [[float("nan"), 0.0]]}
@@ -412,6 +431,24 @@ def test_nan_text_embedding_is_rejected_by_the_engine(setup):
         remote = remote_for(url, backend)
         with pytest.raises(NormalizationError, match="text embedding"):
             contrastive_loss(remote, "scene-000000", None, ("a",))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**300])
+def test_non_finite_or_huge_image_embedding_is_rejected_by_the_engine(setup, value):
+    _, _, backend, _ = setup
+    reply = {"image": [value, 0.0], "texts": [[1.0, 0.0]]}
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        remote = remote_for(url, backend)
+        with pytest.raises(NormalizationError, match="image embedding"):
+            contrastive_loss(remote, "scene-000000", None, ("a",))
+
+
+def test_probabilities_whose_sum_overflows_are_rejected_by_the_engine():
+    # each int fits a float; their sum does not
+    reply = {"results": [{"probs": {"a": 10**308, "b": 10**308}}]}
+    with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
+        with pytest.raises(NormalizationError, match="sums to inf"):
+            generative_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
 
 
 def test_malformed_request_gets_400_not_a_dropped_connection(setup):
@@ -474,6 +511,44 @@ def test_malformed_embed_request_gets_400(setup, request_body, error):
         resp = requests.post(f"{url}/v1/embed", json=request_body, timeout=10)
         assert resp.status_code == 400
         assert error in resp.json()["error"]
+
+
+@pytest.mark.parametrize(
+    "path, fields, error",
+    [
+        ("/v1/logprobs", {"queries": [{"prefix": "obj00"}]}, "query prefixes must be"),
+        ("/v1/logprobs", {"queries": [{"prefix": [1, None]}]}, "query prefixes must be"),
+        ("/v1/logprobs", {"queries": [{"prefix": {"a": 1}}]}, "query prefixes must be"),
+        ("/v1/logprobs", {"queries": [{}]}, "query prefixes must be"),
+        ("/v1/logprobs", {"queries": [["obj00"]]}, "queries must be a list of objects"),
+        ("/v1/logprobs", {"queries": {"prefix": []}}, "queries must be a list of objects"),
+        ("/v1/embed", {"texts": [["obj00", 1]]}, "texts must be a list of token lists"),
+        ("/v1/embed", {"texts": [[None]]}, "texts must be a list of token lists"),
+        ("/v1/embed", {"texts": None}, "texts must be a list of token lists"),
+    ],
+)
+def test_malformed_token_list_gets_400(setup, path, fields, error):
+    _, _, backend, _ = setup
+    body = {"request_id": "r", "image_id": "scene-000000", **fields}
+    with LoopbackServer(backend) as url:
+        resp = requests.post(f"{url}{path}", json=body, timeout=10)
+        assert resp.status_code == 400
+        assert error in resp.json()["error"]
+
+
+def test_stop_returns_without_waiting_for_a_poll(setup):
+    _, _, backend, _ = setup
+    started = time.perf_counter()
+    for _ in range(5):
+        server = LoopbackServer(backend)
+        url = server.start()
+        resp = requests.post(f"{url}/v1/embed", json={"request_id": "r"}, timeout=10)
+        assert resp.status_code == 400  # answered: it asks for nothing
+        server.stop()
+        with pytest.raises(requests.ConnectionError):
+            requests.post(f"{url}/v1/embed", json={"request_id": "r"}, timeout=10)
+    # a stop that waited out serve_forever's 0.5 s poll would take 2.5 s
+    assert time.perf_counter() - started < 1.5
 
 
 class BrokenBackend(UniformBackend):
