@@ -19,10 +19,16 @@ calibrate's --val-instances and --val-cache add a validation loss column;
 --val-cache may name the --cache file (one merged cache holding both
 splits), which is then read once.
 
-Every command takes --out DIR and writes its resolved options there as
-config.json.  A single --seed funnels all randomness, every library writer
-writes atomically (core.atomic_write: temp file, then rename), and nothing
-embeds a timestamp, so a rerun with equal inputs is byte-identical.
+Every command reads its inputs, computes, writes its artifacts to --out DIR
+and returns its resolved options with the text to print; main then writes
+the parsed and resolved options to DIR/config.json and prints the text.  The
+first artifact written makes DIR, so a run rejected before it writes leaves
+no DIR; a failed score writes failures.jsonl and the instances that did
+score, and no config.json.  evaluate's --threshold cuts calibrated
+probabilities, so it needs --calibration (exit 1 without).  A single --seed
+funnels all randomness, every library writer writes atomically
+(core.atomic_write: temp file, then rename), and nothing embeds a
+timestamp, so a rerun with equal inputs is byte-identical.
 
 Exit codes: 0 success, 1 pipeline error, 2 usage, 3 I/O, 4 bad input (schema
 or malformed JSON).  Failures print one line, `error[category]: detail`, to stderr.
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +80,7 @@ from .core import (
 )
 from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
 from .errors import BatchScoringError, ConfigurationError, GenretError, SchemaError
-from .metrics import bucketize, compute_report
+from .metrics import bucketize, compute_report, format_table
 from .scoring import batch_rank, rank_instance
 from .world import (
     make_instances,
@@ -89,20 +96,25 @@ from .world import (
 ENDPOINT_ENV = "GENRET_REMOTE_ENDPOINT"
 
 
-# -- plumbing ------------------------------------------------------------
+# -- replay --------------------------------------------------------------
 
 
-def _ensure_out(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _combo_key(combo: tuple[Method, str]):
+    method, name = combo
+    try:
+        t_idx = CANONICAL_TEMPLATE_SPECS.index(name)
+    except ValueError:
+        t_idx = len(CANONICAL_TEMPLATE_SPECS)
+    return (0 if method is Method.CONTRASTIVE else 1, t_idx, name)
 
 
-def _emit_config(out: Path, args: argparse.Namespace, resolved: dict | None = None) -> None:
-    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    if resolved:
-        options.update(resolved)
-    write_json(out / "config.json", {"command": args.command, "options": options})
+def _combos(cache: CachedScoreBackend) -> list[tuple[Method, str]]:
+    """The cache's (method, template name) pairs: contrastive first, then
+    canonical templates in canonical order."""
+    combos = cache.combos()
+    if not combos:
+        raise ConfigurationError("score cache is empty")
+    return sorted(combos, key=_combo_key)
 
 
 def _resolve_combo(
@@ -112,9 +124,7 @@ def _resolve_combo(
 
     Omitted flags are inferred when the cache holds exactly one choice.
     """
-    combos = cache.combos()
-    if not combos:
-        raise ConfigurationError("score cache is empty")
+    combos = _combos(cache)
     methods = sorted({m.value for m, _ in combos})
     names = sorted({t for _, t in combos})
     if method_arg is None:
@@ -133,17 +143,16 @@ def _resolve_combo(
 
 
 def _replay(
-    instances: list, cache: CachedScoreBackend, method_arg: str | None, template_arg: str | None
-) -> tuple[list[ScoredInstance], Method, Template]:
-    method, template = _resolve_combo(cache, method_arg, template_arg)
-    scored = [rank_instance(cache, inst, template, method) for inst in instances]
-    return scored, method, template
+    instances: list, cache: CachedScoreBackend, method: Method, template: Template
+) -> list[ScoredInstance]:
+    """Each instance's recorded scores under (method, template), in input order."""
+    return [rank_instance(cache, inst, template, method) for inst in instances]
 
 
 # -- gen-world -----------------------------------------------------------
 
 
-def _cmd_gen_world(args: argparse.Namespace) -> int:
+def _cmd_gen_world(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     kind = AnchorKind(args.anchor_kind)
     spec = random_world(
         seed=args.seed,
@@ -162,21 +171,17 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
     ]
     scenes = sample_scenes(spec, counts)
     instances = make_instances(spec, scenes, args.candidates, kind, seed=args.seed)
-    out = _ensure_out(args.out)
     write_world(out / "world.json", spec)
     write_scenes(out / "scenes.jsonl", scenes)
     write_scene_graph(out / "scene_graph.json", scenes_to_records(scenes))
     write_instances(out / "instances.jsonl", instances)
-    _emit_config(out, args)
-    print(f"{len(scenes)} scenes, {len(instances)} instances -> {out}")
-    return 0
+    return {}, f"{len(scenes)} scenes, {len(instances)} instances -> {out}\n"
 
 
 # -- build-dataset -------------------------------------------------------
 
 
-def _cmd_build_dataset(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
+def _cmd_build_dataset(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     records = parse_scene_graph(args.scene_graph)
     stats = build_stats(records)
     # --mode names the ranked kind; the library speaks of the anchor's kind
@@ -190,9 +195,7 @@ def _cmd_build_dataset(args: argparse.Namespace) -> int:
     write_instances(out / "instances.jsonl", instances)
     write_json(out / "manifest.json", manifest)
     write_json(out / "counts.json", counts)
-    _emit_config(out, args)
-    print(f"{manifest['n_instances']} instances from {manifest['n_images']} images -> {out}")
-    return 0
+    return {}, f"{manifest['n_instances']} instances from {manifest['n_images']} images -> {out}\n"
 
 
 # -- score ---------------------------------------------------------------
@@ -207,7 +210,7 @@ def _uniform_vocabulary(instances, template: Template) -> set[str]:
     return vocab
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     instances = read_instances(args.instances)
     resolved: dict = {}
 
@@ -252,7 +255,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
             length_normalize=args.length_normalize,
         )
     except BatchScoringError as exc:
-        out = _ensure_out(args.out)
         write_jsonl(
             out / "failures.jsonl",
             (
@@ -268,20 +270,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
         # what did score, in input order, replacing any earlier run's scores
         write_score_cache(out / "scores.jsonl", (r for _, r in exc.completed))
         raise
-    # made only once batch_rank accepted the options, so a rejected one leaves no directory
-    out = _ensure_out(args.out)
     (out / "failures.jsonl").unlink(missing_ok=True)  # from an earlier, failed run
     write_score_cache(out / "scores.jsonl", scored)
     resolved.update({"method": method.value, "template": template.name})
-    _emit_config(out, args, resolved)
-    print(f"scored {len(scored)} instances [{method.value} / {template.name}] -> {out}")
-    return 0
+    return resolved, f"scored {len(scored)} instances [{method.value} / {template.name}] -> {out}\n"
 
 
 # -- calibrate -----------------------------------------------------------
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     config = FitConfig(
         learning_rate=args.lr,
         weight_decay=args.weight_decay,
@@ -291,25 +289,24 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         init_mu=args.init_mu,
         init_sigma=args.init_sigma,
     )
-    out = _ensure_out(args.out)
-    instances = read_instances(args.instances)
-    cache = CachedScoreBackend.from_file(args.cache)
-    scored, method, template = _replay(instances, cache, args.method, args.template)
-    validation = None
     if (args.val_instances is None) != (args.val_cache is None):
         raise ConfigurationError("--val-instances and --val-cache go together")
+    instances = read_instances(args.instances)
+    cache = CachedScoreBackend.from_file(args.cache)
+    method, template = _resolve_combo(cache, args.method, args.template)
+    scored = _replay(instances, cache, method, template)
+    validation = None
     if args.val_instances is not None:
         val_instances = read_instances(args.val_instances)
         same = Path(args.val_cache).resolve() == Path(args.cache).resolve()
         val_cache = cache if same else CachedScoreBackend.from_file(args.val_cache)
-        validation, _, _ = _replay(val_instances, val_cache, method.value, template.name)
+        validation = _replay(val_instances, val_cache, method, template)
     table, history = fit(scored, config, validation=validation)
     write_table(out / "calibration.json", table)
     history.to_csv(out / "loss_curve.csv")
-    _emit_config(out, args, {"method": method.value, "template": template.name})
     loss = f", final train loss {history.train_loss[-1]:.6f}" if history.train_loss else ""
-    print(f"calibrated {len(table.classes)} classes, {args.steps} steps{loss} -> {out}")
-    return 0
+    text = f"calibrated {len(table.classes)} classes, {args.steps} steps{loss} -> {out}\n"
+    return {"method": method.value, "template": template.name}, text
 
 
 # -- evaluate ------------------------------------------------------------
@@ -321,36 +318,29 @@ def _counts(raw) -> dict:
     return raw
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
+def _cmd_evaluate(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     instances = read_instances(args.instances)
     cache = CachedScoreBackend.from_file(args.cache)
-    scored, method, template = _replay(instances, cache, args.method, args.template)
+    method, template = _resolve_combo(cache, args.method, args.template)
+    scored = _replay(instances, cache, method, template)
     probs = None
     thresholds = args.threshold or []
     if args.calibration:
-        table = read_table(args.calibration)
-        probs = apply_calibration(table, scored)
+        probs = apply_calibration(read_table(args.calibration), scored)
         # rank by calibrated probability: most probable first
         scored = [
-            ScoredInstance(
-                instance=s.instance,
-                template_name=s.template_name,
-                method=s.method,
-                scores=tuple(float(-v) for v in pr),
-                per_token=None,
-            )
+            replace(s, scores=tuple(float(-v) for v in pr), per_token=None)
             for s, pr in zip(scored, probs)
         ]
-        if not thresholds:
-            thresholds = [0.5]
+        thresholds = thresholds or [0.5]
     class_meta = None
     if args.class_frequencies:
         freqs = read_json(args.class_frequencies, _counts)
         class_meta = bucketize(freqs, args.head_cut, args.tail_cut)
+    ks = args.k or [15]
     report = compute_report(
         scored,
-        ks=tuple(args.k or [15]),
+        ks=tuple(ks),
         thresholds=tuple(thresholds),
         probs=probs,
         class_meta=class_meta,
@@ -361,76 +351,39 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     text = report.render_text()
     with atomic_write(out / "report.txt") as fh:
         fh.write(text)
-    _emit_config(
-        out,
-        args,
-        {
-            "method": method.value,
-            "template": template.name,
-            "k": list(args.k or [15]),
-            "threshold": list(thresholds),
-        },
-    )
-    print(text, end="")
-    return 0
+    resolved = {
+        "method": method.value,
+        "template": template.name,
+        "k": list(ks),
+        "threshold": list(thresholds),
+    }
+    return resolved, text
 
 
 # -- report --------------------------------------------------------------
 
 
-def _combo_key(combo: tuple[Method, str]):
-    method, name = combo
-    try:
-        t_idx = CANONICAL_TEMPLATE_SPECS.index(name)
-    except ValueError:
-        t_idx = len(CANONICAL_TEMPLATE_SPECS)
-    return (0 if method is Method.CONTRASTIVE else 1, t_idx, name)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
+def _cmd_report(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     instances = read_instances(args.instances)
     cache = CachedScoreBackend.from_file(args.cache)
-    combos = cache.combos()
-    if not combos:
-        raise ConfigurationError("score cache is empty")
-    rows = []
-    for method, name in sorted(combos, key=_combo_key):
-        template = parse_template(name)
-        scored = [rank_instance(cache, inst, template, method) for inst in instances]
-        rep = compute_report(scored, ks=(args.k,))
-        rows.append(
-            {
-                "method": method.value,
-                "template": name,
-                "mean_rank": rep.mean_rank,
-                f"mR@{args.k}": rep.mean_recall_at_k[args.k],
-                "mAP": rep.mean_ap,
-            }
-        )
+    recall = f"mR@{args.k}"
+    rows, cells = [], [["method", "template", "mean_rank", recall, "mAP"]]
+    for method, name in _combos(cache):
+        rep = compute_report(_replay(instances, cache, method, parse_template(name)), ks=(args.k,))
+        row = {
+            "method": method.value,
+            "template": name,
+            "mean_rank": rep.mean_rank,
+            recall: rep.mean_recall_at_k[args.k],
+            "mAP": rep.mean_ap,
+        }
+        rows.append(row)
+        cells.append([method.value, name, *(f"{row[h]:.4f}" for h in cells[0][2:])])
     write_json(out / "comparison.json", {"k": args.k, "rows": rows})
-
-    headers = ["method", "template", "mean_rank", f"mR@{args.k}", "mAP"]
-    cells = [
-        [
-            r["method"],
-            r["template"],
-            f"{r['mean_rank']:.4f}",
-            f"{r[f'mR@{args.k}']:.4f}",
-            f"{r['mAP']:.4f}",
-        ]
-        for r in rows
-    ]
-    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    text = "\n".join(lines) + "\n"
+    text = format_table(cells)
     with atomic_write(out / "comparison.txt") as fh:
         fh.write(text)
-    _emit_config(out, args)
-    print(text, end="")
-    return 0
+    return {}, text
 
 
 # -- parser --------------------------------------------------------------
@@ -448,6 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if seed_help:
             p.add_argument("--seed", type=int, default=0, help=seed_help)
+
+    def inputs(p: argparse.ArgumentParser, cache_help: str, cache_required: bool = True) -> None:
+        p.add_argument("--instances", required=True, help="instances JSONL")
+        p.add_argument("--cache", required=cache_required, help=cache_help)
+
+    def combo(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--method", choices=[m.value for m in Method], default=None)
+        p.add_argument("--template", default=None, help='template spec, e.g. "{O} is {A}"')
 
     p = sub.add_parser("gen-world", help="sample a synthetic world, its scenes, and instances")
     common(p, "seeds the world, its scenes and the candidate shuffles")
@@ -485,12 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score instances with a chosen backend")
     common(p, "unused: scoring draws nothing")
-    p.add_argument("--instances", required=True)
+    inputs(p, "scores JSONL to replay (cached)", cache_required=False)
     p.add_argument(
         "--backend", required=True, choices=["oracle", "uniform", "cached", "remote"]
     )
-    p.add_argument("--method", choices=[m.value for m in Method], default=None)
-    p.add_argument("--template", default=None, help='template spec, e.g. "{O} is {A}"')
+    combo(p)
     p.add_argument(
         "--length-normalize",
         action="store_true",
@@ -501,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", help="world JSON (oracle)")
     p.add_argument("--scenes", help="scenes JSONL (oracle)")
     p.add_argument("--smoothing", type=float, default=1e-6, help="oracle smoothing")
-    p.add_argument("--cache", help="scores JSONL to replay (cached)")
     p.add_argument("--endpoint", help=f"scoring service URL (remote; or {ENDPOINT_ENV})")
     p.add_argument(
         "--terminal",
@@ -513,10 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit per-class probability calibration")
     common(p, "seeds the batch shuffles (a full batch draws nothing)")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--cache", required=True, help="scores JSONL to fit on")
-    p.add_argument("--method", choices=[m.value for m in Method], default=None)
-    p.add_argument("--template", default=None)
+    inputs(p, "scores JSONL to fit on")
+    combo(p)
     p.add_argument("--val-instances", default=None)
     p.add_argument("--val-cache", default=None)
     p.add_argument("--lr", type=float, default=1e-5)
@@ -529,13 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compute the metric report for one cache")
     common(p)
-    p.add_argument("--instances", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--method", choices=[m.value for m in Method], default=None)
-    p.add_argument("--template", default=None)
+    inputs(p, "scores JSONL to evaluate")
+    combo(p)
     p.add_argument("--k", type=int, action="append", help="recall cutoff, repeatable")
     p.add_argument(
-        "--threshold", type=float, action="append", help="probability cutoff, repeatable"
+        "--threshold", type=float, action="append",
+        help="probability cutoff, repeatable; needs --calibration",
     )
     p.add_argument("--head-cut", type=int, default=5000)
     p.add_argument("--tail-cut", type=int, default=500)
@@ -545,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="side-by-side table over every cached combo")
     common(p)
-    p.add_argument("--instances", required=True)
-    p.add_argument("--cache", required=True)
+    inputs(p, "scores JSONL, one or more combos")
     p.add_argument("--k", type=int, default=15)
     p.set_defaults(func=_cmd_report)
 
@@ -560,7 +515,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        out = Path(args.out)
+        resolved, text = args.func(args, out)
+        options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+        options.update(resolved)
+        write_json(out / "config.json", {"command": args.command, "options": options})
     except SchemaError as exc:
         print(f"error[schema]: {exc}", file=sys.stderr)
         return 4
@@ -570,6 +529,8 @@ def main(argv=None) -> int:
     except GenretError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
+    print(text, end="")
+    return 0
 
 
 def entry() -> None:

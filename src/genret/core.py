@@ -401,8 +401,9 @@ def instance_from_dict(d: dict) -> RankingInstance:
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Yield a text handle on `path`.tmp, renamed over `path` on success and
     deleted on any exception.  It sits beside `path` so the rename cannot
-    cross filesystems."""
+    cross filesystems; a missing parent directory is made first."""
     tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

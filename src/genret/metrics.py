@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import ScoredInstance, check_parameter
-from .errors import MetricError
+from .errors import ConfigurationError, MetricError
 
 BUCKETS = ("head", "medium", "tail")
 
@@ -298,8 +298,17 @@ class MetricReport:
                     f"{stats['mean_ap']:.4f} (n={int(stats['n_classes'])})",
                 )
             )
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
+        return format_table(rows)
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells as left-aligned columns two spaces apart, one line per
+    row with no trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
 
 
 def compute_report(
@@ -317,16 +326,17 @@ def compute_report(
     same per-class table as the overall mAP.  Each threshold must be a
     finite number in [0, 1] and head_cut > tail_cut >= 1, else ParameterError,
     with or without probs and class_meta (bucket_cutoffs records the cuts).
+    Thresholds cut probabilities, so thresholds without probs is a
+    ConfigurationError.
     """
     for t in thresholds:
         check_parameter("threshold", t, "a finite number in [0, 1]")
+    if thresholds and probs is None:
+        raise ConfigurationError("thresholds cut calibrated probabilities; none were given")
     _check_cutoffs(head_cut, tail_cut)
     if not scored:
         raise MetricError("no scored instances")
-    report_ma: dict[float, float] = {}
-    if probs is not None:
-        for t in thresholds:
-            report_ma[t] = mean_balanced_accuracy(scored, probs, t)
+    report_ma = {t: mean_balanced_accuracy(scored, probs, t) for t in thresholds}
     class_aps = _class_aps(scored)
     per_bucket: dict[str, dict[str, float]] = {}
     per_type: dict[str, dict[str, float]] = {}

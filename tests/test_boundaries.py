@@ -5,10 +5,13 @@ Each test takes a valid record, replaces one of its values (a number, a
 string, a list or a whole field) with arbitrary JSON or deletes it, and
 feeds the result through the public reader.  The JSON includes NaN,
 +-Infinity, a `1e400` literal, a 401-digit integer, bools, "1.0" and nested
-lists.  Any other exception fails the test.
+lists.  Any other exception fails the test.  Through the CLI, a bad input
+exits non-zero with one `error[` line.
 """
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
@@ -26,18 +29,24 @@ from genret import (
     RankingInstance,
     RemoteBackend,
     ScoredInstance,
+    instance_to_dict,
+    parse_scene_graph,
     parse_template,
     random_world,
     rank_instance,
+    read_instances,
+    read_scenes,
     read_world,
+    record_to_dict,
     sample_scenes,
+    scenes_to_records,
     scored_to_records,
 )
 from genret.backends.cached import _line
 from genret.backends.loopback import _Handler
 from genret.calibration import read_table
-from genret.cli import _counts
-from genret.core import read_json
+from genret.cli import _counts, main
+from genret.core import read_json, write_json
 from genret.errors import (
     GenretError,
     InfiniteLossError,
@@ -175,6 +184,73 @@ def test_calibration_table(scratch, data):
     path = scratch / "calibration.json"
     path.write_text(to_json(mutate(table, data)))
     accepted_or(SchemaError, read_table, path)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_instance(scratch, data):
+    path = scratch / "instances.jsonl"
+    # the valid line after the mutated one: a changed image_id or anchor is
+    # a second instance
+    line = instance_to_dict(INSTANCE)
+    path.write_text(to_json(mutate(line, data)) + "\n" + to_json(line) + "\n")
+    accepted_or(SchemaError, read_instances, path)
+
+
+SCENE_RECORDS = [
+    record_to_dict(r)
+    for r in scenes_to_records(
+        sample_scenes(
+            random_world(seed=6, n_objects=3, n_attributes=6, attrs_per_object=3), [2, 1]
+        )
+    )
+]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_scene_graph(scratch, data):
+    # every record goes through image_record; the list adds the id rule
+    path = scratch / "scene_graph.json"
+    path.write_text(to_json(mutate(SCENE_RECORDS, data)))
+    accepted_or(SchemaError, parse_scene_graph, path)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_scenes(scratch, data):
+    path = scratch / "scenes.jsonl"
+    scene, other = SCENE_RECORDS
+    path.write_text(to_json(mutate(scene, data)) + "\n" + to_json(other) + "\n")
+    accepted_or(SchemaError, read_scenes, path)
+
+
+def test_the_cli_form_builds_from_the_valid_scene_graph(scratch):
+    graph = scratch / "cli_valid.json"
+    write_json(graph, SCENE_RECORDS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["build-dataset", "--out", str(scratch / "cli_valid"),
+                   "--scene-graph", str(graph), "--total", "2"])
+    assert rc == 0
+
+
+@PROPERTY
+@given(data=st.data())
+def test_cli_form(scratch, data):
+    # through the CLI, a bad input exits non-zero with one `error[` line;
+    # capsys would be a function-scoped fixture shared by every example
+    graph = scratch / "cli_scene_graph.json"
+    graph.write_text(to_json(mutate(SCENE_RECORDS, data)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["build-dataset", "--out", str(scratch / "cli_out"),
+                   "--scene-graph", str(graph), "--total", "2"])
+    text = err.getvalue()
+    assert rc in (0, 1, 4), (rc, text)
+    if rc:
+        assert text.startswith("error[") and text.count("\n") == 1, text
+    else:
+        assert text == ""
 
 
 # -- wire replies: the client checks types, the engine checks values ---------

@@ -494,6 +494,24 @@ def test_evaluate_rejects_a_threshold_outside_zero_one(pipeline, tmp_path, capsy
     assert captured.out == ""
 
 
+def test_evaluate_rejects_a_threshold_without_calibration(pipeline, tmp_path, capsys):
+    # balanced accuracy cuts calibrated probabilities; uncalibrated, a
+    # threshold would be recorded in config.json and silently ignored
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "evaluate", "--out", str(out), "--instances", pipeline["instances"],
+            "--cache", str(pipeline["gen"] / "scores.jsonl"), "--threshold", "0.3",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[ConfigurationError]: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 def test_commands_that_draw_nothing_take_no_seed(pipeline, tmp_path, capsys, command):
     args = [

@@ -4,9 +4,10 @@ Each `int` option gets 0, -1, nan, inf and -inf, and each `float` option
 also 1e308.  Ints get no huge value: a size option (--scenes, --objects)
 would try to allocate it.  Only a value listed as inside the option's
 domain may exit 0; any other exits non-zero with one `error[...]` line, or
-2 when argparse rejects a non-integer.  Nothing may escape cli.main as a
-traceback, and no artifact of a run that exits 0 may hold a NaN or an
-infinity.
+2 when argparse rejects a non-integer, and leaves no `--out` directory
+(only a failed `score` writes one, holding `failures.jsonl`).  Nothing may
+escape cli.main as a traceback, and no artifact of a run that exits 0 may
+hold a NaN or an infinity.
 """
 
 import argparse
@@ -140,8 +141,13 @@ def test_a_numeric_option_runs_in_its_domain_and_fails_cleanly_outside(
     elif case in IN_DOMAIN:
         assert rc == 1 and err.startswith(f"error[{IN_DOMAIN[case]}]: "), err
         assert err.count("\n") == 1, err
+        # a failed score writes failures.jsonl on purpose; any other failure
+        # comes before the first artifact, which is what makes --out
+        assert out.exists() == (IN_DOMAIN[case] == "BatchScoringError")
     elif rc == 2:
         assert kind is int and value in ("nan", "inf", "-inf"), err
+        assert not out.exists()
     else:
         assert rc in (1, 3, 4), (rc, err)
         assert err.startswith("error[") and err.count("\n") == 1, err
+        assert not out.exists()

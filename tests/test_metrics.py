@@ -29,7 +29,7 @@ from genret import (
     overall_f1_at_k,
     positive_ranks,
 )
-from genret.errors import MetricError, ParameterError
+from genret.errors import ConfigurationError, MetricError, ParameterError
 
 VOCAB = [f"w{i:02d}" for i in range(24)]
 
@@ -353,13 +353,12 @@ def test_compute_report_matches_components(report_inputs):
     assert report.bucket_cutoffs == {"head_cut": 5000, "tail_cut": 500}
 
 
-def test_report_thresholds_ignored_without_probs(report_inputs):
+def test_report_rejects_thresholds_without_probs(report_inputs):
+    # a threshold cuts calibrated probabilities; without them it would be
+    # recorded and silently ignored
     scored, _, _ = report_inputs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = compute_report(scored, ks=(1,), thresholds=(0.5, 0.9))
-    assert report.mean_balanced_accuracy == {}
-    assert report.per_bucket == {}
+    with pytest.raises(ConfigurationError, match="thresholds"):
+        compute_report(scored, ks=(1,), thresholds=(0.5, 0.9))
 
 
 def test_report_json_round_trip(report_inputs):
