@@ -7,10 +7,13 @@ wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and each
 /v1/embed request that names an image_id is one `embed_batch` call with all
 of its sentences; a request naming no image embeds each sentence in
-`texts` with `embed_text`.  A backend may serve one object for many
-prefixes (the oracle keeps one per trie node), so a /v1/logprobs reply
-JSON-encodes each distinct object once, within the reply, and joins the
-pieces into the bytes `json.dumps` of the whole reply gives.  Malformed
+`texts` with `embed_text`.  An embed reply carries each array as its shape
+and base64 of its little-endian float64 bytes, exact for every value; an
+image-only request gets `texts` of shape [0, d], d the image's length.  A
+backend may serve one object for many prefixes (the oracle keeps one per
+trie node), so a /v1/logprobs reply JSON-encodes each distinct object
+once, within the reply, and joins the pieces into the bytes `json.dumps`
+of the whole reply gives.  Malformed
 fields (a region that is neither null nor 4 finite numbers, a query that
 is not an object, a prefix or `texts` entry that is not a list of strings)
 and requests the backend rejects (an embed request to a backend without a
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from base64 import b64encode
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import repeat
 
@@ -41,11 +45,17 @@ class _BackendOutputError(Exception):
     """The served backend answered with something the wire cannot carry."""
 
 
-def _wire_array(value, what: str) -> list:
+def _float_array(value, what: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float).tolist()
+        return np.asarray(value, dtype="<f8")
     except (TypeError, ValueError) as exc:
         raise _BackendOutputError(f"backend returned a malformed {what}: {exc}") from None
+
+
+def _wire_array(array: np.ndarray) -> dict:
+    """The wire form of an array: its shape, and base64 of its
+    little-endian float64 bytes in C order."""
+    return {"shape": list(array.shape), "data": b64encode(array.tobytes()).decode("ascii")}
 
 
 def _logprobs_json(request_id, dists: list) -> str:
@@ -119,12 +129,18 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = {"request_id": request_id}
                 if image_id is not None:
                     image, vecs = backend.embed_batch(image_id, region, texts)
-                    payload["image"] = _wire_array(image, "image embedding")
-                    payload["texts"] = _wire_array(vecs, "text embedding batch")
+                    image = _float_array(image, "image embedding")
+                    # no sentences get no rows of the image's width (the base
+                    # class's default answers them with [])
+                    vecs = (
+                        _float_array(vecs, "text embedding batch")
+                        if texts
+                        else np.empty((0, image.size))
+                    )
+                    payload["image"] = _wire_array(image)
                 else:
-                    payload["texts"] = [
-                        _wire_array(backend.embed_text(t), "text embedding") for t in texts
-                    ]
+                    vecs = _float_array([backend.embed_text(t) for t in texts], "text embedding")
+                payload["texts"] = _wire_array(vecs)
                 status, text = 200, json.dumps(payload)
             else:
                 status, text = 404, json.dumps({"error": f"unknown path {self.path}"})

@@ -5,11 +5,15 @@ Wire protocol, all POST, JSON bodies:
     /v1/logprobs  {request_id, image_id, region?, queries: [{prefix: [tok, ...]}]}
         -> {request_id, results: [{probs: {tok: p, ...}, terminal_p?}]}
     /v1/embed     {request_id, image_id?, region?, texts: [[tok, ...], ...]}
-        -> {request_id, image?: [float, ...], texts: [[float, ...], ...]}
+        -> {request_id, image?: ARRAY, texts: ARRAY}
 
-`image` is present exactly when the request names an image_id, and `texts`
-holds one vector per requested sentence, in order; a request must ask for
-at least one of the two.
+An ARRAY is {shape: [dim, ...], data: "<base64>"}: `data` is the base64 of
+the array's little-endian float64 bytes in C order, so every value, NaN,
+the infinities, -0.0 and subnormals included, crosses exactly.  `image`
+(shape [d]) is present exactly when the request names an image_id, and
+`texts` (shape [n, d]) holds one row per requested sentence, in order, so
+an image-only request gets shape [0, d]; a request must ask for at least
+one of the two.
 
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
@@ -17,20 +21,23 @@ are idempotent queries, so transient failures (connection errors, timeouts,
 statuses, malformed bodies (a body that is not a JSON object included) and
 request_id mismatches raise TransportError carrying the raw body.
 
-The client checks types and the engine checks values.  Every number in a
-reply (a probability, a terminal_p, an embedding value) must pass core's
-wire rule, `non_numbers`: a float, NaN and the infinities included, or an
-int inside the float range; anything else makes the reply malformed.  The
-scoring engine checks that each distribution sums to one and each
-embedding has unit norm, which NaN and the infinities fail too.
+The client checks types and the engine checks values.  Every probability
+and terminal_p in a /v1/logprobs reply must pass core's wire rule,
+`non_numbers`: a float, NaN and the infinities included, or an int inside
+the float range; anything else makes the reply malformed.  An embed
+ARRAY is well formed when its shape is a list of ints >= 0 of the expected
+rank (rows matching the sentences asked for, vectors non-empty) and
+`data` is a str of valid base64 holding exactly 8 bytes per value; it
+then holds float64s by construction.  The scoring engine checks that each
+distribution sums to one and each embedding has unit norm, which NaN and
+the infinities fail too.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once; one /v1/embed
 call embeds an instance's image and all of its sentences (`embed_batch`),
-read into a vector and one (n, d) array once `image` is a non-empty list,
-`texts` are non-empty lists of one length and every value passes the
-wire rule.  `embed_image` and `embed_text` are single-item requests.
-The caller's threads (batch_rank's `parallelism`) bound requests in flight.
+decoded into a vector and one (n, d) array, both writable.  `embed_image`
+and `embed_text` are single-item requests.  The caller's threads
+(batch_rank's `parallelism`) bound requests in flight.
 
 `requests` is imported when a RemoteBackend is built, so a command that
 never builds one does not pay for importing it.
@@ -38,14 +45,15 @@ never builds one does not pay for importing it.
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
-from itertools import chain
+from base64 import b64decode
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core import non_numbers
+from ..core import is_int, non_numbers
 from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -177,19 +185,37 @@ class RemoteBackend(ScorerBackend):
         if region is not None:
             payload["region"] = list(region)
         data = self._post("/v1/embed", payload)
-        texts = data.get("texts")
-        image = data.get("image") if image_id is not None else []
-        if not isinstance(texts, list) or len(texts) != len(sentences):
-            problem = f"not the {len(sentences)} text vectors asked for"
-        elif not isinstance(image, list) or (image_id is not None and not image):
-            problem = "no image vector"
-        elif not all(isinstance(t, list) and t for t in texts) or len(set(map(len, texts))) > 1:
-            problem = "text vectors that are not non-empty lists of one length"
-        elif bad := non_numbers([*image, *chain.from_iterable(texts)]):
-            problem = f"a non-numeric value: {bad[0]!r}"
-        else:
-            return (
-                np.array(image, dtype=float) if image_id is not None else None,
-                np.array(texts, dtype=float),
-            )
-        raise TransportError(f"embed response has {problem}", body=str(data)[:2000])
+        try:
+            image = _array(data, "image", 1) if image_id is not None else None
+            texts = _array(data, "texts", 2)
+            if texts.shape[0] != len(sentences):
+                raise ValueError(f"{texts.shape[0]} text rows, not the {len(sentences)} asked for")
+        except ValueError as exc:
+            raise TransportError(f"embed response has {exc}", body=str(data)[:2000]) from None
+        return image, texts
+
+
+def _array(data: dict, field: str, ndim: int) -> np.ndarray:
+    """The reply's `field` decoded into a writable float64 array of `ndim`
+    dimensions whose vectors are non-empty; ValueError names what is wrong."""
+    value = data.get(field)
+    if not isinstance(value, dict):
+        value = {}
+    shape, encoded = value.get("shape"), value.get("data")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == ndim
+        and all(is_int(dim) and dim >= 0 for dim in shape)
+        and shape[-1] >= 1
+    ):
+        raise ValueError(f"no {field} array of {ndim} dimension(s) with non-empty vectors")
+    if not isinstance(encoded, str):
+        raise ValueError(f"{field} data that is not a base64 string")
+    try:
+        raw = b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error included
+        raise ValueError(f"{field} data that is not valid base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes of {field} data for shape {shape}")
+    # a bytearray buffer keeps the array writable, like every backend's
+    return np.frombuffer(bytearray(raw), "<f8").reshape(shape)

@@ -13,7 +13,8 @@ them by plain string equality.
 
 Every number rule lives here: DOMAINS for parameters, is_finite_number and
 non_finite for files, whose numbers must be finite, and non_numbers for the
-wire, whose values the scoring engine judges.
+/v1/logprobs wire values, which the scoring engine judges (/v1/embed sends
+float64 bytes, which hold nothing else).
 
 The file helpers at the end are the one on-disk format: every write is
 atomic, and undecodable input is a SchemaError naming the file.
@@ -75,8 +76,9 @@ def is_int(value: object) -> bool:
 
 
 def non_numbers(values: Collection) -> list:
-    """The wire rule: the values that are neither a float (NaN and the
-    infinities included) nor an int a float can hold, in order."""
+    """The wire rule for /v1/logprobs probabilities and terminal_p: the
+    values that are neither a float (NaN and the infinities included) nor
+    an int a float can hold, in order."""
     if set(map(type, values)) <= {float}:
         return []  # the common case, with no loop in Python
     return [v for v in values if type(v) is not float and not is_finite_number(v)]

@@ -9,12 +9,14 @@ lists.  Any other exception fails the test.  Through the CLI, a bad input
 exits non-zero with one `error[` line.
 """
 
+import base64
 import contextlib
 import copy
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -298,11 +300,28 @@ def test_logprobs_reply(replying, data):
     accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
 
 
-EMBED_REPLY = {"image": [0.6, 0.8], "texts": [[1.0, 0.0], [0.0, 1.0]]}
+def _wire(values) -> dict:
+    """The /v1/embed form of an array: shape, and base64 of its
+    little-endian float64 bytes."""
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
+
+
+# mutations reach each dimension of a shape and each base64 string
+EMBED_REPLY = {"image": _wire([0.6, 0.8]), "texts": _wire([[1.0, 0.0], [0.0, 1.0]])}
 EMBED_INSTANCE = RankingInstance(
     image_id="img", anchor_kind=AnchorKind.OBJECT, anchor="cup",
     candidates=("red", "blue"), positives=frozenset({0}),
 )
+
+
+def test_the_embed_reply_scores_unmutated(replying):
+    url = _reply_with(replying, EMBED_REPLY)
+    scored = rank_instance(
+        RemoteBackend(url, max_retries=0), EMBED_INSTANCE, parse_template("{A}"),
+        Method.CONTRASTIVE,
+    )
+    assert len(scored.scores) == 2
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import base64
 import json
 import time
 from fractions import Fraction
@@ -69,24 +70,66 @@ def test_rankings_survive_the_wire_exactly(setup):
                 assert far.scores == near.scores
 
 
+def bits(array):
+    """The float64 bit patterns of `array`: equal exactly when every value,
+    -0.0 and NaN payloads included, is the same."""
+    return np.asarray(array, dtype="<f8").view(np.uint64)
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+    assert got.flags.writeable  # like every backend's arrays
+
+
 def test_embeddings_survive_the_wire(setup):
     _, _, backend, _ = setup
     with LoopbackServer(backend) as url:
         remote = remote_for(url, backend)
-        np.testing.assert_array_equal(
-            remote.embed_image("scene-000001", None),
-            backend.embed_image("scene-000001", None),
+        assert_bit_equal(
+            remote.embed_image("scene-000001", None), backend.embed_image("scene-000001", None)
         )
-        np.testing.assert_array_equal(
+        assert_bit_equal(
             remote.embed_text(("obj00", "is")), backend.embed_text(("obj00", "is"))
         )
         sentences = [("obj00", "is"), ("is",)]
         image, texts = remote.embed_batch("scene-000001", None, sentences)
         want_image, want_texts = backend.embed_batch("scene-000001", None, sentences)
-        np.testing.assert_array_equal(image, want_image)
-        assert len(texts) == len(want_texts) == 2
-        for got, want in zip(texts, want_texts):
-            np.testing.assert_array_equal(got, want)
+        assert_bit_equal(image, want_image)
+        assert_bit_equal(texts, want_texts)
+        # an image-only request gets no rows of the image's width
+        image, texts = remote.embed_batch("scene-000001", None, [])
+        assert_bit_equal(image, want_image)
+        assert texts.shape == (0, len(want_image))
+
+
+# values a JSON float list would print lossily or could not carry at all
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, -1e308, 0.1, float("nan"), float("inf"), float("-inf")]
+
+
+class SpecialFloatBackend(UniformBackend):
+    """Embeds through the base class's per-item default, with vectors of
+    SPECIAL_FLOATS; embed_batch answers no sentences with []."""
+
+    def embed_image(self, image_id, region):
+        return np.array(SPECIAL_FLOATS)
+
+    def embed_text(self, tokens):
+        return np.roll(SPECIAL_FLOATS, len(tokens))
+
+
+def test_every_float64_crosses_the_wire_bit_for_bit():
+    backend = SpecialFloatBackend(["a"])
+    with LoopbackServer(backend) as url:
+        remote = remote_for(url, backend)
+        image, texts = remote.embed_batch("x", None, [("a",), ("a", "a")])
+        assert_bit_equal(image, backend.embed_image("x", None))
+        want_texts = [backend.embed_text(("a",)), backend.embed_text(("a", "a"))]
+        assert_bit_equal(texts, np.array(want_texts))
+        assert_bit_equal(remote.embed_text(("a", "a")), backend.embed_text(("a", "a")))
+        assert_bit_equal(remote.embed_image("x", None), backend.embed_image("x", None))
+        image, texts = remote.embed_batch("x", None, [])
+        assert texts.shape == (0, len(SPECIAL_FLOATS))
 
 
 def test_terminal_p_is_optional_on_the_wire():
@@ -321,7 +364,7 @@ def ask_embedding(remote):
         ({"results": [{"probs": {"a": 1.0}, "terminal_p": False}]}, ask_distribution),
         ({"results": [{"probs": {"a": 10**400}}]}, ask_distribution),  # past the float range
         ({"results": ["oops"]}, ask_distribution),
-        ({"texts": [["x", 1.0]]}, ask_embedding),
+        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding),
     ],
 )
 def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
@@ -383,27 +426,52 @@ def test_integer_probabilities_score_as_the_equal_floats():
     assert repr(losses[0]) == repr(losses[1])
 
 
+def wire(values, shape=None, data=None):
+    """The /v1/embed form of `values`: base64 of their little-endian
+    float64 bytes, with their shape unless `shape` overrides it and with
+    `data` in place of those bytes when given."""
+    array = np.asarray(values, dtype="<f8")
+    raw = array.tobytes() if data is None else data
+    return {
+        "shape": list(array.shape) if shape is None else shape,
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+IMAGE = wire([0.6, 0.8])
+TEXTS = wire([[1.0, 0.0], [0.0, 1.0]])  # one row per sentence embed_pair asks for
+
+
+def embed_pair(remote):
+    return remote.embed_batch("scene-000000", None, [("a",), ("b",)])
+
+
 @pytest.mark.parametrize(
     "reply",
     [
-        {"image": [1.0], "texts": [[1.0]]},  # one text vector for two sentences
-        {"texts": [[1.0], [1.0]]},  # no image vector
-        {"image": "x", "texts": [[1.0], [1.0]]},
-        {"image": [1.0], "texts": [[1.0], ["x"]]},
-        {"image": [1.0], "texts": [[1.0, 0.0], [1.0]]},  # ragged
-        {"image": [1.0], "texts": [[1.0], []]},  # an empty vector
-        {"image": [1.0], "texts": [[], []]},
-        {"image": [1.0], "texts": [1.0, 0.0]},  # numbers, not vectors
-        {"image": [1.0], "texts": [[[1.0]], [[0.0]]]},  # nested too deep
-        {"image": [], "texts": [[1.0], [1.0]]},
-        # values the wire rule rejects, in the image or in a text vector
+        {"image": IMAGE, "texts": wire([[1.0, 0.0]])},  # one text row for two sentences
+        {"image": "x", "texts": TEXTS},
+        {"image": IMAGE, "texts": "x"},
+        {"image": IMAGE},  # no texts
+        {"image": IMAGE, "texts": wire([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])},  # three rows
+        {"image": IMAGE, "texts": wire([[], []])},  # empty vectors
+        {"image": wire([]), "texts": TEXTS},  # an empty image vector
+        {"image": IMAGE, "texts": wire([1.0, 0.0])},  # numbers, not vectors
+        {"image": IMAGE, "texts": wire([[[1.0, 0.0]], [[0.0, 1.0]]])},  # nested too deep
+        {"image": wire([[0.6, 0.8]]), "texts": TEXTS},  # an image of rank 2
+        {"image": wire(0.6), "texts": TEXTS},  # an image of rank 0
+        {"image": IMAGE, "texts": {"data": TEXTS["data"]}},  # no shape
+        {"image": IMAGE, "texts": {"shape": [2, 2]}},  # no data
+        {"image": {**IMAGE, "shape": 2}, "texts": TEXTS},  # a shape that is not a list
+        {"image": {**IMAGE, "shape": ["2"]}, "texts": TEXTS},
+        {"image": {**IMAGE, "shape": [None]}, "texts": TEXTS},
+        {"image": IMAGE, "texts": {**TEXTS, "data": None}},
+        {"image": IMAGE, "texts": {**TEXTS, "data": 3}},
+        # the JSON-list form is gone, values that scored through it included
+        {"image": [0.6, 0.8], "texts": TEXTS},
+        {"image": IMAGE, "texts": [[1.0, 0.0], [0.0, 1.0]]},
         {"image": [True, 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
-        {"image": ["1.0", 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
-        {"image": [10**400, 0.0], "texts": [[1.0, 0.0], [0.0, 1.0]]},
-        {"image": [1.0, 0.0], "texts": [[1.0, 0.0], [False, 1.0]]},
         {"image": [1.0, 0.0], "texts": [[1.0, 0.0], ["1.0", 0.0]]},
-        {"image": [1.0, 0.0], "texts": [[1.0, 0.0], [0.0, 10**400]]},
-        {"image": [1.0, None], "texts": [[1.0, 0.0], [0.0, 1.0]]},
     ],
 )
 def test_malformed_embed_reply_is_a_transport_error(setup, reply):
@@ -411,32 +479,123 @@ def test_malformed_embed_reply_is_a_transport_error(setup, reply):
     with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
         remote = remote_for(url, backend)
         with pytest.raises(TransportError) as err:
-            remote.embed_batch("scene-000000", None, [("a",), ("b",)])
+            embed_pair(remote)
         assert err.value.body
 
 
-def test_bools_and_strings_in_an_embedding_do_not_score():
-    # each vector has unit norm if true and "1.0" read as 1.0
-    reply = {"image": [True, 0.0], "texts": [["1.0", False]]}
+ROWS = [[1.0, 0.0], [0.0, 1.0]]
+ROW_BYTES = np.asarray(ROWS, dtype="<f8").tobytes()
+NOT_BASE64 = "texts data that is not valid base64"
+
+
+def with_texts(texts):
+    return {"image": IMAGE, "texts": texts}
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        pytest.param(with_texts({**TEXTS, "data": "!!"}), NOT_BASE64, id="not-base64"),
+        pytest.param(
+            with_texts({**TEXTS, "data": TEXTS["data"][:-1]}), NOT_BASE64, id="missing-pad"
+        ),
+        pytest.param(
+            with_texts({**TEXTS, "data": TEXTS["data"] + "=="}), NOT_BASE64, id="excess-after-pad"
+        ),
+        pytest.param(
+            with_texts({**TEXTS, "data": "é" + TEXTS["data"]}), NOT_BASE64, id="non-ascii"
+        ),
+        pytest.param(
+            with_texts({**TEXTS, "data": list(ROW_BYTES)}),
+            "texts data that is not a base64 string", id="data-a-list",
+        ),
+        pytest.param(with_texts(wire(ROWS, shape=[4])), "no texts array of 2", id="rank-1"),
+        pytest.param(with_texts(wire(ROWS, shape=[2, 1, 2])), "no texts array of 2", id="rank-3"),
+        pytest.param(
+            with_texts(wire(ROWS, shape=[1, 4])), "1 text rows, not the 2 asked for", id="one-row"
+        ),
+        pytest.param(
+            with_texts(wire(ROWS * 2, shape=[4, 2])), "4 text rows, not the 2 asked for",
+            id="four-rows",
+        ),
+        pytest.param(with_texts(wire(ROWS, shape=[-2, -2])), "no texts array", id="negative-dims"),
+        pytest.param(with_texts(wire(ROWS, shape=[2.0, 2])), "no texts array", id="float-dim"),
+        pytest.param(with_texts(wire(ROWS, shape=[2, 2.0])), "no texts array", id="float-width"),
+        pytest.param(with_texts(wire(ROWS, shape=[True, 4])), "no texts array", id="bool-dim"),
+        pytest.param(
+            with_texts(wire([[1.0, 0.0, 0.0, 1.0]], shape=[2, True])), "no texts array",
+            id="bool-width",
+        ),
+        pytest.param(
+            with_texts(wire(ROWS, data=ROW_BYTES[:-1])),
+            r"31 bytes of texts data for shape \[2, 2\]", id="one-byte-short",
+        ),
+        pytest.param(
+            with_texts(wire(ROWS, data=ROW_BYTES + b"\0")),
+            r"33 bytes of texts data for shape \[2, 2\]", id="one-byte-long",
+        ),
+        pytest.param(
+            with_texts(wire(ROWS, shape=[2, 10**400])), "bytes of texts data for shape",
+            id="huge-dim",
+        ),
+        # an image_id was sent
+        pytest.param({"texts": TEXTS}, "no image array", id="image-missing"),
+        pytest.param({"image": None, "texts": TEXTS}, "no image array", id="image-null"),
+        pytest.param(
+            {"image": {**IMAGE, "data": "!!"}, "texts": TEXTS}, "image data that is not valid",
+            id="image-not-base64",
+        ),
+        pytest.param(
+            {"image": wire([0.6, 0.8], shape=[3]), "texts": TEXTS}, "16 bytes of image data",
+            id="image-short",
+        ),
+    ],
+)
+def test_malformed_embed_array_is_a_transport_error_naming_the_fault(setup, reply, message):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        with pytest.raises(TransportError, match=message) as err:
+            embed_pair(remote_for(url, backend))
+    assert err.value.body
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        # each vector would have unit norm if true and "1.0" read as 1.0
+        pytest.param(
+            {"image": [True, 0.0], "texts": [["1.0", False]]}, "no image array", id="json-lists"
+        ),
+        pytest.param(
+            {"image": {"shape": [2], "data": [True, 0.0]}, "texts": wire([[1.0, 0.0]])},
+            "image data that is not a base64 string", id="image-data-a-list",
+        ),
+        pytest.param(
+            {"image": wire([1.0, 0.0]), "texts": {"shape": [1, 2], "data": ["1.0", False]}},
+            "texts data that is not a base64 string", id="texts-data-a-list",
+        ),
+    ],
+)
+def test_non_string_data_or_json_lists_in_an_embedding_do_not_score(reply, message):
     with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
-        with pytest.raises(TransportError, match="non-numeric value: True") as err:
+        with pytest.raises(TransportError, match=message) as err:
             contrastive_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
-    assert "['1.0', False]" in err.value.body
+    assert str(reply["texts"]) in err.value.body
 
 
 def test_nan_text_embedding_is_rejected_by_the_engine(setup):
     _, _, backend, _ = setup
-    reply = {"image": [1.0, 0.0], "texts": [[float("nan"), 0.0]]}
+    reply = {"image": wire([1.0, 0.0]), "texts": wire([[float("nan"), 0.0]])}
     with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
         remote = remote_for(url, backend)
         with pytest.raises(NormalizationError, match="text embedding"):
             contrastive_loss(remote, "scene-000000", None, ("a",))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**300])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e300])
 def test_non_finite_or_huge_image_embedding_is_rejected_by_the_engine(setup, value):
     _, _, backend, _ = setup
-    reply = {"image": [value, 0.0], "texts": [[1.0, 0.0]]}
+    reply = {"image": wire([value, 0.0]), "texts": wire([[1.0, 0.0]])}
     with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
         remote = remote_for(url, backend)
         with pytest.raises(NormalizationError, match="image embedding"):
