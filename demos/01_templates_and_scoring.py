@@ -31,7 +31,7 @@ def main():
         rng_seed=6,
     )
     scene = sample_scenes(spec, [2])[0]
-    print(f"scene {scene.scene_id}:")
+    print(f"scene {scene.image_id}:")
     for ent in scene.entities:
         print(f"  {ent.obj} {list(ent.attributes)}")
 
@@ -47,13 +47,13 @@ def main():
     fluent = ("orange", "cat")
     scrambled = ("cat", "orange")
     for sentence in (fluent, scrambled):
-        g = generative_loss(backend, scene.scene_id, None, sentence)
+        g = generative_loss(backend, scene.image_id, None, sentence)
         terms = " + ".join(f"{x:.3f}" for x in g.per_token)
         print(f"\ngenerative loss of {sentence}: {g.value:.3f} nats")
         print(f"  per position (terminal last): {terms}")
 
-    c1 = contrastive_loss(backend, scene.scene_id, None, fluent)
-    c2 = contrastive_loss(backend, scene.scene_id, None, scrambled)
+    c1 = contrastive_loss(backend, scene.image_id, None, fluent)
+    c2 = contrastive_loss(backend, scene.image_id, None, scrambled)
     print(f"\ncontrastive distance, both orders: {c1.value:.6f} vs {c2.value:.6f}")
     print("the embedder counts tokens, so permutations are invisible to it")
 

@@ -97,16 +97,18 @@ def _build_trie(dist: dict[tuple[str, ...], Fraction]) -> _TrieNode:
 class OracleBackend(ScorerBackend):
     """Ground-truth backend over a fixed set of synthetic scenes.
 
-    Image identifiers are scene ids.  The region argument is accepted and
-    ignored: the oracle conditions on the whole scene.  The scene set is
-    fixed at construction, which checks each scene (a repeated scene id or
-    a word the world lacks is a SchemaError naming the scene) and computes
-    its caption masses and image embedding.  Queries only build a scene's
-    trie, fill node memos and build node distributions, each on first use.
-    Two threads racing to build one compute equal values: a node keeps
-    whichever memo or distribution was stored last, and the scene keeps the
-    trie installed first (`dict.setdefault`), so the losing thread's trie is
-    dropped and no node of it is served again.  So threads may share it.
+    Image identifiers are the scenes' image_ids.  The region argument is
+    accepted and ignored: the oracle conditions on the whole scene, every
+    entity (a BoxAnnotation) of it.  The scene set is fixed at
+    construction, which checks each scene (a repeated image_id, or an
+    entity's object or attribute the world lacks, is a SchemaError naming
+    the scene) and computes its caption masses and image embedding.
+    Queries only build a scene's trie, fill node memos and build node
+    distributions, each on first use.  Two threads racing to build one
+    compute equal values: a node keeps whichever memo or distribution was
+    stored last, and the scene keeps the trie installed first
+    (`dict.setdefault`), so the losing thread's trie is dropped and no node
+    of it is served again.  So threads may share it.
     """
 
     def __init__(
@@ -133,24 +135,24 @@ class OracleBackend(ScorerBackend):
         self._image_vecs: dict[str, np.ndarray] = {}
         # each scene's trie waits for its first generative query
         for scene in scenes:
-            if scene.scene_id in self._captions:
-                raise SchemaError(f"scene {scene.scene_id!r} is already registered")
+            if scene.image_id in self._captions:
+                raise SchemaError(f"scene {scene.image_id!r} is already registered")
             for ent in scene.entities:
                 words = [("object", ent.obj, spec.objects)]
                 words += [("attribute", a, spec.attributes) for a in ent.attributes]
                 for kind, word, known in words:
                     if word not in known:
                         raise SchemaError(
-                            f"scene {scene.scene_id!r} names {kind} {word!r}, which the world lacks"
+                            f"scene {scene.image_id!r} names {kind} {word!r}, which the world lacks"
                         )
             dist = caption_process(scene)
-            self._captions[scene.scene_id] = dist
+            self._captions[scene.image_id] = dist
             freq = np.zeros(len(self.vocab_order))
             for caption, p in dist.items():
                 fp = float(p)
                 for tok in caption:
                     freq[self._index[tok]] += fp
-            self._image_vecs[scene.scene_id] = freq / float(np.linalg.norm(freq))
+            self._image_vecs[scene.image_id] = freq / float(np.linalg.norm(freq))
 
     # -- generative ---------------------------------------------------
 

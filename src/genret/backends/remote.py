@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core import is_int, non_numbers
+from ..core import check_parameter, is_int, non_numbers
 from ..errors import TransportError
 from .base import Capabilities, ScorerBackend, TokenDistribution
 
@@ -73,6 +73,9 @@ class RemoteBackend(ScorerBackend):
     ):
         import requests
 
+        check_parameter("timeout", timeout, "a finite number > 0")
+        check_parameter("max_retries", max_retries, "an int >= 0")
+        check_parameter("backoff", backoff, "a finite number >= 0")
         self.endpoint = endpoint.rstrip("/")
         self.capabilities = capabilities
         self.timeout = timeout
@@ -87,9 +90,7 @@ class RemoteBackend(ScorerBackend):
 
         url = f"{self.endpoint}{path}"
         delay = self.backoff
-        last_error: str = "no attempts made"
-        last_status = None
-        last_body = None
+        last_error = last_status = last_body = None
         for attempt in range(self.max_retries + 1):
             try:
                 resp = self._session.post(url, json=payload, timeout=self.timeout)

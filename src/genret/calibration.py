@@ -50,8 +50,8 @@ def _sigmoid(z):
 def calibrated_prob(loss, mu, sigma):
     """sigmoid(-(loss - mu) / sigma); scalar or elementwise on arrays."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ParameterError("sigma must be positive")
+    if not np.all((sigma > 0) & (sigma < math.inf)):
+        raise ParameterError("sigma must be a finite number > 0")
     z = -(np.asarray(loss, dtype=float) - np.asarray(mu, dtype=float)) / sigma
     p = _sigmoid(z)
     return float(p) if np.ndim(p) == 0 else p
@@ -70,8 +70,9 @@ class CalibrationTable:
         object.__setattr__(self, "sigma", sigma)
         if len(self.classes) != len(mu) or len(mu) != len(sigma):
             raise ParameterError("classes, mu and sigma must align")
-        if np.any(sigma <= 0):
-            raise ParameterError("sigma must be positive")
+        for w, m, sg in zip(self.classes, mu.tolist(), sigma.tolist()):
+            check_parameter(f"CalibrationTable mu of {w!r}", m, "a finite number")
+            check_parameter(f"CalibrationTable sigma of {w!r}", sg, "a finite number > 0")
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.classes)})
 
     def __contains__(self, word: str) -> bool:
@@ -226,8 +227,8 @@ def fit(
     whose candidates were all unlabeled; those keep their init values.
     A full batch is every labeled example in file order, with no draws;
     smaller batches come from a seeded shuffle, so the fit is deterministic.
-    Divergence (non-finite loss or parameters) raises OptimizationError
-    naming the step.
+    Divergence (a non-finite loss or mu, or a sigma outside (0, inf))
+    raises OptimizationError naming the step.
     """
     words = sorted({w for s in scored for w in s.instance.candidates})
     if not words:
@@ -255,8 +256,10 @@ def fit(
         decay = 1.0 - lr * config.weight_decay
         mu = mu * decay - lr * grad_mu
         log_sigma = log_sigma * decay - lr * grad_ls
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(log_sigma))):
-            raise OptimizationError(step, "parameters became non-finite")
+        # exp can take a finite log sigma to an infinite or zero sigma
+        sigma = np.exp(log_sigma)
+        if not (np.all(np.isfinite(mu)) and np.all((sigma > 0) & (sigma < math.inf))):
+            raise OptimizationError(step, "mu became non-finite or sigma left (0, inf)")
         vl = None
         if val_arrays is not None:
             vl = _bce(mu, log_sigma, *val_arrays)[0]

@@ -113,4 +113,5 @@ class OptimizationError(GenretError):
 
 class ParameterError(GenretError):
     """A parameter given to the library lies outside its domain: any numeric
-    parameter (core.check_parameter) or a calibration table's sigma."""
+    parameter, a calibration table's mu and sigma included
+    (core.check_parameter)."""

@@ -1,8 +1,10 @@
 """Synthetic worlds with an exactly enumerable caption distribution.
 
 A world fixes object and attribute vocabularies, a compatibility relation,
-and per-pair attribute priors.  Scenes are sampled from a world: each entity
-gets a uniform object and an independent draw of its compatible attributes.
+and per-pair attribute priors.  Scenes are sampled from a world.  A scene
+is an image_id and its entities, annotated boxes in the scene graph's own
+record, dataset.BoxAnnotation: each gets a uniform object, an independent
+draw of its compatible attributes and a random pixel box.
 
 The caption process for a scene is deliberately tiny so it can be enumerated
 in closed form: pick an entity uniformly, pick one of two phrasings
@@ -19,7 +21,8 @@ the world's priors passed through the table builder counted statistics use
 
 A scenes.jsonl line is the scene's scene-graph image record, equal to its
 element of scene_graph.json, and read_scenes parses it with the scene
-graph's own dataset.image_record.
+graph's own dataset.image_record; scenes_to_records and read_scenes only
+rename entities to boxes and back.
 """
 
 from __future__ import annotations
@@ -116,24 +119,15 @@ class WorldSpec:
 
 
 @dataclass(frozen=True)
-class Entity:
-    obj: str
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SyntheticScene:
-    """A sampled scene: entities plus one synthetic pixel box per entity."""
+    """A sampled scene: an image id and its annotated boxes, at least one."""
 
-    scene_id: str
-    entities: tuple[Entity, ...]
-    boxes: tuple[tuple[float, float, float, float], ...]
+    image_id: str
+    entities: tuple[BoxAnnotation, ...]
 
     def __post_init__(self):
         if not self.entities:
             raise WorldError("scene needs at least one entity")
-        if len(self.boxes) != len(self.entities):
-            raise WorldError("one box per entity required")
 
 
 def random_world(
@@ -183,25 +177,21 @@ class SceneSampler:
         self._ordinal = 0
 
     def sample_scene(self, n_entities: int) -> SyntheticScene:
+        check_parameter("n_entities", n_entities, "an int >= 1")
         spec = self.spec
         entities = []
-        boxes = []
         for _ in range(n_entities):
+            # draw order (object, attributes, x y, w h) fixes the scene stream
             obj = spec.objects[int(self._rng.integers(len(spec.objects)))]
             attrs = tuple(
                 a
                 for a in spec.compatibility.get(obj, ())
                 if self._rng.random() < spec.attribute_prior.get((obj, a), 0.0)
             )
-            entities.append(Entity(obj=obj, attributes=attrs))
             x, y = (int(v) for v in self._rng.integers(0, 800, size=2))
             w, h = (int(v) for v in self._rng.integers(20, 220, size=2))
-            boxes.append((x, y, w, h))
-        scene = SyntheticScene(
-            scene_id=f"scene-{self._ordinal:06d}",
-            entities=tuple(entities),
-            boxes=tuple(boxes),
-        )
+            entities.append(BoxAnnotation(box=(x, y, w, h), obj=obj, attributes=attrs))
+        scene = SyntheticScene(f"scene-{self._ordinal:06d}", tuple(entities))
         self._ordinal += 1
         return scene
 
@@ -278,14 +268,7 @@ def make_instances(
 
 def scenes_to_records(scenes: Iterable[SyntheticScene]) -> list[SceneGraphRecord]:
     """Export scenes in the scene-graph record shape the dataset builder eats."""
-    records = []
-    for sc in scenes:
-        boxes = tuple(
-            BoxAnnotation(box=box, obj=ent.obj, attributes=ent.attributes)
-            for ent, box in zip(sc.entities, sc.boxes)
-        )
-        records.append(SceneGraphRecord(image_id=sc.scene_id, boxes=boxes))
-    return records
+    return [SceneGraphRecord(sc.image_id, sc.entities) for sc in scenes]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +324,7 @@ def _scene_from_record(entry: object) -> SyntheticScene:
     """One scenes.jsonl line; the oracle cannot score a scene with no objects."""
     record = image_record(entry)
     try:
-        return SyntheticScene(
-            scene_id=record.image_id,
-            entities=tuple(Entity(obj=bx.obj, attributes=bx.attributes) for bx in record.boxes),
-            boxes=tuple(bx.box for bx in record.boxes),
-        )
+        return SyntheticScene(record.image_id, record.boxes)
     except WorldError as exc:
         raise SchemaError(f"image {record.image_id}: {exc}") from exc
 
@@ -355,11 +334,11 @@ def write_scenes(path: str | Path, scenes: Iterable[SyntheticScene]) -> None:
 
 
 def read_scenes(path: str | Path) -> list[SyntheticScene]:
-    """The scenes of a scenes.jsonl file; a repeated scene id is a
+    """The scenes of a scenes.jsonl file; a repeated image id is a
     SchemaError naming both lines."""
     by_id: dict[str, tuple[int, SyntheticScene]] = {}
     for lineno, scene in iter_jsonl(path, _scene_from_record):
-        earlier, _ = by_id.setdefault(scene.scene_id, (lineno, scene))
+        earlier, _ = by_id.setdefault(scene.image_id, (lineno, scene))
         if earlier != lineno:
-            raise SchemaError(f"{path}:{lineno}: scene {scene.scene_id!r} repeats line {earlier}")
+            raise SchemaError(f"{path}:{lineno}: scene {scene.image_id!r} repeats line {earlier}")
     return [scene for _, scene in by_id.values()]

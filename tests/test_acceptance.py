@@ -178,12 +178,12 @@ def test_03_token_order_splits_generative_not_contrastive():
     fluent = ("orange", "cat")
     scrambled = ("cat", "orange")
     gen_delta = abs(
-        generative_loss(backend, scene.scene_id, None, fluent).value
-        - generative_loss(backend, scene.scene_id, None, scrambled).value
+        generative_loss(backend, scene.image_id, None, fluent).value
+        - generative_loss(backend, scene.image_id, None, scrambled).value
     )
     con_delta = abs(
-        contrastive_loss(backend, scene.scene_id, None, fluent).value
-        - contrastive_loss(backend, scene.scene_id, None, scrambled).value
+        contrastive_loss(backend, scene.image_id, None, fluent).value
+        - contrastive_loss(backend, scene.image_id, None, scrambled).value
     )
     ok = gen_delta > 0.1 and con_delta < 1e-12
     _line(
@@ -421,21 +421,21 @@ def test_07_dataset_builder_audit(tmp_path):
 
 def test_08_backends_normalize_and_replay_exactly(bench, gen_plain, tmp_path):
     backend, scenes = bench["backend"], bench["scenes"]
-    captions = {sc.scene_id: list(caption_process(sc)) for sc in scenes}
+    captions = {sc.image_id: list(caption_process(sc)) for sc in scenes}
     vocab = list(bench["spec"].vocabulary())
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(10_000):
         sc = scenes[int(rng.integers(len(scenes)))]
         if rng.random() < 0.5:
-            cap = captions[sc.scene_id][int(rng.integers(len(captions[sc.scene_id])))]
+            cap = captions[sc.image_id][int(rng.integers(len(captions[sc.image_id])))]
             prefix = cap[: int(rng.integers(0, len(cap) + 1))]
         else:
             prefix = tuple(
                 vocab[int(rng.integers(len(vocab)))]
                 for _ in range(int(rng.integers(0, 4)))
             )
-        dist = backend.next_token_distributions(sc.scene_id, None, [prefix])[0]
+        dist = backend.next_token_distributions(sc.image_id, None, [prefix])[0]
         worst = max(worst, abs(dist.total() - 1.0))
 
     scored, _ = gen_plain

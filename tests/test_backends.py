@@ -6,8 +6,8 @@ import pytest
 from bruteforce import caption_conditional, naive_generative_loss
 from genret import (
     AnchorKind,
+    BoxAnnotation,
     CachedScoreBackend,
-    Entity,
     Method,
     OracleBackend,
     RankingInstance,
@@ -81,9 +81,7 @@ def test_oracle_distribution_sums_to_one(oracle):
 
 def test_oracle_exact_loss_with_zero_smoothing():
     spec = tiny_world()
-    scene = SyntheticScene(
-        "s0", entities=(Entity("cat", ("a0",)),), boxes=((0, 0, 1, 1),)
-    )
+    scene = SyntheticScene("s0", entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a0",)),))
     backend = OracleBackend(spec, [scene], smoothing=0.0)
     # caption mass 1/2, factorized over tokens plus the terminal step
     loss = generative_loss(backend, "s0", None, ("cat", "is", "a0"))
@@ -205,7 +203,7 @@ def test_oracle_builds_a_trie_on_its_first_generative_query():
 
 
 def test_oracle_rejects_a_scene_with_an_unknown_word():
-    unknown = SyntheticScene("s1", (Entity("cat", ("zebra",)),), ((0, 0, 1, 1),))
+    unknown = SyntheticScene("s1", (BoxAnnotation((0, 0, 1, 1), "cat", ("zebra",)),))
     with pytest.raises(SchemaError, match="scene 's1' names attribute 'zebra'"):
         OracleBackend(tiny_world(), [exclusion_scene(), unknown])
 
@@ -226,7 +224,7 @@ def test_oracle_rejects_smoothing_whose_renormalizer_overflows():
 
 
 def test_oracle_rejects_a_repeated_scene_id():
-    other = SyntheticScene("s0", (Entity("dog", ("a4",)),), ((0, 0, 1, 1),))
+    other = SyntheticScene("s0", (BoxAnnotation((0, 0, 1, 1), "dog", ("a4",)),))
     with pytest.raises(SchemaError, match="scene 's0' is already registered"):
         OracleBackend(tiny_world(), [exclusion_scene(), other])
 

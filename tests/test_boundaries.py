@@ -345,7 +345,7 @@ def serving():
     backend = OracleBackend(spec, scenes)
     word = spec.objects[0]
     with LoopbackServer(backend) as url, requests.Session() as session:
-        yield session, url, scenes[0].scene_id, word
+        yield session, url, scenes[0].image_id, word
 
 
 def _token_lists_ok(value) -> bool:

@@ -1,6 +1,7 @@
 """Calibration: the loss-to-probability map, its fit, and its failure modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,9 @@ def test_calibrated_prob_rejects_bad_sigma():
         calibrated_prob(1.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         calibrated_prob(1.0, 0.0, np.array([1.0, -2.0]))
+    for sigma in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ParameterError, match="^sigma must be a finite number > 0"):
+            calibrated_prob(1.0, 0.0, sigma)
 
 
 # -- the table ----------------------------------------------------------------
@@ -90,8 +94,23 @@ def test_calibrated_prob_rejects_bad_sigma():
 def test_table_validation():
     with pytest.raises(ParameterError, match="align"):
         CalibrationTable(("a", "b"), np.zeros(2), np.ones(3))
-    with pytest.raises(ParameterError, match="positive"):
+    with pytest.raises(ParameterError, match="a finite number > 0"):
         CalibrationTable(("a",), np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "mu,sigma,message",
+    [
+        ([0.0, math.nan], [1.0, 1.0], "CalibrationTable mu of 'b' must be a finite number, got nan"),
+        ([0.0, -math.inf], [1.0, 1.0], "CalibrationTable mu of 'b' must be a finite number"),
+        ([0.0, 0.0], [math.nan, 1.0], "CalibrationTable sigma of 'a' must be a finite number > 0"),
+        ([0.0, 0.0], [1.0, math.inf], "CalibrationTable sigma of 'b' must be a finite number > 0"),
+        ([0.0, 0.0], [1.0, -1.0], "CalibrationTable sigma of 'b' must be a finite number > 0"),
+    ],
+)
+def test_table_rejects_a_value_outside_its_domain_naming_the_class(mu, sigma, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        CalibrationTable(("a", "b"), mu=mu, sigma=sigma)
 
 
 def test_table_lookup():
@@ -299,6 +318,15 @@ def test_fit_divergence_raises():
         )
     assert exc.value.step >= 0
     assert "step" in str(exc.value)
+
+
+def test_fit_whose_sigma_overflows_raises():
+    # one step takes log sigma from log(1e-4) to about 4991, finite, where
+    # exp overflows: sigma is infinite and every probability would be 1/2
+    s = make_scored(("a", "b"), {0}, (1.0, 0.0))
+    with pytest.raises(OptimizationError, match="sigma") as exc:
+        fit([s], desk_config(learning_rate=1.0, max_steps=3, init_sigma=1e-4))
+    assert exc.value.step == 0
 
 
 def test_fit_history_and_csv(tmp_path):

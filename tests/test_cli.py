@@ -19,6 +19,7 @@ from genret import (
     read_score_cache,
     read_table,
     read_world,
+    scenes_to_records,
 )
 from genret.cli import ENDPOINT_ENV, main
 
@@ -907,15 +908,9 @@ def test_both_scene_files_hold_the_same_records(pipeline):
     lines = (world / "scenes.jsonl").read_text().splitlines()
     graph = json.loads((world / "scene_graph.json").read_text())
     assert [json.loads(line) for line in lines] == graph
-    scenes = read_scenes(world / "scenes.jsonl")
-    records = parse_scene_graph(world / "scene_graph.json")
-    assert [
-        (sc.scene_id, [(e.obj, e.attributes) for e in sc.entities], sc.boxes)
-        for sc in scenes
-    ] == [
-        (r.image_id, [(b.obj, b.attributes) for b in r.boxes], tuple(b.box for b in r.boxes))
-        for r in records
-    ]
+    assert scenes_to_records(read_scenes(world / "scenes.jsonl")) == parse_scene_graph(
+        world / "scene_graph.json"
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from genret import (
     CANONICAL_TEMPLATE_SPECS,
     AnchorKind,
-    Entity,
+    BoxAnnotation,
     Method,
     RankingInstance,
     ScoredInstance,
@@ -376,9 +376,9 @@ def test_read_instances_reports_line_numbers(tmp_path):
     # all three JSONL readers share one loop: blank lines are skipped but
     # counted, and both undecodable and ill-shaped records name path:lineno
     scored = ScoredInstance(make_instance(), "t", Method.GENERATIVE, (1.0, 2.0, 3.0))
-    scene = SyntheticScene("s0", (Entity("cat", ("red",)),), ((0, 0, 1, 1),))
-    # (a scene id may appear once per file, so the scene reader gets two scenes)
-    scene_lines = map(record_to_dict, scenes_to_records([scene, replace(scene, scene_id="s1")]))
+    scene = SyntheticScene("s0", (BoxAnnotation((0, 0, 1, 1), "cat", ("red",)),))
+    # (an image id may appear once per file, so the scene reader gets two scenes)
+    scene_lines = map(record_to_dict, scenes_to_records([scene, replace(scene, image_id="s1")]))
     readers = [
         (read_instances, instance_to_dict(make_instance()), None),
         (read_score_cache, scored_to_records(scored)[0], None),

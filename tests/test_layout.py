@@ -84,6 +84,27 @@ def test_one_generative_primitive():
     assert "next_token_distributions" not in (PACKAGE / "scoring.py").read_text(encoding="utf-8")
 
 
+def _is_dataclass(node):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def test_one_annotated_box_type():
+    # a box's object name and attributes are one record, dataset.BoxAnnotation;
+    # a second dataclass holding both would need converters to and from it
+    holders = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names = {
+                    f.target.id for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                }
+                if {"obj", "attributes"} <= names:
+                    holders.add(f"{path.relative_to(PACKAGE).as_posix()}:{node.name}")
+    assert holders == {"dataset.py:BoxAnnotation"}
+
+
 # The backend contract, method by method.  A public method added to a
 # backend (a scene listing, another per-item path) fails the pin below until
 # it is listed here on purpose.

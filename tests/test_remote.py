@@ -25,7 +25,7 @@ from genret import (
 )
 from genret.backends.loopback import _Handler
 from genret.cli import main
-from genret.errors import NormalizationError, TransportError
+from genret.errors import NormalizationError, ParameterError, TransportError
 from genret.scoring import contrastive_loss, generative_loss
 
 
@@ -287,6 +287,28 @@ def test_persistent_500_raises_after_all_retries(setup):
         assert server._server.hits == 3  # initial try plus two retries
         assert err.value.status == 500
         assert "still broken" in (err.value.body or "")
+
+
+@pytest.mark.parametrize(
+    "kw,name",
+    [
+        (dict(timeout=0), "timeout"),
+        (dict(timeout=float("nan")), "timeout"),
+        (dict(timeout=float("inf")), "timeout"),
+        (dict(max_retries=-1), "max_retries"),
+        (dict(max_retries=2.5), "max_retries"),
+        (dict(max_retries=True), "max_retries"),
+        (dict(backoff=-1.0), "backoff"),
+        (dict(backoff=float("nan")), "backoff"),
+    ],
+)
+def test_remote_settings_outside_their_domain_are_rejected_before_any_request(setup, kw, name):
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=AlwaysDownHandler)
+    with server as url:
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            RemoteBackend(url, **kw).next_token_distributions("scene-000000", None, [()])
+        assert getattr(server._server, "hits", 0) == 0
 
 
 def test_4xx_fails_immediately_with_body(setup):
@@ -769,7 +791,7 @@ def expected_logprobs_reply(request_id, dists) -> bytes:
 @pytest.mark.parametrize("request_id", ["r", 7, None, ["a", 1]])
 def test_replies_sharing_objects_keep_the_bytes_of_the_whole_reply(setup, request_id):
     _, scenes, oracle, _ = setup
-    scene = scenes[0].scene_id
+    scene = scenes[0].image_id
     obj = oracle.next_token_distributions(scene, None, [()])[0]
     tok = next(t for t, p in obj.probs.items() if p > 0.01)
     # several off-trie prefixes share the floor; () comes twice
@@ -806,7 +828,7 @@ class RaggedEmbedBatch(OracleBackend):
 def test_malformed_backend_embedding_gets_500_naming_the_backend_output(setup):
     spec, scenes, _, _ = setup
     with LoopbackServer(RaggedEmbedBatch(spec, scenes)) as url:
-        body = {"request_id": "r", "image_id": scenes[0].scene_id, "texts": [["obj00"]] * 2}
+        body = {"request_id": "r", "image_id": scenes[0].image_id, "texts": [["obj00"]] * 2}
         resp = requests.post(f"{url}/v1/embed", json=body, timeout=10)
         assert resp.status_code == 500
         assert resp.json()["error"].startswith("backend returned a malformed text embedding batch")

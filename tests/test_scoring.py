@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from genret import (
     AnchorKind,
+    BoxAnnotation,
     CachedScoreBackend,
-    Entity,
     Method,
     OracleBackend,
     RankingInstance,
@@ -41,9 +41,7 @@ from test_world import exclusion_scene, tiny_world
 
 
 def one_cat_scene():
-    return SyntheticScene(
-        "s0", entities=(Entity("cat", ("a0",)),), boxes=((0, 0, 1, 1),)
-    )
+    return SyntheticScene("s0", entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a0",)),))
 
 
 # -- generative loss -----------------------------------------------------
@@ -451,7 +449,7 @@ def test_oracle_sentence_scores_match_the_caption_scan_at_smoothing_0(seed):
     for scene in scenes:
         captions = caption_process(scene)
         for caption in sorted(captions):
-            got = generative_loss(backend, scene.scene_id, None, caption).value
+            got = generative_loss(backend, scene.image_id, None, caption).value
             want = naive_generative_loss(captions, caption, spec.vocabulary(), 0.0)
             assert got.hex() == want.hex()
 

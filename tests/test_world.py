@@ -8,7 +8,7 @@ import pytest
 from genret import world
 from genret import (
     AnchorKind,
-    Entity,
+    BoxAnnotation,
     SyntheticScene,
     WorldSpec,
     caption_process,
@@ -76,11 +76,6 @@ def test_vocabulary_is_sorted_and_includes_template_literals():
     assert "cat" in vocab and "a5" in vocab
 
 
-def test_scene_needs_box_per_entity():
-    with pytest.raises(WorldError):
-        SyntheticScene("s", (Entity("cat", ()),), boxes=())
-
-
 # -- sampling ------------------------------------------------------------
 
 
@@ -119,12 +114,19 @@ def test_random_world_accepts_as_many_attributes_per_object_as_there_are():
     assert all(1 <= len(a) <= 2 for a in spec.compatibility.values())
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "1"])
+def test_sample_scene_rejects_an_entity_count_outside_its_domain(n):
+    sampler = world.SceneSampler(tiny_world())
+    with pytest.raises(ParameterError, match="^n_entities must be an int >= 1"):
+        sampler.sample_scene(n)
+
+
 def test_sample_scenes_deterministic_with_ordinal_ids():
     spec = random_world(seed=2, n_objects=5, n_attributes=9, attrs_per_object=3)
     s1 = sample_scenes(spec, [1, 2, 3])
     s2 = sample_scenes(spec, [1, 2, 3])
     assert s1 == s2
-    assert [sc.scene_id for sc in s1] == ["scene-000000", "scene-000001", "scene-000002"]
+    assert [sc.image_id for sc in s1] == ["scene-000000", "scene-000001", "scene-000002"]
     for sc in s1:
         for ent in sc.entities:
             assert ent.obj in spec.objects
@@ -137,8 +139,8 @@ def test_sample_scenes_deterministic_with_ordinal_ids():
 def test_caption_process_exact_masses():
     scene = SyntheticScene(
         "s0",
-        entities=(Entity("cat", ("a0",)), Entity("dog", ())),
-        boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
+        entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a0",)),
+                  BoxAnnotation((1, 1, 2, 2), "dog", ())),
     )
     dist = caption_process(scene)
     assert dist == {
@@ -150,9 +152,7 @@ def test_caption_process_exact_masses():
 
 
 def test_caption_process_splits_mass_over_attributes():
-    scene = SyntheticScene(
-        "s0", entities=(Entity("cat", ("a0", "a1")),), boxes=((0, 0, 1, 1),)
-    )
+    scene = SyntheticScene("s0", entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a0", "a1")),))
     dist = caption_process(scene)
     assert dist[("a0", "cat")] == Fraction(1, 4)
     assert dist[("cat", "is", "a1")] == Fraction(1, 4)
@@ -162,8 +162,8 @@ def test_caption_process_splits_mass_over_attributes():
 def test_caption_process_accumulates_identical_captions():
     scene = SyntheticScene(
         "s0",
-        entities=(Entity("cat", ("a0",)), Entity("cat", ("a0",))),
-        boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
+        entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a0",)),
+                  BoxAnnotation((1, 1, 2, 2), "cat", ("a0",))),
     )
     dist = caption_process(scene)
     assert dist[("a0", "cat")] == Fraction(1, 2)
@@ -177,11 +177,10 @@ def exclusion_scene():
     return SyntheticScene(
         "s0",
         entities=(
-            Entity("cat", ("a0",)),
-            Entity("cat", ("a1",)),
-            Entity("dog", ("a2",)),
+            BoxAnnotation((0, 0, 1, 1), "cat", ("a0",)),
+            BoxAnnotation((1, 1, 2, 2), "cat", ("a1",)),
+            BoxAnnotation((2, 2, 3, 3), "dog", ("a2",)),
         ),
-        boxes=((0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 3, 3)),
     )
 
 
@@ -212,7 +211,7 @@ def test_world_stats_are_derived_once_per_world(monkeypatch):
     real = world.world_stats
     monkeypatch.setattr(world, "world_stats", lambda spec: calls.append(spec) or real(spec))
     spec = tiny_world()
-    scenes = [replace(exclusion_scene(), scene_id=f"s{i}") for i in range(3)]
+    scenes = [replace(exclusion_scene(), image_id=f"s{i}") for i in range(3)]
     assert len(make_instances(spec, scenes, 4, AnchorKind.OBJECT)) == 9
     assert calls == [spec]
 
@@ -237,8 +236,8 @@ def test_object_anchor_instances_respect_pairing_exclusion():
 def test_object_anchor_skips_attributeless_entities():
     scene = SyntheticScene(
         "s0",
-        entities=(Entity("cat", ()), Entity("dog", ("a4",))),
-        boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
+        entities=(BoxAnnotation((0, 0, 1, 1), "cat", ()),
+                  BoxAnnotation((1, 1, 2, 2), "dog", ("a4",))),
     )
     insts = make_instances(tiny_world(), [scene], 3, AnchorKind.OBJECT)
     assert len(insts) == 1
@@ -252,8 +251,8 @@ def test_attribute_anchor_instances_collect_bearers():
     spec = tiny_world(objects=("cat", "dog", "fox"))
     scene = SyntheticScene(
         "s0",
-        entities=(Entity("cat", ("a2",)), Entity("dog", ("a2", "a4"))),
-        boxes=((0, 0, 1, 1), (1, 1, 2, 2)),
+        entities=(BoxAnnotation((0, 0, 1, 1), "cat", ("a2",)),
+                  BoxAnnotation((1, 1, 2, 2), "dog", ("a2", "a4"))),
     )
     insts = make_instances(spec, [scene], 2, AnchorKind.ATTRIBUTE)
     assert [i.anchor for i in insts] == ["a2", "a2"]
@@ -363,22 +362,22 @@ def _one_scene_file(tmp_path, image_id, **box):
 def test_scene_file_takes_an_integer_id_as_the_scene_graph_does(tmp_path):
     path, record = _one_scene_file(tmp_path, 2417, attributes=["red"])
     (scene,) = read_scenes(path)
-    assert scene.scene_id == "2417"
-    assert parse_scene_graph([record])[0].image_id == scene.scene_id
+    assert scene.image_id == "2417"
+    assert parse_scene_graph([record])[0].image_id == scene.image_id
 
 
 @pytest.mark.parametrize("box", [{}, {"attributes": None}], ids=["missing", "null"])
 def test_scene_file_reads_a_missing_attribute_list_as_empty(tmp_path, box):
     path, _ = _one_scene_file(tmp_path, "s0", **box)
     (scene,) = read_scenes(path)
-    assert scene.entities == (Entity("cat", ()),)
+    assert scene.entities == (BoxAnnotation((0, 0, 4, 3), "cat", ()),)
     assert caption_process(scene) == {("cat",): Fraction(1)}
 
 
 def test_scene_file_reads_a_repeated_attribute_once(tmp_path):
     path, record = _one_scene_file(tmp_path, "s0", attributes=["red", "Red", "blue"])
     (scene,) = read_scenes(path)
-    assert scene.entities == (Entity("cat", ("red", "blue")),)
+    assert scene.entities == (BoxAnnotation((0, 0, 4, 3), "cat", ("red", "blue")),)
     assert parse_scene_graph([record])[0].boxes[0].attributes == ("red", "blue")
     # each distinct attribute carries half the entity's caption mass
     red = sum(p for cap, p in caption_process(scene).items() if "red" in cap)
