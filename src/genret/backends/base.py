@@ -13,8 +13,9 @@ The generative side has two methods:
   whole sentence.  The engine checks every pair (counts, totals within
   NORM_TOL, 0 <= p <= total) before it takes a logarithm.
 - `next_token_distributions(image_id, region, prefixes)` returns whole
-  next-token distributions, one per prefix; it is the one abstract method,
-  and the form the `/v1/logprobs` wire speaks.
+  next-token distributions, one per prefix, and may return one object for
+  many prefixes; it is the one abstract method, and what the `/v1/logprobs`
+  wire carries, each distinct object listed once.
 
 The default `score_sentences` is an adapter over `next_token_distributions`,
 so a backend that can only serve whole distributions (the remote client, the
@@ -22,7 +23,8 @@ uniform backend, test doubles and proxies) implements nothing more.  It asks
 once for every distinct prefix the sentences need (sentences of a template
 family share most of theirs), checks each distinct distribution object it
 is served once, at the first prefix that object answers, and reads the
-realized entries.  A backend that can reach the realized tokens directly
+realized entries.  The remote client builds one object per distribution a
+reply lists, so over the wire too each shared distribution is checked once.  A backend that can reach the realized tokens directly
 (the oracle walks its caption trie) overrides it and serves no V-sized
 distributions at all.
 

@@ -7,20 +7,22 @@ wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and each
 /v1/embed request that names an image_id is one `embed_batch` call with all
 of its sentences; a request naming no image embeds each sentence in
-`texts` with `embed_text`.  An embed reply carries each array as its shape
-and base64 of its little-endian float64 bytes, exact for every value; an
-image-only request gets `texts` of shape [0, d], d the image's length.  A
-backend may serve one object for many prefixes (the oracle keeps one per
-trie node), so a /v1/logprobs reply JSON-encodes each distinct object
-once, within the reply, and joins the pieces into the bytes `json.dumps`
-of the whole reply gives.  Malformed
+`texts` with `embed_text`.  Every ARRAY carries its shape and base64 of its
+little-endian float64 bytes, exact for every value; an image-only embed
+request gets `texts` of shape [0, d], d the image's length.  A backend may
+serve one object for many prefixes (the oracle keeps one per trie node), so
+a /v1/logprobs reply lists each distinct object once, keyed by `id` while
+the call's list holds them all, and each query's result is its index in
+that list.  Malformed
 fields (a region that is neither null nor 4 finite numbers, a query that
 is not an object, a prefix or `texts` entry that is not a list of strings)
 and requests the backend rejects (an embed request to a backend without a
 contrastive side among them) get 400.  A fault of the backend itself gets
 500: any other exception it raises, an embedding it returns that is not a
-numeric array (ragged or non-numeric rows), and an answer JSON cannot
-encode (such as Fraction probabilities); the message names that output.
+numeric array (ragged or non-numeric rows), a distribution with a token
+that is not a string or a probability that fails core's wire rule (such as
+a Fraction or a string), and an answer JSON cannot encode; the message
+names that output.
 
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
@@ -37,7 +39,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..core import checked_region
+from ..core import checked_region, non_numbers
 from ..errors import GenretError, SchemaError
 
 
@@ -58,25 +60,33 @@ def _wire_array(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "data": b64encode(array.tobytes()).decode("ascii")}
 
 
-def _logprobs_json(request_id, dists: list) -> str:
-    """The /v1/logprobs reply, byte-equal to `json.dumps` of
-    {"request_id": ..., "results": [...]}, with each distinct object of
-    `dists` encoded once.  `dists` holds every object for the whole call,
-    so no id is reused while it keys them."""
-    encoded: dict[int, str] = {}
+def _logprobs_reply(request_id, dists: list) -> dict:
+    """The /v1/logprobs reply: each distinct object of `dists` once, in
+    order of first use, and each query's index into them.  `dists` holds
+    every object for the whole call, so no id is reused while it keys them."""
+    index: dict[int, int] = {}
+    distributions, results = [], []
     for dist in dists:
-        if id(dist) not in encoded:
-            res = {"probs": dict(dist.probs)}
-            if dist.terminal_p is not None:
-                res["terminal_p"] = dist.terminal_p
-            try:
-                encoded[id(dist)] = json.dumps(res)
-            except (TypeError, ValueError) as exc:
-                raise _BackendOutputError(
-                    f"backend returned output JSON cannot encode: {exc}"
-                ) from None
-    results = ", ".join([encoded[id(dist)] for dist in dists])
-    return f'{{"request_id": {json.dumps(request_id)}, "results": [{results}]}}'
+        i = index.get(id(dist))
+        if i is None:
+            i = index[id(dist)] = len(distributions)
+            distributions.append(_wire_distribution(dist))
+        results.append(i)
+    return {"request_id": request_id, "distributions": distributions, "results": results}
+
+
+def _wire_distribution(dist) -> dict:
+    tokens, values = list(dist.probs), list(dist.probs.values())
+    if not all(map(isinstance, tokens, repeat(str))):
+        raise _BackendOutputError("backend returned a distribution with a non-string token")
+    terminal = dist.terminal_p
+    bad = non_numbers(values if terminal is None else [*values, terminal])
+    if bad:
+        raise _BackendOutputError(f"backend returned a non-numeric probability: {bad[0]!r}")
+    entry = {"tokens": tokens, "probs": _wire_array(_float_array(values, "distribution"))}
+    if terminal is not None:
+        entry["terminal_p"] = terminal
+    return entry
 
 
 def _token_lists(value, what: str) -> list[tuple[str, ...]]:
@@ -122,7 +132,13 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/v1/logprobs":
                 dists = list(backend.next_token_distributions(image_id, region, prefixes))
-                status, text = 200, _logprobs_json(request_id, dists)
+                payload = _logprobs_reply(request_id, dists)
+                try:
+                    status, text = 200, json.dumps(payload)
+                except (TypeError, ValueError) as exc:
+                    raise _BackendOutputError(
+                        f"backend returned output JSON cannot encode: {exc}"
+                    ) from None
             elif self.path == "/v1/embed":
                 if image_id is None and not texts:
                     raise ValueError("an embed request needs an image_id or texts")

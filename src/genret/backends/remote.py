@@ -3,17 +3,25 @@
 Wire protocol, all POST, JSON bodies:
 
     /v1/logprobs  {request_id, image_id, region?, queries: [{prefix: [tok, ...]}]}
-        -> {request_id, results: [{probs: {tok: p, ...}, terminal_p?}]}
+        -> {request_id, distributions: [{tokens: [tok, ...], probs: ARRAY,
+                                         terminal_p?: number}, ...],
+            results: [i, ...]}
     /v1/embed     {request_id, image_id?, region?, texts: [[tok, ...], ...]}
         -> {request_id, image?: ARRAY, texts: ARRAY}
 
 An ARRAY is {shape: [dim, ...], data: "<base64>"}: `data` is the base64 of
 the array's little-endian float64 bytes in C order, so every value, NaN,
-the infinities, -0.0 and subnormals included, crosses exactly.  `image`
-(shape [d]) is present exactly when the request names an image_id, and
-`texts` (shape [n, d]) holds one row per requested sentence, in order, so
-an image-only request gets shape [0, d]; a request must ask for at least
-one of the two.
+the infinities, -0.0 and subnormals included, crosses exactly.
+
+A /v1/logprobs reply lists distributions, and `results[j]` is the index in
+`distributions` of query j's.  A server that serves one distribution for
+many prefixes may list it once (the loopback server does); one that shares
+nothing lists one per query.  Each distribution's `probs` (shape [n]) holds
+the probability of `tokens[k]` at k, and `terminal_p`, when present, is the
+end-of-sentence probability.  In an embed reply, `image` (shape [d]) is
+present exactly when the request names an image_id, and `texts` (shape
+[n, d]) holds one row per requested sentence, in order, so an image-only
+request gets shape [0, d]; a request must ask for at least one of the two.
 
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
@@ -21,19 +29,24 @@ are idempotent queries, so transient failures (connection errors, timeouts,
 statuses, malformed bodies (a body that is not a JSON object included) and
 request_id mismatches raise TransportError carrying the raw body.
 
-The client checks types and the engine checks values.  Every probability
-and terminal_p in a /v1/logprobs reply must pass core's wire rule,
-`non_numbers`: a float, NaN and the infinities included, or an int inside
-the float range; anything else makes the reply malformed.  An embed
-ARRAY is well formed when its shape is a list of ints >= 0 of the expected
-rank (rows matching the sentences asked for, vectors non-empty) and
-`data` is a str of valid base64 holding exactly 8 bytes per value; it
-then holds float64s by construction.  The scoring engine checks that each
-distribution sums to one and each embedding has unit norm, which NaN and
-the infinities fail too.
+The client checks types and the engine checks values.  An ARRAY is well
+formed when its shape is a list of ints >= 0 of the expected rank and
+`data` is a str of valid base64 holding exactly 8 bytes per value; it then
+holds float64s by construction.  An embed reply's shapes must match the
+sentences asked for, with non-empty vectors.  In a /v1/logprobs reply,
+`distributions` is a list, each entry's `tokens` a list of distinct
+strings and its `probs` an ARRAY of shape [len(tokens)] ([0] for an empty
+distribution), each `terminal_p` passes core's wire rule, `non_numbers` (a
+float, NaN and the infinities included, or an int inside the float range),
+and `results` holds one int index (not a bool) into `distributions` per
+query.  Anything else makes the reply malformed.  The scoring engine checks
+that each distribution sums to one and each embedding has unit norm, which
+NaN and the infinities fail too.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
-the engine hands it every prefix an instance needs at once; one /v1/embed
+the engine hands it every prefix an instance needs at once.  Each listed
+distribution becomes one TokenDistribution, so one served for many prefixes
+is one object, which the base class's adapter checks once.  One /v1/embed
 call embeds an instance's image and all of its sentences (`embed_batch`),
 decoded into a vector and one (n, d) array, both writable.  `embed_image`
 and `embed_text` are single-item requests.  The caller's threads
@@ -49,6 +62,7 @@ import math
 import time
 import uuid
 from base64 import b64decode
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -145,26 +159,23 @@ class RemoteBackend(ScorerBackend):
         if region is not None:
             payload["region"] = list(region)
         data = self._post("/v1/logprobs", payload)
-        results = data.get("results")
-        if not isinstance(results, list) or len(results) != len(prefixes):
-            raise TransportError(
-                f"expected {len(prefixes)} results, got "
-                f"{len(results) if isinstance(results, list) else type(results).__name__}",
-                body=str(data)[:2000],
-            )
-        out = []
-        for i, res in enumerate(results):
-            probs = res.get("probs") if isinstance(res, dict) else None
-            if not isinstance(probs, dict):
-                raise TransportError(f"result #{i} has no probs", body=str(res)[:2000])
-            terminal = res.get("terminal_p")
-            bad = non_numbers(probs.values() if terminal is None else [*probs.values(), terminal])
-            if bad:
-                raise TransportError(
-                    f"result #{i} has a non-numeric value: {bad[0]!r}", body=str(res)[:2000]
-                )
-            out.append(TokenDistribution(probs=probs, terminal_p=terminal))
-        return out
+        try:
+            entries = data.get("distributions")
+            if not isinstance(entries, list):
+                raise ValueError("no distributions list")
+            dists = [_distribution(entry, k) for k, entry in enumerate(entries)]
+            results = data.get("results")
+            if not isinstance(results, list) or len(results) != len(prefixes):
+                got = len(results) if isinstance(results, list) else type(results).__name__
+                raise ValueError(f"{got} results for {len(prefixes)} prefixes")
+            for j, i in enumerate(results):
+                if not (is_int(i) and 0 <= i < len(dists)):
+                    raise ValueError(
+                        f"results[{j}] of {i!r}, not an index into {len(dists)} distribution(s)"
+                    )
+        except ValueError as exc:
+            raise TransportError(f"logprobs response has {exc}", body=str(data)[:2000]) from None
+        return [dists[i] for i in results]
 
     # -- contrastive ---------------------------------------------------
 
@@ -187,8 +198,8 @@ class RemoteBackend(ScorerBackend):
             payload["region"] = list(region)
         data = self._post("/v1/embed", payload)
         try:
-            image = _array(data, "image", 1) if image_id is not None else None
-            texts = _array(data, "texts", 2)
+            image = _array(data.get("image"), "image", 1) if image_id is not None else None
+            texts = _array(data.get("texts"), "texts", 2)
             if texts.shape[0] != len(sentences):
                 raise ValueError(f"{texts.shape[0]} text rows, not the {len(sentences)} asked for")
         except ValueError as exc:
@@ -196,10 +207,30 @@ class RemoteBackend(ScorerBackend):
         return image, texts
 
 
-def _array(data: dict, field: str, ndim: int) -> np.ndarray:
-    """The reply's `field` decoded into a writable float64 array of `ndim`
-    dimensions whose vectors are non-empty; ValueError names what is wrong."""
-    value = data.get(field)
+def _distribution(entry, k: int) -> TokenDistribution:
+    """Entry `k` of a /v1/logprobs reply's distributions, type-checked;
+    ValueError names what is wrong."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"distributions[{k}] that is not an object")
+    tokens = entry.get("tokens")
+    if not (isinstance(tokens, list) and all(map(isinstance, tokens, repeat(str)))):
+        raise ValueError(f"distributions[{k}].tokens that is not a list of strings")
+    values = _array(entry.get("probs"), f"distributions[{k}].probs", 1, min_width=0)
+    if values.size != len(tokens):
+        raise ValueError(f"distributions[{k}].probs of {values.size} for {len(tokens)} tokens")
+    probs = dict(zip(tokens, values.tolist()))
+    if len(probs) != len(tokens):
+        raise ValueError(f"distributions[{k}].tokens with a repeated token")
+    terminal = entry.get("terminal_p")
+    if terminal is not None and non_numbers([terminal]):
+        raise ValueError(f"distributions[{k}].terminal_p that is non-numeric: {terminal!r}")
+    return TokenDistribution(probs=probs, terminal_p=terminal)
+
+
+def _array(value, field: str, ndim: int, min_width: int = 1) -> np.ndarray:
+    """`value`, the reply's `field`, decoded into a writable float64 array
+    of `ndim` dimensions whose vectors hold at least `min_width` values;
+    ValueError names what is wrong."""
     if not isinstance(value, dict):
         value = {}
     shape, encoded = value.get("shape"), value.get("data")
@@ -207,9 +238,10 @@ def _array(data: dict, field: str, ndim: int) -> np.ndarray:
         isinstance(shape, list)
         and len(shape) == ndim
         and all(is_int(dim) and dim >= 0 for dim in shape)
-        and shape[-1] >= 1
+        and shape[-1] >= min_width
     ):
-        raise ValueError(f"no {field} array of {ndim} dimension(s) with non-empty vectors")
+        vectors = " with non-empty vectors" if min_width else ""
+        raise ValueError(f"no {field} array of {ndim} dimension(s){vectors}")
     if not isinstance(encoded, str):
         raise ValueError(f"{field} data that is not a base64 string")
     try:

@@ -79,7 +79,9 @@ from .core import (
     write_jsonl,
 )
 from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
-from .errors import BatchScoringError, ConfigurationError, GenretError, SchemaError
+from .errors import (
+    BatchScoringError, ConfigurationError, GenretError, ParameterError, SchemaError,
+)
 from .metrics import bucketize, compute_report, format_table
 from .scoring import batch_rank, rank_instance
 from .world import (
@@ -154,6 +156,22 @@ def _replay(
 
 def _cmd_gen_world(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     kind = AnchorKind(args.anchor_kind)
+    # a box's candidates skip its positives and words that are true of it
+    # elsewhere: at most its object's compatible attributes, or the objects
+    # of its scene
+    if kind is AnchorKind.OBJECT:
+        n_ranked, most_skipped = args.attributes, args.attrs_per_object
+    else:
+        n_ranked, most_skipped = args.objects, args.max_entities
+    candidates = args.candidates
+    if candidates is None:
+        # the most that every box can fill (one skipped word is a positive), up to 50
+        candidates = max(1, min(50, n_ranked - most_skipped + 1))
+    elif candidates > n_ranked >= 1:  # checked before any draw
+        raise ParameterError(
+            f"--candidates {candidates} exceeds the {n_ranked} {kind.ranked.value}s "
+            f"that {kind.value} anchors rank"
+        )
     spec = random_world(
         seed=args.seed,
         n_objects=args.objects,
@@ -170,12 +188,13 @@ def _cmd_gen_world(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
         for v in rng.integers(args.min_entities, args.max_entities + 1, size=args.scenes)
     ]
     scenes = sample_scenes(spec, counts)
-    instances = make_instances(spec, scenes, args.candidates, kind, seed=args.seed)
+    instances = make_instances(spec, scenes, candidates, kind, seed=args.seed)
     write_world(out / "world.json", spec)
     write_scenes(out / "scenes.jsonl", scenes)
     write_scene_graph(out / "scene_graph.json", scenes_to_records(scenes))
     write_instances(out / "instances.jsonl", instances)
-    return {}, f"{len(scenes)} scenes, {len(instances)} instances -> {out}\n"
+    text = f"{len(scenes)} scenes, {len(instances)} instances -> {out}\n"
+    return {"candidates": candidates}, text
 
 
 # -- build-dataset -------------------------------------------------------
@@ -421,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--candidates",
         type=int,
-        default=50,
-        help="candidate list length; must not exceed the ranked vocabulary",
+        default=None,
+        help="candidate list length, at most the ranked vocabulary's size; by default the "
+        "most, up to 50, that every instance can fill",
     )
     p.add_argument(
         "--anchor-kind",

@@ -13,8 +13,8 @@ them by plain string equality.
 
 Every number rule lives here: DOMAINS for parameters, is_finite_number and
 non_finite for files, whose numbers must be finite, and non_numbers for the
-/v1/logprobs wire values, which the scoring engine judges (/v1/embed sends
-float64 bytes, which hold nothing else).
+/v1/logprobs terminal_p, which the scoring engine judges (every other wire
+number crosses as float64 bytes, which hold nothing else).
 
 The file helpers at the end are the one on-disk format: every write is
 atomic, and undecodable input is a SchemaError naming the file.
@@ -76,12 +76,15 @@ def is_int(value: object) -> bool:
 
 
 def non_numbers(values: Collection) -> list:
-    """The wire rule for /v1/logprobs probabilities and terminal_p: the
-    values that are neither a float (NaN and the infinities included) nor
-    an int a float can hold, in order."""
+    """The wire rule for /v1/logprobs numbers: the values that are neither
+    a float (NaN and the infinities included) nor an int a float can hold,
+    in order.  The client applies it to each terminal_p it reads (served
+    probabilities cross as float64 bytes), and the loopback server to every
+    probability a backend serves before it packs them, so a Fraction, a
+    string or a bool never reaches the wire."""
     if set(map(type, values)) <= {float}:
         return []  # the common case, with no loop in Python
-    return [v for v in values if type(v) is not float and not is_finite_number(v)]
+    return [v for v in values if not (isinstance(v, float) or (is_int(v) and is_finite_number(v)))]
 
 
 def non_finite(values: Collection) -> list:

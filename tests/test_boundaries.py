@@ -14,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -281,30 +282,43 @@ def _reply_with(replying, reply) -> str:
     return url
 
 
-# a sentence of two tokens: three prefixes, each served a quarter per token
-# and half for the terminal
-LOGPROBS_REPLY = {"results": [{"probs": {"a": 0.25, "b": 0.25}, "terminal_p": 0.5}] * 3}
+def _wire(values) -> dict:
+    """The wire's ARRAY form of an array: shape, and base64 of its
+    little-endian float64 bytes."""
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
+
+
+# a sentence of two tokens: three prefixes, each served one distribution of
+# a quarter per token and half for the terminal; mutations reach each field
+# of it, each shape dimension, the base64 string and each result index
+LOGPROBS_REPLY = {
+    "distributions": [{"tokens": ["a", "b"], "probs": _wire([0.25, 0.25]), "terminal_p": 0.5}],
+    "results": [0, 0, 0],
+}
+
+
+def _logprobs_remote(replying, reply) -> RemoteBackend:
+    return RemoteBackend(
+        _reply_with(replying, reply), capabilities=Capabilities(has_terminal_token=True),
+        max_retries=0,
+    )
+
+
+def test_the_logprobs_reply_scores_unmutated(replying):
+    loss = generative_loss(_logprobs_remote(replying, LOGPROBS_REPLY), "img", None, ("a", "b"))
+    assert loss.per_token == (-math.log(0.25), -math.log(0.25), -math.log(0.5))
 
 
 @PROPERTY
 @given(data=st.data())
 def test_logprobs_reply(replying, data):
-    url = _reply_with(replying, mutate(LOGPROBS_REPLY, data))
-    remote = RemoteBackend(
-        url, capabilities=Capabilities(has_terminal_token=True), max_retries=0
-    )
+    remote = _logprobs_remote(replying, mutate(LOGPROBS_REPLY, data))
     # a type fault is the client's TransportError; a value fault is the
     # engine's: NormalizationError, InfiniteLossError for a zero probability
     # and VocabularyError for a token missing from a distribution
     allowed = (TransportError, NormalizationError, InfiniteLossError, VocabularyError)
     accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
-
-
-def _wire(values) -> dict:
-    """The /v1/embed form of an array: shape, and base64 of its
-    little-endian float64 bytes."""
-    array = np.asarray(values, dtype="<f8")
-    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
 
 
 # mutations reach each dimension of a shape and each base64 string

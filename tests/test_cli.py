@@ -190,6 +190,50 @@ def test_build_dataset_from_emitted_scene_graph(pipeline, tmp_path):
     assert all(isinstance(v, int) for v in counts.values())
 
 
+def test_gen_world_defaults_build_for_either_anchor_kind(tmp_path):
+    # an attribute anchor ranks the 20 default objects, and its negatives skip
+    # its scene's objects (up to --max-entities, 4): 20 - 4 + 1 fill every box
+    for kind, want in (("object", 50), ("attribute", 17)):
+        out = tmp_path / kind
+        rc = main(["gen-world", "--out", str(out), "--seed", "1", "--anchor-kind", kind])
+        assert rc == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["options"]["candidates"] == want
+        instances = read_instances(out / "instances.jsonl")
+        assert instances and {len(i.candidates) for i in instances} == {want}
+
+
+def test_gen_world_default_candidates_write_the_files_of_an_explicit_50(tmp_path):
+    for name, extra in (("default", []), ("explicit", ["--candidates", "50"])):
+        assert main(["gen-world", "--out", str(tmp_path / name), "--seed", "7", *extra]) == 0
+    for name in ("world.json", "scenes.jsonl", "scene_graph.json", "instances.jsonl"):
+        assert (tmp_path / "default" / name).read_bytes() == (
+            tmp_path / "explicit" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, candidates, message",
+    [
+        ("attribute", "21", "--candidates 21 exceeds the 20 objects that attribute anchors rank"),
+        ("object", "61", "--candidates 61 exceeds the 60 attributes that object anchors rank"),
+    ],
+)
+def test_gen_world_candidates_past_the_ranked_vocabulary_fail_before_any_draw(
+    tmp_path, monkeypatch, capsys, kind, candidates, message
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a world")
+
+    monkeypatch.setattr("genret.cli.random_world", no_draw)
+    out = tmp_path / "out"
+    rc = main(["gen-world", "--out", str(out), "--seed", "1", "--anchor-kind", kind,
+               "--candidates", candidates])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error[ParameterError]: {message}\n"
+    assert not out.exists()
+
+
 def test_attribute_anchors_follow_one_rule_in_both_commands(tmp_path):
     # gen-world --anchor-kind attribute and build-dataset --mode object build
     # through the same planner: equal anchors, positives and regions

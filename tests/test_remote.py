@@ -9,6 +9,7 @@ import requests
 
 from genret import (
     AnchorKind,
+    Capabilities,
     LoopbackServer,
     Method,
     OracleBackend,
@@ -338,12 +339,35 @@ def test_mismatched_request_id_is_rejected(setup):
             remote.next_token_distributions("scene-000000", None, [()])[0]
 
 
+def wire(values, shape=None, data=None):
+    """The ARRAY form of `values`: base64 of their little-endian
+    float64 bytes, with their shape unless `shape` overrides it and with
+    `data` in place of those bytes when given."""
+    array = np.asarray(values, dtype="<f8")
+    raw = array.tobytes() if data is None else data
+    return {
+        "shape": list(array.shape) if shape is None else shape,
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def entry(table: dict, /, **fields) -> dict:
+    """One /v1/logprobs distribution: `table`'s tokens, and its values as
+    an ARRAY, with `fields` (a terminal_p, or faults) over those."""
+    return {"tokens": list(table), "probs": wire(list(table.values())), **fields}
+
+
+def logprobs(*entries, results=(0,)) -> dict:
+    """A /v1/logprobs reply body without its request_id."""
+    return {"distributions": list(entries), "results": list(results)}
+
+
 class HalfMassHandler(_Handler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
-        results = [{"probs": {"a": 0.25, "b": 0.25}} for _ in request["queries"]]
-        self._reply(200, {"request_id": request["request_id"], "results": results})
+        reply = logprobs(entry({"a": 0.25, "b": 0.25}), results=[0] * len(request["queries"]))
+        self._reply(200, {"request_id": request["request_id"], **reply})
 
 
 def test_unnormalized_server_output_is_rejected(setup):
@@ -376,26 +400,148 @@ def ask_embedding(remote):
 
 
 @pytest.mark.parametrize(
-    "reply, ask",
+    "reply, ask, message",
     [
-        ({"results": [{"probs": {"a": "lots"}}]}, ask_distribution),
-        ({"results": [{"probs": {"a": [1.0]}}]}, ask_distribution),
-        ({"results": [{"probs": {"a": 1.0}, "terminal_p": "none"}]}, ask_distribution),
-        ({"results": [{"probs": {"a": "0.5", "b": 0.5}}]}, ask_distribution),
-        ({"results": [{"probs": {"a": True}}]}, ask_distribution),
-        ({"results": [{"probs": {"a": 1.0}, "terminal_p": False}]}, ask_distribution),
-        ({"results": [{"probs": {"a": 10**400}}]}, ask_distribution),  # past the float range
-        ({"results": ["oops"]}, ask_distribution),
-        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding),
+        # probabilities cross as an ARRAY: a JSON list of them is no array
+        (logprobs(entry({"a": 1.0}, probs=["lots"])), ask_distribution,
+         r"no distributions\[0\]\.probs array"),
+        (logprobs(entry({"a": 1.0}, probs=[[1.0]])), ask_distribution,
+         r"no distributions\[0\]\.probs array"),
+        (logprobs(entry({"a": 1.0}, terminal_p="none")), ask_distribution, "terminal_p"),
+        (logprobs(entry({"a": 0.5, "b": 0.5}, probs={"shape": [2], "data": ["0.5", 0.5]})),
+         ask_distribution, r"distributions\[0\]\.probs data that is not a base64 string"),
+        (logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "shape": [True]})), ask_distribution,
+         r"no distributions\[0\]\.probs array"),
+        (logprobs(entry({"a": 1.0}, terminal_p=False)), ask_distribution, "terminal_p"),
+        (logprobs(entry({"a": 1.0}, terminal_p=10**400)), ask_distribution,  # past the float range
+         "terminal_p"),
+        (logprobs("oops"), ask_distribution, r"distributions\[0\] that is not an object"),
+        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding, "texts data"),
     ],
 )
-def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask):
+def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask, message):
     _, _, backend, _ = setup
     with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
         remote = remote_for(url, backend)
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match=message) as err:
             ask(remote)
         assert err.value.body
+
+
+HALF = entry({"a": 0.5, "b": 0.5})
+ALL_A = entry({"a": 1.0, "b": 0.0})
+
+
+def ask_two(remote):
+    return remote.next_token_distributions("scene-000000", None, [(), ("a",)])
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        pytest.param(logprobs(HALF, ALL_A, results=[0, 2]), r"results\[1\] of 2, not an index",
+                     id="index-past-the-end"),
+        pytest.param(logprobs(HALF, ALL_A, results=[-1, 0]), r"results\[0\] of -1",
+                     id="index-negative"),
+        # True would be index 1, which is in range
+        pytest.param(logprobs(HALF, ALL_A, results=[0, True]), r"results\[1\] of True",
+                     id="index-a-bool"),
+        pytest.param(logprobs(HALF, ALL_A, results=[0.0, 1]), r"results\[0\] of 0\.0",
+                     id="index-a-float"),
+        pytest.param(logprobs(HALF, ALL_A, results=["0", 1]), r"results\[0\] of '0'",
+                     id="index-a-string"),
+        pytest.param(logprobs(HALF, results=[0]), "1 results for 2 prefixes", id="too-few"),
+        pytest.param(logprobs(HALF, results=[0, 0, 0]), "3 results for 2 prefixes",
+                     id="too-many"),
+        pytest.param({"distributions": [HALF]}, "NoneType results for 2 prefixes",
+                     id="results-missing"),
+        pytest.param({"distributions": [HALF], "results": {"0": 0}},
+                     "dict results for 2 prefixes", id="results-an-object"),
+        pytest.param({"results": [0, 0]}, "no distributions list", id="distributions-missing"),
+        pytest.param({"distributions": HALF, "results": [0, 0]}, "no distributions list",
+                     id="distributions-an-object"),
+        pytest.param(logprobs(HALF, {**ALL_A, "tokens": "ab"}, results=[0, 1]),
+                     r"distributions\[1\]\.tokens that is not a list of strings",
+                     id="tokens-a-string"),
+        pytest.param(logprobs({**HALF, "tokens": ["a", 1]}, results=[0, 0]),
+                     r"distributions\[0\]\.tokens that is not a list of strings",
+                     id="tokens-with-an-int"),
+        pytest.param(logprobs({**HALF, "tokens": ["a", None]}, results=[0, 0]),
+                     r"distributions\[0\]\.tokens", id="tokens-with-null"),
+        pytest.param(logprobs({"probs": HALF["probs"]}, results=[0, 0]),
+                     r"distributions\[0\]\.tokens", id="tokens-missing"),
+        pytest.param(logprobs({**HALF, "tokens": ["a", "a"]}, results=[0, 0]),
+                     r"distributions\[0\]\.tokens with a repeated token", id="tokens-repeated"),
+        pytest.param(logprobs({**HALF, "tokens": ["a"]}, results=[0, 0]),
+                     r"distributions\[0\]\.probs of 2 for 1 tokens", id="more-probs"),
+        pytest.param(logprobs({**HALF, "tokens": ["a", "b", "c"]}, results=[0, 0]),
+                     r"distributions\[0\]\.probs of 2 for 3 tokens", id="fewer-probs"),
+        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "data": "!!"}),
+                              results=[0, 0]),
+                     r"distributions\[0\]\.probs data that is not valid base64",
+                     id="probs-not-base64"),
+        pytest.param(logprobs(entry({"a": 1.0}, probs=wire([1.0], data=b"\0" * 7)),
+                              results=[0, 0]),
+                     r"7 bytes of distributions\[0\]\.probs data for shape \[1\]",
+                     id="probs-a-byte-short"),
+        pytest.param(logprobs(entry({"a": 1.0}, probs=wire([1.0], data=b"\0" * 16)),
+                              results=[0, 0]),
+                     r"16 bytes of distributions\[0\]\.probs data for shape \[1\]",
+                     id="probs-a-value-long"),
+        pytest.param(logprobs(entry({"a": 0.5, "b": 0.5}, probs=wire([[0.5, 0.5]])),
+                              results=[0, 0]),
+                     r"no distributions\[0\]\.probs array of 1 dimension", id="probs-2-d"),
+        pytest.param(logprobs(entry({"a": 1.0}, probs=None), results=[0, 0]),
+                     r"no distributions\[0\]\.probs array", id="probs-null"),
+        pytest.param(logprobs(entry({"a": 1.0}, terminal_p=[0.0]), results=[0, 0]),
+                     r"distributions\[0\]\.terminal_p that is non-numeric",
+                     id="terminal-a-list"),
+    ],
+)
+def test_malformed_logprobs_reply_is_a_transport_error_naming_the_field(setup, reply, message):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+        with pytest.raises(TransportError, match=message) as err:
+            ask_two(remote_for(url, backend))
+    assert err.value.body
+    assert "distributions" in err.value.body or "results" in err.value.body
+
+
+def test_an_empty_distribution_is_accepted():
+    reply = logprobs(entry({}, terminal_p=1.0))
+    assert reply["distributions"][0]["probs"]["shape"] == [0]
+    with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
+        remote = RemoteBackend(url, capabilities=Capabilities(has_terminal_token=True),
+                               backoff=0.01)
+        dist = remote.next_token_distributions("x", None, [()])[0]
+        assert dist.probs == {} and dist.terminal_p == 1.0
+        assert remote.score_sentences("x", None, [()]) == [[(1.0, 1.0)]]
+
+
+def test_a_server_that_does_not_dedup_scores_the_same(setup):
+    _, scenes, oracle, instances = setup
+    template = parse_template("{O} is {A}")
+    inst = instances[0]
+
+    class OneEntryPerQuery(_Handler):
+        """Lists one distribution per query, repeats included."""
+
+        def _send(self, status, text):
+            reply = json.loads(text)
+            if status == 200 and "results" in reply:
+                dists = reply["distributions"]
+                reply["distributions"] = [dists[i] for i in reply["results"]]
+                reply["results"] = list(range(len(reply["results"])))
+                text = json.dumps(reply)
+            super()._send(status, text)
+
+    scores = []
+    for handler in (_Handler, OneEntryPerQuery):
+        with LoopbackServer(oracle, handler=handler) as url:
+            scored = rank_instance(remote_for(url, oracle), inst, template, Method.GENERATIVE)
+        scores.append((repr(scored.scores), scored.per_token))
+    assert scores[0] == scores[1]
+    assert scores[0][0] == repr(rank_instance(oracle, inst, template, Method.GENERATIVE).scores)
 
 
 def raw_reply(body):
@@ -436,28 +582,34 @@ def test_score_names_a_non_object_reply_a_transport_error(setup, tmp_path):
     assert {f["error"] for f in failures} == {"TransportError"}
 
 
+class IntegerBackend(UniformBackend):
+    """Serves probabilities 0 and 1 as ints or as floats, in one object."""
+
+    def __init__(self, zero, one):
+        super().__init__(["a", "b"])
+        self.dist = TokenDistribution({"a": zero, "b": one}, terminal_p=zero)
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        return [self.dist] * len(prefixes)
+
+
 def test_integer_probabilities_score_as_the_equal_floats():
     losses = []
     for zero, one in ((0, 1), (0.0, 1.0)):
-        reply = {"results": [{"probs": {"a": zero, "b": one}, "terminal_p": zero}]}
+        # an int terminal_p on the wire reads as the equal float
+        reply = logprobs(entry({"a": 0.0, "b": 1.0}, terminal_p=zero))
         with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
             remote = RemoteBackend(url, backoff=0.01)  # no terminal: one result per sentence
             dist = remote.next_token_distributions("x", None, [()])[0]
             assert dist.probs == {"a": 0.0, "b": 1.0} and dist.terminal_p == 0.0
             losses.append(generative_loss(remote, "x", None, ("b",)))
-    assert repr(losses[0]) == repr(losses[1])
-
-
-def wire(values, shape=None, data=None):
-    """The /v1/embed form of `values`: base64 of their little-endian
-    float64 bytes, with their shape unless `shape` overrides it and with
-    `data` in place of those bytes when given."""
-    array = np.asarray(values, dtype="<f8")
-    raw = array.tobytes() if data is None else data
-    return {
-        "shape": list(array.shape) if shape is None else shape,
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
+        # a backend serving int probabilities through the loopback scores the same
+        backend = IntegerBackend(zero, one)
+        with LoopbackServer(backend) as url:
+            remote = RemoteBackend(url, backoff=0.01)
+            losses.append(generative_loss(remote, "x", None, ("b",)))
+        losses.append(generative_loss(backend, "x", None, ("b",)))
+    assert len({repr(loss) for loss in losses}) == 1
 
 
 IMAGE = wire([0.6, 0.8])
@@ -625,8 +777,8 @@ def test_non_finite_or_huge_image_embedding_is_rejected_by_the_engine(setup, val
 
 
 def test_probabilities_whose_sum_overflows_are_rejected_by_the_engine():
-    # each int fits a float; their sum does not
-    reply = {"results": [{"probs": {"a": 10**308, "b": 10**308}}]}
+    # each value is a finite float; their sum is not
+    reply = logprobs(entry({"a": 1e308, "b": 1e308}))
     with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
         with pytest.raises(NormalizationError, match="sums to inf"):
             generative_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
@@ -765,31 +917,65 @@ def test_backend_answer_json_cannot_encode_gets_500_naming_the_backend_output():
         resp = requests.post(f"{url}/v1/logprobs", json=two, timeout=10)
         assert resp.status_code == 500
         assert resp.json()["error"] == (
-            "backend returned output JSON cannot encode: "
-            "Object of type Fraction is not JSON serializable"
+            "backend returned a non-numeric probability: Fraction(1, 2)"
         )
-    # a valid answer keeps its bytes
+    # a valid answer crosses as float64 bytes
     with LoopbackServer(UniformBackend(["a", "b"])) as url:
         resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
         assert resp.status_code == 200
-        assert resp.content == (
-            b'{"request_id": "r", "results": [{"probs": {"a": 0.5, "b": 0.5}}]}'
-        )
+        assert resp.json() == {"request_id": "r", **logprobs(entry({"a": 0.5, "b": 0.5}))}
 
 
-def expected_logprobs_reply(request_id, dists) -> bytes:
-    """json.dumps of the whole /v1/logprobs reply, one result per served object."""
-    results = []
-    for d in dists:
-        res = {"probs": dict(d.probs)}
-        if d.terminal_p is not None:
-            res["terminal_p"] = d.terminal_p
-        results.append(res)
-    return json.dumps({"request_id": request_id, "results": results}).encode("utf-8")
+class ServingBackend(UniformBackend):
+    """Serves `dist` for every prefix."""
+
+    def __init__(self, dist):
+        super().__init__(["a"])
+        self.dist = dist
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        return [self.dist] * len(prefixes)
+
+
+@pytest.mark.parametrize(
+    "dist, error",
+    [
+        (TokenDistribution({"a": "0.5", "b": 0.5}), "a non-numeric probability: '0.5'"),
+        (TokenDistribution({"a": True}), "a non-numeric probability: True"),
+        (TokenDistribution({"a": 10**400}), "a non-numeric probability: 1000"),
+        (TokenDistribution({"a": 1.0}, terminal_p=Fraction(0)),
+         "a non-numeric probability: Fraction(0, 1)"),
+        (TokenDistribution({"a": 1.0, 2: 0.0}), "a distribution with a non-string token"),
+        (TokenDistribution({"a": 1.0}, terminal_p=np.int64(0)), "output JSON cannot encode"),
+    ],
+)
+def test_backend_output_the_wire_cannot_carry_gets_500(dist, error):
+    body = {"request_id": "r", "image_id": "x", "queries": [{"prefix": []}]}
+    with LoopbackServer(ServingBackend(dist)) as url:
+        resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
+    assert resp.status_code == 500
+    assert resp.json()["error"].startswith(f"backend returned {error}")
+
+
+def served_from(reply: dict) -> list[tuple]:
+    """Each query's distribution in a decoded /v1/logprobs reply, as
+    (tokens, probs as float64 bit patterns, terminal_p)."""
+    out = []
+    for i in reply["results"]:
+        dist = reply["distributions"][i]
+        raw = base64.b64decode(dist["probs"]["data"])
+        out.append((dist["tokens"], np.frombuffer(raw, "<u8").tolist(), dist.get("terminal_p")))
+    return out
+
+
+def served_in_process(dists) -> list[tuple]:
+    return [
+        (list(d.probs), bits(list(d.probs.values())).tolist(), d.terminal_p) for d in dists
+    ]
 
 
 @pytest.mark.parametrize("request_id", ["r", 7, None, ["a", 1]])
-def test_replies_sharing_objects_keep_the_bytes_of_the_whole_reply(setup, request_id):
+def test_a_reply_lists_each_distinct_served_object_once(setup, request_id):
     _, scenes, oracle, _ = setup
     scene = scenes[0].image_id
     obj = oracle.next_token_distributions(scene, None, [()])[0]
@@ -802,7 +988,8 @@ def test_replies_sharing_objects_keep_the_bytes_of_the_whole_reply(setup, reques
         (uniform, "x", [(), ("a",), ("a", "b"), ("c",)]),
     ):
         served = backend.next_token_distributions(image_id, None, prefixes)
-        assert len({id(d) for d in served}) < len(served)
+        distinct = list({id(d): d for d in served}.values())  # in order of first use
+        assert len(distinct) < len(served)
         with LoopbackServer(backend) as url:
             resp = requests.post(
                 f"{url}/v1/logprobs",
@@ -814,7 +1001,46 @@ def test_replies_sharing_objects_keep_the_bytes_of_the_whole_reply(setup, reques
                 timeout=10,
             )
         assert resp.status_code == 200
-        assert resp.content == expected_logprobs_reply(request_id, served)
+        reply = resp.json()
+        assert reply["request_id"] == request_id
+        assert len(reply["distributions"]) == len(distinct)
+        assert reply["results"] == [distinct.index(d) for d in served]
+        assert served_from(reply) == served_in_process(served)
+
+
+class RecordingHandler(_Handler):
+    """The default handler, keeping every reply body it sends."""
+
+    def _send(self, status, text):
+        self.server.bodies.append(text.encode("utf-8"))
+        super()._send(status, text)
+
+
+def test_a_bench_sized_instance_gets_one_small_reply():
+    # the remote benchmark's shape: V = 241, {O} is {A}, 50 candidates, a terminal
+    spec = random_world(seed=1, n_objects=60, n_attributes=180, attrs_per_object=5)
+    scenes = sample_scenes(spec, [3])
+    oracle = OracleBackend(spec, scenes)
+    assert len(oracle.vocabulary) == 241
+    inst = make_instances(spec, scenes, 50, AnchorKind.OBJECT, seed=1)[0]
+    template = parse_template("{O} is {A}")
+    server = LoopbackServer(oracle, handler=RecordingHandler)
+    with server as url:
+        server._server.bodies = []
+        far = rank_instance(remote_for(url, oracle), inst, template, Method.GENERATIVE)
+        (body,) = server._server.bodies
+    near = rank_instance(oracle, inst, template, Method.GENERATIVE)
+    assert repr(far.scores) == repr(near.scores)
+    assert far.per_token == near.per_token
+    reply = json.loads(body)
+    # (), (O,), (O, is) and one (O, is, A) per candidate
+    assert len(reply["results"]) == 53
+    prefixes = [(), (inst.anchor,), (inst.anchor, "is")]
+    prefixes += [(inst.anchor, "is", c) for c in inst.candidates]
+    served = oracle.next_token_distributions(inst.image_id, None, prefixes)
+    assert len(reply["distributions"]) == len({id(d) for d in served}) < 10
+    assert served_from(reply) == served_in_process(served)
+    assert len(body) < 40_000
 
 
 class RaggedEmbedBatch(OracleBackend):
