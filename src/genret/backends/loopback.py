@@ -24,6 +24,14 @@ that is not a string or a probability that fails core's wire rule (such as
 a Fraction or a string), and an answer JSON cannot encode; the message
 names that output.
 
+The server speaks HTTP/1.1, so a client keeps a connection open for its
+next request (a `requests.Session` one per thread that posts through it),
+and the server serves each connection in a thread of its own.  Every
+reply other than a 200 carries `Connection: close`, so a request body left
+unread by an error path is never parsed as the next request.  `stop()`
+closes the connections still open once each answers the request it is
+serving, and returns when every handler thread has ended.
+
     with LoopbackServer(backend) as url:
         remote = RemoteBackend(url, capabilities=backend.capabilities)
 """
@@ -34,6 +42,7 @@ import json
 import socket
 import threading
 from base64 import b64encode
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import repeat
 
@@ -99,6 +108,11 @@ def _token_lists(value, what: str) -> list[tuple[str, ...]]:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK of the headers (about 40 ms)
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output clean
         pass
 
@@ -110,6 +124,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        # an error path may leave the request body unread in the socket, and
+        # a stopping server takes no further request
+        if status != 200 or self.server.closing:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -172,24 +190,62 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(status, text)
 
 
+class _Server(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that knows the connections it holds open and
+    the thread serving each, so that close_connections can end them."""
+
+    def __init__(self, handler, backend):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.backend = backend
+        self.closing = False
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection and wait for its thread.  A handler
+        waiting for a request reads end of file; one serving a request, or
+        one a request reached first (Linux still delivers bytes that arrive
+        after the read side is shut), answers it with `Connection: close`."""
+        self.closing = True
+        with self._lock:
+            connections = dict(self._connections)
+        for connection in connections:
+            with suppress(OSError):  # the client already went away
+                connection.shutdown(socket.SHUT_RD)
+        for thread in connections.values():
+            thread.join()
+
+
 class LoopbackServer:
     def __init__(self, backend, handler=_Handler):
         self._backend = backend
         self._handler = handler
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
         self.url: str | None = None
 
     def start(self) -> str:
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler)
-        self._server.backend = self._backend  # type: ignore[attr-defined]
+        self._server = _Server(self._handler, self._backend)
         self._thread = threading.Thread(target=self._serve, args=(self._server,), daemon=True)
         self._thread.start()
         host, port = self._server.server_address[:2]
         self.url = f"http://{host}:{port}"
         return self.url
 
-    def _serve(self, server: ThreadingHTTPServer) -> None:
+    def _serve(self, server: _Server) -> None:
         # handle_request sleeps in select until a connection arrives, so an
         # idle server costs no CPU; stop() wakes it with a connection of its own
         while self._server is server:
@@ -200,6 +256,9 @@ class LoopbackServer:
         if server is not None:
             socket.create_connection(server.server_address[:2]).close()
             self._thread.join()
+            # no connection is accepted now; end the kept-alive ones, whose
+            # daemon threads would otherwise serve on
+            server.close_connections()
             server.server_close()
 
     def __enter__(self) -> str:

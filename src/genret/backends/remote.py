@@ -52,6 +52,17 @@ decoded into a vector and one (n, d) array, both writable.  `embed_image`
 and `embed_text` are single-item requests.  The caller's threads
 (batch_rank's `parallelism`) bound requests in flight.
 
+The client speaks HTTP/1.1 through one `requests.Session`, which keeps its
+connections open for the next request and opens one only when every open
+one is busy, so a batch uses one per thread that posts; the session and its
+connections close when the backend is collected.  A server may close a connection after any reply
+(the loopback server does after each non-200); the session then opens a new
+one for the next request.
+
+The endpoint is fixed, so what `requests` would read from the environment
+for every request (the proxies, `NO_PROXY` honoured, the CA bundle, and
+netrc auth) is read once, when the RemoteBackend is built.
+
 `requests` is imported when a RemoteBackend is built, so a command that
 never builds one does not pay for importing it.
 """
@@ -76,6 +87,16 @@ if TYPE_CHECKING:
 
 
 class RemoteBackend(ScorerBackend):
+    """The scorer behind `endpoint`, over the wire protocol above.
+
+    `session` (a new `requests.Session` if None) carries every request.
+    Its environment settings are resolved for the endpoint here, once: the
+    proxies, with `NO_PROXY` honoured, and the CA bundle, merged with the
+    session's own, and netrc auth when the session has no `auth`.  Then its
+    `trust_env` is set to False, so a caller's session stops reading the
+    environment too, and every request passes the resolved settings.
+    """
+
     def __init__(
         self,
         endpoint: str,
@@ -95,7 +116,11 @@ class RemoteBackend(ScorerBackend):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._session = session or requests.Session()
+        self._session = session = session or requests.Session()
+        self._settings = session.merge_environment_settings(self.endpoint, {}, None, None, None)
+        if session.trust_env and not session.auth:
+            self._settings["auth"] = requests.utils.get_netrc_auth(self.endpoint)
+        session.trust_env = False
 
     # -- transport -----------------------------------------------------
 
@@ -107,7 +132,9 @@ class RemoteBackend(ScorerBackend):
         last_error = last_status = last_body = None
         for attempt in range(self.max_retries + 1):
             try:
-                resp = self._session.post(url, json=payload, timeout=self.timeout)
+                resp = self._session.post(
+                    url, json=payload, timeout=self.timeout, **self._settings
+                )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:

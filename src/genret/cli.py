@@ -78,7 +78,13 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .dataset import build_split, build_stats, parse_scene_graph, write_scene_graph
+from .dataset import (
+    build_split,
+    build_stats,
+    most_fillable,
+    parse_scene_graph,
+    write_scene_graph,
+)
 from .errors import (
     BatchScoringError, ConfigurationError, GenretError, ParameterError, SchemaError,
 )
@@ -205,8 +211,12 @@ def _cmd_build_dataset(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     stats = build_stats(records)
     # --mode names the ranked kind; the library speaks of the anchor's kind
     anchor_kind = AnchorKind(args.mode).ranked
+    total = args.total
+    if total is None:
+        # the most that every box can fill, up to 50
+        total = min(50, most_fillable(records, stats, anchor_kind) or 50)
     instances, manifest = build_split(
-        records, stats, anchor_kind=anchor_kind, seed=args.seed, total=args.total
+        records, stats, anchor_kind=anchor_kind, seed=args.seed, total=total
     )
     counts = (
         stats.attribute_counts if anchor_kind is AnchorKind.OBJECT else stats.object_counts
@@ -214,7 +224,8 @@ def _cmd_build_dataset(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
     write_instances(out / "instances.jsonl", instances)
     write_json(out / "manifest.json", manifest)
     write_json(out / "counts.json", counts)
-    return {}, f"{manifest['n_instances']} instances from {manifest['n_images']} images -> {out}\n"
+    text = f"{manifest['n_instances']} instances from {manifest['n_images']} images -> {out}\n"
+    return {"total": total}, text
 
 
 # -- score ---------------------------------------------------------------
@@ -461,7 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=AnchorKind.ATTRIBUTE.value,
         help="the ranked kind: attribute ranks attributes per object box",
     )
-    p.add_argument("--total", type=int, default=50, help="candidates per instance")
+    p.add_argument(
+        "--total",
+        type=int,
+        default=None,
+        help="candidates per instance; by default the most, up to 50, that every box can fill",
+    )
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("score", help="score instances with a chosen backend")

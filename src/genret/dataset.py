@@ -224,15 +224,11 @@ def build_stats(records: Sequence[SceneGraphRecord]) -> CooccurrenceStats:
     )
 
 
-def _box_instance(
-    record: SceneGraphRecord,
-    index: int,
-    stats: CooccurrenceStats,
-    total: int,
-    anchor_kind: AnchorKind,
-    seed: int,
-) -> RankingInstance:
-    """The module's one rule, applied to box `index`, which has attributes."""
+def _box_words(
+    record: SceneGraphRecord, index: int, stats: CooccurrenceStats, anchor_kind: AnchorKind
+) -> tuple[str, tuple[str, ...], set[str], tuple]:
+    """Box `index`'s anchor, positives, the words its negatives skip
+    (positives and exclusions) and its negative tiers, hardest first."""
     box = record.boxes[index]
     others = record.boxes[:index] + record.boxes[index + 1:]
     if anchor_kind is AnchorKind.OBJECT:
@@ -245,11 +241,23 @@ def _box_instance(
         positives = (box.obj,)
         excluded = {b.obj for b in others if anchor in b.attributes}
         tiers = (stats.objects_given_attr.get(anchor, ()), stats.object_prior)
+    return anchor, positives, excluded.union(positives), tiers
+
+
+def _box_instance(
+    record: SceneGraphRecord,
+    index: int,
+    stats: CooccurrenceStats,
+    total: int,
+    anchor_kind: AnchorKind,
+    seed: int,
+) -> RankingInstance:
+    """The module's one rule, applied to box `index`, which has attributes."""
+    anchor, positives, skip, tiers = _box_words(record, index, stats, anchor_kind)
     if len(positives) > total:
         raise BuilderError(f"{len(positives)} ground-truth words exceed total={total}")
 
     need = total - len(positives)
-    skip = excluded.union(positives)
     negatives: dict[str, None] = {}  # insertion-ordered, hardest first
     for table in tiers:
         for w, _ in table:
@@ -273,8 +281,24 @@ def _box_instance(
         anchor=anchor,
         candidates=candidates,
         positives=frozenset(i for i, w in enumerate(candidates) if w in positives),
-        region=box.box,
+        region=record.boxes[index].box,
     )
+
+
+def most_fillable(
+    records: Sequence[SceneGraphRecord], stats: CooccurrenceStats, anchor_kind: AnchorKind
+) -> int | None:
+    """The largest `total` every box with attributes can fill by the
+    module's rule (its positives plus every word of its tiers it does not
+    skip), or None when no box has attributes."""
+    fills = []
+    for rec in records:
+        for i, bx in enumerate(rec.boxes):
+            if bx.attributes:
+                _, positives, skip, tiers = _box_words(rec, i, stats, anchor_kind)
+                words = {w for table in tiers for w, _ in table}
+                fills.append(len(positives) + len(words - skip))
+    return min(fills, default=None)
 
 
 def build_split(

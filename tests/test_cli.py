@@ -212,6 +212,43 @@ def test_gen_world_default_candidates_write_the_files_of_an_explicit_50(tmp_path
         ).read_bytes()
 
 
+def test_build_dataset_defaults_build_for_either_mode(tmp_path, capsys):
+    # --total defaults to the most that every box of the corpus can fill, so
+    # one more leaves some box short of negatives
+    assert main(["gen-world", "--out", str(tmp_path / "world"), "--seed", "1"]) == 0
+    graph = str(tmp_path / "world" / "scene_graph.json")
+    for mode, want in (("attribute", 35), ("object", 19)):
+        out = tmp_path / mode
+        assert main(["build-dataset", "--out", str(out), "--scene-graph", graph,
+                     "--mode", mode]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["options"]["total"] == want
+        instances = read_instances(out / "instances.jsonl")
+        assert instances and {len(i.candidates) for i in instances} == {want}
+        explicit = tmp_path / f"{mode}-explicit"
+        assert main(["build-dataset", "--out", str(explicit), "--scene-graph", graph,
+                     "--mode", mode, "--total", str(want)]) == 0
+        for name in ("instances.jsonl", "manifest.json", "counts.json"):
+            assert (out / name).read_bytes() == (explicit / name).read_bytes()
+        capsys.readouterr()
+        assert main(["build-dataset", "--out", str(tmp_path / "short"), "--scene-graph", graph,
+                     "--mode", mode, "--total", str(want + 1)]) == 1
+        assert "vocabulary exhausted" in capsys.readouterr().err
+
+
+def test_build_dataset_default_total_is_at_most_50(tmp_path):
+    # 60 boxes of 60 objects, one attribute each: every box could fill 60
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps([{"image_id": "i", "objects": [
+        {"x": 0, "y": 0, "w": 1, "h": 1, "names": [f"o{k}"], "attributes": [f"a{k}"]}
+        for k in range(60)
+    ]}]))
+    out = tmp_path / "out"
+    assert main(["build-dataset", "--out", str(out), "--scene-graph", str(graph)]) == 0
+    assert json.loads((out / "config.json").read_text())["options"]["total"] == 50
+    assert {len(i.candidates) for i in read_instances(out / "instances.jsonl")} == {50}
+
+
 @pytest.mark.parametrize(
     "kind, candidates, message",
     [

@@ -1,6 +1,11 @@
 import base64
 import json
+import socket
+import sys
+import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -1068,3 +1073,296 @@ def test_connection_failure_raises_transport_error():
     remote = RemoteBackend("http://127.0.0.1:9", max_retries=1, backoff=0.01)
     with pytest.raises(TransportError, match="attempts"):
         remote.next_token_distributions("x", None, [()])[0]
+
+
+# -- kept-alive connections ----------------------------------------------------
+
+LOGPROBS = {"request_id": "r", "image_id": "scene-000000", "queries": [{"prefix": []}]}
+
+
+class ConnectionRecordingHandler(_Handler):
+    """The default handler, recording the thread serving each connection
+    that carries a POST and whether Nagle's algorithm is off on it, and
+    answering a POST to /v1/fail with a 500 before its body is read."""
+
+    def do_POST(self):
+        if not getattr(self, "recorded", False):
+            self.recorded = True
+            self.server.threads.append(threading.current_thread())
+            self.server.nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+        if self.path == "/v1/fail":
+            self._reply(500, {"error": "answered before the body was read"})
+            return
+        super().do_POST()
+
+
+def recording_server(backend):
+    server = LoopbackServer(backend, handler=ConnectionRecordingHandler)
+    url = server.start()
+    server._server.threads, server._server.nodelay = [], []
+    return server, url
+
+
+def assert_answered(session, url):
+    resp = session.post(f"{url}/v1/logprobs", json=LOGPROBS, timeout=10)
+    assert resp.status_code == 200
+    assert resp.json()["request_id"] == "r" and len(resp.json()["results"]) == 1
+    return resp
+
+
+def test_a_session_is_answered_after_every_error_reply(setup):
+    _, _, backend, _ = setup
+    server, url = recording_server(backend)
+    try:
+        with requests.Session() as session:
+            first, second = assert_answered(session, url), assert_answered(session, url)
+            assert first.raw.version == second.raw.version == 11  # HTTP/1.1
+            assert len(server._server.threads) == 1  # the second reused the connection
+            # a reply's body does not wait for the client's delayed ACK of its headers
+            assert server._server.nodelay == [1]
+            for path, body, status in [
+                ("/v1/logprobs", {**LOGPROBS, "region": [0, 0]}, 400),
+                ("/v1/logprobs", {**LOGPROBS, "image_id": "no-such-image"}, 400),
+                ("/v1/nowhere", LOGPROBS, 404),
+                ("/v1/fail", {**LOGPROBS, "padding": "x" * 10_000}, 500),
+            ]:
+                resp = session.post(f"{url}{path}", json=body, timeout=10)
+                assert resp.status_code == status
+                assert resp.headers["Connection"] == "close"
+                assert_answered(session, url)
+    finally:
+        server.stop()
+
+
+def test_a_backend_crash_closes_its_connection_and_the_next_request_is_answered():
+    backend = BrokenBackend(["a"])
+    with LoopbackServer(backend) as url, requests.Session() as session:
+        resp = session.post(f"{url}/v1/logprobs", json=LOGPROBS, timeout=10)
+        assert resp.status_code == 500 and resp.headers["Connection"] == "close"
+        resp = session.post(f"{url}/v1/embed", json={"request_id": "r"}, timeout=10)
+        assert resp.status_code == 400 and "needs an image_id or texts" in resp.text
+
+
+def test_a_stopped_server_answers_no_pooled_connection(setup):
+    _, _, backend, _ = setup
+    server, url = recording_server(backend)
+    session = requests.Session()
+    remote = remote_for(url, backend, max_retries=1)
+    assert_answered(session, url)
+    remote.next_token_distributions("scene-000000", None, [()])
+    assert len(server._server.threads) == 2  # one pooled connection each
+    server.stop()
+    with pytest.raises(requests.ConnectionError):
+        session.post(f"{url}/v1/logprobs", json=LOGPROBS, timeout=10)
+    with pytest.raises(TransportError, match="failed after 2 attempts"):
+        remote.next_token_distributions("scene-000000", None, [()])
+
+
+def test_stop_ends_idle_kept_alive_connections_at_once(setup):
+    _, _, backend, _ = setup
+    server, url = recording_server(backend)
+    sessions = [requests.Session() for _ in range(3)]
+    for session in sessions:
+        assert_answered(session, url)
+    threads = server._server.threads
+    assert len(threads) == 3 and all(t.is_alive() for t in threads)  # idle, kept alive
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.5
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_many_clients_at_once_are_answered_and_stop_ends_every_connection():
+    # more client threads than cores, switching often: a lost update to the
+    # server's table of open connections would leave one in it after stop()
+    backend = UniformBackend(["a", "b"])
+    server, url = recording_server(backend)
+    served = server._server  # stop() lets go of it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def client():
+            session = requests.Session()  # kept open: stop() must end its connection
+            for _ in range(20):
+                assert_answered(session, url)
+            return session
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            sessions = [f.result(timeout=60) for f in [pool.submit(client) for _ in range(8)]]
+        assert len(served.threads) == 8
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    assert not any(t.is_alive() for t in served.threads)
+    assert served._connections == {}
+    for session in sessions:
+        session.close()
+
+
+def test_a_parallel_score_opens_a_connection_per_thread_and_leaves_none(setup, tmp_path):
+    _, _, backend, instances = setup
+    write_instances(tmp_path / "instances.jsonl", instances)
+    server, url = recording_server(backend)
+    try:
+        rc = main(
+            [
+                "score", "--out", str(tmp_path / "out"),
+                "--instances", str(tmp_path / "instances.jsonl"),
+                "--backend", "remote", "--endpoint", url, "--method", "generative",
+                "--template", "{O} is {A}", "--parallelism", "2",
+            ]
+        )
+        assert rc == 0
+        threads = server._server.threads
+        assert 1 <= len(threads) <= 2 < len(instances)
+        # the client's connections close with its session, ending their threads
+        deadline = time.monotonic() + 5
+        while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        server.stop()
+
+
+# -- the environment -------------------------------------------------------------
+
+PROXY_VARIABLES = (
+    "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+    "http_proxy", "https_proxy", "all_proxy", "no_proxy",
+    "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "NETRC",
+)
+ENDPOINT = "http://scorer.example:8080"
+
+
+@pytest.fixture
+def environment(monkeypatch, tmp_path):
+    """A clean environment for requests to read: no proxies, no CA bundle
+    and no netrc but the ones a test sets."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    return monkeypatch
+
+
+class Sent(Exception):
+    """Raised by RecordingAdapter once it has recorded a request."""
+
+
+class RecordingAdapter(requests.adapters.HTTPAdapter):
+    """Records what each request would be sent with, and sends nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, request, **kwargs):
+        self.sent.append(
+            {
+                "authorization": request.headers.get("Authorization"),
+                **{k: kwargs[k] for k in ("proxies", "verify", "cert")},
+            }
+        )
+        raise Sent
+
+
+def sent_settings(post, session=None):
+    """What `post(session)` sends its request with, on a new session unless given."""
+    session = session or requests.Session()
+    adapter = RecordingAdapter()
+    session.mount("http://", adapter)
+    with pytest.raises(Sent):
+        post(session)
+    (sent,) = adapter.sent
+    return sent
+
+
+def plain_post(session):
+    session.post(f"{ENDPOINT}/v1/logprobs", json=LOGPROBS, timeout=10)
+
+
+def remote_post(session):
+    RemoteBackend(ENDPOINT, session=session).next_token_distributions("x", None, [()])
+
+
+def write_netrc(tmp_path, host):
+    path = tmp_path / "netrc"
+    path.write_text(f"machine {host} login netrc-user password netrc-secret\n")
+    return str(path)
+
+
+def basic(user, password):
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+
+
+PROXY = "http://proxy.example:3128"
+
+
+@pytest.mark.parametrize(
+    "variables, expect",
+    [
+        ({}, {}),
+        ({"HTTP_PROXY": PROXY}, {"http": PROXY}),
+        ({"HTTP_PROXY": PROXY, "NO_PROXY": "scorer.example"}, {}),
+        ({"HTTP_PROXY": PROXY, "NO_PROXY": "other.example"}, {"http": PROXY}),
+        ({"REQUESTS_CA_BUNDLE": "/etc/ssl/bundle.pem"}, {"verify": "/etc/ssl/bundle.pem"}),
+        ({"NETRC": "scorer.example"}, {"authorization": basic("netrc-user", "netrc-secret")}),
+        ({"NETRC": "other.example"}, {}),
+    ],
+)
+def test_the_settings_read_once_are_those_a_plain_session_reads(
+    environment, tmp_path, variables, expect
+):
+    for name, value in variables.items():
+        if name == "NETRC":
+            value = write_netrc(tmp_path, value)
+        environment.setenv(name, value)
+    plain = sent_settings(plain_post)
+    assert sent_settings(remote_post) == plain
+    # and each case reaches what it sets
+    assert plain["proxies"].get("http") == expect.get("http")
+    assert plain["verify"] == expect.get("verify", True)
+    assert plain["authorization"] == expect.get("authorization")
+
+
+def test_the_environment_is_read_once_per_backend(setup, environment, monkeypatch):
+    _, _, backend, _ = setup
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(requests.sessions, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("get_environ_proxies", "get_netrc_auth"):
+        monkeypatch.setattr(requests.sessions, name, counted(name))
+    with LoopbackServer(backend) as url:
+        remote = remote_for(url, backend)
+        for _ in range(10):
+            remote.next_token_distributions("scene-000000", None, [()])
+    assert calls["get_environ_proxies"] <= 1
+    assert calls["get_netrc_auth"] == 0  # per request; the backend reads netrc itself
+
+
+def test_a_callers_session_stops_reading_the_environment(environment):
+    session = requests.Session()
+    remote = RemoteBackend(ENDPOINT, session=session)
+    assert session.trust_env is False
+    # a proxy set after the backend is built does not reach its requests
+    environment.setenv("HTTP_PROXY", PROXY)
+    sent = sent_settings(lambda _: remote.next_token_distributions("x", None, [()]), session)
+    assert sent["proxies"] == {}
+
+
+def test_a_callers_own_auth_wins_over_netrc(environment, tmp_path):
+    environment.setenv("NETRC", write_netrc(tmp_path, "scorer.example"))
+    session = requests.Session()
+    session.auth = ("caller", "caller-secret")
+    assert sent_settings(remote_post, session)["authorization"] == basic("caller", "caller-secret")
+    # without the caller's auth, netrc's applies
+    assert sent_settings(remote_post)["authorization"] == basic("netrc-user", "netrc-secret")
