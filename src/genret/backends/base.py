@@ -4,14 +4,17 @@ A ScorerBackend answers token-level questions about one image at a time.
 The generative side has two methods:
 
 - `score_sentences(image_id, region, sentences)` is what the scoring
-  engine calls, once per instance.  For each sentence it returns one
-  `(p, total)` pair per position, in order: p is the probability of the
-  token the sentence realizes there given the image and the tokens before
-  it, and total is the mass of that position's whole distribution (which
-  a normalized backend serves as 1).  A backend that declares a terminal
-  token adds one last pair, the end-of-sentence probability after the
-  whole sentence.  The engine checks every pair (counts, totals within
-  NORM_TOL, 0 <= p <= total) before it takes a logarithm.
+  engine calls, once per instance.  It returns `(p, total)`, two 1-D
+  float64 arrays over every position of every sentence, in order: p is the
+  probability of the token the sentence realizes there given the image and
+  the tokens before it, and total is the mass of that position's whole
+  distribution (which a normalized backend serves as 1).  A backend that
+  declares a terminal token adds one last position to each sentence, the
+  end-of-sentence probability after the whole sentence.  So both arrays
+  have `sum(len(s) + has_terminal for s in sentences)` entries, and
+  sentence k's positions run up to `sentence_ends(...)[k]`.  The engine
+  checks both arrays whole (shape, totals within NORM_TOL, 0 < p <= total)
+  before it takes a logarithm.
 - `next_token_distributions(image_id, region, prefixes)` returns whole
   next-token distributions, one per prefix, and may return one object for
   many prefixes; it is the one abstract method, and what the `/v1/logprobs`
@@ -23,10 +26,12 @@ uniform backend, test doubles and proxies) implements nothing more.  It asks
 once for every distinct prefix the sentences need (sentences of a template
 family share most of theirs), checks each distinct distribution object it
 is served once, at the first prefix that object answers, and reads the
-realized entries.  The remote client builds one object per distribution a
-reply lists, so over the wire too each shared distribution is checked once.  A backend that can reach the realized tokens directly
-(the oracle walks its caption trie) overrides it and serves no V-sized
-distributions at all.
+realized entries, each of which must pass core's wire rule (`non_numbers`:
+no bool, no string, no int a float cannot hold).  The remote client builds
+one object per distribution a reply lists, so over the wire too each shared
+distribution is checked once.  A backend that can reach the realized tokens
+directly (the oracle walks its caption trie) overrides it and serves no
+V-sized distributions at all.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
@@ -42,13 +47,16 @@ parallelism 1, the default.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import Method, RankingInstance
+from ..core import Method, RankingInstance, non_numbers
 from ..errors import ConfigurationError, NormalizationError, VocabularyError
 
 #: how far a distribution's total (or an embedding's norm) may be from 1
@@ -73,8 +81,10 @@ class TokenDistribution:
     terminal_p: float | None = None
 
     def total(self) -> float:
-        # a float sum: ints whose sum a float cannot hold make it inf, not an OverflowError
-        return sum(self.probs.values(), 0.0) + (self.terminal_p or 0.0)
+        try:
+            return sum(self.probs.values(), 0.0) + (self.terminal_p or 0.0)
+        except OverflowError:  # an int a float cannot hold: the check sees inf
+            return math.inf
 
 
 class ScorerBackend(ABC):
@@ -93,9 +103,10 @@ class ScorerBackend(ABC):
 
     def score_sentences(
         self, image_id: str, region, sentences: Sequence[tuple[str, ...]]
-    ) -> list[list[tuple[float, float]]]:
-        """Per sentence, one (realized probability, position total) pair per
-        token, plus the terminal's pair last when one is declared.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(p, total): every position's realized probability and position
+        total, as two float64 arrays over the sentences in order, each
+        sentence's terminal last when one is declared.
 
         This default serves them from `next_token_distributions`: one call
         for every distinct prefix, each distinct served object checked
@@ -119,20 +130,30 @@ class ScorerBackend(ABC):
             if id(dist) not in totals:
                 totals[id(dist)] = _check_distribution(dist, has_terminal, prefix)
 
-        rows = []
+        p: list = []
+        total: list[float] = []
         for s in sentences:
-            row = []
             for i, tok in enumerate(s):
                 dist = dists[s[:i]]
-                p = dist.probs.get(tok)
-                if p is None:
+                q = dist.probs.get(tok)
+                if q is None:
                     raise VocabularyError(f"token {tok!r} missing from served distribution")
-                row.append((p, totals[id(dist)]))
+                p.append(q)
+                total.append(totals[id(dist)])
             if has_terminal:
                 dist = dists[s]
-                row.append((dist.terminal_p, totals[id(dist)]))
-            rows.append(row)
-        return rows
+                p.append(dist.terminal_p)
+                total.append(totals[id(dist)])
+        bad = non_numbers(p)
+        if bad:
+            # the first position holding the first failing object
+            flat = next(j for j, q in enumerate(p) if q is bad[0])
+            s, i = locate(sentences, sentence_ends(sentences, has_terminal), flat)
+            raise NormalizationError(
+                f"backend served a non-numeric probability {bad[0]!r} "
+                f"for {position_name(s, i)} of {list(s)}"
+            )
+        return np.array(p, dtype=float), np.array(total, dtype=float)
 
     def embed_image(self, image_id: str, region) -> np.ndarray:
         raise ConfigurationError(
@@ -153,6 +174,23 @@ class ScorerBackend(ABC):
         backends with per-call overhead (the oracle, the remote client)
         override it."""
         return self.embed_image(image_id, region), [self.embed_text(s) for s in sentences]
+
+
+def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
+    """The flat index one past each sentence's last position."""
+    return list(accumulate(len(s) + has_terminal for s in sentences))
+
+
+def locate(sentences: Sequence[tuple[str, ...]], ends: list[int], flat: int):
+    """The sentence holding flat position `flat`, and the position in it."""
+    k = bisect_right(ends, flat)
+    return sentences[k], flat - (ends[k - 1] if k else 0)
+
+
+def position_name(sentence: tuple[str, ...], i: int) -> str:
+    if i < len(sentence):
+        return f"token {sentence[i]!r} at position {i}"
+    return "the terminal token"
 
 
 def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> float:

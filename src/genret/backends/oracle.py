@@ -17,11 +17,16 @@ with gets the uniform floor distribution.  Smoothing is a finite number
 
 Each probability is computed once.  A scene's caption trie is built on its
 first generative query (the constructor checks each scene and keeps its
-caption masses), and a trie node fills its memo on its first query: each child
-token's probability, the one value every other token gets, the terminal
-probability and the total of the whole distribution.  `score_sentences`
-walks each sentence down the trie and reads the memo of every node it
-passes, so it serves the realized tokens without building a distribution.
+caption masses).  The trie holds integer masses: each scene's caption
+masses are scaled by the lcm of their denominators, so a node's
+probability is one int true division, which Python rounds correctly, as
+`float(Fraction)` does, and no Fraction arithmetic runs per node.  A trie
+node fills its memo on its first query: each child token's probability,
+the one value every other token gets, the terminal probability and the
+total of the whole distribution, summed in vocabulary order.
+`score_sentences` walks each sentence down the trie and reads the memo of
+every node it passes into two flat lists, returned as float64 arrays, so
+it serves the realized tokens without building a distribution.
 `next_token_distributions` builds a node's whole distribution from the
 same memo, once, and keeps it; the off-trie uniform floor is built once per
 backend.  Every probability therefore has one expression, whichever method
@@ -41,6 +46,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
@@ -58,8 +64,9 @@ class _TrieNode:
     __slots__ = ("mass", "end", "children", "memo", "dist")
 
     def __init__(self):
-        self.mass = Fraction(0)
-        self.end = Fraction(0)
+        #: the scaled mass of the captions extending the node, and of those ending at it
+        self.mass = 0
+        self.end = 0
         self.children: dict[str, _TrieNode] = {}
         #: the node's probabilities, filled on its first query
         self.memo: _Memo | None = None
@@ -69,28 +76,32 @@ class _TrieNode:
 
 
 class _Memo:
-    """A node's (probability, total) pairs: `children` per child token,
-    `other` for every other token, `terminal` for the end of the sentence.
-    Every pair carries the same total, the node distribution's whole mass."""
+    """A node's probabilities: `children` per child token, `other` for every
+    other token, `terminal` for the end of the sentence, and `total`, the
+    node distribution's whole mass."""
 
-    __slots__ = ("children", "other", "terminal")
+    __slots__ = ("children", "other", "terminal", "total")
 
-    def __init__(self, children, other, terminal):
-        self.children: dict[str, tuple[float, float]] = children
-        self.other: tuple[float, float] = other
-        self.terminal: tuple[float, float] = terminal
+    def __init__(self, children, other, terminal, total):
+        self.children: dict[str, float] = children
+        self.other: float = other
+        self.terminal: float = terminal
+        self.total: float = total
 
 
 def _build_trie(dist: dict[tuple[str, ...], Fraction]) -> _TrieNode:
-    """The caption trie; every node's mass is > 0, as each caption's is."""
+    """The caption trie, its masses scaled to ints by the lcm of the caption
+    masses' denominators; every node's mass is > 0, as each caption's is."""
+    scale = math.lcm(*(p.denominator for p in dist.values()))
     root = _TrieNode()
     for caption, p in dist.items():
+        mass = p.numerator * (scale // p.denominator)
         node = root
-        node.mass += p
+        node.mass += mass
         for tok in caption:
             node = node.children.setdefault(tok, _TrieNode())
-            node.mass += p
-        node.end += p
+            node.mass += mass
+        node.end += mass
     return root
 
 
@@ -129,7 +140,7 @@ class OracleBackend(ScorerBackend):
         self._floor = TokenDistribution(
             probs=MappingProxyType({t: u for t in self.vocab_order}), terminal_p=u
         )
-        self._floor_score = (u, self._floor.total())
+        self._floor_total = self._floor.total()
         self._captions: dict[str, dict[tuple[str, ...], Fraction]] = {}
         self._tries: dict[str, _TrieNode] = {}
         self._image_vecs: dict[str, np.ndarray] = {}
@@ -166,26 +177,32 @@ class OracleBackend(ScorerBackend):
             trie = self._tries.setdefault(image_id, _build_trie(captions))
         return trie
 
-    def score_sentences(self, image_id, region, sentences) -> list[list[tuple[float, float]]]:
+    def score_sentences(self, image_id, region, sentences) -> tuple[np.ndarray, np.ndarray]:
         trie = self._trie(image_id)
         if not self.vocabulary.issuperset(chain.from_iterable(sentences)):
             unknown = sorted(set(chain.from_iterable(sentences)) - self.vocabulary)
             raise VocabularyError(f"tokens not in oracle vocabulary: {unknown}")
-        floor = self._floor_score
-        rows = []
+        u, floor_total = self._floor.terminal_p, self._floor_total
+        p: list[float] = []
+        total: list[float] = []
         for s in sentences:
-            row = []
             node = trie
-            for tok in s:
-                if node is None:
-                    row.append(floor)
-                    continue
+            for i, tok in enumerate(s):
                 memo = node.memo or self._memo(node)
-                row.append(memo.children.get(tok, memo.other))
+                p.append(memo.children.get(tok, memo.other))
+                total.append(memo.total)
                 node = node.children.get(tok)
-            row.append(floor if node is None else (node.memo or self._memo(node)).terminal)
-            rows.append(row)
-        return rows
+                if node is None:
+                    # no caption goes on: the floor serves the rest, terminal included
+                    rest = len(s) - i
+                    p += [u] * rest
+                    total += [floor_total] * rest
+                    break
+            else:
+                memo = node.memo or self._memo(node)
+                p.append(memo.terminal)
+                total.append(memo.total)
+        return np.array(p, dtype=float), np.array(total, dtype=float)
 
     def next_token_distributions(self, image_id, region, prefixes) -> list[TokenDistribution]:
         trie = self._trie(image_id)
@@ -206,8 +223,8 @@ class OracleBackend(ScorerBackend):
 
     def _node_distribution(self, node: _TrieNode) -> TokenDistribution:
         memo = node.memo or self._memo(node)
-        probs = {t: memo.children.get(t, memo.other)[0] for t in self.vocab_order}
-        return TokenDistribution(probs=MappingProxyType(probs), terminal_p=memo.terminal[0])
+        probs = {t: memo.children.get(t, memo.other) for t in self.vocab_order}
+        return TokenDistribution(probs=MappingProxyType(probs), terminal_p=memo.terminal)
 
     def _memo(self, node: _TrieNode) -> _Memo:
         """Fill a node's memo: every probability the node serves, each
@@ -215,16 +232,15 @@ class OracleBackend(ScorerBackend):
         lam = self.smoothing
         denom = 1.0 + (len(self.vocab_order) + 1) * lam
         children = {
-            tok: (float(child.mass / node.mass) + lam) / denom
-            for tok, child in node.children.items()
+            tok: (child.mass / node.mass + lam) / denom for tok, child in node.children.items()
         }
         other = (0.0 + lam) / denom
-        terminal = (float(node.end / node.mass) + lam) / denom
+        terminal = (node.end / node.mass + lam) / denom
         # the sum TokenDistribution.total takes over the served distribution
-        total = float(sum([children.get(t, other) for t in self.vocab_order])) + terminal
-        memo = node.memo = _Memo(
-            {tok: (p, total) for tok, p in children.items()}, (other, total), (terminal, total)
-        )
+        probs = [other] * len(self.vocab_order)
+        for tok, q in children.items():
+            probs[self._index[tok]] = q
+        memo = node.memo = _Memo(children, other, terminal, float(sum(probs)) + terminal)
         return memo
 
     # -- contrastive ---------------------------------------------------

@@ -27,15 +27,19 @@ is asked anything.
 
 Each batch function asks its backend once per image: `score_sentences`
 with every sentence, or `embed_batch` with the image and every sentence.
-`score_sentences` returns, per sentence, the realized token's probability
-at each position and that position's total mass (see backends/base.py);
-the backend shares the work of common prefixes, so the engine neither
-deduplicates prefixes nor sees a whole distribution.  Before it takes a
-logarithm the engine checks every position: the number of positions is
-the sentence's length (plus the terminal when the backend declares one),
-the total is within NORM_TOL of 1 (a NaN total fails), and 0 <= p <=
-total; p == 0 is an InfiniteLossError.  A remote backend turns each call
-into one request (`/v1/logprobs` or `/v1/embed`).
+`score_sentences` returns two flat float64 arrays over every position of
+every sentence, the realized token's probability and that position's
+total mass (see backends/base.py); the backend shares the work of common
+prefixes, so the engine neither deduplicates prefixes nor sees a whole
+distribution.  Before it takes a logarithm the engine checks both arrays
+whole: each has one entry per position (each sentence's length, plus the
+terminal when the backend declares one), every total is within NORM_TOL
+of 1 and 0 < p <= total, each test written so that a NaN fails it.  The
+first failing position is named, its total judged before its p, and p == 0
+is an InfiniteLossError.  The logs are `math.log` over the checked
+values, not `np.log`, whose last bit differs on some CPUs, and each
+sentence's loss is the sum of its positions' terms, in order.  A remote
+backend turns each call into one request (`/v1/logprobs` or `/v1/embed`).
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default;
@@ -58,13 +62,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends.base import NORM_TOL, ScorerBackend, SentenceScoreSource
+from .backends.base import (
+    NORM_TOL, ScorerBackend, SentenceScoreSource, locate, position_name, sentence_ends
+)
 from .core import (
     AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, check_parameter, render
 )
 from .errors import (
     BatchScoringError,
     ConfigurationError,
+    GenretError,
     InfiniteLossError,
     NormalizationError,
     RenderError,
@@ -147,55 +154,58 @@ def _generative_losses(
     image_id: str,
     region,
     sentences: Sequence[Sequence[str]],
-) -> list[GenerativeLoss]:
-    """Generative losses of sentences about one image, in input order, from
-    one `score_sentences` call; every position is checked before its
-    logarithm is taken."""
+) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Generative losses of sentences about one image, in input order, and
+    their per_token rows, from one `score_sentences` call; every position
+    is checked before its logarithm is taken."""
     sentences = _checked_sentences(backend, sentences)
-    has_terminal = backend.capabilities.has_terminal_token
-    rows = list(backend.score_sentences(image_id, region, sentences))
-    if len(rows) != len(sentences):
+    ends = sentence_ends(sentences, backend.capabilities.has_terminal_token)
+    scores = backend.score_sentences(image_id, region, sentences)
+    try:
+        p, total = scores
+    except (TypeError, ValueError):
         raise NormalizationError(
-            f"backend scored {len(rows)} sentences of {len(sentences)}"
-        )
-    losses = []
-    for s, row in zip(sentences, rows):
-        try:
-            per_token = _position_losses(s, row, has_terminal)
-        except (TypeError, ValueError):
-            # a position that is not a pair of numbers
-            raise NormalizationError(f"backend returned malformed scores for {list(s)}") from None
-        losses.append(GenerativeLoss(value=float(sum(per_token)), per_token=tuple(per_token)))
-    return losses
-
-
-def _position_losses(s: tuple[str, ...], row, has_terminal: bool) -> list[float]:
-    """-log p at each checked position of one sentence's scores."""
-    if len(row) != len(s) + has_terminal:
-        raise NormalizationError(
-            f"backend scored {len(row)} positions of {list(s)}, expected {len(s) + has_terminal}"
-        )
-    per_token = []
-    for i, (p, total) in enumerate(row):
-        # each test is written so that a NaN fails it too
-        if not abs(total - 1.0) <= NORM_TOL:
+            f"backend returned {_describe(scores)}, expected two arrays (p, total)"
+        ) from None
+    n = ends[-1]
+    for name, array in (("p", p), ("total", total)):
+        if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == 1):
             raise NormalizationError(
-                f"distribution for prefix {list(s[:i])} sums to {total:.9f}"
+                f"backend returned {name} as {_describe(array)}, "
+                f"expected a float64 array of shape ({n},)"
             )
-        if not 0.0 < p <= total:
-            if p == 0.0:
-                raise InfiniteLossError(f"zero probability for {_position(s, i)}")
+        if array.size != n:
             raise NormalizationError(
-                f"probability {p!r} for {_position(s, i)} is outside [0, {total!r}]"
+                f"backend scored {array.size} positions for {len(sentences)} sentences, "
+                f"expected {n}"
             )
-        per_token.append(-math.log(p))
-    return per_token
+    # written so that a NaN fails each test
+    bad = np.flatnonzero(~((np.abs(total - 1.0) <= NORM_TOL) & (0.0 < p) & (p <= total)))
+    if bad.size:
+        flat = int(bad[0])
+        raise _position_error(*locate(sentences, ends, flat), float(p[flat]), float(total[flat]))
+    log = math.log
+    terms = [-log(q) for q in p.tolist()]
+    rows = [tuple(terms[start:end]) for start, end in zip([0, *ends], ends)]
+    return [float(sum(row)) for row in rows], rows
 
 
-def _position(sentence: tuple[str, ...], i: int) -> str:
-    if i < len(sentence):
-        return f"token {sentence[i]!r} at position {i}"
-    return "the terminal token"
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"an array of dtype {value.dtype} and shape {value.shape}"
+    return f"a {type(value).__name__}"
+
+
+def _position_error(s: tuple[str, ...], i: int, p: float, total: float) -> GenretError:
+    """The error for position i of sentence s, whose scores failed a check:
+    the total is judged first."""
+    if not abs(total - 1.0) <= NORM_TOL:
+        return NormalizationError(f"distribution for prefix {list(s[:i])} sums to {total:.9f}")
+    if p == 0.0:
+        return InfiniteLossError(f"zero probability for {position_name(s, i)}")
+    return NormalizationError(
+        f"probability {p!r} for {position_name(s, i)} is outside [0, {total!r}]"
+    )
 
 
 def _contrastive_losses(
@@ -233,7 +243,8 @@ def generative_loss(
     sentence: Sequence[str],
 ) -> GenerativeLoss:
     """Cross-entropy of one sentence under the backend's prefix model."""
-    return _generative_losses(backend, image_id, region, [sentence])[0]
+    (value,), (per_token,) = _generative_losses(backend, image_id, region, [sentence])
+    return GenerativeLoss(value=value, per_token=per_token)
 
 
 def contrastive_loss(
@@ -306,12 +317,12 @@ def rank_instance(
     else:
         sentences = [_candidate_sentence(instance, template, c) for c in instance.candidates]
         if method is Method.GENERATIVE:
-            losses = _generative_losses(backend, instance.image_id, instance.region, sentences)
-            scores = [
-                l.value / len(s) if length_normalize else l.value
-                for l, s in zip(losses, sentences)
-            ]
-            per_token = tuple(l.per_token for l in losses)
+            scores, rows = _generative_losses(
+                backend, instance.image_id, instance.region, sentences
+            )
+            if length_normalize:
+                scores = [v / len(s) for v, s in zip(scores, sentences)]
+            per_token = tuple(rows)
         else:
             scores = _contrastive_losses(backend, instance.image_id, instance.region, sentences)
     return ScoredInstance(

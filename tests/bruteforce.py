@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from genret.errors import InfiniteLossError, NormalizationError
+
 
 # -- ranking -------------------------------------------------------------
 
@@ -79,6 +81,37 @@ def naive_generative_loss(captions, sentence, vocab, smoothing) -> float:
     _, terminal = caption_conditional(captions, sentence, vocab, smoothing)
     loss += -math.log(terminal)
     return loss
+
+
+def naive_position_losses(s, row, has_terminal: bool) -> list[float]:
+    """-log p at each checked position of one sentence's (p, total) pairs,
+    one position at a time: the reference the engine's whole-array check
+    must match."""
+    if len(row) != len(s) + has_terminal:
+        raise NormalizationError(
+            f"backend scored {len(row)} positions of {list(s)}, expected {len(s) + has_terminal}"
+        )
+    per_token = []
+    for i, (p, total) in enumerate(row):
+        where = f"token {s[i]!r} at position {i}" if i < len(s) else "the terminal token"
+        # each test is written so that a NaN fails it too; 1e-6 is NORM_TOL
+        if not abs(total - 1.0) <= 1e-6:
+            raise NormalizationError(f"distribution for prefix {list(s[:i])} sums to {total:.9f}")
+        if not 0.0 < p <= total:
+            if p == 0.0:
+                raise InfiniteLossError(f"zero probability for {where}")
+            raise NormalizationError(f"probability {p!r} for {where} is outside [0, {total!r}]")
+        per_token.append(-math.log(p))
+    return per_token
+
+
+def naive_sentence_losses(sentences, rows, has_terminal: bool):
+    """Each sentence's (loss, per_token) from its rows of (p, total) pairs."""
+    losses = []
+    for s, row in zip(sentences, rows):
+        per_token = naive_position_losses(s, row, has_terminal)
+        losses.append((float(sum(per_token)), tuple(per_token)))
+    return losses
 
 
 # -- benchmark construction ----------------------------------------------

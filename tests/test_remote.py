@@ -520,7 +520,8 @@ def test_an_empty_distribution_is_accepted():
                                backoff=0.01)
         dist = remote.next_token_distributions("x", None, [()])[0]
         assert dist.probs == {} and dist.terminal_p == 1.0
-        assert remote.score_sentences("x", None, [()]) == [[(1.0, 1.0)]]
+        p, total = remote.score_sentences("x", None, [()])
+        assert p.tobytes() == total.tobytes() == np.array([1.0]).tobytes()
 
 
 def test_a_server_that_does_not_dedup_scores_the_same(setup):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,15 +29,18 @@ from genret.backends import Capabilities, ScorerBackend, TokenDistribution
 from genret.errors import (
     BatchScoringError,
     ConfigurationError,
+    GenretError,
     InfiniteLossError,
     NormalizationError,
     ParameterError,
     RenderError,
     VocabularyError,
 )
-from genret.scoring import _candidate_sentence, contrastive_loss, generative_loss
+from genret.scoring import (
+    _candidate_sentence, _generative_losses, contrastive_loss, generative_loss
+)
 
-from bruteforce import naive_generative_loss, naive_text_embedding
+from bruteforce import naive_generative_loss, naive_sentence_losses, naive_text_embedding
 from test_world import exclusion_scene, tiny_world
 
 
@@ -279,10 +283,13 @@ BAD_SHARED = {
     "missing_terminal": (
         TokenDistribution({"a": 0.5, "b": 0.5}), True, "declares a terminal token"
     ),
+    # an int a float cannot hold sums to inf, not to an OverflowError
+    "huge_int": (TokenDistribution({"a": 10**400, "b": 0.5}), False, "sums to inf"),
 }
 BAD_MESSAGES = {
     "sums to 0.500000000": "distribution for prefix {} sums to 0.500000000",
     "sums to nan": "distribution for prefix {} sums to nan",
+    "sums to inf": "distribution for prefix {} sums to inf",
     "negative probability": "negative probability for prefix {}",
     "declares a terminal token": "backend declares a terminal token but served none for {}",
 }
@@ -321,70 +328,117 @@ def test_a_terminal_only_distribution_passes_the_check():
         generative_loss(backend, "x", None, ("a",))
 
 
+@pytest.mark.parametrize(
+    "dist,has_terminal,where",
+    [
+        (TokenDistribution({"a": True, "b": False}), False, "True for token 'a' at position 0"),
+        (
+            TokenDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)}), False,
+            "Fraction(1, 2) for token 'a' at position 0",
+        ),
+        (
+            TokenDistribution({"a": 0.5, "b": 0.5}, terminal_p=False), True,
+            "False for the terminal token",
+        ),
+    ],
+    ids=["bool", "fraction", "bool_terminal"],
+)
+def test_a_realized_value_that_is_no_number_is_named(dist, has_terminal, where):
+    # a bool compares as a number (p=True would score -0.0), but core's rule makes it none
+    with pytest.raises(NormalizationError) as err:
+        generative_loss(SharedDistribution(dist, has_terminal), "x", None, ("a", "b", "a"))
+    assert str(err.value) == (
+        f"backend served a non-numeric probability {where} of ['a', 'b', 'a']"
+    )
+
+
 class ServedScores(ScorerBackend):
     """Scores its sentences itself: every position (0.5, 1.0), terminal
-    included, passed through `fault`; whole distributions are never asked."""
+    included, as two flat arrays passed through `fault`; whole
+    distributions are never asked."""
 
     capabilities = Capabilities(has_terminal_token=True)
 
-    def __init__(self, fault=lambda rows: rows):
+    def __init__(self, fault=lambda p, total: (p, total)):
         self.fault = fault
 
     def next_token_distributions(self, image_id, region, prefixes):
         raise AssertionError("the engine asks for sentence scores only")
 
     def score_sentences(self, image_id, region, sentences):
-        return self.fault([[(0.5, 1.0)] * (len(s) + 1) for s in sentences])
+        n = sum(len(s) + 1 for s in sentences)
+        return self.fault(np.full(n, 0.5), np.ones(n))
 
 
-def _set(rows, i, j, value):
-    rows[i] = list(rows[i])
-    rows[i][j] = value
-    return rows
+def _set(array, k, value):
+    array = array.copy()
+    array[k] = value
+    return array
 
 
-# sentences ("cat", "a") and ("cat", "b"): three positions each
+# sentences ("cat", "a") and ("cat", "b"): three positions each, so
+# sentence i's position j is flat index 3 * i + j
 BAD_SCORES = {
-    "short_list": (lambda r: r[:-1], NormalizationError, "backend scored 1 sentences of 2"),
+    "short_list": (
+        lambda p, t: (p[:3], t[:3]), NormalizationError,
+        "backend scored 3 positions for 2 sentences, expected 6",
+    ),
     "extra_position": (
-        lambda r: [r[0] + [(0.5, 1.0)], r[1]], NormalizationError,
-        r"backend scored 4 positions of \['cat', 'a'\], expected 3",
+        lambda p, t: (np.insert(p, 3, 0.5), np.insert(t, 3, 1.0)), NormalizationError,
+        "backend scored 7 positions for 2 sentences, expected 6",
     ),
     "missing_position": (
-        lambda r: [r[0], r[1][:1] + r[1][2:]], NormalizationError,
-        r"backend scored 2 positions of \['cat', 'b'\], expected 3",
+        lambda p, t: (np.delete(p, 4), np.delete(t, 4)), NormalizationError,
+        "backend scored 5 positions for 2 sentences, expected 6",
     ),
     "missing_terminal": (
-        lambda r: [row[:-1] for row in r], NormalizationError,
-        r"backend scored 2 positions of \['cat', 'a'\], expected 3",
+        lambda p, t: (np.delete(p, [2, 5]), np.delete(t, [2, 5])), NormalizationError,
+        "backend scored 4 positions for 2 sentences, expected 6",
     ),
     "total_off": (
-        lambda r: _set(r, 1, 1, (0.5, 0.75)), NormalizationError,
+        lambda p, t: (p, _set(t, 4, 0.75)), NormalizationError,
         r"distribution for prefix \['cat'\] sums to 0.750000000",
     ),
     "nan_total": (
-        lambda r: _set(r, 0, 2, (0.5, math.nan)), NormalizationError,
+        lambda p, t: (p, _set(t, 2, math.nan)), NormalizationError,
         r"distribution for prefix \['cat', 'a'\] sums to nan",
     ),
     "negative_p": (
-        lambda r: _set(r, 0, 1, (-0.25, 1.0)), NormalizationError,
+        lambda p, t: (_set(p, 1, -0.25), t), NormalizationError,
         r"probability -0.25 for token 'a' at position 1 is outside \[0, 1.0\]",
     ),
     "p_above_total": (
-        lambda r: _set(r, 1, 0, (1.25, 1.0)), NormalizationError,
+        lambda p, t: (_set(p, 3, 1.25), t), NormalizationError,
         r"probability 1.25 for token 'cat' at position 0 is outside \[0, 1.0\]",
     ),
     "nan_p": (
-        lambda r: _set(r, 1, 2, (math.nan, 1.0)), NormalizationError,
+        lambda p, t: (_set(p, 5, math.nan), t), NormalizationError,
         r"probability nan for the terminal token is outside \[0, 1.0\]",
     ),
     "zero_p": (
-        lambda r: _set(r, 1, 1, (0.0, 1.0)), InfiniteLossError,
+        lambda p, t: (_set(p, 4, 0.0), t), InfiniteLossError,
         "zero probability for token 'b' at position 1",
     ),
     "not_a_pair": (
-        lambda r: _set(r, 0, 0, 0.5), NormalizationError,
-        r"backend returned malformed scores for \['cat', 'a'\]",
+        lambda p, t: p, NormalizationError,
+        r"backend returned an array of dtype float64 and shape \(6,\), "
+        r"expected two arrays \(p, total\)",
+    ),
+    # float64 arrays only: a bool p would score -0.0, and an int total a
+    # float cannot hold would raise a bare OverflowError
+    "bool_p": (
+        lambda p, t: (p > 0, t), NormalizationError,
+        r"backend returned p as an array of dtype bool and shape \(6,\), "
+        r"expected a float64 array of shape \(6,\)",
+    ),
+    "huge_int_total": (
+        lambda p, t: (p, np.array([10**400] * 6)), NormalizationError,
+        r"backend returned total as an array of dtype object and shape \(6,\), "
+        r"expected a float64 array of shape \(6,\)",
+    ),
+    "list_p": (
+        lambda p, t: (p.tolist(), t), NormalizationError,
+        r"backend returned p as a list, expected a float64 array of shape \(6,\)",
     ),
 }
 
@@ -400,12 +454,82 @@ def test_each_sentence_position_is_checked(case):
 
 
 def test_served_sentence_scores_within_tolerance_are_summed():
-    near = ServedScores(lambda r: _set(r, 0, 1, (0.5, 1.0 + 0.5e-6)))
+    near = ServedScores(lambda p, t: (p, _set(t, 1, 1.0 + 0.5e-6)))
     scored = rank_instance(
         near, nan_instance(("a", "b")), parse_template("{O} {A}"), Method.GENERATIVE
     )
     assert scored.scores == (3 * math.log(2),) * 2
     assert scored.per_token == ((math.log(2),) * 3,) * 2
+
+
+# values the checks must judge exactly as the reference loop does
+ODD_VALUES = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -0.25, 5e-324, -5e-324, 1e-310,
+        1.25, 0.75, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 2e-6, 1e300,
+    ]),
+    st.floats(),
+)
+
+
+# probabilities whose np.log differs from math.log in the last bit on an
+# AVX-512 host (numpy 2.4); the engine must take math.log of each
+LOG_SENSITIVE = [
+    float.fromhex("0x1.f777a58b56601p-1"), float.fromhex("0x1.a3ff621ade4f4p-1"),
+    float.fromhex("0x1.ef0ab6e1e3eddp-1"), float.fromhex("0x1.69615a10ad385p-1"),
+]
+
+
+@st.composite
+def flat_scores(draw):
+    """Sentences, a terminal flag, and their flat (p, total) lists: good
+    values with a few positions overwritten by odd ones."""
+    has_terminal = draw(st.booleans())
+    words = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4).map(tuple)
+    sentences = draw(st.lists(words, min_size=1, max_size=4))
+    n = sum(len(s) + has_terminal for s in sentences)
+    p = draw(st.lists(
+        st.one_of(st.floats(min_value=5e-324, max_value=1.0), st.sampled_from(LOG_SENSITIVE)),
+        min_size=n, max_size=n,
+    ))
+    total = draw(st.lists(
+        st.one_of(st.just(1.0), st.floats(min_value=1 - 1.5e-6, max_value=1 + 1.5e-6)),
+        min_size=n, max_size=n,
+    ))
+    for k, on_total, value in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.booleans(), ODD_VALUES), max_size=3)
+    ):
+        (total if on_total else p)[k] = value
+    return sentences, has_terminal, p, total
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except GenretError as exc:
+        return type(exc), str(exc)
+
+
+@given(flat_scores())
+def test_flat_scores_are_judged_as_the_reference_loop_judges_rows(case):
+    sentences, has_terminal, p, total = case
+    backend = ServedScores(lambda *_: (np.array(p), np.array(total)))
+    backend.capabilities = Capabilities(has_terminal_token=has_terminal)
+    rows, start = [], 0
+    for s in sentences:
+        end = start + len(s) + has_terminal
+        rows.append(list(zip(p[start:end], total[start:end])))
+        start = end
+    want = _outcome(lambda: naive_sentence_losses(sentences, rows, has_terminal))
+    got = _outcome(lambda: _generative_losses(backend, "x", None, sentences))
+    if isinstance(want, list):
+        values, per_token = got
+        assert [v.hex() for v in values] == [v.hex() for v, _ in want]
+        assert [[v.hex() for v in row] for row in per_token] == [
+            [v.hex() for v in row] for _, row in want
+        ]
+    else:
+        assert got == want
 
 
 class AdaptedOracle(OracleBackend):
@@ -434,11 +558,10 @@ def test_oracle_sentence_scores_are_bit_identical_to_the_adapter(seed, spec_text
         assert _hex(got.scores) == _hex(want.scores)
         assert [_hex(t) for t in got.per_token] == [_hex(t) for t in want.per_token]
         sentences = [_candidate_sentence(inst, template, c) for c in inst.candidates]
-        for got_row, want_row in zip(
-            walked.score_sentences(inst.image_id, None, sentences),
-            adapted.score_sentences(inst.image_id, None, sentences),
-        ):
-            assert [_hex(pair) for pair in got_row] == [_hex(pair) for pair in want_row]
+        got_p, got_total = walked.score_sentences(inst.image_id, None, sentences)
+        want_p, want_total = adapted.score_sentences(inst.image_id, None, sentences)
+        assert got_p.tobytes() == want_p.tobytes()
+        assert got_total.tobytes() == want_total.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 1009])
