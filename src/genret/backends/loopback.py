@@ -7,17 +7,22 @@ wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and each
 /v1/embed request that names an image_id is one `embed_batch` call with all
 of its sentences; a request naming no image embeds each sentence in
-`texts` with `embed_text`.  Every ARRAY carries its shape and base64 of its
-little-endian float64 bytes, exact for every value; an image-only embed
-request gets `texts` of shape [0, d], d the image's length.  A backend may
-serve one object for many prefixes (the oracle keeps one per trie node), so
-a /v1/logprobs reply lists each distinct object once, keyed by `id` while
-the call's list holds them all, and each query's result is its index in
-that list.  Malformed
+`texts` with `embed_text`.  A 200 reply is framed: a JSON header, its
+byte length in the `Genret-Header-Length` response header, then a binary
+tail holding each ARRAY's little-endian float64 bytes, exact for every
+value, at the offset its header entry names, in header order.  An
+image-only embed request gets `texts` of shape [0, d], d the image's
+length.  A backend may serve one object for many prefixes (the oracle
+keeps one per trie node), so a /v1/logprobs reply lists each distinct
+object once, keyed by `id` while the call's list holds them all, and each
+query's result is its index in that list.  Every other reply is plain
+JSON, `{"error": ...}`.  Malformed
 fields (a region that is neither null nor 4 finite numbers, a query that
 is not an object, a prefix or `texts` entry that is not a list of strings)
 and requests the backend rejects (an embed request to a backend without a
-contrastive side among them) get 400.  A fault of the backend itself gets
+contrastive side among them) get 400, and so does a Content-Length that is
+not an int >= 0, before any of the body is read.  A fault of the backend
+itself gets
 500: any other exception it raises, an embedding it returns that is not a
 numeric array (ragged or non-numeric rows), a distribution with a token
 that is not a string or a probability that fails core's wire rule (such as
@@ -41,7 +46,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from base64 import b64encode
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import repeat
@@ -50,6 +54,7 @@ import numpy as np
 
 from ..core import checked_region, non_numbers
 from ..errors import GenretError, SchemaError
+from .remote import HEADER_LENGTH
 
 
 class _BackendOutputError(Exception):
@@ -63,28 +68,51 @@ def _float_array(value, what: str) -> np.ndarray:
         raise _BackendOutputError(f"backend returned a malformed {what}: {exc}") from None
 
 
-def _wire_array(array: np.ndarray) -> dict:
-    """The wire form of an array: its shape, and base64 of its
-    little-endian float64 bytes in C order."""
-    return {"shape": list(array.shape), "data": b64encode(array.tobytes()).decode("ascii")}
+class _Frame:
+    """A framed reply being built: the binary tail that each ARRAY entry
+    of its header points into, filled in header order."""
+
+    def __init__(self):
+        self._chunks: list[bytes] = []
+        self._size = 0
+
+    def array(self, array: np.ndarray) -> dict:
+        """The ARRAY entry of `array`, whose little-endian float64 bytes in
+        C order go at the end of the tail."""
+        entry = {"shape": list(array.shape), "offset": self._size}
+        raw = array.tobytes()
+        self._chunks.append(raw)
+        self._size += len(raw)
+        return entry
+
+    def body(self, header: dict) -> tuple[bytes, int]:
+        """The reply body, `header` as JSON and then the tail, and the
+        header's byte length."""
+        head = json.dumps(header).encode("utf-8")
+        return b"".join([head, *self._chunks]), len(head)
 
 
-def _logprobs_reply(request_id, dists: list) -> dict:
-    """The /v1/logprobs reply: each distinct object of `dists` once, in
-    order of first use, and each query's index into them.  `dists` holds
+def _logprobs_reply(request_id, dists: list) -> tuple[bytes, int]:
+    """The framed /v1/logprobs reply: each distinct object of `dists` once,
+    in order of first use, and each query's index into them.  `dists` holds
     every object for the whole call, so no id is reused while it keys them."""
+    frame = _Frame()
     index: dict[int, int] = {}
     distributions, results = [], []
     for dist in dists:
         i = index.get(id(dist))
         if i is None:
             i = index[id(dist)] = len(distributions)
-            distributions.append(_wire_distribution(dist))
+            distributions.append(_wire_distribution(dist, frame))
         results.append(i)
-    return {"request_id": request_id, "distributions": distributions, "results": results}
+    header = {"request_id": request_id, "distributions": distributions, "results": results}
+    try:
+        return frame.body(header)
+    except (TypeError, ValueError) as exc:
+        raise _BackendOutputError(f"backend returned output JSON cannot encode: {exc}") from None
 
 
-def _wire_distribution(dist) -> dict:
+def _wire_distribution(dist, frame: _Frame) -> dict:
     tokens, values = list(dist.probs), list(dist.probs.values())
     if not all(map(isinstance, tokens, repeat(str))):
         raise _BackendOutputError("backend returned a distribution with a non-string token")
@@ -92,10 +120,30 @@ def _wire_distribution(dist) -> dict:
     bad = non_numbers(values if terminal is None else [*values, terminal])
     if bad:
         raise _BackendOutputError(f"backend returned a non-numeric probability: {bad[0]!r}")
-    entry = {"tokens": tokens, "probs": _wire_array(_float_array(values, "distribution"))}
+    entry = {"tokens": tokens, "probs": frame.array(_float_array(values, "distribution"))}
     if terminal is not None:
         entry["terminal_p"] = terminal
     return entry
+
+
+def _embed_reply(backend, request_id, image_id, region, texts) -> tuple[bytes, int]:
+    """The framed /v1/embed reply: the image's vector when the request names
+    an image_id, and one row per sentence of `texts`."""
+    if image_id is None and not texts:
+        raise ValueError("an embed request needs an image_id or texts")
+    frame = _Frame()
+    header = {"request_id": request_id}
+    if image_id is not None:
+        image, vecs = backend.embed_batch(image_id, region, texts)
+        image = _float_array(image, "image embedding")
+        # no sentences get no rows of the image's width (the base class's
+        # default answers them with [])
+        vecs = _float_array(vecs, "text embedding batch") if texts else np.empty((0, image.size))
+        header["image"] = frame.array(image)
+    else:
+        vecs = _float_array([backend.embed_text(t) for t in texts], "text embedding")
+    header["texts"] = frame.array(vecs)
+    return frame.body(header)
 
 
 def _token_lists(value, what: str) -> list[tuple[str, ...]]:
@@ -117,12 +165,17 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _reply(self, status: int, payload: dict):
-        self._send(status, json.dumps(payload))
+        """A plain JSON reply, as every reply but a framed 200 is."""
+        self._send(status, json.dumps(payload).encode("utf-8"))
 
-    def _send(self, status: int, text: str):
-        body = text.encode("utf-8")
+    def _send(self, status: int, body: bytes, header_length: int | None = None):
+        """Send `body`; a framed one names its header's byte length."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        if header_length is None:
+            self.send_header("Content-Type", "application/json")
+        else:
+            self.send_header("Content-Type", "application/octet-stream")
+            self.send_header(HEADER_LENGTH, str(header_length))
         self.send_header("Content-Length", str(len(body)))
         # an error path may leave the request body unread in the socket, and
         # a stopping server takes no further request
@@ -134,6 +187,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would wait for the client to close
+                raise ValueError(f"Content-Length of {length}")
             request = json.loads(self.rfile.read(length))
             request_id = request.get("request_id")
             image_id = request.get("image_id")
@@ -146,38 +202,16 @@ class _Handler(BaseHTTPRequestHandler):
         except (AttributeError, TypeError, ValueError, SchemaError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
+        if self.path not in ("/v1/logprobs", "/v1/embed"):
+            self._reply(404, {"error": f"unknown path {self.path}"})
+            return
         backend = self.server.backend  # type: ignore[attr-defined]
         try:
             if self.path == "/v1/logprobs":
                 dists = list(backend.next_token_distributions(image_id, region, prefixes))
-                payload = _logprobs_reply(request_id, dists)
-                try:
-                    status, text = 200, json.dumps(payload)
-                except (TypeError, ValueError) as exc:
-                    raise _BackendOutputError(
-                        f"backend returned output JSON cannot encode: {exc}"
-                    ) from None
-            elif self.path == "/v1/embed":
-                if image_id is None and not texts:
-                    raise ValueError("an embed request needs an image_id or texts")
-                payload = {"request_id": request_id}
-                if image_id is not None:
-                    image, vecs = backend.embed_batch(image_id, region, texts)
-                    image = _float_array(image, "image embedding")
-                    # no sentences get no rows of the image's width (the base
-                    # class's default answers them with [])
-                    vecs = (
-                        _float_array(vecs, "text embedding batch")
-                        if texts
-                        else np.empty((0, image.size))
-                    )
-                    payload["image"] = _wire_array(image)
-                else:
-                    vecs = _float_array([backend.embed_text(t) for t in texts], "text embedding")
-                payload["texts"] = _wire_array(vecs)
-                status, text = 200, json.dumps(payload)
+                body, header_length = _logprobs_reply(request_id, dists)
             else:
-                status, text = 404, json.dumps({"error": f"unknown path {self.path}"})
+                body, header_length = _embed_reply(backend, request_id, image_id, region, texts)
         except _BackendOutputError as exc:
             self._reply(500, {"error": str(exc)})
         except (GenretError, ValueError, TypeError) as exc:
@@ -187,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
             # answer rather than drop the connection, which reads as transient
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
         else:
-            self._send(status, text)
+            self._send(200, body, header_length)
 
 
 class _Server(ThreadingHTTPServer):

@@ -1,6 +1,6 @@
 """HTTP client for remote scorer services.
 
-Wire protocol, all POST, JSON bodies:
+Wire protocol, all POST, JSON request bodies:
 
     /v1/logprobs  {request_id, image_id, region?, queries: [{prefix: [tok, ...]}]}
         -> {request_id, distributions: [{tokens: [tok, ...], probs: ARRAY,
@@ -9,9 +9,17 @@ Wire protocol, all POST, JSON bodies:
     /v1/embed     {request_id, image_id?, region?, texts: [[tok, ...], ...]}
         -> {request_id, image?: ARRAY, texts: ARRAY}
 
-An ARRAY is {shape: [dim, ...], data: "<base64>"}: `data` is the base64 of
-the array's little-endian float64 bytes in C order, so every value, NaN,
-the infinities, -0.0 and subnormals included, crosses exactly.
+A 200 reply is framed, in the manner of the KServe v2 binary tensor
+extension: its body is the reply above as a UTF-8 JSON header, then a
+binary tail, and the `Genret-Header-Length` response header gives the
+header's byte length.  An ARRAY in the header is {shape: [dim, ...],
+offset: k}, and its values are the 8 * prod(shape) little-endian float64
+bytes in C order at byte k of the tail, so every value, NaN, the
+infinities, -0.0 and subnormals included, crosses exactly.  The arrays
+tile the tail in header order (an embed reply's image, then its texts; a
+/v1/logprobs reply's distributions in order): the first starts at 0, each
+next one where the one before it ends, and the last ends with the body.
+Every other reply (an error, a 4xx or a 5xx) is plain JSON.
 
 A /v1/logprobs reply lists distributions, and `results[j]` is the index in
 `distributions` of query j's.  A server that serves one distribution for
@@ -26,20 +34,23 @@ request gets shape [0, d]; a request must ask for at least one of the two.
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
 5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
-statuses, malformed bodies (a body that is not a JSON object included) and
-request_id mismatches raise TransportError carrying the raw body.
+statuses, malformed replies and request_id mismatches raise TransportError
+carrying the raw body, or a framed reply's header text.  A framed reply is
+malformed when its header length is missing, not an int >= 0 or past the
+body, or its header is not a JSON object.
 
 The client checks types and the engine checks values.  An ARRAY is well
-formed when its shape is a list of ints >= 0 of the expected rank and
-`data` is a str of valid base64 holding exactly 8 bytes per value; it then
-holds float64s by construction.  An embed reply's shapes must match the
-sentences asked for, with non-empty vectors.  In a /v1/logprobs reply,
-`distributions` is a list, each entry's `tokens` a list of distinct
-strings and its `probs` an ARRAY of shape [len(tokens)] ([0] for an empty
-distribution), each `terminal_p` passes core's wire rule, `non_numbers` (a
-float, NaN and the infinities included, or an int inside the float range),
-and `results` holds one int index (not a bool) into `distributions` per
-query.  Anything else makes the reply malformed.  The scoring engine checks
+formed when its shape is a list of ints >= 0 of the expected rank, its
+offset is an int >= 0 where the array before it ends (0 for the first),
+and the tail holds its 8 bytes per value there; it then holds float64s by
+construction.  No byte of the tail may follow the last array.  An embed
+reply's shapes must match the sentences asked for, with non-empty vectors.
+In a /v1/logprobs reply, `distributions` is a list, each entry's `tokens`
+a list of distinct strings and its `probs` an ARRAY of shape
+[len(tokens)] ([0] for an empty distribution), each `terminal_p` passes
+core's wire rule, `non_numbers` (a float, NaN and the infinities
+included, or an int inside the float range), and `results` holds one int
+index (not a bool) into `distributions` per query.  Anything else makes the reply malformed.  The scoring engine checks
 that each distribution sums to one and each embedding has unit norm, which
 NaN and the infinities fail too.
 
@@ -69,10 +80,10 @@ never builds one does not pay for importing it.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import uuid
-from base64 import b64decode
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
@@ -84,6 +95,9 @@ from .base import Capabilities, ScorerBackend, TokenDistribution
 
 if TYPE_CHECKING:
     import requests
+
+# the response header giving the byte length of a framed reply's JSON header
+HEADER_LENGTH = "Genret-Header-Length"
 
 
 class RemoteBackend(ScorerBackend):
@@ -124,7 +138,9 @@ class RemoteBackend(ScorerBackend):
 
     # -- transport -----------------------------------------------------
 
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, path: str, payload: dict) -> tuple[dict, _Tail]:
+        """POST `payload`, retrying transient failures; the framed reply's
+        header, a JSON object echoing the request_id, and its tail."""
         import requests  # already imported by __init__
 
         url = f"{self.endpoint}{path}"
@@ -148,22 +164,7 @@ class RemoteBackend(ScorerBackend):
                         body=resp.text,
                     )
                 else:
-                    try:
-                        data = resp.json()
-                    except ValueError as exc:
-                        raise TransportError(
-                            f"{url} returned unparseable JSON: {exc}", body=resp.text
-                        ) from exc
-                    if not isinstance(data, dict):
-                        raise TransportError(
-                            f"{url} returned {type(data).__name__}, not a JSON object",
-                            body=resp.text,
-                        )
-                    if data.get("request_id") != payload["request_id"]:
-                        raise TransportError(
-                            f"{url} echoed wrong request_id", body=resp.text
-                        )
-                    return data
+                    return _unframe(url, resp, payload["request_id"])
             if attempt < self.max_retries:
                 time.sleep(delay)
                 delay *= 2
@@ -185,12 +186,13 @@ class RemoteBackend(ScorerBackend):
         }
         if region is not None:
             payload["region"] = list(region)
-        data = self._post("/v1/logprobs", payload)
+        data, tail = self._post("/v1/logprobs", payload)
         try:
             entries = data.get("distributions")
             if not isinstance(entries, list):
                 raise ValueError("no distributions list")
-            dists = [_distribution(entry, k) for k, entry in enumerate(entries)]
+            dists = [_distribution(entry, k, tail) for k, entry in enumerate(entries)]
+            tail.end()
             results = data.get("results")
             if not isinstance(results, list) or len(results) != len(prefixes):
                 got = len(results) if isinstance(results, list) else type(results).__name__
@@ -223,10 +225,11 @@ class RemoteBackend(ScorerBackend):
             payload["image_id"] = image_id
         if region is not None:
             payload["region"] = list(region)
-        data = self._post("/v1/embed", payload)
+        data, tail = self._post("/v1/embed", payload)
         try:
-            image = _array(data.get("image"), "image", 1) if image_id is not None else None
-            texts = _array(data.get("texts"), "texts", 2)
+            image = tail.array(data.get("image"), "image", 1) if image_id is not None else None
+            texts = tail.array(data.get("texts"), "texts", 2)
+            tail.end()
             if texts.shape[0] != len(sentences):
                 raise ValueError(f"{texts.shape[0]} text rows, not the {len(sentences)} asked for")
         except ValueError as exc:
@@ -234,15 +237,95 @@ class RemoteBackend(ScorerBackend):
         return image, texts
 
 
-def _distribution(entry, k: int) -> TokenDistribution:
-    """Entry `k` of a /v1/logprobs reply's distributions, type-checked;
-    ValueError names what is wrong."""
+def _unframe(url: str, resp, request_id) -> tuple[dict, _Tail]:
+    """A framed 200 reply's header and tail; TransportError, carrying the
+    header text (the whole body when no header length holds), names what
+    is wrong."""
+    content = resp.content
+    length = resp.headers.get(HEADER_LENGTH)
+    if length is None or not (length.isascii() and length.isdigit()):
+        fault = "no header" if length is None else f"{length!r}, not an int >= 0"
+        raise TransportError(
+            f"{url} returned {HEADER_LENGTH} {fault}", body=content.decode("utf-8", "replace")
+        )
+    length = int(length)
+    if length > len(content):
+        raise TransportError(
+            f"{url} returned {HEADER_LENGTH} {length}, past its {len(content)}-byte body",
+            body=content.decode("utf-8", "replace"),
+        )
+    head = content[:length]
+    try:
+        text = head.decode("utf-8")
+        data = json.loads(text)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise TransportError(
+            f"{url} returned an unparseable JSON header: {exc}",
+            body=head.decode("utf-8", "replace"),
+        ) from exc
+    if not isinstance(data, dict):
+        raise TransportError(
+            f"{url} returned {type(data).__name__}, not a JSON object", body=text
+        )
+    if data.get("request_id") != request_id:
+        raise TransportError(f"{url} echoed wrong request_id", body=text)
+    return data, _Tail(memoryview(content)[length:])
+
+
+class _Tail:
+    """A framed reply's binary tail, read one ARRAY at a time in header
+    order; ValueError names what is wrong."""
+
+    def __init__(self, raw: memoryview):
+        self._raw = raw
+        self._read = 0  # where the next array starts
+        self._last = None  # the field of the array read last
+
+    def array(self, value, field: str, ndim: int, min_width: int = 1) -> np.ndarray:
+        """`value`, the header's `field`, as a writable float64 array of
+        `ndim` dimensions whose vectors hold at least `min_width` values."""
+        if not isinstance(value, dict):
+            value = {}
+        shape, offset = value.get("shape"), value.get("offset")
+        if not (
+            isinstance(shape, list)
+            and len(shape) == ndim
+            and all(is_int(dim) and dim >= 0 for dim in shape)
+            and shape[-1] >= min_width
+        ):
+            vectors = " with non-empty vectors" if min_width else ""
+            raise ValueError(f"no {field} array of {ndim} dimension(s){vectors}")
+        if not (is_int(offset) and offset >= 0):
+            raise ValueError(f"{field} offset of {offset!r}, not an int >= 0")
+        if offset != self._read:
+            after = f"after {self._last}" if self._last else "as the first array"
+            raise ValueError(f"{field} at tail offset {offset}, not at {self._read} {after}")
+        end = offset + 8 * math.prod(shape)
+        if end > len(self._raw):
+            raise ValueError(
+                f"{len(self._raw) - offset} bytes of {field} data for shape {shape}"
+            )
+        self._read, self._last = end, field
+        # a bytearray buffer keeps the array writable, like every backend's
+        return np.frombuffer(bytearray(self._raw[offset:end]), "<f8").reshape(shape)
+
+    def end(self) -> None:
+        """Check that no byte of the tail follows the last array read."""
+        extra = len(self._raw) - self._read
+        if extra:
+            after = f"after {self._last}" if self._last else "that holds no array"
+            raise ValueError(f"{extra} byte(s) of tail {after}")
+
+
+def _distribution(entry, k: int, tail: _Tail) -> TokenDistribution:
+    """Entry `k` of a /v1/logprobs reply's distributions, type-checked, its
+    `probs` read from `tail`; ValueError names what is wrong."""
     if not isinstance(entry, dict):
         raise ValueError(f"distributions[{k}] that is not an object")
     tokens = entry.get("tokens")
     if not (isinstance(tokens, list) and all(map(isinstance, tokens, repeat(str)))):
         raise ValueError(f"distributions[{k}].tokens that is not a list of strings")
-    values = _array(entry.get("probs"), f"distributions[{k}].probs", 1, min_width=0)
+    values = tail.array(entry.get("probs"), f"distributions[{k}].probs", 1, min_width=0)
     if values.size != len(tokens):
         raise ValueError(f"distributions[{k}].probs of {values.size} for {len(tokens)} tokens")
     probs = dict(zip(tokens, values.tolist()))
@@ -252,30 +335,3 @@ def _distribution(entry, k: int) -> TokenDistribution:
     if terminal is not None and non_numbers([terminal]):
         raise ValueError(f"distributions[{k}].terminal_p that is non-numeric: {terminal!r}")
     return TokenDistribution(probs=probs, terminal_p=terminal)
-
-
-def _array(value, field: str, ndim: int, min_width: int = 1) -> np.ndarray:
-    """`value`, the reply's `field`, decoded into a writable float64 array
-    of `ndim` dimensions whose vectors hold at least `min_width` values;
-    ValueError names what is wrong."""
-    if not isinstance(value, dict):
-        value = {}
-    shape, encoded = value.get("shape"), value.get("data")
-    if not (
-        isinstance(shape, list)
-        and len(shape) == ndim
-        and all(is_int(dim) and dim >= 0 for dim in shape)
-        and shape[-1] >= min_width
-    ):
-        vectors = " with non-empty vectors" if min_width else ""
-        raise ValueError(f"no {field} array of {ndim} dimension(s){vectors}")
-    if not isinstance(encoded, str):
-        raise ValueError(f"{field} data that is not a base64 string")
-    try:
-        raw = b64decode(encoded, validate=True)
-    except ValueError as exc:  # binascii.Error included
-        raise ValueError(f"{field} data that is not valid base64: {exc}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} bytes of {field} data for shape {shape}")
-    # a bytearray buffer keeps the array writable, like every backend's
-    return np.frombuffer(bytearray(raw), "<f8").reshape(shape)

@@ -6,10 +6,10 @@ string, a list or a whole field) with arbitrary JSON or deletes it, and
 feeds the result through the public reader.  The JSON includes NaN,
 +-Infinity, a `1e400` literal, a 401-digit integer, bools, "1.0" and nested
 lists.  Any other exception fails the test.  Through the CLI, a bad input
-exits non-zero with one `error[` line.
+exits non-zero with one `error[` line.  A wire reply is framed, so its
+tests also cut or extend the binary tail, or move the header length.
 """
 
-import base64
 import contextlib
 import copy
 import io
@@ -17,7 +17,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -60,6 +59,8 @@ from genret.errors import (
 )
 from genret.scoring import generative_loss
 from genret.world import world_to_dict
+
+from framing import frame, wire
 
 PROPERTY = settings(
     derandomize=True,
@@ -260,12 +261,15 @@ def test_cli_form(scratch, data):
 
 
 class _ReplyHandler(_Handler):
-    """Answers every POST with the server's `reply`, echoing the request_id."""
+    """Answers every POST with the server's `reply`: (header, tail, length),
+    the header echoing the request_id, and the header length it sends the
+    header's own plus `length`, or `length` itself when it is a string."""
 
     def do_POST(self):
         request = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
-        reply = {"request_id": request["request_id"], **self.server.reply}
-        self._send(200, to_json(reply))
+        header, tail, length = self.server.reply
+        head = to_json({"request_id": request["request_id"], **header}).encode("utf-8")
+        self._send(200, head + tail, length if isinstance(length, str) else len(head) + length)
 
 
 @pytest.fixture(scope="module")
@@ -282,18 +286,36 @@ def _reply_with(replying, reply) -> str:
     return url
 
 
-def _wire(values) -> dict:
-    """The wire's ARRAY form of an array: shape, and base64 of its
-    little-endian float64 bytes."""
-    array = np.asarray(values, dtype="<f8")
-    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
+def framed(reply) -> tuple[dict, bytes, int]:
+    """`reply`, its ARRAYs as `framing.wire` gives them, as a framed reply:
+    header, tail, and 0 to add to the header's length."""
+    return (*frame(reply), 0)
+
+
+def mutate_framed(reply, data):
+    """`reply`, framed, with one value of its header (each field, each
+    offset and each shape dimension among them) replaced or deleted, its
+    tail cut and extended with arbitrary bytes, or its header length moved
+    or replaced by a string."""
+    header, tail, length = framed(reply)
+    kind = data.draw(st.sampled_from(["header", "tail", "length"]), label="kind")
+    if kind == "header":
+        header = mutate(header, data)
+    elif kind == "tail":
+        cut = data.draw(st.integers(0, len(tail)), label="cut")
+        tail = tail[:cut] + data.draw(st.binary(max_size=24), label="extension")
+    else:
+        # a header value HTTP can carry: latin-1, no control character
+        text = st.text(st.characters(min_codepoint=32, max_codepoint=255), max_size=3)
+        length = data.draw(st.integers(-3, 3) | text, label="length")
+    return header, tail, length
 
 
 # a sentence of two tokens: three prefixes, each served one distribution of
 # a quarter per token and half for the terminal; mutations reach each field
-# of it, each shape dimension, the base64 string and each result index
+# of it, each shape dimension, the offset and each result index
 LOGPROBS_REPLY = {
-    "distributions": [{"tokens": ["a", "b"], "probs": _wire([0.25, 0.25]), "terminal_p": 0.5}],
+    "distributions": [{"tokens": ["a", "b"], "probs": wire([0.25, 0.25]), "terminal_p": 0.5}],
     "results": [0, 0, 0],
 }
 
@@ -306,14 +328,15 @@ def _logprobs_remote(replying, reply) -> RemoteBackend:
 
 
 def test_the_logprobs_reply_scores_unmutated(replying):
-    loss = generative_loss(_logprobs_remote(replying, LOGPROBS_REPLY), "img", None, ("a", "b"))
+    remote = _logprobs_remote(replying, framed(LOGPROBS_REPLY))
+    loss = generative_loss(remote, "img", None, ("a", "b"))
     assert loss.per_token == (-math.log(0.25), -math.log(0.25), -math.log(0.5))
 
 
 @PROPERTY
 @given(data=st.data())
 def test_logprobs_reply(replying, data):
-    remote = _logprobs_remote(replying, mutate(LOGPROBS_REPLY, data))
+    remote = _logprobs_remote(replying, mutate_framed(LOGPROBS_REPLY, data))
     # a type fault is the client's TransportError; a value fault is the
     # engine's: NormalizationError, InfiniteLossError for a zero probability
     # and VocabularyError for a token missing from a distribution
@@ -321,8 +344,8 @@ def test_logprobs_reply(replying, data):
     accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
 
 
-# mutations reach each dimension of a shape and each base64 string
-EMBED_REPLY = {"image": _wire([0.6, 0.8]), "texts": _wire([[1.0, 0.0], [0.0, 1.0]])}
+# mutations reach each dimension of a shape, each offset and the tail
+EMBED_REPLY = {"image": wire([0.6, 0.8]), "texts": wire([[1.0, 0.0], [0.0, 1.0]])}
 EMBED_INSTANCE = RankingInstance(
     image_id="img", anchor_kind=AnchorKind.OBJECT, anchor="cup",
     candidates=("red", "blue"), positives=frozenset({0}),
@@ -330,7 +353,7 @@ EMBED_INSTANCE = RankingInstance(
 
 
 def test_the_embed_reply_scores_unmutated(replying):
-    url = _reply_with(replying, EMBED_REPLY)
+    url = _reply_with(replying, framed(EMBED_REPLY))
     scored = rank_instance(
         RemoteBackend(url, max_retries=0), EMBED_INSTANCE, parse_template("{A}"),
         Method.CONTRASTIVE,
@@ -341,7 +364,7 @@ def test_the_embed_reply_scores_unmutated(replying):
 @PROPERTY
 @given(data=st.data())
 def test_embed_reply(replying, data):
-    url = _reply_with(replying, mutate(EMBED_REPLY, data))
+    url = _reply_with(replying, mutate_framed(EMBED_REPLY, data))
     remote = RemoteBackend(url, max_retries=0)
     accepted_or(
         (TransportError, NormalizationError),

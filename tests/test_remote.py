@@ -30,9 +30,12 @@ from genret import (
     write_instances,
 )
 from genret.backends.loopback import _Handler
+from genret.backends.remote import HEADER_LENGTH
 from genret.cli import main
 from genret.errors import NormalizationError, ParameterError, TransportError
 from genret.scoring import contrastive_loss, generative_loss
+
+from framing import arrays, frame, framed_handler, unframe, wire
 
 
 @pytest.fixture(scope="module")
@@ -329,11 +332,8 @@ def test_4xx_fails_immediately_with_body(setup):
         assert "no scene registered" in (err.value.body or "")
 
 
-class WrongIdHandler(_Handler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        self._reply(200, {"request_id": "bogus", "results": []})
+WRONG_ID = json.dumps({"request_id": "bogus", "distributions": [], "results": []})
+WrongIdHandler = framed_handler(lambda request: (WRONG_ID, b"", len(WRONG_ID)))
 
 
 def test_mismatched_request_id_is_rejected(setup):
@@ -344,35 +344,22 @@ def test_mismatched_request_id_is_rejected(setup):
             remote.next_token_distributions("scene-000000", None, [()])[0]
 
 
-def wire(values, shape=None, data=None):
-    """The ARRAY form of `values`: base64 of their little-endian
-    float64 bytes, with their shape unless `shape` overrides it and with
-    `data` in place of those bytes when given."""
-    array = np.asarray(values, dtype="<f8")
-    raw = array.tobytes() if data is None else data
-    return {
-        "shape": list(array.shape) if shape is None else shape,
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
-
-
 def entry(table: dict, /, **fields) -> dict:
-    """One /v1/logprobs distribution: `table`'s tokens, and its values as
-    an ARRAY, with `fields` (a terminal_p, or faults) over those."""
+    """One unframed /v1/logprobs distribution: `table`'s tokens, and its
+    values as an ARRAY, with `fields` (a terminal_p, or faults) over those."""
     return {"tokens": list(table), "probs": wire(list(table.values())), **fields}
 
 
 def logprobs(*entries, results=(0,)) -> dict:
-    """A /v1/logprobs reply body without its request_id."""
+    """An unframed /v1/logprobs reply without its request_id."""
     return {"distributions": list(entries), "results": list(results)}
 
 
-class HalfMassHandler(_Handler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        request = json.loads(self.rfile.read(length))
-        reply = logprobs(entry({"a": 0.25, "b": 0.25}), results=[0] * len(request["queries"]))
-        self._reply(200, {"request_id": request["request_id"], **reply})
+HalfMassHandler = framed_handler(
+    lambda request: logprobs(
+        entry({"a": 0.25, "b": 0.25}), results=[0] * len(request["queries"])
+    )
+)
 
 
 def test_unnormalized_server_output_is_rejected(setup):
@@ -385,15 +372,9 @@ def test_unnormalized_server_output_is_rejected(setup):
 
 
 def fixed_reply(reply):
-    """A handler that answers every POST with `reply`, echoing the request_id."""
-
-    class Handler(_Handler):
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length))
-            self._reply(200, {"request_id": request["request_id"], **reply})
-
-    return Handler
+    """A handler that answers every POST with `reply`, framed, echoing the
+    request_id."""
+    return framed_handler(lambda request: reply)
 
 
 def ask_distribution(remote):
@@ -414,14 +395,14 @@ def ask_embedding(remote):
          r"no distributions\[0\]\.probs array"),
         (logprobs(entry({"a": 1.0}, terminal_p="none")), ask_distribution, "terminal_p"),
         (logprobs(entry({"a": 0.5, "b": 0.5}, probs={"shape": [2], "data": ["0.5", 0.5]})),
-         ask_distribution, r"distributions\[0\]\.probs data that is not a base64 string"),
+         ask_distribution, r"distributions\[0\]\.probs offset of None"),
         (logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "shape": [True]})), ask_distribution,
          r"no distributions\[0\]\.probs array"),
         (logprobs(entry({"a": 1.0}, terminal_p=False)), ask_distribution, "terminal_p"),
         (logprobs(entry({"a": 1.0}, terminal_p=10**400)), ask_distribution,  # past the float range
          "terminal_p"),
         (logprobs("oops"), ask_distribution, r"distributions\[0\] that is not an object"),
-        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding, "texts data"),
+        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding, "texts offset of None"),
     ],
 )
 def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask, message):
@@ -481,17 +462,28 @@ def ask_two(remote):
                      r"distributions\[0\]\.probs of 2 for 1 tokens", id="more-probs"),
         pytest.param(logprobs({**HALF, "tokens": ["a", "b", "c"]}, results=[0, 0]),
                      r"distributions\[0\]\.probs of 2 for 3 tokens", id="fewer-probs"),
-        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "data": "!!"}),
+        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "offset": "0"}),
                               results=[0, 0]),
-                     r"distributions\[0\]\.probs data that is not valid base64",
-                     id="probs-not-base64"),
+                     r"distributions\[0\]\.probs offset of '0', not an int >= 0",
+                     id="probs-offset-a-string"),
+        pytest.param(logprobs(HALF, entry({"a": 1.0}, probs={**wire([1.0]), "offset": 8}),
+                              results=[0, 1]),
+                     r"distributions\[1\]\.probs at tail offset 8, not at 16 after "
+                     r"distributions\[0\]\.probs", id="probs-overlapping"),
+        pytest.param(logprobs(HALF, entry({"a": 1.0}, probs={**wire([1.0]), "offset": 24}),
+                              results=[0, 1]),
+                     r"distributions\[1\]\.probs at tail offset 24, not at 16", id="probs-gap"),
+        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "offset": 8}),
+                              results=[0, 0]),
+                     r"distributions\[0\]\.probs at tail offset 8, not at 0 as the first",
+                     id="probs-not-at-the-start"),
         pytest.param(logprobs(entry({"a": 1.0}, probs=wire([1.0], data=b"\0" * 7)),
                               results=[0, 0]),
                      r"7 bytes of distributions\[0\]\.probs data for shape \[1\]",
                      id="probs-a-byte-short"),
         pytest.param(logprobs(entry({"a": 1.0}, probs=wire([1.0], data=b"\0" * 16)),
                               results=[0, 0]),
-                     r"16 bytes of distributions\[0\]\.probs data for shape \[1\]",
+                     r"8 byte\(s\) of tail after distributions\[0\]\.probs",
                      id="probs-a-value-long"),
         pytest.param(logprobs(entry({"a": 0.5, "b": 0.5}, probs=wire([[0.5, 0.5]])),
                               results=[0, 0]),
@@ -530,16 +522,22 @@ def test_a_server_that_does_not_dedup_scores_the_same(setup):
     inst = instances[0]
 
     class OneEntryPerQuery(_Handler):
-        """Lists one distribution per query, repeats included."""
+        """Lists one distribution per query, repeats included, each with
+        its own bytes in the tail."""
 
-        def _send(self, status, text):
-            reply = json.loads(text)
-            if status == 200 and "results" in reply:
+        def _send(self, status, body, header_length=None):
+            if header_length is not None:
+                reply = json.loads(body[:header_length])
+                tail = body[header_length:]
                 dists = reply["distributions"]
+                for dist, bits in zip(dists, arrays(tail, [d["probs"] for d in dists])):
+                    dist["probs"] = wire(np.array(bits, "<u8").view("<f8"))
                 reply["distributions"] = [dists[i] for i in reply["results"]]
                 reply["results"] = list(range(len(reply["results"])))
-                text = json.dumps(reply)
-            super()._send(status, text)
+                header, tail = frame(reply)
+                head = json.dumps(header).encode("utf-8")
+                body, header_length = head + tail, len(head)
+            super()._send(status, body, header_length)
 
     scores = []
     for handler in (_Handler, OneEntryPerQuery):
@@ -551,14 +549,10 @@ def test_a_server_that_does_not_dedup_scores_the_same(setup):
 
 
 def raw_reply(body):
-    """A handler that answers every POST with `body` as JSON, as it is."""
-
-    class Handler(_Handler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            self._send(200, json.dumps(body))
-
-    return Handler
+    """A handler that answers every POST with a framed reply whose header
+    is `body` as JSON, as it is, and whose tail is empty."""
+    text = json.dumps(body)
+    return framed_handler(lambda request: (text, b"", len(text)))
 
 
 @pytest.mark.parametrize("ask", [ask_distribution, ask_embedding])
@@ -618,7 +612,7 @@ def test_integer_probabilities_score_as_the_equal_floats():
     assert len({repr(loss) for loss in losses}) == 1
 
 
-IMAGE = wire([0.6, 0.8])
+IMAGE = wire([0.6, 0.8])  # unframed: `frame` places the arrays
 TEXTS = wire([[1.0, 0.0], [0.0, 1.0]])  # one row per sentence embed_pair asks for
 
 
@@ -665,7 +659,7 @@ def test_malformed_embed_reply_is_a_transport_error(setup, reply):
 
 ROWS = [[1.0, 0.0], [0.0, 1.0]]
 ROW_BYTES = np.asarray(ROWS, dtype="<f8").tobytes()
-NOT_BASE64 = "texts data that is not valid base64"
+NOT_AN_OFFSET = "texts offset of .*, not an int >= 0"
 
 
 def with_texts(texts):
@@ -675,19 +669,27 @@ def with_texts(texts):
 @pytest.mark.parametrize(
     "reply, message",
     [
-        pytest.param(with_texts({**TEXTS, "data": "!!"}), NOT_BASE64, id="not-base64"),
+        pytest.param(with_texts({**TEXTS, "offset": "16"}), NOT_AN_OFFSET, id="offset-a-string"),
+        pytest.param(with_texts({**TEXTS, "offset": None}), NOT_AN_OFFSET, id="offset-null"),
+        pytest.param(with_texts({**TEXTS, "offset": 16.0}), NOT_AN_OFFSET, id="offset-a-float"),
+        pytest.param(with_texts({**TEXTS, "offset": -16}), NOT_AN_OFFSET, id="offset-negative"),
+        pytest.param(with_texts({**TEXTS, "offset": 10**400}),
+                     "texts at tail offset 10{400}, not at 16", id="offset-huge"),
         pytest.param(
-            with_texts({**TEXTS, "data": TEXTS["data"][:-1]}), NOT_BASE64, id="missing-pad"
+            with_texts({"shape": [2, 2], "data": list(ROW_BYTES)}), NOT_AN_OFFSET,
+            id="data-a-list",
         ),
         pytest.param(
-            with_texts({**TEXTS, "data": TEXTS["data"] + "=="}), NOT_BASE64, id="excess-after-pad"
+            with_texts({**TEXTS, "offset": 24}), "texts at tail offset 24, not at 16 after image",
+            id="gap",
         ),
         pytest.param(
-            with_texts({**TEXTS, "data": "é" + TEXTS["data"]}), NOT_BASE64, id="non-ascii"
+            with_texts({**TEXTS, "offset": 8}), "texts at tail offset 8, not at 16 after image",
+            id="overlap",
         ),
         pytest.param(
-            with_texts({**TEXTS, "data": list(ROW_BYTES)}),
-            "texts data that is not a base64 string", id="data-a-list",
+            {"texts": TEXTS, "image": IMAGE},
+            "image at tail offset 32, not at 0 as the first array", id="texts-before-image",
         ),
         pytest.param(with_texts(wire(ROWS, shape=[4])), "no texts array of 2", id="rank-1"),
         pytest.param(with_texts(wire(ROWS, shape=[2, 1, 2])), "no texts array of 2", id="rank-3"),
@@ -712,7 +714,7 @@ def with_texts(texts):
         ),
         pytest.param(
             with_texts(wire(ROWS, data=ROW_BYTES + b"\0")),
-            r"33 bytes of texts data for shape \[2, 2\]", id="one-byte-long",
+            r"1 byte\(s\) of tail after texts", id="one-byte-long",
         ),
         pytest.param(
             with_texts(wire(ROWS, shape=[2, 10**400])), "bytes of texts data for shape",
@@ -722,12 +724,16 @@ def with_texts(texts):
         pytest.param({"texts": TEXTS}, "no image array", id="image-missing"),
         pytest.param({"image": None, "texts": TEXTS}, "no image array", id="image-null"),
         pytest.param(
-            {"image": {**IMAGE, "data": "!!"}, "texts": TEXTS}, "image data that is not valid",
-            id="image-not-base64",
+            {"image": {**IMAGE, "offset": True}, "texts": TEXTS}, "image offset of True",
+            id="image-offset-a-bool",
         ),
         pytest.param(
-            {"image": wire([0.6, 0.8], shape=[3]), "texts": TEXTS}, "16 bytes of image data",
-            id="image-short",
+            {"image": wire([0.6, 0.8], shape=[3]), "texts": TEXTS},
+            "texts at tail offset 16, not at 24 after image", id="image-short",
+        ),
+        pytest.param(
+            {"image": wire([0.6, 0.8], shape=[3])}, r"16 bytes of image data for shape \[3\]",
+            id="image-short-and-last",
         ),
     ],
 )
@@ -739,6 +745,74 @@ def test_malformed_embed_array_is_a_transport_error_naming_the_fault(setup, repl
     assert err.value.body
 
 
+def faulty_frame(fault, sent):
+    """A handler that frames a valid embed reply for embed_pair, applies
+    `fault` to its (header bytes, tail, header length) and appends what it
+    sends to `sent`."""
+
+    def respond(request):
+        header, tail = frame({"request_id": request["request_id"], "image": IMAGE, "texts": TEXTS})
+        head = json.dumps(header).encode("utf-8")
+        sent.append(fault(head, tail, len(head)))
+        return sent[-1]
+
+    return framed_handler(respond)
+
+
+NOT_A_LENGTH = "not an int >= 0"
+UNPARSEABLE = "returned an unparseable JSON header"
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        pytest.param(lambda h, t, n: (h, t, n), None, id="valid"),
+        pytest.param(lambda h, t, n: (h, t, None), f"{HEADER_LENGTH} no header", id="no-length"),
+        pytest.param(lambda h, t, n: (h, t, "abc"), f"{HEADER_LENGTH} 'abc', {NOT_A_LENGTH}", id="length-a-word"),
+        pytest.param(lambda h, t, n: (h, t, "-1"), f"{HEADER_LENGTH} '-1', {NOT_A_LENGTH}", id="length-negative"),
+        pytest.param(lambda h, t, n: (h, t, f"{n}.0"), NOT_A_LENGTH, id="length-a-float"),
+        pytest.param(lambda h, t, n: (h, t, f"+{n}"), NOT_A_LENGTH, id="length-signed"),
+        pytest.param(lambda h, t, n: (h, t, "\u00b2"), NOT_A_LENGTH, id="length-a-superscript"),
+        pytest.param(lambda h, t, n: (h, t, n + len(t) + 1), r"Genret-Header-Length \d+, past its \d+-byte body",
+                     id="length-past-the-body"),
+        pytest.param(lambda h, t, n: (h, t, n + len(t)), UNPARSEABLE, id="length-the-body"),
+        pytest.param(lambda h, t, n: (h, t, n - 1), UNPARSEABLE, id="length-a-byte-short"),
+        pytest.param(lambda h, t, n: (h, t, n + 1), UNPARSEABLE, id="length-a-byte-long"),
+        pytest.param(lambda h, t, n: (h, t, 0), UNPARSEABLE, id="length-zero"),
+        pytest.param(lambda h, t, n: (h.replace(b"image", b"imag\xff"), t, n), UNPARSEABLE,
+                     id="header-not-utf-8"),
+        pytest.param(lambda h, t, n: (h.decode().encode("utf-16"), t, 2 * n + 2), UNPARSEABLE,
+                     id="header-utf-16"),
+        pytest.param(lambda h, t, n: (h, t[:-8], n), r"24 bytes of texts data for shape \[2, 2\]",
+                     id="tail-a-value-short"),
+        pytest.param(lambda h, t, n: (h, t + t, n), r"48 byte\(s\) of tail after texts",
+                     id="tail-twice"),
+        pytest.param(lambda h, t, n: (h, b"", n), r"0 bytes of image data for shape \[2\]",
+                     id="tail-empty"),
+    ],
+)
+def test_a_malformed_frame_is_a_transport_error_carrying_the_header_text(setup, fault, message):
+    _, _, backend, _ = setup
+    sent = []
+    with LoopbackServer(backend, handler=faulty_frame(fault, sent)) as url:
+        remote = remote_for(url, backend)
+        if message is None:
+            image, texts = embed_pair(remote)
+            assert image.tolist() == [0.6, 0.8] and texts.tolist() == ROWS
+            return
+        with pytest.raises(TransportError, match=message) as err:
+            embed_pair(remote)
+    ((head, tail, length),) = sent  # not retried
+    body = head + tail
+    if isinstance(length, int) and length <= len(body):
+        body = body[:length]  # the header, as the length sent bounds it
+    if "data" in message or "tail" in message:
+        # a fault in the arrays carries the parsed header
+        assert err.value.body == str(json.loads(head))
+    else:
+        assert err.value.body == body.decode("utf-8", "replace")
+
+
 @pytest.mark.parametrize(
     "reply, message",
     [
@@ -748,19 +822,19 @@ def test_malformed_embed_array_is_a_transport_error_naming_the_fault(setup, repl
         ),
         pytest.param(
             {"image": {"shape": [2], "data": [True, 0.0]}, "texts": wire([[1.0, 0.0]])},
-            "image data that is not a base64 string", id="image-data-a-list",
+            "image offset of None", id="image-data-a-list",
         ),
         pytest.param(
             {"image": wire([1.0, 0.0]), "texts": {"shape": [1, 2], "data": ["1.0", False]}},
-            "texts data that is not a base64 string", id="texts-data-a-list",
+            "texts offset of None", id="texts-data-a-list",
         ),
     ],
 )
-def test_non_string_data_or_json_lists_in_an_embedding_do_not_score(reply, message):
+def test_data_in_the_header_or_json_lists_in_an_embedding_do_not_score(reply, message):
     with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
         with pytest.raises(TransportError, match=message) as err:
             contrastive_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
-    assert str(reply["texts"]) in err.value.body
+    assert str(frame(reply)[0]["texts"]) in err.value.body
 
 
 def test_nan_text_embedding_is_rejected_by_the_engine(setup):
@@ -821,6 +895,26 @@ def test_malformed_region_gets_400(setup, path, region):
         for good in (None, [0, 0, 10.5, 10]):
             resp = requests.post(f"{url}{path}", json={**body, "region": good}, timeout=10)
             assert resp.status_code == 200
+
+
+@pytest.mark.parametrize("length", ["-1", "-100"])
+def test_a_negative_content_length_gets_400_without_reading_the_body(setup, length):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend) as url:
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=1) as sock:
+            # no body follows; a server reading one would wait for the close
+            sock.sendall(
+                f"POST /v1/logprobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body) == {"error": f"malformed request: Content-Length of {length}"}
 
 
 def test_backend_rejecting_a_request_gets_400(setup):
@@ -929,7 +1023,7 @@ def test_backend_answer_json_cannot_encode_gets_500_naming_the_backend_output():
     with LoopbackServer(UniformBackend(["a", "b"])) as url:
         resp = requests.post(f"{url}/v1/logprobs", json=body, timeout=10)
         assert resp.status_code == 200
-        assert resp.json() == {"request_id": "r", **logprobs(entry({"a": 0.5, "b": 0.5}))}
+        assert unframe(resp) == frame({"request_id": "r", **logprobs(entry({"a": 0.5, "b": 0.5}))})
 
 
 class ServingBackend(UniformBackend):
@@ -963,15 +1057,12 @@ def test_backend_output_the_wire_cannot_carry_gets_500(dist, error):
     assert resp.json()["error"].startswith(f"backend returned {error}")
 
 
-def served_from(reply: dict) -> list[tuple]:
-    """Each query's distribution in a decoded /v1/logprobs reply, as
-    (tokens, probs as float64 bit patterns, terminal_p)."""
-    out = []
-    for i in reply["results"]:
-        dist = reply["distributions"][i]
-        raw = base64.b64decode(dist["probs"]["data"])
-        out.append((dist["tokens"], np.frombuffer(raw, "<u8").tolist(), dist.get("terminal_p")))
-    return out
+def served_from(reply: dict, tail: bytes) -> list[tuple]:
+    """Each query's distribution in a /v1/logprobs reply's header and tail,
+    as (tokens, probs as float64 bit patterns, terminal_p)."""
+    dists = [reply["distributions"][i] for i in reply["results"]]
+    probs = arrays(tail, [dist["probs"] for dist in dists])
+    return [(d["tokens"], bits, d.get("terminal_p")) for d, bits in zip(dists, probs)]
 
 
 def served_in_process(dists) -> list[tuple]:
@@ -1007,46 +1098,69 @@ def test_a_reply_lists_each_distinct_served_object_once(setup, request_id):
                 timeout=10,
             )
         assert resp.status_code == 200
-        reply = resp.json()
+        reply, tail = unframe(resp)
         assert reply["request_id"] == request_id
         assert len(reply["distributions"]) == len(distinct)
         assert reply["results"] == [distinct.index(d) for d in served]
-        assert served_from(reply) == served_in_process(served)
+        assert served_from(reply, tail) == served_in_process(served)
 
 
 class RecordingHandler(_Handler):
-    """The default handler, keeping every reply body it sends."""
+    """The default handler, keeping every reply it sends as (header, tail)."""
 
-    def _send(self, status, text):
-        self.server.bodies.append(text.encode("utf-8"))
-        super()._send(status, text)
+    def _send(self, status, body, header_length=None):
+        self.server.bodies.append((body[:header_length], body[header_length:]))
+        super()._send(status, body, header_length)
 
 
-def test_a_bench_sized_instance_gets_one_small_reply():
-    # the remote benchmark's shape: V = 241, {O} is {A}, 50 candidates, a terminal
+def bench_sized():
+    """The remote benchmark's shape: V = 241, 50 candidates, a terminal;
+    the oracle and one instance."""
     spec = random_world(seed=1, n_objects=60, n_attributes=180, attrs_per_object=5)
     scenes = sample_scenes(spec, [3])
     oracle = OracleBackend(spec, scenes)
     assert len(oracle.vocabulary) == 241
-    inst = make_instances(spec, scenes, 50, AnchorKind.OBJECT, seed=1)[0]
+    return oracle, make_instances(spec, scenes, 50, AnchorKind.OBJECT, seed=1)[0]
+
+
+def test_a_bench_sized_instance_gets_one_small_reply():
+    oracle, inst = bench_sized()
     template = parse_template("{O} is {A}")
     server = LoopbackServer(oracle, handler=RecordingHandler)
     with server as url:
         server._server.bodies = []
         far = rank_instance(remote_for(url, oracle), inst, template, Method.GENERATIVE)
-        (body,) = server._server.bodies
+        ((head, tail),) = server._server.bodies
     near = rank_instance(oracle, inst, template, Method.GENERATIVE)
     assert repr(far.scores) == repr(near.scores)
     assert far.per_token == near.per_token
-    reply = json.loads(body)
+    reply = json.loads(head)
     # (), (O,), (O, is) and one (O, is, A) per candidate
     assert len(reply["results"]) == 53
     prefixes = [(), (inst.anchor,), (inst.anchor, "is")]
     prefixes += [(inst.anchor, "is", c) for c in inst.candidates]
     served = oracle.next_token_distributions(inst.image_id, None, prefixes)
     assert len(reply["distributions"]) == len({id(d) for d in served}) < 10
-    assert served_from(reply) == served_in_process(served)
-    assert len(body) < 40_000
+    assert served_from(reply, tail) == served_in_process(served)
+    assert len(head) + len(tail) < 40_000
+
+
+def test_a_bench_sized_embed_reply_is_raw_float64():
+    oracle, inst = bench_sized()
+    template = parse_template("{O} is {A}")
+    server = LoopbackServer(oracle, handler=RecordingHandler)
+    with server as url:
+        server._server.bodies = []
+        far = rank_instance(remote_for(url, oracle), inst, template, Method.CONTRASTIVE)
+        ((head, tail),) = server._server.bodies
+    near = rank_instance(oracle, inst, template, Method.CONTRASTIVE)
+    assert repr(far.scores) == repr(near.scores)
+    # the image and 50 sentences, 241 float64s each, and nothing else
+    assert len(tail) == 51 * 241 * 8
+    reply = json.loads(head)
+    assert reply["image"] == {"shape": [241], "offset": 0}
+    assert reply["texts"] == {"shape": [50, 241], "offset": 241 * 8}
+    assert len(head) < 200
 
 
 class RaggedEmbedBatch(OracleBackend):
@@ -1109,7 +1223,8 @@ def recording_server(backend):
 def assert_answered(session, url):
     resp = session.post(f"{url}/v1/logprobs", json=LOGPROBS, timeout=10)
     assert resp.status_code == 200
-    assert resp.json()["request_id"] == "r" and len(resp.json()["results"]) == 1
+    reply, _ = unframe(resp)
+    assert reply["request_id"] == "r" and len(reply["results"]) == 1
     return resp
 
 
