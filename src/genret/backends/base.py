@@ -27,16 +27,24 @@ once for every distinct prefix the sentences need (sentences of a template
 family share most of theirs), checks each distinct distribution object it
 is served once, at the first prefix that object answers, and reads the
 realized entries, each of which must pass core's wire rule (`non_numbers`:
-no bool, no string, no int a float cannot hold).  The remote client builds
-one object per distribution a reply lists, so over the wire too each shared
-distribution is checked once.  A backend that can reach the realized tokens
-directly (the oracle walks its caption trie) overrides it and serves no
-V-sized distributions at all.
+no bool, no string, no int a float cannot hold).  The check covers only
+what the engine cannot see in the two arrays: a declared terminal that was
+not served, and a negative entry (which may be one no sentence realizes).
+Each distribution's total goes into the `total` array, and the engine
+judges it there.  The remote client builds one object per distribution a
+reply lists, so over the wire too each shared distribution is checked
+once.  A backend that can reach the realized tokens directly (the oracle
+walks its caption trie) overrides it and serves no V-sized distributions
+at all.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
 the first contrastive request.  The engine asks for embeddings through
-`embed_batch`, whose default is built on those two per-item calls.
+`embed_batch(image_id, region, sentences)`, which returns `(image, texts)`,
+two float64 arrays of shape (d,) and (n, d), one row per sentence in order
+((0, d) for no sentences).  The engine checks the pair, dtypes, shapes and
+unit norms whole.  The default `embed_batch` makes one `embed_image` and
+one `embed_text` call per sentence and stacks the rows.
 Capabilities say how to read a backend's answers.  Its one flag,
 has_terminal_token, means each sentence's scores end with the
 end-of-sentence probability (served distributions carry one), and
@@ -167,13 +175,22 @@ class ScorerBackend(ABC):
 
     def embed_batch(
         self, image_id: str, region, sentences: Sequence[tuple[str, ...]]
-    ) -> tuple[np.ndarray, np.ndarray | list[np.ndarray]]:
-        """Batch form: the image embedding and the sentences' embeddings in
-        order, as an (n, d) array or n vectors of length d.  This default
-        makes one `embed_image` and one `embed_text` call per sentence;
-        backends with per-call overhead (the oracle, the remote client)
-        override it."""
-        return self.embed_image(image_id, region), [self.embed_text(s) for s in sentences]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(image, texts): the image embedding, shape (d,), and the
+        sentences' embeddings in order, shape (n, d), as float64 arrays.
+
+        This default makes one `embed_image` and one `embed_text` call per
+        sentence and stacks the rows as they are; rows that do not stack
+        are a NormalizationError.  Backends with per-call overhead (the
+        oracle, the remote client) override it.
+        """
+        image = self.embed_image(image_id, region)
+        if not sentences:
+            return image, np.empty((0, np.size(image)))
+        try:
+            return image, np.stack([self.embed_text(s) for s in sentences])
+        except ValueError as exc:
+            raise NormalizationError(f"backend's text embeddings do not stack: {exc}") from None
 
 
 def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
@@ -194,22 +211,17 @@ def position_name(sentence: tuple[str, ...], i: int) -> str:
 
 
 def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> float:
-    """A served distribution's total, once it passed every whole-distribution
-    check; the errors name `prefix`."""
-    total = dist.total()
-    # written so that a NaN total fails too
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise NormalizationError(
-            f"distribution for prefix {list(prefix)} sums to {total:.9f}"
-        )
+    """A served distribution's total, once it served a declared terminal
+    and no negative entry; the errors name `prefix`.  The engine judges the
+    total."""
     if has_terminal and dist.terminal_p is None:
         raise NormalizationError(
             f"backend declares a terminal token but served none for {list(prefix)}"
         )
-    # a NaN entry has already failed the total
+    # a NaN entry passes here and fails the engine's total
     if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
-    return total
+    return dist.total()
 
 
 class SentenceScoreSource(ABC):

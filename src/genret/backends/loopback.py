@@ -6,24 +6,22 @@ threaded stdlib HTTP server on an ephemeral localhost port and speaks the
 wire protocol documented in remote.py: each /v1/logprobs request is one
 `next_token_distributions` call with all of its prefixes, and each
 /v1/embed request that names an image_id is one `embed_batch` call with all
-of its sentences; a request naming no image embeds each sentence in
-`texts` with `embed_text`.  A 200 reply is framed: a JSON header, its
-byte length in the `Genret-Header-Length` response header, then a binary
-tail holding each ARRAY's little-endian float64 bytes, exact for every
-value, at the offset its header entry names, in header order.  An
-image-only embed request gets `texts` of shape [0, d], d the image's
-length.  A backend may serve one object for many prefixes (the oracle
-keeps one per trie node), so a /v1/logprobs reply lists each distinct
-object once, keyed by `id` while the call's list holds them all, and each
-query's result is its index in that list.  Every other reply is plain
-JSON, `{"error": ...}`.  Malformed
-fields (a region that is neither null nor 4 finite numbers, a query that
-is not an object, a prefix or `texts` entry that is not a list of strings)
-and requests the backend rejects (an embed request to a backend without a
-contrastive side among them) get 400, and so does a Content-Length that is
-not an int >= 0, before any of the body is read.  A fault of the backend
-itself gets
-500: any other exception it raises, an embedding it returns that is not a
+of its sentences (an image-only request is a call with none, whose `texts`
+has shape [0, d], d the image's length); a request naming no image embeds
+each sentence in `texts` with `embed_text`.  A 200 reply is framed: a JSON
+header, its byte length in the `Genret-Header-Length` response header, then
+a binary tail holding each ARRAY's little-endian float64 bytes, exact for
+every value, back to back in header order.  A backend may serve one object
+for many prefixes (the oracle keeps one per trie node), so a /v1/logprobs
+reply lists each distinct object once, keyed by `id` while the call's list
+holds them all, and each query's result is its index in that list.  Every
+other reply is plain JSON, `{"error": ...}`.  Malformed fields (a region
+that is neither null nor 4 finite numbers, a query that is not an object,
+a prefix or `texts` entry that is not a list of strings) and requests the
+backend rejects (an embed request to a backend without a contrastive side
+among them) get 400, and so does a Content-Length that is not an int >= 0,
+before any of the body is read.  A fault of the backend itself gets 500:
+any other exception it raises, an embedding it returns that is not a
 numeric array (ragged or non-numeric rows), a distribution with a token
 that is not a string or a probability that fails core's wire rule (such as
 a Fraction or a string), and an answer JSON cannot encode; the message
@@ -69,21 +67,17 @@ def _float_array(value, what: str) -> np.ndarray:
 
 
 class _Frame:
-    """A framed reply being built: the binary tail that each ARRAY entry
-    of its header points into, filled in header order."""
+    """A framed reply being built: the binary tail that holds its header's
+    ARRAYs, filled in header order."""
 
     def __init__(self):
         self._chunks: list[bytes] = []
-        self._size = 0
 
     def array(self, array: np.ndarray) -> dict:
         """The ARRAY entry of `array`, whose little-endian float64 bytes in
         C order go at the end of the tail."""
-        entry = {"shape": list(array.shape), "offset": self._size}
-        raw = array.tobytes()
-        self._chunks.append(raw)
-        self._size += len(raw)
-        return entry
+        self._chunks.append(array.tobytes())
+        return {"shape": list(array.shape)}
 
     def body(self, header: dict) -> tuple[bytes, int]:
         """The reply body, `header` as JSON and then the tail, and the
@@ -135,14 +129,10 @@ def _embed_reply(backend, request_id, image_id, region, texts) -> tuple[bytes, i
     header = {"request_id": request_id}
     if image_id is not None:
         image, vecs = backend.embed_batch(image_id, region, texts)
-        image = _float_array(image, "image embedding")
-        # no sentences get no rows of the image's width (the base class's
-        # default answers them with [])
-        vecs = _float_array(vecs, "text embedding batch") if texts else np.empty((0, image.size))
-        header["image"] = frame.array(image)
+        header["image"] = frame.array(_float_array(image, "image embedding"))
     else:
-        vecs = _float_array([backend.embed_text(t) for t in texts], "text embedding")
-    header["texts"] = frame.array(vecs)
+        vecs = [backend.embed_text(t) for t in texts]
+    header["texts"] = frame.array(_float_array(vecs, "text embedding batch"))
     return frame.body(header)
 
 

@@ -12,14 +12,13 @@ Wire protocol, all POST, JSON request bodies:
 A 200 reply is framed, in the manner of the KServe v2 binary tensor
 extension: its body is the reply above as a UTF-8 JSON header, then a
 binary tail, and the `Genret-Header-Length` response header gives the
-header's byte length.  An ARRAY in the header is {shape: [dim, ...],
-offset: k}, and its values are the 8 * prod(shape) little-endian float64
-bytes in C order at byte k of the tail, so every value, NaN, the
-infinities, -0.0 and subnormals included, crosses exactly.  The arrays
-tile the tail in header order (an embed reply's image, then its texts; a
-/v1/logprobs reply's distributions in order): the first starts at 0, each
-next one where the one before it ends, and the last ends with the body.
-Every other reply (an error, a 4xx or a 5xx) is plain JSON.
+header's byte length.  An ARRAY in the header is {shape: [dim, ...]}, and
+its values are 8 * prod(shape) little-endian float64 bytes in C order, so
+every value, NaN, the infinities, -0.0 and subnormals included, crosses
+exactly.  The arrays' bytes sit back to back in the tail in header order
+(an embed reply's image, then its texts; a /v1/logprobs reply's
+distributions in order), and the last ends with the body.  Every other
+reply (an error, a 4xx or a 5xx) is plain JSON.
 
 A /v1/logprobs reply lists distributions, and `results[j]` is the index in
 `distributions` of query j's.  A server that serves one distribution for
@@ -40,19 +39,20 @@ malformed when its header length is missing, not an int >= 0 or past the
 body, or its header is not a JSON object.
 
 The client checks types and the engine checks values.  An ARRAY is well
-formed when its shape is a list of ints >= 0 of the expected rank, its
-offset is an int >= 0 where the array before it ends (0 for the first),
-and the tail holds its 8 bytes per value there; it then holds float64s by
-construction.  No byte of the tail may follow the last array.  An embed
+formed when its shape is a list of ints >= 0 of the expected rank and the
+tail holds its 8 bytes per value where the array before it ends (at 0 for
+the first); it then holds float64s by construction.  Any other key of an
+ARRAY is ignored.  No byte of the tail may follow the last array.  An embed
 reply's shapes must match the sentences asked for, with non-empty vectors.
 In a /v1/logprobs reply, `distributions` is a list, each entry's `tokens`
 a list of distinct strings and its `probs` an ARRAY of shape
 [len(tokens)] ([0] for an empty distribution), each `terminal_p` passes
 core's wire rule, `non_numbers` (a float, NaN and the infinities
 included, or an int inside the float range), and `results` holds one int
-index (not a bool) into `distributions` per query.  Anything else makes the reply malformed.  The scoring engine checks
-that each distribution sums to one and each embedding has unit norm, which
-NaN and the infinities fail too.
+index (not a bool) into `distributions` per query.  Anything else makes
+the reply malformed.  The scoring engine checks that each distribution sums
+to one and each embedding has unit norm, which NaN and the infinities fail
+too.
 
 The client is batch-first: one /v1/logprobs call scores many prefixes, and
 the engine hands it every prefix an instance needs at once.  Each listed
@@ -274,7 +274,8 @@ def _unframe(url: str, resp, request_id) -> tuple[dict, _Tail]:
 
 class _Tail:
     """A framed reply's binary tail, read one ARRAY at a time in header
-    order; ValueError names what is wrong."""
+    order, each where the one before it ends; ValueError names what is
+    wrong."""
 
     def __init__(self, raw: memoryview):
         self._raw = raw
@@ -284,9 +285,7 @@ class _Tail:
     def array(self, value, field: str, ndim: int, min_width: int = 1) -> np.ndarray:
         """`value`, the header's `field`, as a writable float64 array of
         `ndim` dimensions whose vectors hold at least `min_width` values."""
-        if not isinstance(value, dict):
-            value = {}
-        shape, offset = value.get("shape"), value.get("offset")
+        shape = value.get("shape") if isinstance(value, dict) else None
         if not (
             isinstance(shape, list)
             and len(shape) == ndim
@@ -295,19 +294,13 @@ class _Tail:
         ):
             vectors = " with non-empty vectors" if min_width else ""
             raise ValueError(f"no {field} array of {ndim} dimension(s){vectors}")
-        if not (is_int(offset) and offset >= 0):
-            raise ValueError(f"{field} offset of {offset!r}, not an int >= 0")
-        if offset != self._read:
-            after = f"after {self._last}" if self._last else "as the first array"
-            raise ValueError(f"{field} at tail offset {offset}, not at {self._read} {after}")
-        end = offset + 8 * math.prod(shape)
+        start = self._read
+        end = start + 8 * math.prod(shape)
         if end > len(self._raw):
-            raise ValueError(
-                f"{len(self._raw) - offset} bytes of {field} data for shape {shape}"
-            )
+            raise ValueError(f"{len(self._raw) - start} bytes of {field} data for shape {shape}")
         self._read, self._last = end, field
         # a bytearray buffer keeps the array writable, like every backend's
-        return np.frombuffer(bytearray(self._raw[offset:end]), "<f8").reshape(shape)
+        return np.frombuffer(bytearray(self._raw[start:end]), "<f8").reshape(shape)
 
     def end(self) -> None:
         """Check that no byte of the tail follows the last array read."""

@@ -329,7 +329,9 @@ class ScoredInstance:
     """A RankingInstance plus one score per candidate (lower is better).
 
     per_token holds the per-position loss terms for generative scoring
-    (None for contrastive).  `order` is the ranking_order of the scores,
+    (None for contrastive).  Both keep their values as given, as tuples:
+    the engine computes floats, and the cache reader passes on what a cache
+    holds.  `order` is the ranking_order of the scores,
     computed on first use and kept, so every metric of one instance shares
     one sort.
     """
@@ -342,13 +344,13 @@ class ScoredInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
+        object.__setattr__(self, "scores", tuple(self.scores))
         if len(self.scores) != len(self.instance.candidates):
             raise SchemaError("one score per candidate required")
         if not all(map(math.isfinite, self.scores)):
             raise SchemaError("scores must be finite")
         if self.per_token is not None:
-            per = tuple(tuple(map(float, row)) for row in self.per_token)
+            per = tuple(map(tuple, self.per_token))
             object.__setattr__(self, "per_token", per)
             if len(per) != len(self.scores):
                 raise SchemaError("one per_token row per candidate required")

@@ -8,12 +8,13 @@ Two losses, both in nats, both "lower is better":
   one.  Position 0 conditions on the image alone.
 - contrastive: the euclidean distance between unit-norm image and sentence
   embeddings, which lives in [0, 2] and decreases monotonically in cosine
-  similarity.  An instance's sentence embeddings are read as one (n, d)
-  matrix G, checked in one vectorized norm test, and each distance is
-  sqrt(d.dot(d)) over one row d of f - G: the expression np.linalg.norm
-  evaluates for one vector, so a score is bit-identical whether its
-  sentence was embedded alone or with others.  (A summed or einsum row
-  norm would change the last bits of some scores.)
+  similarity.  The backend answers an instance with the image's vector f
+  and its sentences' embeddings as one (n, d) matrix G, both float64
+  arrays; G's rows are checked in one vectorized norm test, and each
+  distance is sqrt(d.dot(d)) over one row d of f - G: the expression
+  np.linalg.norm evaluates for one vector, so a score is bit-identical
+  whether its sentence was embedded alone or with others.  (A summed or
+  einsum row norm would change the last bits of some scores.)
 
 Each method has one path, a batch function over the sentences of one image
 (`_generative_losses`, `_contrastive_losses`).  The single-sentence API
@@ -27,19 +28,25 @@ is asked anything.
 
 Each batch function asks its backend once per image: `score_sentences`
 with every sentence, or `embed_batch` with the image and every sentence.
-`score_sentences` returns two flat float64 arrays over every position of
-every sentence, the realized token's probability and that position's
-total mass (see backends/base.py); the backend shares the work of common
-prefixes, so the engine neither deduplicates prefixes nor sees a whole
-distribution.  Before it takes a logarithm the engine checks both arrays
-whole: each has one entry per position (each sentence's length, plus the
-terminal when the backend declares one), every total is within NORM_TOL
-of 1 and 0 < p <= total, each test written so that a NaN fails it.  The
-first failing position is named, its total judged before its p, and p == 0
-is an InfiniteLossError.  The logs are `math.log` over the checked
-values, not `np.log`, whose last bit differs on some CPUs, and each
-sentence's loss is the sum of its positions' terms, in order.  A remote
-backend turns each call into one request (`/v1/logprobs` or `/v1/embed`).
+Both answer with a pair of float64 arrays (see backends/base.py), and the
+engine checks the answer whole and never converts it: anything but a pair
+of float64 arrays of the expected shapes (a list, a bool or string array,
+a float32 array) is a NormalizationError naming what came back.
+`score_sentences` returns two flat arrays over every position of every
+sentence, the realized token's probability and that position's total mass;
+the backend shares the work of common prefixes, so the engine neither
+deduplicates prefixes nor sees a whole distribution.  Before it takes a
+logarithm the engine checks both arrays whole: each has one entry per
+position (each sentence's length, plus the terminal when the backend
+declares one), every total is within NORM_TOL of 1 and 0 < p <= total,
+each test written so that a NaN fails it.  The first failing position is
+named, its total judged before its p, and p == 0 is an InfiniteLossError.
+The logs are `math.log` over the checked values, not `np.log`, whose last
+bit differs on some CPUs, and each sentence's loss is the sum of its
+positions' terms, in order.  `embed_batch` returns the image's vector,
+shape (d,), and one row per sentence, shape (n, d); every one of them must
+have unit norm.  A remote backend turns each call into one request
+(`/v1/logprobs` or `/v1/embed`).
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default;
@@ -109,32 +116,6 @@ def _checked_sentences(
     return sentences
 
 
-def _embedding_array(vecs, what: str) -> np.ndarray:
-    try:
-        return np.asarray(vecs, dtype=float)
-    except (TypeError, ValueError):
-        raise NormalizationError(f"{what} is not numeric") from None
-
-
-def _text_rows(texts, width: int) -> np.ndarray:
-    """The text embeddings as one (n, width) array; a row of another shape
-    is named by its sentence index."""
-    try:
-        rows = np.asarray(texts, dtype=float)
-    except (TypeError, ValueError):
-        rows = None
-    if rows is not None and rows.shape == (len(texts), width):
-        return rows
-    for i, vec in enumerate(texts):
-        shape = _embedding_array(vec, f"text embedding {i}").shape
-        if shape != (width,):
-            raise NormalizationError(
-                f"text embedding {i} has shape {shape}, expected ({width},)"
-            )
-    # every row has the image's width, so there were no rows
-    return np.empty((0, width))
-
-
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
     """Each row of a 2-D embedding array must have unit norm; `what` names
     row i via `what.format(i)`.  A tolerance test, so the summation order
@@ -160,20 +141,11 @@ def _generative_losses(
     is checked before its logarithm is taken."""
     sentences = _checked_sentences(backend, sentences)
     ends = sentence_ends(sentences, backend.capabilities.has_terminal_token)
-    scores = backend.score_sentences(image_id, region, sentences)
-    try:
-        p, total = scores
-    except (TypeError, ValueError):
-        raise NormalizationError(
-            f"backend returned {_describe(scores)}, expected two arrays (p, total)"
-        ) from None
     n = ends[-1]
-    for name, array in (("p", p), ("total", total)):
-        if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == 1):
-            raise NormalizationError(
-                f"backend returned {name} as {_describe(array)}, "
-                f"expected a float64 array of shape ({n},)"
-            )
+    p, total = _array_pair(
+        backend.score_sentences(image_id, region, sentences), ("p", "total"), ((n,), (n,))
+    )
+    for array in (p, total):
         if array.size != n:
             raise NormalizationError(
                 f"backend scored {array.size} positions for {len(sentences)} sentences, "
@@ -188,6 +160,33 @@ def _generative_losses(
     terms = [-log(q) for q in p.tolist()]
     rows = [tuple(terms[start:end]) for start, end in zip([0, *ends], ends)]
     return [float(sum(row)) for row in rows], rows
+
+
+def _array_pair(answer, names: tuple[str, str], shapes) -> tuple[np.ndarray, np.ndarray]:
+    """A backend's `answer`, once it is a pair of float64 arrays with the
+    ranks of `shapes`; the caller checks the sizes.  The errors name each
+    array by `names` and give its expected shape, a str dimension there
+    standing for any size."""
+    try:
+        first, second = answer
+    except (TypeError, ValueError):
+        raise NormalizationError(
+            f"backend returned {_describe(answer)}, expected two arrays ({', '.join(names)})"
+        ) from None
+    for name, array, shape in zip(names, (first, second), shapes):
+        if not (
+            isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.ndim == len(shape)
+        ):
+            raise _shape_error(name, array, shape)
+    return first, second
+
+
+def _shape_error(name: str, array, shape: tuple) -> NormalizationError:
+    dims = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+    return NormalizationError(
+        f"backend returned {name} as {_describe(array)}, expected a float64 array of shape ({dims})"
+    )
 
 
 def _describe(value) -> str:
@@ -222,18 +221,15 @@ def _contrastive_losses(
     are computed.
     """
     sentences = _checked_sentences(backend, sentences)
-    image, texts = backend.embed_batch(image_id, region, sentences)
-    if len(texts) != len(sentences):
-        raise NormalizationError(
-            f"backend returned {len(texts)} text embeddings for {len(sentences)} sentences"
-        )
-    f = _embedding_array(image, "image embedding")
-    if f.ndim != 1:
-        raise NormalizationError(f"image embedding has shape {f.shape}, expected a vector")
-    _check_unit_rows(f[None, :], "image embedding")
-    texts = _text_rows(texts, f.size)
+    n = len(sentences)
+    image, texts = _array_pair(
+        backend.embed_batch(image_id, region, sentences), ("image", "texts"), (("d",), (n, "d"))
+    )
+    if texts.shape != (n, image.size):
+        raise _shape_error("texts", texts, (n, image.size))
+    _check_unit_rows(image[None, :], "image embedding")
     _check_unit_rows(texts, "text embedding {}")
-    return [math.sqrt(d.dot(d)) for d in f - texts]
+    return [math.sqrt(d.dot(d)) for d in image - texts]
 
 
 def generative_loss(

@@ -2,9 +2,9 @@
 
 A test writes a reply as the JSON it means, with each ARRAY as
 `wire(values)`: `{"shape": [...], "data": <float64 bytes>}`.  `frame`
-moves each `data` to the binary tail, in header order, and gives its entry
-the `offset` it lands at, unless the entry already names one (a fault).
-`framed_handler` serves such replies through the loopback's handler.
+moves each `data` to the end of the binary tail, in header order, and
+leaves its entry `{"shape": [...]}`.  `framed_handler` serves such replies
+through the loopback's handler.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def frame(reply) -> tuple[dict, bytes]:
         if not isinstance(value, dict):
             return value
         if isinstance(value.get("data"), bytes):
-            entry = {"offset": len(tail), **value}
+            entry = dict(value)
             tail.extend(entry.pop("data"))
             return entry
         return {k: walk(v) for k, v in value.items()}
@@ -53,12 +53,13 @@ def unframe(resp) -> tuple[dict, bytes]:
 
 
 def arrays(tail: bytes, entries) -> list[list[int]]:
-    """The float64 bit patterns of each ARRAY entry of `entries`."""
-    out = []
+    """The float64 bit patterns of each ARRAY entry of `entries`, which
+    hold every ARRAY of the reply, in header order."""
+    out, start = [], 0
     for entry in entries:
-        start = entry["offset"]
-        raw = tail[start : start + 8 * math.prod(entry["shape"])]
-        out.append(np.frombuffer(raw, "<u8").tolist())
+        end = start + 8 * math.prod(entry["shape"])
+        out.append(np.frombuffer(tail[start:end], "<u8").tolist())
+        start = end
     return out
 
 

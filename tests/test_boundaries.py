@@ -293,10 +293,10 @@ def framed(reply) -> tuple[dict, bytes, int]:
 
 
 def mutate_framed(reply, data):
-    """`reply`, framed, with one value of its header (each field, each
-    offset and each shape dimension among them) replaced or deleted, its
-    tail cut and extended with arbitrary bytes, or its header length moved
-    or replaced by a string."""
+    """`reply`, framed, with one value of its header (each field and each
+    shape dimension among them) replaced or deleted, its tail cut and
+    extended with arbitrary bytes, or its header length moved or replaced
+    by a string."""
     header, tail, length = framed(reply)
     kind = data.draw(st.sampled_from(["header", "tail", "length"]), label="kind")
     if kind == "header":
@@ -313,7 +313,7 @@ def mutate_framed(reply, data):
 
 # a sentence of two tokens: three prefixes, each served one distribution of
 # a quarter per token and half for the terminal; mutations reach each field
-# of it, each shape dimension, the offset and each result index
+# of it, each shape dimension and each result index
 LOGPROBS_REPLY = {
     "distributions": [{"tokens": ["a", "b"], "probs": wire([0.25, 0.25]), "terminal_p": 0.5}],
     "results": [0, 0, 0],
@@ -344,7 +344,7 @@ def test_logprobs_reply(replying, data):
     accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
 
 
-# mutations reach each dimension of a shape, each offset and the tail
+# mutations reach each dimension of a shape and the tail
 EMBED_REPLY = {"image": wire([0.6, 0.8]), "texts": wire([[1.0, 0.0], [0.0, 1.0]])}
 EMBED_INSTANCE = RankingInstance(
     image_id="img", anchor_kind=AnchorKind.OBJECT, anchor="cup",

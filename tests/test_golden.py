@@ -2,11 +2,12 @@
 pinned by its sha256.
 
 One run is `gen-world` -> `build-dataset` -> `score` three times on the
-oracle -> `score --backend uniform` -> `score --backend cached` -> one
-remote `score` through a LoopbackServer -> `calibrate` -> `evaluate` ->
-`report`, on a small world, inside a fresh directory given relative paths.
+oracle -> `score --backend uniform` -> `score --backend cached` -> a
+generative and a contrastive remote `score` through a LoopbackServer ->
+`calibrate` -> `evaluate` -> `report`, on a small world, inside a fresh
+directory given relative paths.
 Each `config.json` is digested as sorted JSON without the entries that
-name where the run happened: `out` everywhere, and the remote run's
+name where the run happened: `out` everywhere, and the remote runs'
 `endpoint` (a free port).  A change that alters an artifact on purpose
 updates GOLDEN in the same change, printed by `python tests/test_golden.py`,
 and names each changed file.
@@ -70,6 +71,9 @@ def run_chain(seed: int) -> None:
         _run("score", "--out", "remote", "--instances", "data/instances.jsonl",
              "--backend", "remote", "--endpoint", url, "--terminal",
              "--method", "generative", "--template", "{O} is {A}")
+        _run("score", "--out", "remote_con", "--instances", "data/instances.jsonl",
+             "--backend", "remote", "--endpoint", url,
+             "--method", "contrastive", "--template", "{A} {O}")
     _run("calibrate", "--out", "cal", "--instances", "data/instances.jsonl",
          "--cache", "gen/scores.jsonl", "--lr", "0.3", "--batch-size", "0", "--steps", "60")
     _run("evaluate", "--out", "eval", "--instances", "data/instances.jsonl",
@@ -114,6 +118,8 @@ GOLDEN: dict[int, dict[str, str]] = {
         "merged.jsonl": "08d18e04273bcb0fe143a52142c3edfa29c40c0fa6cc39c739980cc55a71ff9e",
         "remote/config.json": "72fdc1224b8d226a1f3beccca66ad2173e4d83989c3ef9fdcb34c8d6b51d5920",
         "remote/scores.jsonl": "2413257398871c8308619b30d7c230bcd5a896e7bc9a25cfadf462e28b9cf372",
+        "remote_con/config.json": "39c879984e57611ba06f6d139ef1a0a806711553a6c05a4923aa1ab6ee02e4ec",
+        "remote_con/scores.jsonl": "bc45ec14035eb3bc930f6bd1141502124a4cc763cfb6de94c8600ed584e9f8dd",
         "replayed/config.json": "3c1b0380665b2a1c5fd45a24069809a96207caea8cd81ab3107b91a3a147887b",
         "replayed/scores.jsonl": "417dd16c229c90d0501853eac31013e79876c8b5117afb92a84feeb1ac1e8f4b",
         "report/comparison.json": "49a20e74bc135753fa7983c688d61fd4a42dbf7217b84ee29310aaf6e2e6f929",
@@ -147,6 +153,8 @@ GOLDEN: dict[int, dict[str, str]] = {
         "merged.jsonl": "5ca6ccb173bba3b1937a8633800654a9d5114959160f43069656bc772d1b1c0f",
         "remote/config.json": "72fdc1224b8d226a1f3beccca66ad2173e4d83989c3ef9fdcb34c8d6b51d5920",
         "remote/scores.jsonl": "6bcb47d96c48f13b8fb71c1367ff70fe37e92ae29f69e926bac1da760520ff8b",
+        "remote_con/config.json": "39c879984e57611ba06f6d139ef1a0a806711553a6c05a4923aa1ab6ee02e4ec",
+        "remote_con/scores.jsonl": "a286f15e77f547b4f608b5278f1619bde003c0bcdf9521e7e1553ed1806a00b9",
         "replayed/config.json": "3c1b0380665b2a1c5fd45a24069809a96207caea8cd81ab3107b91a3a147887b",
         "replayed/scores.jsonl": "3b90765acc47e1638b50e079f04a3406a7c043a48dfdf8802adb87b5e6fa1a7e",
         "report/comparison.json": "86ce5dac536764e2a20f1618e8d956ad4ceed3c2ad9273088720caccd34713fa",

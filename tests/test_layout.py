@@ -84,6 +84,22 @@ def test_one_generative_primitive():
     assert "next_token_distributions" not in (PACKAGE / "scoring.py").read_text(encoding="utf-8")
 
 
+def test_the_engine_never_converts_a_backend_answer():
+    # scoring.py checks the arrays a backend returns and rejects any other
+    # form; np.asarray or np.array there would turn bools, numeric strings
+    # or lists into floats that score
+    calls = {
+        f"{node.func.value.id}.{node.func.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse((PACKAGE / "scoring.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in ("asarray", "array")
+    }
+    assert not calls
+
+
 def _is_dataclass(node):
     decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
     return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)

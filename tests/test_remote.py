@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import socket
 import sys
 import threading
@@ -395,14 +396,15 @@ def ask_embedding(remote):
          r"no distributions\[0\]\.probs array"),
         (logprobs(entry({"a": 1.0}, terminal_p="none")), ask_distribution, "terminal_p"),
         (logprobs(entry({"a": 0.5, "b": 0.5}, probs={"shape": [2], "data": ["0.5", 0.5]})),
-         ask_distribution, r"distributions\[0\]\.probs offset of None"),
+         ask_distribution, r"0 bytes of distributions\[0\]\.probs data for shape \[2\]"),
         (logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "shape": [True]})), ask_distribution,
          r"no distributions\[0\]\.probs array"),
         (logprobs(entry({"a": 1.0}, terminal_p=False)), ask_distribution, "terminal_p"),
         (logprobs(entry({"a": 1.0}, terminal_p=10**400)), ask_distribution,  # past the float range
          "terminal_p"),
         (logprobs("oops"), ask_distribution, r"distributions\[0\] that is not an object"),
-        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding, "texts offset of None"),
+        ({"texts": {"shape": [1, 2], "data": ["x", 1.0]}}, ask_embedding,
+         r"0 bytes of texts data for shape \[1, 2\]"),
     ],
 )
 def test_non_numeric_server_output_is_a_transport_error(setup, reply, ask, message):
@@ -462,21 +464,6 @@ def ask_two(remote):
                      r"distributions\[0\]\.probs of 2 for 1 tokens", id="more-probs"),
         pytest.param(logprobs({**HALF, "tokens": ["a", "b", "c"]}, results=[0, 0]),
                      r"distributions\[0\]\.probs of 2 for 3 tokens", id="fewer-probs"),
-        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "offset": "0"}),
-                              results=[0, 0]),
-                     r"distributions\[0\]\.probs offset of '0', not an int >= 0",
-                     id="probs-offset-a-string"),
-        pytest.param(logprobs(HALF, entry({"a": 1.0}, probs={**wire([1.0]), "offset": 8}),
-                              results=[0, 1]),
-                     r"distributions\[1\]\.probs at tail offset 8, not at 16 after "
-                     r"distributions\[0\]\.probs", id="probs-overlapping"),
-        pytest.param(logprobs(HALF, entry({"a": 1.0}, probs={**wire([1.0]), "offset": 24}),
-                              results=[0, 1]),
-                     r"distributions\[1\]\.probs at tail offset 24, not at 16", id="probs-gap"),
-        pytest.param(logprobs(entry({"a": 1.0}, probs={**wire([1.0]), "offset": 8}),
-                              results=[0, 0]),
-                     r"distributions\[0\]\.probs at tail offset 8, not at 0 as the first",
-                     id="probs-not-at-the-start"),
         pytest.param(logprobs(entry({"a": 1.0}, probs=wire([1.0], data=b"\0" * 7)),
                               results=[0, 0]),
                      r"7 bytes of distributions\[0\]\.probs data for shape \[1\]",
@@ -546,6 +533,49 @@ def test_a_server_that_does_not_dedup_scores_the_same(setup):
         scores.append((repr(scored.scores), scored.per_token))
     assert scores[0] == scores[1]
     assert scores[0][0] == repr(rank_instance(oracle, inst, template, Method.GENERATIVE).scores)
+
+
+def with_offsets(header: dict) -> dict:
+    """`header` with each ARRAY entry also naming the byte offset of its
+    values in the tail, as framed replies once did."""
+    end = 0
+
+    def walk(value):
+        nonlocal end
+        if isinstance(value, list):
+            return [walk(v) for v in value]
+        if not isinstance(value, dict):
+            return value
+        if "shape" in value:
+            entry = {**value, "offset": end}
+            end += 8 * math.prod(value["shape"])
+            return entry
+        return {k: walk(v) for k, v in value.items()}
+
+    return walk(header)
+
+
+@pytest.mark.parametrize("method", [Method.GENERATIVE, Method.CONTRASTIVE])
+def test_an_offset_a_server_still_sends_is_ignored(setup, method):
+    _, _, oracle, instances = setup
+    template = parse_template("{O} is {A}")
+    sent = []
+
+    class NamesOffsets(_Handler):
+        def _send(self, status, body, header_length=None):
+            if header_length is not None:
+                header = with_offsets(json.loads(body[:header_length]))
+                sent.append(header)
+                head = json.dumps(header).encode("utf-8")
+                body, header_length = head + body[header_length:], len(head)
+            super()._send(status, body, header_length)
+
+    scored = []
+    for handler in (_Handler, NamesOffsets):
+        with LoopbackServer(oracle, handler=handler) as url:
+            scored.append(rank_instance(remote_for(url, oracle), instances[0], template, method))
+    assert repr(scored[1]) == repr(scored[0])
+    assert sent and all('"offset": 0' in json.dumps(header) for header in sent)
 
 
 def raw_reply(body):
@@ -659,7 +689,6 @@ def test_malformed_embed_reply_is_a_transport_error(setup, reply):
 
 ROWS = [[1.0, 0.0], [0.0, 1.0]]
 ROW_BYTES = np.asarray(ROWS, dtype="<f8").tobytes()
-NOT_AN_OFFSET = "texts offset of .*, not an int >= 0"
 
 
 def with_texts(texts):
@@ -669,27 +698,9 @@ def with_texts(texts):
 @pytest.mark.parametrize(
     "reply, message",
     [
-        pytest.param(with_texts({**TEXTS, "offset": "16"}), NOT_AN_OFFSET, id="offset-a-string"),
-        pytest.param(with_texts({**TEXTS, "offset": None}), NOT_AN_OFFSET, id="offset-null"),
-        pytest.param(with_texts({**TEXTS, "offset": 16.0}), NOT_AN_OFFSET, id="offset-a-float"),
-        pytest.param(with_texts({**TEXTS, "offset": -16}), NOT_AN_OFFSET, id="offset-negative"),
-        pytest.param(with_texts({**TEXTS, "offset": 10**400}),
-                     "texts at tail offset 10{400}, not at 16", id="offset-huge"),
         pytest.param(
-            with_texts({"shape": [2, 2], "data": list(ROW_BYTES)}), NOT_AN_OFFSET,
-            id="data-a-list",
-        ),
-        pytest.param(
-            with_texts({**TEXTS, "offset": 24}), "texts at tail offset 24, not at 16 after image",
-            id="gap",
-        ),
-        pytest.param(
-            with_texts({**TEXTS, "offset": 8}), "texts at tail offset 8, not at 16 after image",
-            id="overlap",
-        ),
-        pytest.param(
-            {"texts": TEXTS, "image": IMAGE},
-            "image at tail offset 32, not at 0 as the first array", id="texts-before-image",
+            with_texts({"shape": [2, 2], "data": list(ROW_BYTES)}),
+            r"0 bytes of texts data for shape \[2, 2\]", id="data-a-list",
         ),
         pytest.param(with_texts(wire(ROWS, shape=[4])), "no texts array of 2", id="rank-1"),
         pytest.param(with_texts(wire(ROWS, shape=[2, 1, 2])), "no texts array of 2", id="rank-3"),
@@ -724,12 +735,8 @@ def with_texts(texts):
         pytest.param({"texts": TEXTS}, "no image array", id="image-missing"),
         pytest.param({"image": None, "texts": TEXTS}, "no image array", id="image-null"),
         pytest.param(
-            {"image": {**IMAGE, "offset": True}, "texts": TEXTS}, "image offset of True",
-            id="image-offset-a-bool",
-        ),
-        pytest.param(
             {"image": wire([0.6, 0.8], shape=[3]), "texts": TEXTS},
-            "texts at tail offset 16, not at 24 after image", id="image-short",
+            r"24 bytes of texts data for shape \[2, 2\]", id="image-short",
         ),
         pytest.param(
             {"image": wire([0.6, 0.8], shape=[3])}, r"16 bytes of image data for shape \[3\]",
@@ -822,11 +829,11 @@ def test_a_malformed_frame_is_a_transport_error_carrying_the_header_text(setup, 
         ),
         pytest.param(
             {"image": {"shape": [2], "data": [True, 0.0]}, "texts": wire([[1.0, 0.0]])},
-            "image offset of None", id="image-data-a-list",
+            r"0 bytes of texts data for shape \[1, 2\]", id="image-data-a-list",
         ),
         pytest.param(
             {"image": wire([1.0, 0.0]), "texts": {"shape": [1, 2], "data": ["1.0", False]}},
-            "texts offset of None", id="texts-data-a-list",
+            r"0 bytes of texts data for shape \[1, 2\]", id="texts-data-a-list",
         ),
     ],
 )
@@ -1060,9 +1067,9 @@ def test_backend_output_the_wire_cannot_carry_gets_500(dist, error):
 def served_from(reply: dict, tail: bytes) -> list[tuple]:
     """Each query's distribution in a /v1/logprobs reply's header and tail,
     as (tokens, probs as float64 bit patterns, terminal_p)."""
-    dists = [reply["distributions"][i] for i in reply["results"]]
+    dists = reply["distributions"]
     probs = arrays(tail, [dist["probs"] for dist in dists])
-    return [(d["tokens"], bits, d.get("terminal_p")) for d, bits in zip(dists, probs)]
+    return [(dists[i]["tokens"], probs[i], dists[i].get("terminal_p")) for i in reply["results"]]
 
 
 def served_in_process(dists) -> list[tuple]:
@@ -1158,8 +1165,8 @@ def test_a_bench_sized_embed_reply_is_raw_float64():
     # the image and 50 sentences, 241 float64s each, and nothing else
     assert len(tail) == 51 * 241 * 8
     reply = json.loads(head)
-    assert reply["image"] == {"shape": [241], "offset": 0}
-    assert reply["texts"] == {"shape": [50, 241], "offset": 241 * 8}
+    assert reply["image"] == {"shape": [241]}
+    assert reply["texts"] == {"shape": [50, 241]}
     assert len(head) < 200
 
 

@@ -126,7 +126,11 @@ def test_short_embedding_batch_from_the_backend_is_rejected():
             return image, texts[:-1]
 
     backend = DropsLast(tiny_world(), [one_cat_scene()])
-    with pytest.raises(NormalizationError, match="returned 0 text embeddings for 1 sentences"):
+    with pytest.raises(
+        NormalizationError,
+        match=r"backend returned texts as an array of dtype float64 and shape \(0, 9\), "
+        r"expected a float64 array of shape \(1, 9\)",
+    ):
         contrastive_loss(backend, "s0", None, ("cat",))
 
 
@@ -214,11 +218,50 @@ def _scaled_row(texts, i, factor):
     return texts
 
 
+class ShortRowPerItem(OracleBackend):
+    """Reaches the engine through the base class's embed_batch, and embeds
+    a sentence that ends in a1 one value short."""
+
+    embed_batch = ScorerBackend.embed_batch
+
+    def embed_text(self, tokens):
+        row = super().embed_text(tokens)
+        return row[:-1] if tokens[-1] == "a1" else row
+
+
+IMAGE_FORM = r"backend returned image as {}, expected a float64 array of shape \(d,\)"
+TEXTS_FORM = r"backend returned texts as {}, expected a float64 array of shape \(2, {}\)"
+# faults of the whole answer: the engine converts nothing, so a bool, string,
+# list or float32 form is rejected even where its values would score
 BAD_EMBED_BATCHES = {
-    "width": (lambda f, G: (f, G[:, :-1]), r"text embedding 0 has shape \(8,\), expected \(9,\)"),
-    "ragged": (lambda f, G: (f, [G[0], G[1][:-1]]), r"text embedding 1 has shape \(8,\)"),
-    "non_numeric": (lambda f, G: (f, [G[0], ["x"] * 9]), "text embedding 1 is not numeric"),
-    "image_2d": (lambda f, G: ([[1.0, 0.0]], G), r"image embedding has shape \(1, 2\)"),
+    "width": (
+        lambda f, G: (f, G[:, :-1]),
+        TEXTS_FORM.format(r"an array of dtype float64 and shape \(2, 8\)", 9),
+    ),
+    "ragged": (lambda f, G: (f, [G[0], G[1][:-1]]), TEXTS_FORM.format("a list", "d")),
+    "non_numeric": (lambda f, G: (f, [G[0], ["x"] * 9]), TEXTS_FORM.format("a list", "d")),
+    "image_2d": (lambda f, G: ([[1.0, 0.0]], G), IMAGE_FORM.format("a list")),
+    # one-hot, so a unit vector once converted
+    "bools": (
+        lambda f, G: (np.arange(f.size) == 0, G),
+        IMAGE_FORM.format(r"an array of dtype bool and shape \(9,\)"),
+    ),
+    "numeric_strings": (
+        lambda f, G: (f, G.astype(str)),
+        TEXTS_FORM.format(r"an array of dtype <U\d+ and shape \(2, 9\)", "d"),
+    ),
+    "list": (lambda f, G: (f.tolist(), G), IMAGE_FORM.format("a list")),
+    "float32": (
+        lambda f, G: (f, G.astype(np.float32)),
+        TEXTS_FORM.format(r"an array of dtype float32 and shape \(2, 9\)", "d"),
+    ),
+    "non_pair": (
+        lambda f, G: f,
+        r"backend returned an array of dtype float64 and shape \(9,\), "
+        r"expected two arrays \(image, texts\)",
+    ),
+    # no fault: ShortRowPerItem's rows, which the base class cannot stack
+    "per_item_widths": (None, "backend's text embeddings do not stack"),
     "image_norm": (lambda f, G: (2 * f, G), "image embedding has norm 2.000000000"),
     "nan_row": (lambda f, G: (f, _scaled_row(G, 1, math.nan)), "text embedding 1 has norm nan"),
     "non_unit_row": (
@@ -230,12 +273,38 @@ BAD_EMBED_BATCHES = {
 @pytest.mark.parametrize("kind", BAD_EMBED_BATCHES)
 def test_malformed_embedding_batch_is_a_normalization_error(kind):
     fault, message = BAD_EMBED_BATCHES[kind]
-    backend = FaultyEmbedBatch(fault)
+    backend = FaultyEmbedBatch(fault) if fault else ShortRowPerItem(tiny_world(), [one_cat_scene()])
     assert len(backend.vocab_order) == 9  # the widths in the messages
     with pytest.raises(NormalizationError, match=message):
         rank_instance(
             backend, nan_instance(("a0", "a1")), parse_template("{O} is {A}"),
             Method.CONTRASTIVE,
+        )
+
+
+class BoolsAndStrings(ScorerBackend):
+    """Embeds every image as [True, False] and every sentence as
+    ["1.0", "0"], unit vectors at distance 0 once converted to floats."""
+
+    def __init__(self, as_arrays):
+        self.as_arrays = as_arrays
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        raise AssertionError("the engine asks for embeddings only")
+
+    def embed_batch(self, image_id, region, sentences):
+        image, texts = [True, False], [["1.0", "0"] for _ in sentences]
+        return (np.array(image), np.array(texts)) if self.as_arrays else (image, texts)
+
+
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "arrays"])
+def test_bool_and_string_embeddings_do_not_score(as_arrays):
+    backend = BoolsAndStrings(as_arrays)
+    with pytest.raises(NormalizationError, match="^backend returned image as a"):
+        contrastive_loss(backend, "x", None, ("cat", "a0"))
+    with pytest.raises(NormalizationError, match="^backend returned image as a"):
+        rank_instance(
+            backend, nan_instance(("a0", "a1")), parse_template("{O} {A}"), Method.CONTRASTIVE
         )
 
 
@@ -283,13 +352,17 @@ BAD_SHARED = {
     "missing_terminal": (
         TokenDistribution({"a": 0.5, "b": 0.5}), True, "declares a terminal token"
     ),
-    # an int a float cannot hold sums to inf, not to an OverflowError
-    "huge_int": (TokenDistribution({"a": 10**400, "b": 0.5}), False, "sums to inf"),
+    # an int a float cannot hold fails core's wire rule where it is read,
+    # before the engine judges its total (inf)
+    "huge_int": (TokenDistribution({"a": 10**400, "b": 0.5}), False, "non-numeric"),
 }
 BAD_MESSAGES = {
     "sums to 0.500000000": "distribution for prefix {} sums to 0.500000000",
     "sums to nan": "distribution for prefix {} sums to nan",
-    "sums to inf": "distribution for prefix {} sums to inf",
+    "non-numeric": (
+        f"backend served a non-numeric probability {10**400!r} "
+        "for token 'a' at position {position} of ['a', 'b', 'a']"
+    ),
     "negative probability": "negative probability for prefix {}",
     "declares a terminal token": "backend declares a terminal token but served none for {}",
 }
@@ -303,7 +376,8 @@ def test_a_shared_bad_distribution_fails_at_its_first_prefix(case, good_root):
     first = ["a"] if good_root else []
     with pytest.raises(NormalizationError) as err:
         generative_loss(backend, "x", None, ("a", "b", "a"))
-    assert str(err.value) == BAD_MESSAGES[kind].format(first)
+    # with a good root, the bad object is read first at ('a', 'b'), for the second 'a'
+    assert str(err.value) == BAD_MESSAGES[kind].format(first, position=2 if good_root else 0)
 
 
 def test_a_shared_distribution_is_checked_once(monkeypatch):
