@@ -578,6 +578,26 @@ def test_an_offset_a_server_still_sends_is_ignored(setup, method):
     assert sent and all('"offset": 0' in json.dumps(header) for header in sent)
 
 
+# each was a fault while an ARRAY named its offset; now the key is unknown
+# and the arrays are read back to back in header order whatever it says
+@pytest.mark.parametrize(
+    "offset",
+    [
+        pytest.param("0", id="probs-offset-a-string"),
+        pytest.param(8, id="probs-overlapping"),
+        pytest.param(24, id="probs-gap"),
+    ],
+)
+def test_a_logprobs_offset_is_ignored_whatever_it_says(setup, offset):
+    _, _, backend, _ = setup
+    got = []
+    for probs in (wire([1.0]), {**wire([1.0]), "offset": offset}):
+        reply = logprobs(HALF, entry({"a": 1.0}, probs=probs), results=[0, 1])
+        with LoopbackServer(backend, handler=fixed_reply(reply)) as url:
+            got.append(repr(ask_two(remote_for(url, backend))))
+    assert got[1] == got[0]
+
+
 def raw_reply(body):
     """A handler that answers every POST with a framed reply whose header
     is `body` as JSON, as it is, and whose tail is empty."""
@@ -693,6 +713,31 @@ ROW_BYTES = np.asarray(ROWS, dtype="<f8").tobytes()
 
 def with_texts(texts):
     return {"image": IMAGE, "texts": texts}
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(with_texts({**TEXTS, "offset": "16"}), id="offset-a-string"),
+        pytest.param(with_texts({**TEXTS, "offset": None}), id="offset-null"),
+        pytest.param(with_texts({**TEXTS, "offset": 16.0}), id="offset-a-float"),
+        pytest.param(with_texts({**TEXTS, "offset": -16}), id="offset-negative"),
+        pytest.param(with_texts({**TEXTS, "offset": 10**400}), id="offset-huge"),
+        pytest.param(with_texts({**TEXTS, "offset": 24}), id="gap"),
+        pytest.param(with_texts({**TEXTS, "offset": 8}), id="overlap"),
+        pytest.param({"image": {**IMAGE, "offset": True}, "texts": TEXTS},
+                     id="image-offset-a-bool"),
+    ],
+)
+def test_an_embed_offset_is_ignored_whatever_it_says(setup, reply):
+    _, _, backend, _ = setup
+    got = []
+    for served in (with_texts(TEXTS), reply):
+        with LoopbackServer(backend, handler=fixed_reply(served)) as url:
+            image, texts = embed_pair(remote_for(url, backend))
+        got.append((image.tobytes(), texts.tobytes(), texts.shape))
+    assert got[1] == got[0]
+    assert np.frombuffer(got[0][1], "<f8").tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize(
