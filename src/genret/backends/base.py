@@ -5,16 +5,13 @@ The generative side has two methods:
 
 - `score_sentences(image_id, region, sentences)` is what the scoring
   engine calls, once per instance.  It returns `(p, total)`, two 1-D
-  float64 arrays over every position of every sentence, in order: p is the
-  probability of the token the sentence realizes there given the image and
-  the tokens before it, and total is the mass of that position's whole
-  distribution (which a normalized backend serves as 1).  A backend that
-  declares a terminal token adds one last position to each sentence, the
-  end-of-sentence probability after the whole sentence.  So both arrays
-  have `sum(len(s) + has_terminal for s in sentences)` entries, and
-  sentence k's positions run up to `sentence_ends(...)[k]`.  The engine
-  checks both arrays whole (shape, totals within NORM_TOL, 0 < p <= total)
-  before it takes a logarithm.
+  float64 arrays with an entry for each position of each sentence in
+  order, and one more for each sentence's end-of-sentence probability when
+  the backend declares a terminal token: p is the probability of the token
+  realized there given the image and the tokens before it, and total the
+  mass of that position's whole distribution (1 for a normalized backend).
+  The engine checks both arrays whole (shape, totals within NORM_TOL,
+  0 < p <= total) before it takes a logarithm.
 - `next_token_distributions(image_id, region, prefixes)` returns whole
   next-token distributions, one per prefix, and may return one object for
   many prefixes; it is the one abstract method, and what the `/v1/logprobs`
@@ -24,27 +21,32 @@ The default `score_sentences` is an adapter over `next_token_distributions`,
 so a backend that can only serve whole distributions (the remote client, the
 uniform backend, test doubles and proxies) implements nothing more.  It asks
 once for every distinct prefix the sentences need (sentences of a template
-family share most of theirs), checks each distinct distribution object it
-is served once, at the first prefix that object answers, and reads the
-realized entries, each of which must pass core's wire rule (`non_numbers`:
-no bool, no string, no int a float cannot hold).  The check covers only
-what the engine cannot see in the two arrays: a declared terminal that was
-not served, and a negative entry (which may be one no sentence realizes).
-Each distribution's total goes into the `total` array, and the engine
-judges it there.  The remote client builds one object per distribution a
-reply lists, so over the wire too each shared distribution is checked
-once.  A backend that can reach the realized tokens directly (the oracle
-walks its caption trie) overrides it and serves no V-sized distributions
-at all.
+family share most of theirs) and checks each distinct object it is served
+once, at the first prefix that object answers: `check_served`, then what
+the engine cannot see in the two arrays, a declared terminal that was not
+served and a negative entry (which may be one no sentence realizes).  Each
+distribution's total goes into the `total` array, and the engine judges it
+there.  The remote client builds one object per distribution a reply
+lists, so over the wire too each shared distribution is checked once.  A
+backend that can reach the realized tokens directly (the oracle walks its
+caption trie) overrides it and serves no V-sized distributions at all.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
 the first contrastive request.  The engine asks for embeddings through
 `embed_batch(image_id, region, sentences)`, which returns `(image, texts)`,
 two float64 arrays of shape (d,) and (n, d), one row per sentence in order
-((0, d) for no sentences).  The engine checks the pair, dtypes, shapes and
-unit norms whole.  The default `embed_batch` makes one `embed_image` and
-one `embed_text` call per sentence and stacks the rows.
+((0, d) for no sentences); it checks the pair with `array_pair`, then the
+shapes and unit norms.  The default `embed_batch` makes one `embed_image`
+and one `embed_text` call per sentence and stacks the rows with
+`stacked_rows`.
+
+The answer rule is written once, here, and nothing converts an answer:
+`check_served` takes a distribution whose tokens are strings and whose
+probabilities pass core's wire rule, `array_pair` a pair of float64
+arrays, `stacked_rows` float64 rows of one shape; anything else is a
+NormalizationError.  The engine and the loopback server both call them,
+so a backend scores over the wire exactly as it does in process.
 Capabilities say how to read a backend's answers.  Its one flag,
 has_terminal_token, means each sentence's scores end with the
 end-of-sentence probability (served distributions carry one), and
@@ -55,11 +57,9 @@ parallelism 1, the default.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,10 +89,8 @@ class TokenDistribution:
     terminal_p: float | None = None
 
     def total(self) -> float:
-        try:
-            return sum(self.probs.values(), 0.0) + (self.terminal_p or 0.0)
-        except OverflowError:  # an int a float cannot hold: the check sees inf
-            return math.inf
+        # the entries as the floats the wire carries, summed in order
+        return sum(map(float, self.probs.values()), 0.0) + float(self.terminal_p or 0.0)
 
 
 class ScorerBackend(ABC):
@@ -127,11 +125,7 @@ class ScorerBackend(ABC):
             for i in range(last):
                 needed.setdefault(s[:i], None)
         prefixes = list(needed)
-        served = list(self.next_token_distributions(image_id, region, prefixes))
-        if len(served) != len(prefixes):
-            raise NormalizationError(
-                f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
-            )
+        served = served_distributions(self, image_id, region, prefixes)
         dists = dict(zip(prefixes, served))
         totals: dict[int, float] = {}  # id of each checked object -> its total; all stay alive
         for prefix, dist in dists.items():
@@ -152,15 +146,6 @@ class ScorerBackend(ABC):
                 dist = dists[s]
                 p.append(dist.terminal_p)
                 total.append(totals[id(dist)])
-        bad = non_numbers(p)
-        if bad:
-            # the first position holding the first failing object
-            flat = next(j for j, q in enumerate(p) if q is bad[0])
-            s, i = locate(sentences, sentence_ends(sentences, has_terminal), flat)
-            raise NormalizationError(
-                f"backend served a non-numeric probability {bad[0]!r} "
-                f"for {position_name(s, i)} of {list(s)}"
-            )
         return np.array(p, dtype=float), np.array(total, dtype=float)
 
     def embed_image(self, image_id: str, region) -> np.ndarray:
@@ -180,40 +165,50 @@ class ScorerBackend(ABC):
         sentences' embeddings in order, shape (n, d), as float64 arrays.
 
         This default makes one `embed_image` and one `embed_text` call per
-        sentence and stacks the rows as they are; rows that do not stack
-        are a NormalizationError.  Backends with per-call overhead (the
-        oracle, the remote client) override it.
+        sentence and stacks the rows with `stacked_rows`.  Backends with
+        per-call overhead (the oracle, the remote client) override it.
         """
         image = self.embed_image(image_id, region)
         if not sentences:
             return image, np.empty((0, np.size(image)))
-        try:
-            return image, np.stack([self.embed_text(s) for s in sentences])
-        except ValueError as exc:
-            raise NormalizationError(f"backend's text embeddings do not stack: {exc}") from None
+        return image, stacked_rows([self.embed_text(s) for s in sentences])
 
 
-def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
-    """The flat index one past each sentence's last position."""
-    return list(accumulate(len(s) + has_terminal for s in sentences))
+def served_distributions(backend, image_id: str, region, prefixes) -> list[TokenDistribution]:
+    """`backend`'s distributions for `prefixes`, once it served one each."""
+    served = list(backend.next_token_distributions(image_id, region, prefixes))
+    if len(served) != len(prefixes):
+        raise NormalizationError(
+            f"backend returned {len(served)} distributions for {len(prefixes)} prefixes"
+        )
+    return served
 
 
-def locate(sentences: Sequence[tuple[str, ...]], ends: list[int], flat: int):
-    """The sentence holding flat position `flat`, and the position in it."""
-    k = bisect_right(ends, flat)
-    return sentences[k], flat - (ends[k - 1] if k else 0)
-
-
-def position_name(sentence: tuple[str, ...], i: int) -> str:
-    if i < len(sentence):
-        return f"token {sentence[i]!r} at position {i}"
-    return "the terminal token"
+def check_served(dist: TokenDistribution, prefix) -> None:
+    """Raise a NormalizationError naming `prefix` unless every token of the
+    served `dist` is a string and every probability, terminal_p included,
+    passes core's wire rule (no bool, string, Fraction or int past the
+    float range)."""
+    if not all(map(isinstance, dist.probs, repeat(str))):
+        token = next(t for t in dist.probs if not isinstance(t, str))
+        raise NormalizationError(
+            f"backend served a non-string token {token!r} for prefix {list(prefix)}"
+        )
+    values = list(dist.probs.values())
+    if dist.terminal_p is not None:
+        values.append(dist.terminal_p)
+    bad = non_numbers(values)
+    if bad:
+        raise NormalizationError(
+            f"backend served a non-numeric probability {bad[0]!r} for prefix {list(prefix)}"
+        )
 
 
 def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> float:
-    """A served distribution's total, once it served a declared terminal
-    and no negative entry; the errors name `prefix`.  The engine judges the
-    total."""
+    """A served distribution's total, once it passed `check_served` and
+    served a declared terminal and no negative entry; the errors name
+    `prefix`.  The engine judges the total."""
+    check_served(dist, prefix)
     if has_terminal and dist.terminal_p is None:
         raise NormalizationError(
             f"backend declares a terminal token but served none for {list(prefix)}"
@@ -222,6 +217,52 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> 
     if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
     return dist.total()
+
+
+def array_pair(answer, names: tuple[str, str], shapes) -> tuple[np.ndarray, np.ndarray]:
+    """A backend's `answer`, once it is a pair of float64 arrays with the
+    ranks of `shapes`; the caller checks the sizes.  The errors name each
+    array by `names` and give its expected shape (a str dimension: any)."""
+    try:
+        first, second = answer
+    except (TypeError, ValueError):
+        raise NormalizationError(
+            f"backend returned {_describe(answer)}, expected two arrays ({', '.join(names)})"
+        ) from None
+    return _checked_array(names[0], first, shapes[0]), _checked_array(names[1], second, shapes[1])
+
+
+def _checked_array(name: str, array, shape: tuple) -> np.ndarray:
+    """`array`, once it is a float64 array of the rank of `shape`."""
+    if not (
+        isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == len(shape)
+    ):
+        raise shape_error(name, array, shape)
+    return array
+
+
+def stacked_rows(rows: Sequence) -> np.ndarray:
+    """Per-item text embeddings as one (n, d) array, once each is a float64
+    array of shape (d,), one d for all; the rows are not converted."""
+    for i, row in enumerate(rows):
+        _checked_array(f"text embedding {i}", row, ("d",))
+    try:
+        return np.stack(rows)
+    except ValueError as exc:
+        raise NormalizationError(f"backend's text embeddings do not stack: {exc}") from None
+
+
+def shape_error(name: str, array, shape: tuple) -> NormalizationError:
+    dims = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+    return NormalizationError(
+        f"backend returned {name} as {_describe(array)}, expected a float64 array of shape ({dims})"
+    )
+
+
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"an array of dtype {value.dtype} and shape {value.shape}"
+    return f"a {type(value).__name__}"
 
 
 class SentenceScoreSource(ABC):

@@ -20,12 +20,12 @@ that is neither null nor 4 finite numbers, a query that is not an object,
 a prefix or `texts` entry that is not a list of strings) and requests the
 backend rejects (an embed request to a backend without a contrastive side
 among them) get 400, and so does a Content-Length that is not an int >= 0,
-before any of the body is read.  A fault of the backend itself gets 500:
-any other exception it raises, an embedding it returns that is not a
-numeric array (ragged or non-numeric rows), a distribution with a token
-that is not a string or a probability that fails core's wire rule (such as
-a Fraction or a string), and an answer JSON cannot encode; the message
-names that output.
+before any of the body is read.  A fault of the backend itself gets 500,
+the message naming it: any other exception it raises, and any answer the
+engine would reject by base.py's answer rule (`check_served`, `array_pair`,
+`stacked_rows`), checked by the same functions.  What passes is framed as
+it is, with terminal_p as a float, so the client scores what the engine
+would in process.
 
 The server speaks HTTP/1.1, so a client keeps a connection open for its
 next request (a `requests.Session` one per thread that posts through it),
@@ -50,20 +50,10 @@ from itertools import repeat
 
 import numpy as np
 
-from ..core import checked_region, non_numbers
-from ..errors import GenretError, SchemaError
+from ..core import checked_region
+from ..errors import GenretError, NormalizationError, SchemaError
+from .base import array_pair, check_served, served_distributions, stacked_rows
 from .remote import HEADER_LENGTH
-
-
-class _BackendOutputError(Exception):
-    """The served backend answered with something the wire cannot carry."""
-
-
-def _float_array(value, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype="<f8")
-    except (TypeError, ValueError) as exc:
-        raise _BackendOutputError(f"backend returned a malformed {what}: {exc}") from None
 
 
 class _Frame:
@@ -74,9 +64,9 @@ class _Frame:
         self._chunks: list[bytes] = []
 
     def array(self, array: np.ndarray) -> dict:
-        """The ARRAY entry of `array`, whose little-endian float64 bytes in
-        C order go at the end of the tail."""
-        self._chunks.append(array.tobytes())
+        """The ARRAY entry of `array`, a checked float64 array, whose
+        little-endian bytes in C order go at the end of the tail."""
+        self._chunks.append(array.astype("<f8", copy=False).tobytes())
         return {"shape": list(array.shape)}
 
     def body(self, header: dict) -> tuple[bytes, int]:
@@ -86,53 +76,44 @@ class _Frame:
         return b"".join([head, *self._chunks]), len(head)
 
 
-def _logprobs_reply(request_id, dists: list) -> tuple[bytes, int]:
+def _logprobs_reply(request_id, prefixes: list, dists: list) -> tuple[bytes, int]:
     """The framed /v1/logprobs reply: each distinct object of `dists` once,
-    in order of first use, and each query's index into them.  `dists` holds
-    every object for the whole call, so no id is reused while it keys them."""
+    checked at the first of `prefixes` it answers, and each query's index
+    into them.  `dists` holds every object, so no id is reused meanwhile."""
     frame = _Frame()
     index: dict[int, int] = {}
     distributions, results = [], []
-    for dist in dists:
+    for prefix, dist in zip(prefixes, dists):
         i = index.get(id(dist))
         if i is None:
+            check_served(dist, prefix)
             i = index[id(dist)] = len(distributions)
-            distributions.append(_wire_distribution(dist, frame))
+            probs = np.array(list(dist.probs.values()), dtype=float)
+            entry = {"tokens": list(dist.probs), "probs": frame.array(probs)}
+            if dist.terminal_p is not None:
+                entry["terminal_p"] = float(dist.terminal_p)
+            distributions.append(entry)
         results.append(i)
     header = {"request_id": request_id, "distributions": distributions, "results": results}
-    try:
-        return frame.body(header)
-    except (TypeError, ValueError) as exc:
-        raise _BackendOutputError(f"backend returned output JSON cannot encode: {exc}") from None
+    return frame.body(header)
 
 
-def _wire_distribution(dist, frame: _Frame) -> dict:
-    tokens, values = list(dist.probs), list(dist.probs.values())
-    if not all(map(isinstance, tokens, repeat(str))):
-        raise _BackendOutputError("backend returned a distribution with a non-string token")
-    terminal = dist.terminal_p
-    bad = non_numbers(values if terminal is None else [*values, terminal])
-    if bad:
-        raise _BackendOutputError(f"backend returned a non-numeric probability: {bad[0]!r}")
-    entry = {"tokens": tokens, "probs": frame.array(_float_array(values, "distribution"))}
-    if terminal is not None:
-        entry["terminal_p"] = terminal
-    return entry
-
-
-def _embed_reply(backend, request_id, image_id, region, texts) -> tuple[bytes, int]:
+def _embed_reply(backend, request_id, image_id, region, sentences) -> tuple[bytes, int]:
     """The framed /v1/embed reply: the image's vector when the request names
-    an image_id, and one row per sentence of `texts`."""
-    if image_id is None and not texts:
+    an image_id, and one row per sentence."""
+    if image_id is None and not sentences:
         raise ValueError("an embed request needs an image_id or texts")
     frame = _Frame()
     header = {"request_id": request_id}
     if image_id is not None:
-        image, vecs = backend.embed_batch(image_id, region, texts)
-        header["image"] = frame.array(_float_array(image, "image embedding"))
+        image, texts = array_pair(
+            backend.embed_batch(image_id, region, sentences), ("image", "texts"),
+            (("d",), (len(sentences), "d")),
+        )
+        header["image"] = frame.array(image)
     else:
-        vecs = [backend.embed_text(t) for t in texts]
-    header["texts"] = frame.array(_float_array(vecs, "text embedding batch"))
+        texts = stacked_rows([backend.embed_text(s) for s in sentences])
+    header["texts"] = frame.array(texts)
     return frame.body(header)
 
 
@@ -198,11 +179,12 @@ class _Handler(BaseHTTPRequestHandler):
         backend = self.server.backend  # type: ignore[attr-defined]
         try:
             if self.path == "/v1/logprobs":
-                dists = list(backend.next_token_distributions(image_id, region, prefixes))
-                body, header_length = _logprobs_reply(request_id, dists)
+                dists = served_distributions(backend, image_id, region, prefixes)
+                body, header_length = _logprobs_reply(request_id, prefixes, dists)
             else:
                 body, header_length = _embed_reply(backend, request_id, image_id, region, texts)
-        except _BackendOutputError as exc:
+        except NormalizationError as exc:
+            # base.py's checks of what the backend answered
             self._reply(500, {"error": str(exc)})
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for

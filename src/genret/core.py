@@ -12,8 +12,8 @@ Everything downstream, render included, takes words as given and compares
 them by plain string equality.
 
 Every number rule lives here: DOMAINS for parameters, is_finite_number and
-non_finite for files, whose numbers must be finite, and non_numbers for the
-/v1/logprobs terminal_p, which the scoring engine judges (every other wire
+non_finite for files, whose numbers must be finite, and non_numbers for
+served probabilities and the /v1/logprobs terminal_p (every other wire
 number crosses as float64 bytes, which hold nothing else).
 
 The file helpers at the end are the one on-disk format: every write is
@@ -78,10 +78,10 @@ def is_int(value: object) -> bool:
 def non_numbers(values: Collection) -> list:
     """The wire rule for /v1/logprobs numbers: the values that are neither
     a float (NaN and the infinities included) nor an int a float can hold,
-    in order.  The client applies it to each terminal_p it reads (served
-    probabilities cross as float64 bytes), and the loopback server to every
-    probability a backend serves before it packs them, so a Fraction, a
-    string or a bool never reaches the wire."""
+    in order.  The client applies it to each terminal_p it reads, and
+    `backends.base.check_served` to every probability a backend serves, in
+    process and in the loopback server alike, so a Fraction, a string or a
+    bool neither scores nor reaches the wire."""
     if set(map(type, values)) <= {float}:
         return []  # the common case, with no loop in Python
     return [v for v in values if not (isinstance(v, float) or (is_int(v) and is_finite_number(v)))]

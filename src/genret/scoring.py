@@ -28,10 +28,10 @@ is asked anything.
 
 Each batch function asks its backend once per image: `score_sentences`
 with every sentence, or `embed_batch` with the image and every sentence.
-Both answer with a pair of float64 arrays (see backends/base.py), and the
-engine checks the answer whole and never converts it: anything but a pair
-of float64 arrays of the expected shapes (a list, a bool or string array,
-a float32 array) is a NormalizationError naming what came back.
+Both answer with a pair of float64 arrays, which the engine takes only
+through base.py's `array_pair`, the answer rule the loopback server
+applies too, and never converts: anything else (a list, a bool, string or
+float32 array) is a NormalizationError naming what came back.
 `score_sentences` returns two flat arrays over every position of every
 sentence, the realized token's probability and that position's total mass;
 the backend shares the work of common prefixes, so the engine neither
@@ -43,10 +43,8 @@ each test written so that a NaN fails it.  The first failing position is
 named, its total judged before its p, and p == 0 is an InfiniteLossError.
 The logs are `math.log` over the checked values, not `np.log`, whose last
 bit differs on some CPUs, and each sentence's loss is the sum of its
-positions' terms, in order.  `embed_batch` returns the image's vector,
-shape (d,), and one row per sentence, shape (n, d); every one of them must
-have unit norm.  A remote backend turns each call into one request
-(`/v1/logprobs` or `/v1/embed`).
+positions' terms, in order.  Every embedding must have unit norm.  A
+remote backend turns each call into one request.
 
 Summed log probabilities favor shorter sentences; the length_normalize flag
 divides the generative value by token count and is off by default;
@@ -62,15 +60,16 @@ monotone transform of the scores.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
 
 from .backends.base import (
-    NORM_TOL, ScorerBackend, SentenceScoreSource, locate, position_name, sentence_ends
+    NORM_TOL, ScorerBackend, SentenceScoreSource, array_pair, shape_error
 )
 from .core import (
     AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, check_parameter, render
@@ -142,7 +141,7 @@ def _generative_losses(
     sentences = _checked_sentences(backend, sentences)
     ends = sentence_ends(sentences, backend.capabilities.has_terminal_token)
     n = ends[-1]
-    p, total = _array_pair(
+    p, total = array_pair(
         backend.score_sentences(image_id, region, sentences), ("p", "total"), ((n,), (n,))
     )
     for array in (p, total):
@@ -155,56 +154,32 @@ def _generative_losses(
     bad = np.flatnonzero(~((np.abs(total - 1.0) <= NORM_TOL) & (0.0 < p) & (p <= total)))
     if bad.size:
         flat = int(bad[0])
-        raise _position_error(*locate(sentences, ends, flat), float(p[flat]), float(total[flat]))
+        raise _position_error(sentences, ends, flat, float(p[flat]), float(total[flat]))
     log = math.log
     terms = [-log(q) for q in p.tolist()]
     rows = [tuple(terms[start:end]) for start, end in zip([0, *ends], ends)]
     return [float(sum(row)) for row in rows], rows
 
 
-def _array_pair(answer, names: tuple[str, str], shapes) -> tuple[np.ndarray, np.ndarray]:
-    """A backend's `answer`, once it is a pair of float64 arrays with the
-    ranks of `shapes`; the caller checks the sizes.  The errors name each
-    array by `names` and give its expected shape, a str dimension there
-    standing for any size."""
-    try:
-        first, second = answer
-    except (TypeError, ValueError):
-        raise NormalizationError(
-            f"backend returned {_describe(answer)}, expected two arrays ({', '.join(names)})"
-        ) from None
-    for name, array, shape in zip(names, (first, second), shapes):
-        if not (
-            isinstance(array, np.ndarray) and array.dtype == np.float64
-            and array.ndim == len(shape)
-        ):
-            raise _shape_error(name, array, shape)
-    return first, second
+def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
+    """The flat index one past each sentence's last position."""
+    return list(accumulate(len(s) + has_terminal for s in sentences))
 
 
-def _shape_error(name: str, array, shape: tuple) -> NormalizationError:
-    dims = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
-    return NormalizationError(
-        f"backend returned {name} as {_describe(array)}, expected a float64 array of shape ({dims})"
-    )
-
-
-def _describe(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"an array of dtype {value.dtype} and shape {value.shape}"
-    return f"a {type(value).__name__}"
-
-
-def _position_error(s: tuple[str, ...], i: int, p: float, total: float) -> GenretError:
-    """The error for position i of sentence s, whose scores failed a check:
-    the total is judged first."""
+def _position_error(
+    sentences: list[tuple[str, ...]], ends: list[int], flat: int, p: float, total: float
+) -> GenretError:
+    """The error for flat position `flat`, whose scores failed a check,
+    named by its sentence and the position in it: the total is judged
+    first."""
+    k = bisect_right(ends, flat)
+    s, i = sentences[k], flat - (ends[k - 1] if k else 0)
     if not abs(total - 1.0) <= NORM_TOL:
         return NormalizationError(f"distribution for prefix {list(s[:i])} sums to {total:.9f}")
+    where = f"token {s[i]!r} at position {i}" if i < len(s) else "the terminal token"
     if p == 0.0:
-        return InfiniteLossError(f"zero probability for {position_name(s, i)}")
-    return NormalizationError(
-        f"probability {p!r} for {position_name(s, i)} is outside [0, {total!r}]"
-    )
+        return InfiniteLossError(f"zero probability for {where}")
+    return NormalizationError(f"probability {p!r} for {where} is outside [0, {total!r}]")
 
 
 def _contrastive_losses(
@@ -222,11 +197,11 @@ def _contrastive_losses(
     """
     sentences = _checked_sentences(backend, sentences)
     n = len(sentences)
-    image, texts = _array_pair(
+    image, texts = array_pair(
         backend.embed_batch(image_id, region, sentences), ("image", "texts"), (("d",), (n, "d"))
     )
     if texts.shape != (n, image.size):
-        raise _shape_error("texts", texts, (n, image.size))
+        raise shape_error("texts", texts, (n, image.size))
     _check_unit_rows(image[None, :], "image embedding")
     _check_unit_rows(texts, "text embedding {}")
     return [math.sqrt(d.dot(d)) for d in image - texts]

@@ -7,7 +7,10 @@ feeds the result through the public reader.  The JSON includes NaN,
 +-Infinity, a `1e400` literal, a 401-digit integer, bools, "1.0" and nested
 lists.  Any other exception fails the test.  Through the CLI, a bad input
 exits non-zero with one `error[` line.  A wire reply is framed, so its
-tests also cut or extend the binary tail, or move the header length.
+tests also cut or extend the binary tail, or move the header length.  The
+last tests draw a backend's answers instead, and score each both in
+process and through the loopback server: the same scores, or a GenretError
+on both sides.
 """
 
 import contextlib
@@ -15,11 +18,14 @@ import copy
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genret import (
     AnchorKind,
@@ -31,6 +37,8 @@ from genret import (
     RankingInstance,
     RemoteBackend,
     ScoredInstance,
+    ScorerBackend,
+    TokenDistribution,
     instance_to_dict,
     parse_scene_graph,
     parse_template,
@@ -412,3 +420,248 @@ def test_loopback_request(serving, path, data):
     )
     if not prefixes_ok or not _token_lists_ok(body.get("texts", [])):
         assert resp.status_code == 400, resp.text
+
+
+# -- one answer rule: a backend scores in process exactly as over the wire ---
+#
+# A differential test (McKeeman, "Differential Testing for Software", 1998):
+# one backend answers what each example sets, and is scored in process and
+# through a LoopbackServer and a RemoteBackend.  Either both give
+# repr-equal scores, or both raise a GenretError.  The draws start from a
+# valid answer and, most of the time, recast or replace a part of it.
+
+
+class _Answering(ScorerBackend):
+    """Answers what the example set: for each prefix, `dists[len(prefix) %
+    len(dists)]`, then `extra` distributions more (or fewer); `pair` from
+    embed_batch, or once `rows` is set, the base class's per-item batch
+    over `image` and `rows[sentence]`."""
+
+    dists, extra = [TokenDistribution({})], 0
+    pair = image = rows = None
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        served = [self.dists[len(p) % len(self.dists)] for p in prefixes]
+        return (served + self.dists[:1] * self.extra)[: len(prefixes) + self.extra]
+
+    def embed_batch(self, image_id, region, sentences):
+        if self.rows is not None:
+            return super().embed_batch(image_id, region, sentences)
+        return self.pair
+
+    def embed_image(self, image_id, region):
+        return self.image
+
+    def embed_text(self, tokens):
+        return self.rows[tokens]
+
+
+class _PerItem(ScorerBackend):
+    """Forwards embed_image and embed_text only, as a tracing proxy does, so
+    the base class's embed_batch asks for each item on its own."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        raise AssertionError("the engine asks for embeddings only")
+
+    def embed_image(self, image_id, region):
+        return self._inner.embed_image(image_id, region)
+
+    def embed_text(self, tokens):
+        return self._inner.embed_text(tokens)
+
+
+@pytest.fixture(scope="module")
+def answering():
+    backend = _Answering()
+    with LoopbackServer(backend) as url:
+        yield backend, RemoteBackend(url, max_retries=0)
+
+
+def _outcome(backend, candidates, method) -> str:
+    instance = RankingInstance(
+        image_id="img", anchor_kind=AnchorKind.OBJECT, anchor="cup",
+        candidates=candidates, positives=frozenset({0}),
+    )
+    try:
+        scored = rank_instance(backend, instance, parse_template("{A}"), method)
+    except GenretError:
+        return "GenretError"
+    return repr((scored.scores, scored.per_token))
+
+
+def _differ(answering, method, candidates, set_answer, per_item=False) -> None:
+    """Score `candidates` in process and over the wire, once `set_answer`
+    set the backend's answer; with `per_item`, each through _PerItem."""
+    backend, remote = answering
+    set_answer(backend)
+    remote.capabilities = backend.capabilities
+    near, far = (_PerItem(backend), _PerItem(remote)) if per_item else (backend, remote)
+    assert _outcome(near, candidates, method) == _outcome(far, candidates, method)
+
+
+CANDIDATES = st.sampled_from([("a",), ("b",), ("a", "b"), ("a b",), ("b", "a b", "a")])
+NUMPY_SCALARS = st.one_of(
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+ANY_NUMBER = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([10**308, 2**1024 - 2**970, 2**1024 - 2**970 - 1, 2**53 + 1, 2**64 + 1]),
+    st.booleans(),
+    st.fractions(max_denominator=7),
+    NUMPY_SCALARS,
+)
+
+
+def _held(value: float):
+    """`value` as a backend may hold it: a value of another type that
+    equals it, or any number at all."""
+    forms = [np.float64(value), np.float32(value), Fraction(value), repr(value)]
+    if value.is_integer():
+        forms += [int(value), np.int64(value), np.uint8(value), bool(value)]
+    return st.sampled_from(forms) | ANY_NUMBER
+
+
+# (p_a, p_b, terminal_p): each sums to one
+NORMALIZED = [
+    (0.5, 0.5, None), (0.25, 0.75, None), (0.1, 0.9, None), (1.0, 0.0, None),
+    (0.25, 0.25, 0.5), (0.5, 0.25, 0.25), (0.75, 0.25, 0.0),
+]
+
+
+def _now_and_then(draw, one_in: int) -> bool:
+    """True once in `one_in` draws."""
+    return not draw(st.integers(0, one_in - 1))
+
+
+@st.composite
+def distributions(draw):
+    """A distribution over "a" and "b", each value a float most of the
+    time, and now and then a token no sentence realizes."""
+    values = [
+        draw(_held(v), label="held") if v is not None and _now_and_then(draw, 5) else v
+        for v in draw(st.sampled_from(NORMALIZED))
+    ]
+    probs = {"a": values[0], "b": values[1]}
+    if _now_and_then(draw, 6):
+        token = draw(st.sampled_from(["c", 2, None, b"c", 0.5]), label="token")
+        probs[token] = draw(st.just(0.0) | _held(0.0), label="value")
+    return TokenDistribution(probs, values[2])
+
+
+@st.composite
+def generative_answers(draw):
+    dists = [draw(distributions()) for _ in range(1 + _now_and_then(draw, 3))]
+    # a backend with a terminal token serves one, most of the time
+    has_terminal = (dists[0].terminal_p is not None) != _now_and_then(draw, 8)
+    extra = draw(st.sampled_from([-1, 1])) if _now_and_then(draw, 8) else 0
+    return dists, has_terminal, extra
+
+
+def _serving(dists, has_terminal, extra):
+    def set_answer(backend):
+        backend.dists, backend.extra = dists, extra
+        backend.capabilities = Capabilities(has_terminal_token=has_terminal)
+    return set_answer
+
+
+@PROPERTY
+@given(answer=generative_answers(), candidates=CANDIDATES)
+# answers the loopback server and the engine once judged by different rules
+@example(answer=([TokenDistribution({"a": 0.5, "b": "x"})], False, 0), candidates=("a",))
+@example(answer=([TokenDistribution({"a": 1.0, "c": Fraction(0)})], False, 0), candidates=("a",))
+@example(answer=([TokenDistribution({"a": 1.0, 2: 0.0})], False, 0), candidates=("a",))
+@example(answer=([TokenDistribution({"a": 1.0}, np.int64(0))], False, 0), candidates=("a",))
+# each int a float can hold, their sum not
+@example(answer=([TokenDistribution({"a": 10**308, "b": 10**308})], False, 0), candidates=("a",))
+def test_a_distribution_scores_alike_in_process_and_over_the_wire(answering, answer, candidates):
+    _differ(answering, Method.GENERATIVE, candidates, _serving(*answer))
+
+
+UNIT = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.8, -0.6)]
+RECASTS = [
+    lambda a: a.astype(np.float32),
+    lambda a: a.astype(np.int64),
+    lambda a: a.astype(bool),
+    lambda a: a.astype(str),
+    lambda a: a.astype(object),
+    lambda a: a.astype(">f8"),
+    lambda a: a.tolist(),
+    lambda a: a[None],
+    lambda a: a[:-1],
+    lambda a: 2 * a,
+    lambda a: np.where(a == a.flat[0], np.nan, a),
+    lambda a: np.asfortranarray(a.T),
+    lambda a: np.repeat(a, 2, axis=-1)[..., ::2],  # a strided view of the same values
+]
+ANY_ARRAY = hnp.arrays(
+    hnp.scalar_dtypes(), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+) | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))
+
+
+@st.composite
+def answered(draw, array: np.ndarray):
+    """`array` most of the time, else recast, or any array at all."""
+    if not _now_and_then(draw, 4):
+        return array
+    return draw(st.sampled_from(RECASTS).map(lambda recast: recast(array)) | ANY_ARRAY)
+
+
+@st.composite
+def embed_cases(draw):
+    """Candidates, and an embed_batch answer for their sentences."""
+    candidates = draw(CANDIDATES)
+    n = len(candidates)
+    image = np.array(draw(st.sampled_from(UNIT)))
+    texts = np.array(draw(st.lists(st.sampled_from(UNIT), min_size=n, max_size=n)))
+    pair = (draw(answered(image)), draw(answered(texts)))
+    if _now_and_then(draw, 8):
+        return candidates, draw(
+            st.sampled_from([pair[0], pair[:1], (*pair, pair[1]), None, "ab", list(pair)])
+        )
+    return candidates, pair
+
+
+@st.composite
+def per_item_cases(draw):
+    """Candidates, an embed_image answer, and each sentence's embed_text
+    answer."""
+    candidates = draw(CANDIDATES)
+    image, *rows = (
+        draw(answered(np.array(draw(st.sampled_from(UNIT))))) for _ in range(len(candidates) + 1)
+    )
+    return candidates, image, {tuple(c.split()): row for c, row in zip(candidates, rows)}
+
+
+def _embedding(pair=None, image=None, rows=None):
+    def set_answer(backend):
+        backend.pair, backend.image, backend.rows = pair, image, rows
+    return set_answer
+
+
+@PROPERTY
+@given(case=embed_cases())
+# an image of [True, False] and rows of ["1.0", "0"]: unit vectors at
+# distance 0 once converted
+@example(case=(("a",), (np.array([True, False]), np.array([["1.0", "0"]]))))
+def test_an_embed_batch_scores_alike_in_process_and_over_the_wire(answering, case):
+    candidates, pair = case
+    _differ(answering, Method.CONTRASTIVE, candidates, _embedding(pair))
+
+
+@PROPERTY
+@given(case=per_item_cases())
+def test_per_item_embeddings_score_alike_in_process_and_over_the_wire(answering, case):
+    candidates, image, rows = case
+    _differ(
+        answering, Method.CONTRASTIVE, candidates, _embedding(image=image, rows=rows),
+        per_item=True,
+    )

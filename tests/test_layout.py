@@ -100,6 +100,23 @@ def test_the_engine_never_converts_a_backend_answer():
     assert not calls
 
 
+def test_the_loopback_keeps_no_answer_rule_of_its_own():
+    # the server checks its backend's answers with base.py's functions, as
+    # the engine does; core's wire rule named there, or an np.asarray that
+    # turns bools, strings or lists into floats, would be a second rule
+    tree = ast.parse((PACKAGE / "backends" / "loopback.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"non_numbers", "asarray"}
+    assert {"check_served", "array_pair", "stacked_rows"} <= names
+
+
 def _is_dataclass(node):
     decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
     return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
