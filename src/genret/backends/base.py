@@ -4,32 +4,33 @@ A ScorerBackend answers token-level questions about one image at a time.
 The generative side has two methods:
 
 - `score_sentences(image_id, region, sentences)` is what the scoring
-  engine calls, once per instance.  It returns `(p, total)`, two 1-D
-  float64 arrays with an entry for each position of each sentence in
-  order, and one more for each sentence's end-of-sentence probability when
-  the backend declares a terminal token: p is the probability of the token
-  realized there given the image and the tokens before it, and total the
-  mass of that position's whole distribution (1 for a normalized backend).
-  The engine checks both arrays whole (shape, totals within NORM_TOL,
-  0 < p <= total) before it takes a logarithm.
+  engine calls, once per instance, and what the `/v1/score` wire carries.
+  It returns `(p, total)`, two 1-D float64 arrays with an entry for each
+  position of each sentence in order, and one more for each sentence's
+  end-of-sentence probability when the backend declares a terminal token
+  (`sentence_ends` gives where each sentence's entries end): p is the
+  probability of the token realized there given the image and the tokens
+  before it, and total the mass of that position's whole distribution (1
+  for a normalized backend).  The engine checks both arrays whole (shape,
+  totals within NORM_TOL, 0 < p <= total) before it takes a logarithm.
 - `next_token_distributions(image_id, region, prefixes)` returns whole
   next-token distributions, one per prefix, and may return one object for
-  many prefixes; it is the one abstract method, and what the `/v1/logprobs`
-  wire carries, each distinct object listed once.
+  many prefixes.  It is the one abstract method, and the older
+  `/v1/logprobs` wire carries it, each distinct object listed once.
 
 The default `score_sentences` is an adapter over `next_token_distributions`,
-so a backend that can only serve whole distributions (the remote client, the
-uniform backend, test doubles and proxies) implements nothing more.  It asks
-once for every distinct prefix the sentences need (sentences of a template
-family share most of theirs) and checks each distinct object it is served
-once, at the first prefix that object answers: `check_served`, then what
-the engine cannot see in the two arrays, a declared terminal that was not
-served and a negative entry (which may be one no sentence realizes).  Each
+so a backend that can only serve whole distributions (the uniform backend,
+test doubles and proxies) implements nothing more.  It asks once for every
+distinct prefix the sentences need (sentences of a template family share
+most of theirs) and checks each distinct object it is served once, at the
+first prefix that object answers: `check_served`, then what the engine
+cannot see in the two arrays, a declared terminal that was not served and a
+negative entry (which may be one no sentence realizes).  Each
 distribution's total goes into the `total` array, and the engine judges it
-there.  The remote client builds one object per distribution a reply
-lists, so over the wire too each shared distribution is checked once.  A
-backend that can reach the realized tokens directly (the oracle walks its
-caption trie) overrides it and serves no V-sized distributions at all.
+there.  A backend that can reach the realized tokens directly overrides it
+and serves no V-sized distributions at all: the oracle walks its caption
+trie, and the remote client asks its server for the two arrays, which the
+server computes with its own backend's `score_sentences`.
 
 Every backend is generative.  A backend without a contrastive side keeps the
 base class's `embed_image`/`embed_text`, which raise ConfigurationError on
@@ -42,9 +43,10 @@ and one `embed_text` call per sentence and stacks the rows with
 `stacked_rows`.
 
 The answer rule is written once, here, and nothing converts an answer:
-`check_served` takes a distribution whose tokens are strings and whose
-probabilities pass core's wire rule, `array_pair` a pair of float64
-arrays, `stacked_rows` float64 rows of one shape; anything else is a
+`check_served` takes a TokenDistribution whose probs map strings to
+probabilities that pass core's wire rule, `position_pair` a pair of float64
+arrays with one entry per position, `array_pair` a pair of float64 arrays,
+`stacked_rows` float64 rows of one shape; anything else is a
 NormalizationError.  The engine and the loopback server both call them,
 so a backend scores over the wire exactly as it does in process.
 Capabilities say how to read a backend's answers.  Its one flag,
@@ -58,9 +60,10 @@ parallelism 1, the default.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -185,10 +188,19 @@ def served_distributions(backend, image_id: str, region, prefixes) -> list[Token
 
 
 def check_served(dist: TokenDistribution, prefix) -> None:
-    """Raise a NormalizationError naming `prefix` unless every token of the
-    served `dist` is a string and every probability, terminal_p included,
-    passes core's wire rule (no bool, string, Fraction or int past the
-    float range)."""
+    """Raise a NormalizationError naming `prefix` unless the served `dist`
+    is a TokenDistribution whose probs is a mapping, every token of it is a
+    string and every probability, terminal_p included, passes core's wire
+    rule (no bool, string, Fraction or int past the float range)."""
+    if not isinstance(dist, TokenDistribution):
+        raise NormalizationError(
+            f"backend served {_describe(dist)}, not a TokenDistribution, for prefix {list(prefix)}"
+        )
+    if not isinstance(dist.probs, Mapping):
+        raise NormalizationError(
+            f"backend served probs as {_describe(dist.probs)}, not a mapping, "
+            f"for prefix {list(prefix)}"
+        )
     if not all(map(isinstance, dist.probs, repeat(str))):
         token = next(t for t in dist.probs if not isinstance(t, str))
         raise NormalizationError(
@@ -217,6 +229,25 @@ def _check_distribution(dist: TokenDistribution, has_terminal: bool, prefix) -> 
     if min(dist.probs.values(), default=0.0) < 0 or (dist.terminal_p or 0.0) < 0:
         raise NormalizationError(f"negative probability for prefix {list(prefix)}")
     return dist.total()
+
+
+def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
+    """The flat index one past each sentence's last position."""
+    return list(accumulate(len(s) + has_terminal for s in sentences))
+
+
+def position_pair(answer, ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A `score_sentences` answer, once it is a pair of float64 arrays (p,
+    total) that each hold one entry per position `ends` counts (see
+    `sentence_ends`)."""
+    n = ends[-1] if ends else 0
+    p, total = array_pair(answer, ("p", "total"), ((n,), (n,)))
+    for array in (p, total):
+        if array.size != n:
+            raise NormalizationError(
+                f"backend scored {array.size} positions for {len(ends)} sentences, expected {n}"
+            )
+    return p, total
 
 
 def array_pair(answer, names: tuple[str, str], shapes) -> tuple[np.ndarray, np.ndarray]:

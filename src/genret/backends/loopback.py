@@ -3,26 +3,37 @@
 Not a production server: it exists so the remote client can be exercised
 end-to-end against a local backend without leaving the process.  Runs a
 threaded stdlib HTTP server on an ephemeral localhost port and speaks the
-wire protocol documented in remote.py: each /v1/logprobs request is one
-`next_token_distributions` call with all of its prefixes, and each
-/v1/embed request that names an image_id is one `embed_batch` call with all
-of its sentences (an image-only request is a call with none, whose `texts`
-has shape [0, d], d the image's length); a request naming no image embeds
-each sentence in `texts` with `embed_text`.  A 200 reply is framed: a JSON
-header, its byte length in the `Genret-Header-Length` response header, then
-a binary tail holding each ARRAY's little-endian float64 bytes, exact for
-every value, back to back in header order.  A backend may serve one object
-for many prefixes (the oracle keeps one per trie node), so a /v1/logprobs
-reply lists each distinct object once, keyed by `id` while the call's list
-holds them all, and each query's result is its index in that list.  Every
-other reply is plain JSON, `{"error": ...}`.  Malformed fields (a region
-that is neither null nor 4 finite numbers, a query that is not an object,
-a prefix or `texts` entry that is not a list of strings) and requests the
-backend rejects (an embed request to a backend without a contrastive side
-among them) get 400, and so does a Content-Length that is not an int >= 0,
-before any of the body is read.  A fault of the backend itself gets 500,
-the message naming it: any other exception it raises, and any answer the
-engine would reject by base.py's answer rule (`check_served`, `array_pair`,
+wire protocol documented in remote.py.  Each /v1/score request is one
+`score_sentences` call with all of its sentences (the oracle's trie walk,
+or the base class's adapter for a backend that serves only distributions).
+Each /v1/logprobs request is one `next_token_distributions` call with all
+of its prefixes.  Each /v1/embed request that names an image_id is one
+`embed_batch` call with all of its sentences (an image-only request is a
+call with none, whose `texts` has shape [0, d], d the image's length); a
+request naming no image embeds each sentence in `texts` with `embed_text`.
+
+A 200 reply is framed: a JSON header, its byte length in the
+`Genret-Header-Length` response header, then a binary tail holding each
+ARRAY's little-endian float64 bytes, exact for every value, back to back in
+header order.  A /v1/score reply frames `p` and `total` as the backend
+answered them, once they pass `position_pair`; when the backend has a
+terminal token and the request's `terminal` is false, each sentence's last
+entry is left out.  A request whose `terminal` is true, to a backend with
+no terminal token, gets 500 naming the backend.  A backend may serve one
+object for many prefixes (the oracle keeps one per trie node), so a
+/v1/logprobs reply lists each distinct object once, keyed by `id` while the
+call's list holds them all, and each query's result is its index in that
+list.  Every other reply is plain JSON, `{"error": ...}`.
+
+Malformed fields (a region that is neither null nor 4 finite numbers, a
+query that is not an object, a prefix, `sentences` or `texts` entry that is
+not a list of strings, a `terminal` that is not true or false) and requests
+the backend rejects (an embed request to a backend without a contrastive
+side, or a token outside its vocabulary, among them) get 400, and so does a
+Content-Length that is not an int >= 0, before any of the body is read.  A
+fault of the backend itself gets 500, the message naming it: any other
+exception it raises, and any answer the engine would reject by base.py's
+answer rule (`check_served`, `position_pair`, `array_pair`,
 `stacked_rows`), checked by the same functions.  What passes is framed as
 it is, with terminal_p as a float, so the client scores what the engine
 would in process.
@@ -52,7 +63,9 @@ import numpy as np
 
 from ..core import checked_region
 from ..errors import GenretError, NormalizationError, SchemaError
-from .base import array_pair, check_served, served_distributions, stacked_rows
+from .base import (
+    array_pair, check_served, position_pair, sentence_ends, served_distributions, stacked_rows
+)
 from .remote import HEADER_LENGTH
 
 
@@ -96,6 +109,23 @@ def _logprobs_reply(request_id, prefixes: list, dists: list) -> tuple[bytes, int
         results.append(i)
     header = {"request_id": request_id, "distributions": distributions, "results": results}
     return frame.body(header)
+
+
+def _score_reply(backend, request_id, image_id, region, sentences, terminal) -> tuple[bytes, int]:
+    """The framed /v1/score reply: the backend's p and total for
+    `sentences`, without each sentence's terminal entry unless `terminal`."""
+    has_terminal = backend.capabilities.has_terminal_token
+    if terminal and not has_terminal:
+        raise NormalizationError(
+            f"{type(backend).__name__} has no terminal token, and the request asks for one"
+        )
+    ends = sentence_ends(sentences, has_terminal)
+    p, total = position_pair(backend.score_sentences(image_id, region, sentences), ends)
+    if has_terminal and not terminal:
+        last = np.subtract(ends, 1)
+        p, total = np.delete(p, last), np.delete(total, last)
+    frame = _Frame()
+    return frame.body({"request_id": request_id, "p": frame.array(p), "total": frame.array(total)})
 
 
 def _embed_reply(backend, request_id, image_id, region, sentences) -> tuple[bytes, int]:
@@ -169,22 +199,31 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(queries, list) or not all(isinstance(q, dict) for q in queries):
                 raise TypeError("queries must be a list of objects")
             prefixes = _token_lists([q.get("prefix") for q in queries], "query prefixes")
+            sentences = _token_lists(request.get("sentences", []), "sentences")
             texts = _token_lists(request.get("texts", []), "texts")
+            terminal = request.get("terminal", False)
+            if terminal is not True and terminal is not False:  # JSON 1 is no flag
+                raise TypeError("terminal must be true or false")
         except (AttributeError, TypeError, ValueError, SchemaError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
-        if self.path not in ("/v1/logprobs", "/v1/embed"):
+        if self.path not in ("/v1/score", "/v1/logprobs", "/v1/embed"):
             self._reply(404, {"error": f"unknown path {self.path}"})
             return
         backend = self.server.backend  # type: ignore[attr-defined]
         try:
-            if self.path == "/v1/logprobs":
+            if self.path == "/v1/score":
+                body, header_length = _score_reply(
+                    backend, request_id, image_id, region, sentences, terminal
+                )
+            elif self.path == "/v1/logprobs":
                 dists = served_distributions(backend, image_id, region, prefixes)
                 body, header_length = _logprobs_reply(request_id, prefixes, dists)
             else:
                 body, header_length = _embed_reply(backend, request_id, image_id, region, texts)
         except NormalizationError as exc:
-            # base.py's checks of what the backend answered
+            # base.py's checks of what the backend answered, or a terminal
+            # entry it cannot answer
             self._reply(500, {"error": str(exc)})
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for

@@ -2,6 +2,9 @@
 
 Wire protocol, all POST, JSON request bodies:
 
+    /v1/score     {request_id, image_id, region?, sentences: [[tok, ...], ...],
+                   terminal: bool}
+        -> {request_id, p: ARRAY, total: ARRAY}
     /v1/logprobs  {request_id, image_id, region?, queries: [{prefix: [tok, ...]}]}
         -> {request_id, distributions: [{tokens: [tok, ...], probs: ARRAY,
                                          terminal_p?: number}, ...],
@@ -16,9 +19,20 @@ header's byte length.  An ARRAY in the header is {shape: [dim, ...]}, and
 its values are 8 * prod(shape) little-endian float64 bytes in C order, so
 every value, NaN, the infinities, -0.0 and subnormals included, crosses
 exactly.  The arrays' bytes sit back to back in the tail in header order
-(an embed reply's image, then its texts; a /v1/logprobs reply's
-distributions in order), and the last ends with the body.  Every other
-reply (an error, a 4xx or a 5xx) is plain JSON.
+(a /v1/score reply's p, then its total; an embed reply's image, then its
+texts; a /v1/logprobs reply's distributions in order), and the last ends
+with the body.  Every other reply (an error, a 4xx or a 5xx) is plain
+JSON.
+
+A /v1/score reply is `score_sentences`' answer for the sentences: `p` and
+`total` (shape [n] each) hold the realized token's probability and the
+position's total mass at every position of every sentence in order, and
+with `terminal` true each sentence's end-of-sentence entry after its last
+token, so n = sum(len(s) + terminal).  `terminal` is the client's
+has_terminal_token; a server whose model has an end-of-sentence token
+leaves that entry out when the request says false (each position's total
+still counts its mass), and one whose model has none answers true with a
+5xx.
 
 A /v1/logprobs reply lists distributions, and `results[j]` is the index in
 `distributions` of query j's.  A server that serves one distribution for
@@ -44,24 +58,31 @@ tail holds its 8 bytes per value where the array before it ends (at 0 for
 the first); it then holds float64s by construction.  Any other key of an
 ARRAY is ignored.  No byte of the tail may follow the last array.  An embed
 reply's shapes must match the sentences asked for, with non-empty vectors.
-In a /v1/logprobs reply, `distributions` is a list, each entry's `tokens`
-a list of distinct strings and its `probs` an ARRAY of shape
-[len(tokens)] ([0] for an empty distribution), each `terminal_p` passes
-core's wire rule, `non_numbers` (a float, NaN and the infinities
-included, or an int inside the float range), and `results` holds one int
-index (not a bool) into `distributions` per query.  Anything else makes
-the reply malformed.  The scoring engine checks that each distribution sums
-to one and each embedding has unit norm, which NaN and the infinities fail
-too.
+A /v1/score reply's `p` and `total` must have rank 1; the engine checks
+their sizes against the positions it asked for, and their values.  In a
+/v1/logprobs reply, `distributions` is a list, each entry's `tokens` a
+list of distinct strings and its `probs` an ARRAY of shape [len(tokens)]
+([0] for an empty distribution), each `terminal_p` passes core's wire
+rule, `non_numbers` (a float, NaN and the infinities included, or an int
+inside the float range), and `results` holds one int index (not a bool)
+into `distributions` per query.  Anything else makes the reply malformed.
+The scoring engine checks that each position's total and each
+distribution sums to one and each embedding has unit norm, which NaN and
+the infinities fail too.
 
-The client is batch-first: one /v1/logprobs call scores many prefixes, and
-the engine hands it every prefix an instance needs at once.  Each listed
-distribution becomes one TokenDistribution, so one served for many prefixes
-is one object, which the base class's adapter checks once.  One /v1/embed
-call embeds an instance's image and all of its sentences (`embed_batch`),
-decoded into a vector and one (n, d) array, both writable.  `embed_image`
-and `embed_text` are single-item requests.  The caller's threads
-(batch_rank's `parallelism`) bound requests in flight.
+The client is batch-first.  The engine's one `score_sentences` call per
+instance is one /v1/score request with every sentence, whose two arrays
+are returned as read, both writable; the server shares the work of common
+prefixes, so no distribution crosses the wire.  `next_token_distributions`
+is one /v1/logprobs request for many prefixes; each listed distribution
+becomes one TokenDistribution, so one served for many prefixes is one
+object, which the base class's adapter checks once.  It stays while it is
+the abstract method: a proxy that forwards only it scores a remote backend
+through the adapter, over /v1/logprobs.  One /v1/embed call embeds an
+instance's image and all of its sentences (`embed_batch`), decoded into a
+vector and one (n, d) array, both writable.  `embed_image` and `embed_text`
+are single-item requests.  The caller's threads (batch_rank's
+`parallelism`) bound requests in flight.
 
 The client speaks HTTP/1.1 through one `requests.Session`, which keeps its
 connections open for the next request and opens one only when every open
@@ -175,6 +196,26 @@ class RemoteBackend(ScorerBackend):
         )
 
     # -- generative ----------------------------------------------------
+
+    def score_sentences(self, image_id, region, sentences) -> tuple[np.ndarray, np.ndarray]:
+        """One /v1/score request: the p and total arrays the server framed,
+        for the engine to judge."""
+        payload = {
+            "request_id": uuid.uuid4().hex,
+            "image_id": image_id,
+            "sentences": [list(s) for s in sentences],
+            "terminal": bool(self.capabilities.has_terminal_token),
+        }
+        if region is not None:
+            payload["region"] = list(region)
+        data, tail = self._post("/v1/score", payload)
+        try:
+            p = tail.array(data.get("p"), "p", 1, min_width=0)
+            total = tail.array(data.get("total"), "total", 1, min_width=0)
+            tail.end()
+        except ValueError as exc:
+            raise TransportError(f"score response has {exc}", body=str(data)[:2000]) from None
+        return p, total
 
     def next_token_distributions(
         self, image_id, region, prefixes: Sequence[tuple[str, ...]]

@@ -29,9 +29,10 @@ is asked anything.
 Each batch function asks its backend once per image: `score_sentences`
 with every sentence, or `embed_batch` with the image and every sentence.
 Both answer with a pair of float64 arrays, which the engine takes only
-through base.py's `array_pair`, the answer rule the loopback server
-applies too, and never converts: anything else (a list, a bool, string or
-float32 array) is a NormalizationError naming what came back.
+through base.py's `position_pair` and `array_pair`, the answer rule the
+loopback server applies too, and never converts: anything else (a list, a
+bool, string or float32 array) is a NormalizationError naming what came
+back.
 `score_sentences` returns two flat arrays over every position of every
 sentence, the realized token's probability and that position's total mass;
 the backend shares the work of common prefixes, so the engine neither
@@ -63,13 +64,14 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .backends.base import (
-    NORM_TOL, ScorerBackend, SentenceScoreSource, array_pair, shape_error
+    NORM_TOL, ScorerBackend, SentenceScoreSource, array_pair, position_pair, sentence_ends,
+    shape_error,
 )
 from .core import (
     AnchorKind, Method, RankingInstance, ScoredInstance, Slot, Template, check_parameter, render
@@ -140,16 +142,7 @@ def _generative_losses(
     is checked before its logarithm is taken."""
     sentences = _checked_sentences(backend, sentences)
     ends = sentence_ends(sentences, backend.capabilities.has_terminal_token)
-    n = ends[-1]
-    p, total = array_pair(
-        backend.score_sentences(image_id, region, sentences), ("p", "total"), ((n,), (n,))
-    )
-    for array in (p, total):
-        if array.size != n:
-            raise NormalizationError(
-                f"backend scored {array.size} positions for {len(sentences)} sentences, "
-                f"expected {n}"
-            )
+    p, total = position_pair(backend.score_sentences(image_id, region, sentences), ends)
     # written so that a NaN fails each test
     bad = np.flatnonzero(~((np.abs(total - 1.0) <= NORM_TOL) & (0.0 < p) & (p <= total)))
     if bad.size:
@@ -159,11 +152,6 @@ def _generative_losses(
     terms = [-log(q) for q in p.tolist()]
     rows = [tuple(terms[start:end]) for start, end in zip([0, *ends], ends)]
     return [float(sum(row)) for row in rows], rows
-
-
-def sentence_ends(sentences: Sequence[Sequence[str]], has_terminal: bool) -> list[int]:
-    """The flat index one past each sentence's last position."""
-    return list(accumulate(len(s) + has_terminal for s in sentences))
 
 
 def _position_error(

@@ -4,7 +4,8 @@ A test writes a reply as the JSON it means, with each ARRAY as
 `wire(values)`: `{"shape": [...], "data": <float64 bytes>}`.  `frame`
 moves each `data` to the end of the binary tail, in header order, and
 leaves its entry `{"shape": [...]}`.  `framed_handler` serves such replies
-through the loopback's handler.
+through the loopback's handler.  `ThroughLogprobs` scores a remote backend
+over /v1/logprobs, which the engine no longer asks for on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from genret import ScorerBackend
 from genret.backends.loopback import _Handler
 from genret.backends.remote import HEADER_LENGTH
 
@@ -83,3 +85,16 @@ def framed_handler(respond):
             self._send(200, head + tail, header_length)
 
     return Handler
+
+
+class ThroughLogprobs(ScorerBackend):
+    """`remote` reached through `next_token_distributions` alone, as a
+    tracing proxy reaches it, so the base class's adapter scores it from
+    /v1/logprobs replies."""
+
+    def __init__(self, remote):
+        self._remote = remote
+        self.capabilities = remote.capabilities
+
+    def next_token_distributions(self, image_id, region, prefixes):
+        return self._remote.next_token_distributions(image_id, region, prefixes)

@@ -68,7 +68,7 @@ from genret.errors import (
 from genret.scoring import generative_loss
 from genret.world import world_to_dict
 
-from framing import frame, wire
+from framing import ThroughLogprobs, frame, wire
 
 PROPERTY = settings(
     derandomize=True,
@@ -319,35 +319,58 @@ def mutate_framed(reply, data):
     return header, tail, length
 
 
-# a sentence of two tokens: three prefixes, each served one distribution of
-# a quarter per token and half for the terminal; mutations reach each field
-# of it, each shape dimension and each result index
-LOGPROBS_REPLY = {
-    "distributions": [{"tokens": ["a", "b"], "probs": wire([0.25, 0.25]), "terminal_p": 0.5}],
-    "results": [0, 0, 0],
-}
+# a sentence of two tokens and its terminal: a quarter per token and half
+# for the terminal, each position's total one; mutations reach each field,
+# each shape dimension and the tail
+SCORE_REPLY = {"p": wire([0.25, 0.25, 0.5]), "total": wire([1.0, 1.0, 1.0])}
+TWO_TOKENS_AND_A_TERMINAL = (-math.log(0.25), -math.log(0.25), -math.log(0.5))
 
 
-def _logprobs_remote(replying, reply) -> RemoteBackend:
+def _terminal_remote(replying, reply) -> RemoteBackend:
     return RemoteBackend(
         _reply_with(replying, reply), capabilities=Capabilities(has_terminal_token=True),
         max_retries=0,
     )
 
 
-def test_the_logprobs_reply_scores_unmutated(replying):
-    remote = _logprobs_remote(replying, framed(LOGPROBS_REPLY))
+def test_the_score_reply_scores_unmutated(replying):
+    remote = _terminal_remote(replying, framed(SCORE_REPLY))
     loss = generative_loss(remote, "img", None, ("a", "b"))
-    assert loss.per_token == (-math.log(0.25), -math.log(0.25), -math.log(0.5))
+    assert loss.per_token == TWO_TOKENS_AND_A_TERMINAL
+
+
+@PROPERTY
+@given(data=st.data())
+def test_score_reply(replying, data):
+    remote = _terminal_remote(replying, mutate_framed(SCORE_REPLY, data))
+    # a type fault is the client's TransportError; a value fault (a size
+    # among them) is the engine's: NormalizationError, and InfiniteLossError
+    # for a zero probability
+    allowed = (TransportError, NormalizationError, InfiniteLossError)
+    accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
+
+
+# the same sentence through /v1/logprobs: three prefixes, each served one
+# distribution; mutations reach each field of it, each shape dimension and
+# each result index
+LOGPROBS_REPLY = {
+    "distributions": [{"tokens": ["a", "b"], "probs": wire([0.25, 0.25]), "terminal_p": 0.5}],
+    "results": [0, 0, 0],
+}
+
+
+def test_the_logprobs_reply_scores_unmutated(replying):
+    remote = ThroughLogprobs(_terminal_remote(replying, framed(LOGPROBS_REPLY)))
+    loss = generative_loss(remote, "img", None, ("a", "b"))
+    assert loss.per_token == TWO_TOKENS_AND_A_TERMINAL
 
 
 @PROPERTY
 @given(data=st.data())
 def test_logprobs_reply(replying, data):
-    remote = _logprobs_remote(replying, mutate_framed(LOGPROBS_REPLY, data))
-    # a type fault is the client's TransportError; a value fault is the
-    # engine's: NormalizationError, InfiniteLossError for a zero probability
-    # and VocabularyError for a token missing from a distribution
+    remote = ThroughLogprobs(_terminal_remote(replying, mutate_framed(LOGPROBS_REPLY, data)))
+    # as for a score reply, and VocabularyError for a token missing from a
+    # distribution
     allowed = (TransportError, NormalizationError, InfiniteLossError, VocabularyError)
     accepted_or(allowed, generative_loss, remote, "img", None, ("a", "b"))
 
@@ -399,7 +422,7 @@ def _token_lists_ok(value) -> bool:
     )
 
 
-@pytest.mark.parametrize("path", ["/v1/logprobs", "/v1/embed"])
+@pytest.mark.parametrize("path", ["/v1/score", "/v1/logprobs", "/v1/embed"])
 @PROPERTY
 @given(data=st.data())
 def test_loopback_request(serving, path, data):
@@ -407,6 +430,7 @@ def test_loopback_request(serving, path, data):
     request = {
         "request_id": "r", "image_id": image_id, "region": [0, 0, 10.5, 10],
         "queries": [{"prefix": []}, {"prefix": [word]}], "texts": [[word], [word, "is"]],
+        "sentences": [[word], [word, "is"]], "terminal": True,
     }
     body = mutate(request, data)
     resp = session.post(
@@ -418,7 +442,8 @@ def test_loopback_request(serving, path, data):
     prefixes_ok = isinstance(queries, list) and all(isinstance(q, dict) for q in queries) and (
         _token_lists_ok([q.get("prefix") for q in queries])
     )
-    if not prefixes_ok or not _token_lists_ok(body.get("texts", [])):
+    lists_ok = all(_token_lists_ok(body.get(field, [])) for field in ("texts", "sentences"))
+    if not prefixes_ok or not lists_ok or not isinstance(body.get("terminal", False), bool):
         assert resp.status_code == 400, resp.text
 
 
@@ -582,6 +607,9 @@ def _serving(dists, has_terminal, extra):
 @example(answer=([TokenDistribution({"a": 1.0}, np.int64(0))], False, 0), candidates=("a",))
 # each int a float can hold, their sum not
 @example(answer=([TokenDistribution({"a": 10**308, "b": 10**308})], False, 0), candidates=("a",))
+# no TokenDistribution, and probs that are no mapping
+@example(answer=([None], False, 0), candidates=("a",))
+@example(answer=([TokenDistribution(["a"])], False, 0), candidates=("a",))
 def test_a_distribution_scores_alike_in_process_and_over_the_wire(answering, answer, candidates):
     _differ(answering, Method.GENERATIVE, candidates, _serving(*answer))
 

@@ -36,7 +36,7 @@ from genret.cli import main
 from genret.errors import NormalizationError, ParameterError, TransportError
 from genret.scoring import contrastive_loss, generative_loss
 
-from framing import arrays, frame, framed_handler, unframe, wire
+from framing import ThroughLogprobs, arrays, frame, framed_handler, unframe, wire
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +367,7 @@ def test_unnormalized_server_output_is_rejected(setup):
     # the client passes the distribution on; the scoring engine rejects it
     _, _, backend, _ = setup
     with LoopbackServer(backend, handler=HalfMassHandler) as url:
-        remote = remote_for(url, backend)
+        remote = ThroughLogprobs(remote_for(url, backend))
         with pytest.raises(NormalizationError):
             generative_loss(remote, "scene-000000", None, ("a",))
 
@@ -499,7 +499,7 @@ def test_an_empty_distribution_is_accepted():
                                backoff=0.01)
         dist = remote.next_token_distributions("x", None, [()])[0]
         assert dist.probs == {} and dist.terminal_p == 1.0
-        p, total = remote.score_sentences("x", None, [()])
+        p, total = ThroughLogprobs(remote).score_sentences("x", None, [()])
         assert p.tobytes() == total.tobytes() == np.array([1.0]).tobytes()
 
 
@@ -529,7 +529,8 @@ def test_a_server_that_does_not_dedup_scores_the_same(setup):
     scores = []
     for handler in (_Handler, OneEntryPerQuery):
         with LoopbackServer(oracle, handler=handler) as url:
-            scored = rank_instance(remote_for(url, oracle), inst, template, Method.GENERATIVE)
+            remote = ThroughLogprobs(remote_for(url, oracle))
+            scored = rank_instance(remote, inst, template, Method.GENERATIVE)
         scores.append((repr(scored.scores), scored.per_token))
     assert scores[0] == scores[1]
     assert scores[0][0] == repr(rank_instance(oracle, inst, template, Method.GENERATIVE).scores)
@@ -652,12 +653,14 @@ def test_integer_probabilities_score_as_the_equal_floats():
             remote = RemoteBackend(url, backoff=0.01)  # no terminal: one result per sentence
             dist = remote.next_token_distributions("x", None, [()])[0]
             assert dist.probs == {"a": 0.0, "b": 1.0} and dist.terminal_p == 0.0
-            losses.append(generative_loss(remote, "x", None, ("b",)))
+            losses.append(generative_loss(ThroughLogprobs(remote), "x", None, ("b",)))
         # a backend serving int probabilities through the loopback scores the same
+        # over /v1/score, and over /v1/logprobs
         backend = IntegerBackend(zero, one)
         with LoopbackServer(backend) as url:
             remote = RemoteBackend(url, backoff=0.01)
-            losses.append(generative_loss(remote, "x", None, ("b",)))
+            for far in (remote, ThroughLogprobs(remote)):
+                losses.append(generative_loss(far, "x", None, ("b",)))
         losses.append(generative_loss(backend, "x", None, ("b",)))
     assert len({repr(loss) for loss in losses}) == 1
 
@@ -913,7 +916,124 @@ def test_probabilities_whose_sum_overflows_are_rejected_by_the_engine():
     reply = logprobs(entry({"a": 1e308, "b": 1e308}))
     with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
         with pytest.raises(NormalizationError, match="sums to inf"):
-            generative_loss(RemoteBackend(url, backoff=0.01), "x", None, ("a",))
+            generative_loss(ThroughLogprobs(RemoteBackend(url, backoff=0.01)), "x", None, ("a",))
+
+
+# -- /v1/score: the client reads two arrays, the engine judges them ------------
+
+
+def score(p, total, /, **fields) -> dict:
+    """An unframed /v1/score reply without its request_id, with `fields`
+    (faults) over its ARRAYs."""
+    return {"p": wire(p), "total": wire(total), **fields}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "reply, error, message",
+    [
+        # each reply answers ("a", "b") for a client with no terminal token
+        pytest.param(score([0.5, 0.5], [1.0, 1.0]), None, None, id="sound"),
+        pytest.param(score([0.5, 0.5], [1.0, 1.0], total=wire([1.0, 1.0], data=b"\0" * 8)),
+                     TransportError, r"8 bytes of total data for shape \[2\]", id="short-array"),
+        pytest.param(score([0.5], [1.0]), NormalizationError,
+                     "scored 1 positions for 1 sentences, expected 2", id="wrong-position-count"),
+        pytest.param(score([0.5, 0.5], [1.0, 0.5]), NormalizationError,
+                     r"prefix \['a'\] sums to 0\.5", id="total-off"),
+        pytest.param(score([0.5, NAN], [1.0, 1.0]), NormalizationError,
+                     "probability nan for token 'b'", id="nan"),
+        pytest.param(score([0.5, 1.5], [1.0, 1.0]), NormalizationError,
+                     r"probability 1\.5 for token 'b' at position 1 is outside",
+                     id="p-over-total"),
+        pytest.param(score([[0.5, 0.5]], [1.0, 1.0]), TransportError,
+                     r"no p array of 1 dimension", id="p-2-d"),
+        pytest.param(score([0.5, 0.5], [1.0, 1.0], total=wire([1.0, 1.0], data=b"\0" * 24)),
+                     TransportError, r"8 byte\(s\) of tail after total", id="tail-too-long"),
+        pytest.param({"p": wire([0.5, 0.5])}, TransportError, "no total array", id="no-total"),
+    ],
+)
+def test_a_faulty_score_reply_is_the_error_its_fault_names(reply, error, message):
+    with LoopbackServer(UniformBackend(["a"]), handler=fixed_reply(reply)) as url:
+        remote = RemoteBackend(url, backoff=0.01)
+        if error is None:
+            assert generative_loss(remote, "x", None, ("a", "b")).per_token == (math.log(2),) * 2
+            return
+        with pytest.raises(error, match=message) as err:
+            generative_loss(remote, "x", None, ("a", "b"))
+    if error is TransportError:
+        assert "'p': {'shape'" in err.value.body  # the header, as read
+
+
+def test_a_terminal_asked_of_a_backend_without_one_is_a_500_naming_it():
+    backend = UniformBackend(["a", "b"])
+    with LoopbackServer(backend) as url:
+        remote = RemoteBackend(url, capabilities=Capabilities(has_terminal_token=True),
+                               backoff=0.01)
+        with pytest.raises(TransportError) as err:
+            generative_loss(remote, "x", None, ("a",))
+    assert err.value.status == 500
+    assert "UniformBackend has no terminal token" in err.value.body
+
+
+def test_a_token_outside_the_servers_vocabulary_is_a_400(setup):
+    # the client knows no vocabulary, so the server's backend rejects the token
+    _, _, backend, _ = setup
+    with LoopbackServer(backend) as url:
+        with pytest.raises(TransportError) as err:
+            generative_loss(remote_for(url, backend), "scene-000000", None, ("obj00", "zzz"))
+    assert err.value.status == 400
+    assert "'zzz'" in err.value.body
+
+
+def test_score_retries_ride_out_transient_500s(setup):
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=FlakyHandler)
+    with server as url:
+        far = generative_loss(remote_for(url, backend), "scene-000000", None, ("obj00", "is"))
+        assert server._server.hits == 3
+    assert far == generative_loss(backend, "scene-000000", None, ("obj00", "is"))
+
+
+class ScoreCountingOracle(OracleBackend):
+    """Records the sentences of every score_sentences call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def score_sentences(self, image_id, region, sentences):
+        self.calls.append(list(sentences))
+        return super().score_sentences(image_id, region, sentences)
+
+
+@pytest.mark.parametrize("terminal", [True, False])
+def test_a_score_request_is_one_backend_call_with_or_without_the_terminal(setup, terminal):
+    spec, scenes, _, _ = setup
+    backend = ScoreCountingOracle(spec, scenes)
+    sentences = [("obj00", "is"), ("is",)]
+    with LoopbackServer(backend) as url:
+        remote = RemoteBackend(url, capabilities=Capabilities(has_terminal_token=terminal))
+        p, total = remote.score_sentences("scene-000000", None, sentences)
+    assert backend.calls == [sentences]
+    # each sentence's terminal entry (at 2 and 4) is left out unless asked for
+    near_p, near_total = backend.score_sentences("scene-000000", None, sentences)
+    keep = [0, 1, 2, 3, 4] if terminal else [0, 1, 3]
+    assert p.tobytes() == near_p[keep].tobytes()
+    assert total.tobytes() == near_total[keep].tobytes()
+
+
+def test_a_bare_remote_scores_each_in_process_row_without_its_terminal_term(setup):
+    _, _, oracle, instances = setup
+    template = parse_template("{O} is {A}")
+    with LoopbackServer(oracle) as url:
+        bare = RemoteBackend(url)  # no terminal token
+        for inst in instances:
+            far = rank_instance(bare, inst, template, Method.GENERATIVE)
+            near = rank_instance(oracle, inst, template, Method.GENERATIVE)
+            assert far.per_token == tuple(row[:-1] for row in near.per_token)
+            assert repr(far.scores) == repr(tuple(sum(row[:-1]) for row in near.per_token))
 
 
 def test_malformed_request_gets_400_not_a_dropped_connection(setup):
@@ -1168,11 +1288,18 @@ def test_a_reply_lists_each_distinct_served_object_once(setup, request_id):
 
 
 class RecordingHandler(_Handler):
-    """The default handler, keeping every reply it sends as (header, tail)."""
+    """The default handler, keeping every reply it sends as (header, tail)
+    and the path of every request it answers."""
 
     def _send(self, status, body, header_length=None):
         self.server.bodies.append((body[:header_length], body[header_length:]))
+        self.server.paths.append(self.path)
         super()._send(status, body, header_length)
+
+
+def recorded(server):
+    server._server.bodies, server._server.paths = [], []
+    return server._server
 
 
 def bench_sized():
@@ -1190,9 +1317,29 @@ def test_a_bench_sized_instance_gets_one_small_reply():
     template = parse_template("{O} is {A}")
     server = LoopbackServer(oracle, handler=RecordingHandler)
     with server as url:
-        server._server.bodies = []
+        record = recorded(server)
         far = rank_instance(remote_for(url, oracle), inst, template, Method.GENERATIVE)
-        ((head, tail),) = server._server.bodies
+    near = rank_instance(oracle, inst, template, Method.GENERATIVE)
+    assert repr(far.scores) == repr(near.scores)
+    assert far.per_token == near.per_token
+    # one /v1/score request and no /v1/logprobs request: two float64 arrays
+    # of 50 * (3 + 1) positions each, and no distribution
+    assert record.paths == ["/v1/score"]
+    ((head, tail),) = record.bodies
+    assert json.loads(head)["p"] == json.loads(head)["total"] == {"shape": [200]}
+    assert len(tail) == 2 * 200 * 8
+    assert len(head) + len(tail) < 4_000
+
+
+def test_a_bench_sized_logprobs_reply_lists_few_distributions():
+    oracle, inst = bench_sized()
+    template = parse_template("{O} is {A}")
+    server = LoopbackServer(oracle, handler=RecordingHandler)
+    with server as url:
+        record = recorded(server)
+        remote = ThroughLogprobs(remote_for(url, oracle))
+        far = rank_instance(remote, inst, template, Method.GENERATIVE)
+        ((head, tail),) = record.bodies
     near = rank_instance(oracle, inst, template, Method.GENERATIVE)
     assert repr(far.scores) == repr(near.scores)
     assert far.per_token == near.per_token
@@ -1212,9 +1359,9 @@ def test_a_bench_sized_embed_reply_is_raw_float64():
     template = parse_template("{O} is {A}")
     server = LoopbackServer(oracle, handler=RecordingHandler)
     with server as url:
-        server._server.bodies = []
+        record = recorded(server)
         far = rank_instance(remote_for(url, oracle), inst, template, Method.CONTRASTIVE)
-        ((head, tail),) = server._server.bodies
+        ((head, tail),) = record.bodies
     near = rank_instance(oracle, inst, template, Method.CONTRASTIVE)
     assert repr(far.scores) == repr(near.scores)
     # the image and 50 sentences, 241 float64s each, and nothing else
