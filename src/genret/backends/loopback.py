@@ -19,7 +19,7 @@ header order.  A /v1/score reply frames `p` and `total` as the backend
 answered them, once they pass `position_pair`; when the backend has a
 terminal token and the request's `terminal` is false, each sentence's last
 entry is left out.  A request whose `terminal` is true, to a backend with
-no terminal token, gets 500 naming the backend.  A backend may serve one
+no terminal token, gets 400 naming the backend.  A backend may serve one
 object for many prefixes (the oracle keeps one per trie node), so a
 /v1/logprobs reply lists each distinct object once, keyed by `id` while the
 call's list holds them all, and each query's result is its index in that
@@ -28,8 +28,9 @@ list.  Every other reply is plain JSON, `{"error": ...}`.
 Malformed fields (a region that is neither null nor 4 finite numbers, a
 query that is not an object, a prefix, `sentences` or `texts` entry that is
 not a list of strings, a `terminal` that is not true or false) and requests
-the backend rejects (an embed request to a backend without a contrastive
-side, or a token outside its vocabulary, among them) get 400, and so does a
+the backend cannot serve (an embed request to a backend without a
+contrastive side, a terminal asked of one without a terminal token, or a
+token outside its vocabulary, among them) get 400, and so does a
 Content-Length that is not an int >= 0, before any of the body is read.  A
 fault of the backend itself gets 500, the message naming it: any other
 exception it raises, and any answer the engine would reject by base.py's
@@ -62,7 +63,7 @@ from itertools import repeat
 import numpy as np
 
 from ..core import checked_region
-from ..errors import GenretError, NormalizationError, SchemaError
+from ..errors import ConfigurationError, GenretError, NormalizationError, SchemaError
 from .base import (
     array_pair, check_served, position_pair, sentence_ends, served_distributions, stacked_rows
 )
@@ -116,13 +117,15 @@ def _score_reply(backend, request_id, image_id, region, sentences, terminal) -> 
     `sentences`, without each sentence's terminal entry unless `terminal`."""
     has_terminal = backend.capabilities.has_terminal_token
     if terminal and not has_terminal:
-        raise NormalizationError(
+        # a request this backend cannot serve, as an embed request to a
+        # backend without a contrastive side is: 400, not retried
+        raise ConfigurationError(
             f"{type(backend).__name__} has no terminal token, and the request asks for one"
         )
     ends = sentence_ends(sentences, has_terminal)
     p, total = position_pair(backend.score_sentences(image_id, region, sentences), ends)
     if has_terminal and not terminal:
-        last = np.subtract(ends, 1)
+        last = [end - 1 for end in ends]  # int indices, none for no sentences
         p, total = np.delete(p, last), np.delete(total, last)
     frame = _Frame()
     return frame.body({"request_id": request_id, "p": frame.array(p), "total": frame.array(total)})
@@ -222,8 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 body, header_length = _embed_reply(backend, request_id, image_id, region, texts)
         except NormalizationError as exc:
-            # base.py's checks of what the backend answered, or a terminal
-            # entry it cannot answer
+            # base.py's checks of what the backend answered
             self._reply(500, {"error": str(exc)})
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for

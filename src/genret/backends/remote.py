@@ -32,7 +32,7 @@ token, so n = sum(len(s) + terminal).  `terminal` is the client's
 has_terminal_token; a server whose model has an end-of-sentence token
 leaves that entry out when the request says false (each position's total
 still counts its mass), and one whose model has none answers true with a
-5xx.
+400.
 
 A /v1/logprobs reply lists distributions, and `results[j]` is the index in
 `distributions` of query j's.  A server that serves one distribution for

@@ -458,16 +458,22 @@ def test_loopback_request(serving, path, data):
 
 class _Answering(ScorerBackend):
     """Answers what the example set: for each prefix, `dists[len(prefix) %
-    len(dists)]`, then `extra` distributions more (or fewer); `pair` from
-    embed_batch, or once `rows` is set, the base class's per-item batch
-    over `image` and `rows[sentence]`."""
+    len(dists)]`, then `extra` distributions more (or fewer); `positions`
+    from score_sentences once it is set, else the base class's adapter over
+    those distributions; `pair` from embed_batch, or once `rows` is set, the
+    base class's per-item batch over `image` and `rows[sentence]`."""
 
     dists, extra = [TokenDistribution({})], 0
-    pair = image = rows = None
+    positions = pair = image = rows = None
 
     def next_token_distributions(self, image_id, region, prefixes):
         served = [self.dists[len(p) % len(self.dists)] for p in prefixes]
         return (served + self.dists[:1] * self.extra)[: len(prefixes) + self.extra]
+
+    def score_sentences(self, image_id, region, sentences):
+        if self.positions is None:
+            return super().score_sentences(image_id, region, sentences)
+        return self.positions
 
     def embed_batch(self, image_id, region, sentences):
         if self.rows is not None:
@@ -517,14 +523,20 @@ def _outcome(backend, candidates, method) -> str:
     return repr((scored.scores, scored.per_token))
 
 
-def _differ(answering, method, candidates, set_answer, per_item=False) -> None:
+def _differ(answering, method, candidates, set_answer, per_item=False, logprobs=False) -> None:
     """Score `candidates` in process and over the wire, once `set_answer`
-    set the backend's answer; with `per_item`, each through _PerItem."""
+    set the backend's answer; with `per_item`, each through _PerItem.  With
+    `logprobs`, the wire is also read through ThroughLogprobs: the server's
+    /v1/logprobs replies, decoded and scored by the client's adapter, as
+    well as its /v1/score reply, where the server runs the adapter."""
     backend, remote = answering
     set_answer(backend)
     remote.capabilities = backend.capabilities
     near, far = (_PerItem(backend), _PerItem(remote)) if per_item else (backend, remote)
-    assert _outcome(near, candidates, method) == _outcome(far, candidates, method)
+    expected = _outcome(near, candidates, method)
+    assert _outcome(far, candidates, method) == expected
+    if logprobs:
+        assert _outcome(ThroughLogprobs(remote), candidates, method) == expected
 
 
 CANDIDATES = st.sampled_from([("a",), ("b",), ("a", "b"), ("a b",), ("b", "a b", "a")])
@@ -593,7 +605,7 @@ def generative_answers(draw):
 
 def _serving(dists, has_terminal, extra):
     def set_answer(backend):
-        backend.dists, backend.extra = dists, extra
+        backend.dists, backend.extra, backend.positions = dists, extra, None
         backend.capabilities = Capabilities(has_terminal_token=has_terminal)
     return set_answer
 
@@ -611,7 +623,7 @@ def _serving(dists, has_terminal, extra):
 @example(answer=([None], False, 0), candidates=("a",))
 @example(answer=([TokenDistribution(["a"])], False, 0), candidates=("a",))
 def test_a_distribution_scores_alike_in_process_and_over_the_wire(answering, answer, candidates):
-    _differ(answering, Method.GENERATIVE, candidates, _serving(*answer))
+    _differ(answering, Method.GENERATIVE, candidates, _serving(*answer), logprobs=True)
 
 
 UNIT = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.8, -0.6)]
@@ -673,6 +685,34 @@ def _embedding(pair=None, image=None, rows=None):
     def set_answer(backend):
         backend.pair, backend.image, backend.rows = pair, image, rows
     return set_answer
+
+
+@st.composite
+def score_cases(draw):
+    """Candidates, whether the backend has a terminal token, and a
+    score_sentences answer for their sentences."""
+    candidates = draw(CANDIDATES)
+    has_terminal = draw(st.booleans())
+    n = sum(len(c.split()) + has_terminal for c in candidates)
+    p = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=n, max_size=n)))
+    pair = (draw(answered(p)), draw(answered(np.ones(n))))
+    if _now_and_then(draw, 8):
+        pair = draw(st.sampled_from([pair[0], pair[:1], (*pair, pair[1]), None, "ab", list(pair)]))
+    return candidates, has_terminal, pair
+
+
+def _scoring(has_terminal, positions):
+    def set_answer(backend):
+        backend.positions = positions
+        backend.capabilities = Capabilities(has_terminal_token=has_terminal)
+    return set_answer
+
+
+@PROPERTY
+@given(case=score_cases())
+def test_a_score_answer_scores_alike_in_process_and_over_the_wire(answering, case):
+    candidates, has_terminal, positions = case
+    _differ(answering, Method.GENERATIVE, candidates, _scoring(has_terminal, positions))
 
 
 @PROPERTY

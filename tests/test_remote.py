@@ -966,14 +966,17 @@ def test_a_faulty_score_reply_is_the_error_its_fault_names(reply, error, message
         assert "'p': {'shape'" in err.value.body  # the header, as read
 
 
-def test_a_terminal_asked_of_a_backend_without_one_is_a_500_naming_it():
+def test_a_terminal_asked_of_a_backend_without_one_is_a_400_naming_it():
+    # a request the backend cannot serve: one POST, no retry
     backend = UniformBackend(["a", "b"])
-    with LoopbackServer(backend) as url:
+    server = LoopbackServer(backend, handler=CountingHandler)
+    with server as url:
         remote = RemoteBackend(url, capabilities=Capabilities(has_terminal_token=True),
                                backoff=0.01)
         with pytest.raises(TransportError) as err:
             generative_loss(remote, "x", None, ("a",))
-    assert err.value.status == 500
+        assert server._server.hits == 1
+    assert err.value.status == 400
     assert "UniformBackend has no terminal token" in err.value.body
 
 
@@ -1022,6 +1025,16 @@ def test_a_score_request_is_one_backend_call_with_or_without_the_terminal(setup,
     keep = [0, 1, 2, 3, 4] if terminal else [0, 1, 3]
     assert p.tobytes() == near_p[keep].tobytes()
     assert total.tobytes() == near_total[keep].tobytes()
+
+
+@pytest.mark.parametrize("terminal", [True, False])
+def test_no_sentences_score_as_two_empty_arrays(setup, terminal):
+    _, _, backend, _ = setup
+    with LoopbackServer(backend) as url:
+        remote = RemoteBackend(url, capabilities=Capabilities(has_terminal_token=terminal))
+        p, total = remote.score_sentences("scene-000000", None, [])
+    near_p, near_total = backend.score_sentences("scene-000000", None, [])
+    assert p.shape == total.shape == near_p.shape == near_total.shape == (0,)
 
 
 def test_a_bare_remote_scores_each_in_process_row_without_its_terminal_term(setup):
@@ -1229,11 +1242,16 @@ def test_backend_output_the_wire_cannot_carry_gets_500(dist, error):
     assert resp.json()["error"] == f"backend served {error} for prefix []"
 
 
-def test_a_numpy_int_terminal_scores_alike_over_the_wire():
-    # JSON cannot encode an np.int64; it crosses as the float it holds
+@pytest.mark.parametrize("through_logprobs", [False, True], ids=["score", "logprobs"])
+def test_a_numpy_int_terminal_scores_alike_over_the_wire(through_logprobs):
+    # JSON cannot encode an np.int64; over /v1/logprobs it crosses as the
+    # float it holds
     backend = ServingBackend(TokenDistribution({"a": 1.0}, terminal_p=np.int64(0)))
     with LoopbackServer(backend) as url:
-        far = generative_loss(RemoteBackend(url, max_retries=0), "x", None, ("a",))
+        remote = RemoteBackend(url, max_retries=0)
+        far = generative_loss(
+            ThroughLogprobs(remote) if through_logprobs else remote, "x", None, ("a",)
+        )
     near = generative_loss(backend, "x", None, ("a",))
     assert repr(far) == repr(near)
     assert near.value == 0.0
