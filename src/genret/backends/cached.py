@@ -31,6 +31,18 @@ conflict rule.  Replay asks `instance_scores` once per instance.
 `sentence_score` reads the same table per candidate; it stays the
 abstract method of SentenceScoreSource because per-candidate sources
 (such as proxies that count each lookup) answer through it.
+
+Replay writes what it read.  `from_file` also keeps the text of each line
+that goes in whole, has exactly the per-instance fields and whose rows a
+replay returns as recorded (a generative line, or one whose per_token is
+null; a contrastive replay drops rows).  `instance_scores` returns that
+text when the instance's candidates are the line's, in the line's order,
+and `write_score_cache` writes it as it was read instead of encoding the
+same values again.  A line genret wrote is byte-equal to its encoding, so
+the bytes do not change; a line another tool wrote keeps its formatting
+(key order, spacing, an integer loss) and reads back to the same values.
+The kept text costs memory about the size of the file.  Every other
+instance, an engine-scored one included, is encoded afresh.
 """
 
 from __future__ import annotations
@@ -39,7 +51,10 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
-from ..core import Method, ScoredInstance, checked_region, non_finite, read_jsonl, write_jsonl
+from ..core import (
+    Method, ScoredInstance, checked_region, iter_jsonl, json_line, non_finite, read_jsonl,
+    write_lines,
+)
 from ..errors import CacheMissError, SchemaError
 from .base import SentenceScoreSource, scores_and_per_token
 
@@ -49,12 +64,13 @@ _CANDIDATE_FIELDS = frozenset(_KEY_FIELDS + ("candidate", "loss", "per_token"))
 _METHODS = tuple(m.value for m in Method)  # a tuple: `in` must not hash the value
 
 # One checked line: the lookup key without its candidate, then the
-# candidates with their losses and per_token rows (None when not recorded).
-_Line = tuple[tuple, list, list, list]
+# candidates with their losses and per_token rows (None when not recorded),
+# and whether a replay of the line whole returns what it holds.
+_Line = tuple[tuple, list, list, list, bool]
 
 
 def _records(line: _Line) -> list[dict]:
-    (image_id, region, anchor, template_name, method), candidates, losses, rows = line
+    (image_id, region, anchor, template_name, method), candidates, losses, rows, _ = line
     return [
         {
             "image_id": image_id,
@@ -76,7 +92,7 @@ def scored_to_records(scored: ScoredInstance) -> list[dict]:
     inst = scored.instance
     key = (inst.image_id, inst.region, inst.anchor, scored.template_name, scored.method.value)
     rows = scored.per_token or [None] * len(scored.scores)
-    return _records((key, inst.candidates, scored.scores, rows))
+    return _records((key, inst.candidates, scored.scores, rows, False))
 
 
 def _line(scored: ScoredInstance) -> dict:
@@ -94,8 +110,14 @@ def _line(scored: ScoredInstance) -> dict:
     }
 
 
+def _text(scored: ScoredInstance) -> str:
+    return scored.recorded if scored.recorded is not None else json_line(_line(scored))
+
+
 def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> None:
-    write_jsonl(path, map(_line, scored))
+    """One per-instance line per scored instance: a replayed instance's
+    recorded line as it was read, any other encoded afresh."""
+    write_lines(path, map(_text, scored))
 
 
 def _numbers(value, field: str) -> list:
@@ -154,7 +176,12 @@ def _cache_record(rec) -> _Line:
     if not all(map(isinstance, candidates, repeat(str))):
         bad = next(c for c in candidates if not isinstance(c, str))
         raise SchemaError(f"candidates must be strings, got {bad!r}")
-    return key, candidates, list(map(float, loss)), rows
+    # replay returns a contrastive line's scores without its rows
+    as_recorded = (
+        per_instance and rec.keys() == _INSTANCE_FIELDS
+        and (method == Method.GENERATIVE.value or per is None)
+    )
+    return key, candidates, list(map(float, loss)), rows, as_recorded
 
 
 def read_score_cache(path: str | Path) -> list[dict]:
@@ -170,30 +197,37 @@ class CachedScoreBackend(SentenceScoreSource):
         # (image_id, region, anchor, template_name, method) ->
         #     {candidate: (loss, per_token row or None)}
         self._table: dict[tuple, dict[str, tuple[float, tuple[float, ...] | None]]] = {}
-        self._add(map(_cache_record, records))
+        # the same key -> (candidates, text) of the line that entered whole
+        # and replays as recorded, for the lines read from a file
+        self._recorded: dict[tuple, tuple[tuple[str, ...], str]] = {}
+        self._add(zip(map(_cache_record, records), repeat(None)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CachedScoreBackend":
         cache = cls()
-        lines = read_jsonl(path, _cache_record)
+        lines = [(line, text) for _, text, line in iter_jsonl(path, _cache_record)]
         try:
             cache._add(lines)
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
         return cache
 
-    def _add(self, lines: Iterable[_Line]) -> None:
-        """Index checked lines.  A line whose key is new and whose
-        candidates are distinct goes in whole; otherwise it merges candidate
-        by candidate.  A candidate recorded again must carry the same loss
-        and per_token: an identical repeat (a run concatenated twice) is
-        harmless, a conflicting one is a SchemaError."""
+    def _add(self, lines: Iterable[tuple[_Line, str | None]]) -> None:
+        """Index checked lines, each with its text when it was read from a
+        file.  A line whose key is new and whose candidates are distinct
+        goes in whole, and its text is kept when a replay returns what it
+        holds; otherwise it merges candidate by candidate.  A candidate
+        recorded again must carry the same loss and per_token: an identical
+        repeat (a run concatenated twice) is harmless, a conflicting one is
+        a SchemaError."""
         table = self._table
-        for key, candidates, losses, rows in lines:
+        for (key, candidates, losses, rows, as_recorded), text in lines:
             entries = table.setdefault(key, {})
             if not entries:
                 entries.update(zip(candidates, zip(losses, rows)))
                 if len(entries) == len(candidates):
+                    if as_recorded and text is not None:
+                        self._recorded[key] = (tuple(candidates), text)
                     continue
                 entries.clear()  # a candidate named twice: check the repeat
             setdefault = entries.setdefault
@@ -229,7 +263,9 @@ class CachedScoreBackend(SentenceScoreSource):
             found = [entries[cand] for cand in instance.candidates]
         except KeyError as exc:
             raise _miss(key, exc.args[0]) from None
-        return scores_and_per_token(found, method)
+        scores, per_token = scores_and_per_token(found, method)
+        candidates, text = self._recorded.get(key, ((), None))
+        return scores, per_token, text if candidates == instance.candidates else None
 
     def sentence_score(self, image_id, region, anchor, template_name, method, candidate):
         key = (

@@ -35,9 +35,10 @@ Content-Length that is not an int >= 0, before any of the body is read.  A
 fault of the backend itself gets 500, the message naming it: any other
 exception it raises, and any answer the engine would reject by base.py's
 answer rule (`check_served`, `position_pair`, `array_pair`,
-`stacked_rows`), checked by the same functions.  What passes is framed as
-it is, with terminal_p as a float, so the client scores what the engine
-would in process.
+`stacked_rows`), checked by the same functions; such a 500 carries
+`"retry": false`, since the same request gets the same answer.  What
+passes is framed as it is, with terminal_p as a float, so the client
+scores what the engine would in process.
 
 The server speaks HTTP/1.1, so a client keeps a connection open for its
 next request (a `requests.Session` one per thread that posts through it),
@@ -225,8 +226,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 body, header_length = _embed_reply(backend, request_id, image_id, region, texts)
         except NormalizationError as exc:
-            # base.py's checks of what the backend answered
-            self._reply(500, {"error": str(exc)})
+            # base.py's checks of what the backend answered: asking again
+            # gets the same answer
+            self._reply(500, {"error": str(exc), "retry": False})
         except (GenretError, ValueError, TypeError) as exc:
             # the backend rejected what the request asked for
             self._reply(400, {"error": str(exc)})

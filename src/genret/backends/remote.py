@@ -46,11 +46,14 @@ request gets shape [0, d]; a request must ask for at least one of the two.
 
 Only identifiers cross the wire; the server owns pixel storage.  Requests
 are idempotent queries, so transient failures (connection errors, timeouts,
-5xx) retry with exponential backoff up to `max_retries`.  Non-retryable
-statuses, malformed replies and request_id mismatches raise TransportError
-carrying the raw body, or a framed reply's header text.  A framed reply is
-malformed when its header length is missing, not an int >= 0 or past the
-body, or its header is not a JSON object.
+5xx) retry with exponential backoff up to `max_retries`.  A 5xx whose JSON
+body carries `"retry": false` is a fault the same request meets again (the
+loopback server marks so its backend's answers that fail base.py's answer
+rule), and is not retried.  Non-retryable statuses, malformed replies and
+request_id mismatches raise TransportError carrying the raw body, or a
+framed reply's header text.  A framed reply is malformed when its header
+length is missing, not an int >= 0 or past the body, or its header is not
+a JSON object.
 
 The client checks types and the engine checks values.  An ARRAY is well
 formed when its shape is a list of ints >= 0 of the expected rank and the
@@ -175,7 +178,7 @@ class RemoteBackend(ScorerBackend):
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
             else:
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 and not _permanent(resp.text):
                     last_error = f"server error {resp.status_code}"
                     last_status, last_body = resp.status_code, resp.text
                 elif resp.status_code != 200:
@@ -276,6 +279,15 @@ class RemoteBackend(ScorerBackend):
         except ValueError as exc:
             raise TransportError(f"embed response has {exc}", body=str(data)[:2000]) from None
         return image, texts
+
+
+def _permanent(body: str) -> bool:
+    """Whether an error reply's body is a JSON object marked `"retry": false`."""
+    try:
+        reply = json.loads(body)
+    except ValueError:
+        return False
+    return isinstance(reply, dict) and reply.get("retry") is False
 
 
 def _unframe(url: str, resp, request_id) -> tuple[dict, _Tail]:

@@ -28,7 +28,7 @@ import math
 import numbers
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -334,6 +334,13 @@ class ScoredInstance:
     holds.  `order` is the ranking_order of the scores,
     computed on first use and kept, so every metric of one instance shares
     one sort.
+
+    `recorded` is the text of the score-cache line a replay read this
+    instance from, when that line holds exactly what the instance does
+    (scoring.rank_instance sets it), and None otherwise; the cache writer
+    writes it as it was read.  It is no constructor argument and takes no
+    part in equality, so `dataclasses.replace` makes an instance without
+    one, encoded afresh when written.
     """
 
     instance: RankingInstance
@@ -341,6 +348,7 @@ class ScoredInstance:
     method: Method
     scores: tuple[float, ...]
     per_token: tuple[tuple[float, ...], ...] | None = None
+    recorded: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
@@ -427,12 +435,23 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
+def json_line(record: dict) -> str:
+    """The text of one JSONL line: `record` as sorted-key JSON."""
+    return json.dumps(record, sort_keys=True)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """One JSONL line per text, streamed line by line; each text is one
+    JSON object as json_line writes it or as iter_jsonl read it."""
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One sorted-key JSON object per line, streamed record by record."""
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+    write_lines(path, map(json_line, records))
 
 
 def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
@@ -449,27 +468,31 @@ def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def iter_jsonl(path: str | Path, parse: Callable[[object], _T]) -> Iterator[tuple[int, _T]]:
-    """(lineno, parse(record)) for each non-blank line of a JSONL file, in
-    order.  A line that is not UTF-8 JSON, or that parse() rejects with
-    SchemaError, raises SchemaError prefixed with path:lineno."""
+def iter_jsonl(
+    path: str | Path, parse: Callable[[object], _T]
+) -> Iterator[tuple[int, str, _T]]:
+    """(lineno, text, parse(record)) for each non-blank line of a JSONL
+    file, in order; text is the line as decoded, without its surrounding
+    whitespace.  A line that is not UTF-8 JSON, or that parse() rejects
+    with SchemaError, raises SchemaError prefixed with path:lineno."""
     with open(path, "rb") as fh:  # decoded line by line, so errors have a lineno
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = parse(json.loads(line.decode("utf-8")))
+                text = line.decode("utf-8")
+                record = parse(json.loads(text))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, record
+            yield lineno, text, record
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], _T]) -> list[_T]:
     """The parsed records of iter_jsonl, as a list."""
-    return [record for _, record in iter_jsonl(path, parse)]
+    return [record for _, _, record in iter_jsonl(path, parse)]
 
 
 def write_instances(path: str | Path, instances: Iterable[RankingInstance]) -> None:

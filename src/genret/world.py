@@ -337,7 +337,7 @@ def read_scenes(path: str | Path) -> list[SyntheticScene]:
     """The scenes of a scenes.jsonl file; a repeated image id is a
     SchemaError naming both lines."""
     by_id: dict[str, tuple[int, SyntheticScene]] = {}
-    for lineno, scene in iter_jsonl(path, _scene_from_record):
+    for lineno, _, scene in iter_jsonl(path, _scene_from_record):
         earlier, _ = by_id.setdefault(scene.image_id, (lineno, scene))
         if earlier != lineno:
             raise SchemaError(f"{path}:{lineno}: scene {scene.image_id!r} repeats line {earlier}")

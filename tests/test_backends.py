@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -457,8 +459,8 @@ def test_interleaved_v1_lines_replay_like_their_v2_rewrite(tmp_path):
 
 
 def _one_line(scored: ScoredInstance, **changes) -> dict:
-    """The per-instance cache line of a generative `scored`, fields replaced
-    by `changes`."""
+    """The per-instance cache line of `scored`, fields replaced by
+    `changes`."""
     inst = scored.instance
     return {
         "image_id": inst.image_id,
@@ -468,7 +470,9 @@ def _one_line(scored: ScoredInstance, **changes) -> dict:
         "method": scored.method.value,
         "candidates": list(inst.candidates),
         "loss": list(scored.scores),
-        "per_token": [list(row) for row in scored.per_token],
+        "per_token": (
+            [list(row) for row in scored.per_token] if scored.per_token is not None else None
+        ),
         **changes,
     }
 
@@ -538,8 +542,9 @@ def test_rank_instance_asks_the_cache_once_per_instance(monkeypatch):
     real = CachedScoreBackend.instance_scores
 
     def counted(self, instance, template_name, method):
-        asked.append(instance)
-        return real(self, instance, template_name, method)
+        answer = real(self, instance, template_name, method)
+        asked.append((instance, answer))
+        return answer
 
     def refused(self, *key):
         raise AssertionError("sentence_score called during replay")
@@ -547,7 +552,8 @@ def test_rank_instance_asks_the_cache_once_per_instance(monkeypatch):
     monkeypatch.setattr(CachedScoreBackend, "instance_scores", counted)
     monkeypatch.setattr(CachedScoreBackend, "sentence_score", refused)
     assert [rank_instance(cache, i, template, Method.GENERATIVE) for i in instances] == scored
-    assert asked == list(instances)
+    # lines given as dicts have no recorded text
+    assert asked == [(s.instance, (s.scores, s.per_token, None)) for s in scored]
 
 
 def test_the_default_instance_scores_reads_each_candidate_through_sentence_score():
@@ -563,6 +569,149 @@ def test_the_default_instance_scores_reads_each_candidate_through_sentence_score
     source = PerCandidate()
     assert [rank_instance(source, i, template, Method.GENERATIVE) for i in instances] == scored
     assert len(keys) == sum(len(i.candidates) for i in instances)
+    assert [source.instance_scores(i, template.name, Method.GENERATIVE) for i in instances] == [
+        (s.scores, s.per_token, None) for s in scored
+    ]
+
+
+# -- replay writes what it read -------------------------------------------
+
+
+def foreign_text(line: dict) -> str:
+    """`line` as another tool might write it: keys unsorted, spaced out."""
+    return json.dumps(dict(reversed(line.items())), separators=(" , ", " : "))
+
+
+def replay_file(path, instances, template, method=Method.GENERATIVE):
+    cache = CachedScoreBackend.from_file(path)
+    return [rank_instance(cache, inst, template, method) for inst in instances]
+
+
+def test_a_foreign_formatted_line_is_written_as_recorded(tmp_path):
+    instances, template, scored = scored_fixture()
+    lines = [_one_line(s) for s in scored]
+    lines[0]["loss"][0] = 3  # an integer loss, and an integer in a row
+    lines[0]["per_token"][0][-1] = 2
+    texts = list(map(foreign_text, lines))
+    cache = tmp_path / "foreign.jsonl"
+    cache.write_text("".join(f"{text}\n" for text in texts))
+    replayed = replay_file(cache, instances, template)
+    assert [s.recorded for s in replayed] == texts
+    out = tmp_path / "scores.jsonl"
+    write_score_cache(out, replayed)
+    assert out.read_bytes() == cache.read_bytes()
+    again = replay_file(out, instances, template)
+    assert again == replayed
+    assert again[0].scores[0] == 3.0 and again[0].per_token[0][-1] == 2
+    assert again[1:] == scored[1:]
+
+
+def _reversed(line: dict) -> list[str]:
+    columns = ("candidates", "loss", "per_token")
+    return [foreign_text({**line, **{k: line[k][::-1] for k in columns}})]
+
+
+def _per_candidate(line: dict) -> list[str]:
+    rest = {k: v for k, v in line.items() if k not in ("candidates", "loss", "per_token")}
+    return [
+        foreign_text({**rest, "candidate": c, "loss": loss, "per_token": row})
+        for c, loss, row in zip(line["candidates"], line["loss"], line["per_token"])
+    ]
+
+
+def _extra_key(line: dict) -> list[str]:
+    return [foreign_text({**line, "note": "kept nowhere"})]
+
+
+def _contrastive_rows(line: dict) -> list[str]:
+    return [foreign_text({**line, "per_token": [[0.5]] * len(line["loss"])})]
+
+
+@pytest.mark.parametrize(
+    "method, spec_text, texts",
+    [
+        pytest.param(Method.GENERATIVE, "{O} is {A}", _reversed, id="candidates-in-another-order"),
+        pytest.param(Method.GENERATIVE, "{O} is {A}", _per_candidate, id="per-candidate-records"),
+        pytest.param(Method.GENERATIVE, "{O} is {A}", _extra_key, id="extra-key"),
+        pytest.param(Method.CONTRASTIVE, "{A} {O}", _contrastive_rows, id="contrastive-with-rows"),
+    ],
+)
+def test_a_line_a_replay_does_not_return_as_recorded_is_encoded_afresh(
+    tmp_path, method, spec_text, texts
+):
+    instances, template, scored = scored_fixture(method, spec_text)
+    cache = tmp_path / "foreign.jsonl"
+    cache.write_text("".join(f"{t}\n" for s in scored for t in texts(_one_line(s))))
+    replayed = replay_file(cache, instances, template, method)
+    assert replayed == scored
+    assert all(s.recorded is None for s in replayed)
+    out, fresh = tmp_path / "scores.jsonl", tmp_path / "fresh.jsonl"
+    write_score_cache(out, replayed)
+    write_score_cache(fresh, scored)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_a_replaced_replay_has_no_recorded_line(tmp_path):
+    instances, template, scored = scored_fixture()
+    cache = tmp_path / "scores.jsonl"
+    write_score_cache(cache, scored)
+    replayed = replay_file(cache, instances, template)
+    assert [s.recorded for s in replayed] == cache.read_text().splitlines()
+    assert [s.recorded for s in scored] == [None] * len(scored)  # engine-scored
+    first = replayed[0]
+    assert dataclasses.replace(first).recorded is None
+    negated = dataclasses.replace(first, scores=tuple(-v for v in first.scores), per_token=None)
+    assert negated.recorded is None
+    out = tmp_path / "negated.jsonl"
+    write_score_cache(out, [negated])
+    assert json.loads(out.read_text())["loss"] == [-v for v in first.scores]
+    # equality, hashing and repr ignore the line
+    assert first == scored[0] and hash(first) == hash(scored[0])
+    assert repr(first) == repr(scored[0])
+    with pytest.raises(TypeError):
+        ScoredInstance(first.instance, first.template_name, first.method, first.scores,
+                       first.per_token, first.recorded)
+
+
+@pytest.mark.parametrize(
+    "method, spec_text",
+    [(Method.GENERATIVE, "{O} is {A}"), (Method.CONTRASTIVE, "{A} {O}")],
+)
+def test_a_per_candidate_source_replays_to_the_bytes_of_the_cache(tmp_path, method, spec_text):
+    instances, template, scored = scored_fixture(method, spec_text)
+    path = tmp_path / "scores.jsonl"
+    write_score_cache(path, scored)
+    cache = CachedScoreBackend.from_file(path)
+
+    class PerCandidate(SentenceScoreSource):
+        def sentence_score(self, *key):
+            return cache.sentence_score(*key)
+
+    replayed = [rank_instance(PerCandidate(), i, template, method) for i in instances]
+    assert all(s.recorded is None for s in replayed)
+    out = tmp_path / "again.jsonl"
+    write_score_cache(out, replayed)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_replaying_a_cache_genret_wrote_calls_no_json_encoder(tmp_path, monkeypatch):
+    instances, template, scored = scored_fixture()
+    _, con_template, con = scored_fixture(Method.CONTRASTIVE, "{A} {O}")
+    path = tmp_path / "scores.jsonl"
+    write_score_cache(path, scored + con)
+    replayed = replay_file(path, instances, template) + replay_file(
+        path, instances, con_template, Method.CONTRASTIVE
+    )
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a replayed instance was encoded again")
+
+    monkeypatch.setattr(json, "dumps", refused)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
+    out = tmp_path / "again.jsonl"
+    write_score_cache(out, replayed)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def _per_number_rule(values, field):

@@ -950,6 +950,38 @@ def test_failed_score_writes_what_a_clean_run_writes_for_the_rest(pipeline, tmp_
     assert got  # some instances did score
 
 
+def _foreign_cache(pipeline, tmp_path):
+    """The pipeline's generative cache as another tool might write it (keys
+    unsorted, spaced out), and its lines."""
+    lines = [
+        json.dumps(dict(reversed(json.loads(line).items())), separators=(" , ", " : "))
+        for line in (pipeline["gen"] / "scores.jsonl").read_text().splitlines()
+    ]
+    cache = tmp_path / "foreign.jsonl"
+    cache.write_text("".join(f"{line}\n" for line in lines))
+    return cache, lines
+
+
+def test_a_cached_score_writes_each_line_as_it_was_recorded(pipeline, tmp_path):
+    cache, _ = _foreign_cache(pipeline, tmp_path)
+    out = tmp_path / "replayed"
+    assert main(["score", "--out", str(out), "--instances", pipeline["instances"],
+                 "--backend", "cached", "--cache", str(cache)]) == 0
+    assert (out / "scores.jsonl").read_bytes() == cache.read_bytes()
+
+
+def test_a_failed_cached_score_writes_the_recorded_lines_that_did_score(pipeline, tmp_path):
+    instances, ghosts, _ = _ghosted(pipeline, tmp_path)
+    cache, lines = _foreign_cache(pipeline, tmp_path)
+    out = tmp_path / "failed"
+    assert main(["score", "--out", str(out), "--instances", str(instances),
+                 "--backend", "cached", "--cache", str(cache)]) == 1
+    failures = (out / "failures.jsonl").read_text().splitlines()
+    assert [json.loads(f)["error"] for f in failures] == ["CacheMissError"] * len(ghosts)
+    kept = [line for i, line in enumerate(lines) if i not in ghosts]
+    assert (out / "scores.jsonl").read_text().splitlines() == kept
+
+
 def test_failed_score_replaces_an_earlier_scores_file(pipeline, tmp_path):
     instances, _, kept = _ghosted(pipeline, tmp_path)
     out = tmp_path / "scored"

@@ -2,7 +2,8 @@
 pinned by its sha256.
 
 One run is `gen-world` -> `build-dataset` -> `score` three times on the
-oracle -> `score --backend uniform` -> `score --backend cached` -> a
+oracle -> `score --backend uniform` -> `score --backend cached` of each of
+those four from their merged cache -> a
 generative and a contrastive remote `score` through a LoopbackServer ->
 `calibrate` -> `evaluate` -> `report`, on a small world, inside a fresh
 directory given relative paths.
@@ -37,6 +38,17 @@ SEEDS = (1, 1009)
 PLACES = {"out", "endpoint"}
 
 
+# each replay's output directory -> the run whose scores it replays, which
+# it writes byte for byte: lines with per_token rows (the generative runs)
+# and with null rows (the contrastive one)
+REPLAYS = {
+    "replayed": "gen3",
+    "replayed_gen": "gen",
+    "replayed_con": "con",
+    "replayed_uniform": "uniform",
+}
+
+
 def _run(*argv: str) -> None:
     assert main(list(argv)) == 0, argv
 
@@ -63,9 +75,11 @@ def run_chain(seed: int) -> None:
     Path("merged.jsonl").write_bytes(
         b"".join(Path(out, "scores.jsonl").read_bytes() for out in [*combos, "uniform"])
     )
-    _run("score", "--out", "replayed", "--instances", "data/instances.jsonl",
-         "--backend", "cached", "--cache", "merged.jsonl", "--method", "generative",
-         "--template", "{A} {O} is {A}")
+    for out, source in REPLAYS.items():
+        method, template = {**combos, "uniform": ("generative", "{A} {O}")}[source]
+        _run("score", "--out", out, "--instances", "data/instances.jsonl",
+             "--backend", "cached", "--cache", "merged.jsonl", "--method", method,
+             "--template", template)
     backend = OracleBackend(read_world("world/world.json"), read_scenes("world/scenes.jsonl"))
     with LoopbackServer(backend) as url:
         _run("score", "--out", "remote", "--instances", "data/instances.jsonl",
@@ -122,6 +136,12 @@ GOLDEN: dict[int, dict[str, str]] = {
         "remote_con/scores.jsonl": "bc45ec14035eb3bc930f6bd1141502124a4cc763cfb6de94c8600ed584e9f8dd",
         "replayed/config.json": "3c1b0380665b2a1c5fd45a24069809a96207caea8cd81ab3107b91a3a147887b",
         "replayed/scores.jsonl": "417dd16c229c90d0501853eac31013e79876c8b5117afb92a84feeb1ac1e8f4b",
+        "replayed_con/config.json": "e99b85116af8f065fe66aaeaa963b3b87901994bd8709c74ade6309af7812792",
+        "replayed_con/scores.jsonl": "bc45ec14035eb3bc930f6bd1141502124a4cc763cfb6de94c8600ed584e9f8dd",
+        "replayed_gen/config.json": "11263e7c2dad5eb875cf74fc8b2d8f643906b98de19cfc70b5cfbef02710f2de",
+        "replayed_gen/scores.jsonl": "2413257398871c8308619b30d7c230bcd5a896e7bc9a25cfadf462e28b9cf372",
+        "replayed_uniform/config.json": "83ff1a3439474bff61f7f2fcd4b0b1dfc491da4eb7cf0d047c29a5dc21d39d9d",
+        "replayed_uniform/scores.jsonl": "6d78dc1a52a53e56576b4c1d7f9f8a8a07d27ec9a97f6e462eed53258752ae76",
         "report/comparison.json": "49a20e74bc135753fa7983c688d61fd4a42dbf7217b84ee29310aaf6e2e6f929",
         "report/comparison.txt": "6ee334961a14a88008337d1af1484d8dc1771b9d93adbce7a97188b0bca28a7f",
         "report/config.json": "bd7b20779ecab544e791696c8417c449a221be3fa1f5a11a3f7c686497f9ea50",
@@ -157,6 +177,12 @@ GOLDEN: dict[int, dict[str, str]] = {
         "remote_con/scores.jsonl": "a286f15e77f547b4f608b5278f1619bde003c0bcdf9521e7e1553ed1806a00b9",
         "replayed/config.json": "3c1b0380665b2a1c5fd45a24069809a96207caea8cd81ab3107b91a3a147887b",
         "replayed/scores.jsonl": "3b90765acc47e1638b50e079f04a3406a7c043a48dfdf8802adb87b5e6fa1a7e",
+        "replayed_con/config.json": "e99b85116af8f065fe66aaeaa963b3b87901994bd8709c74ade6309af7812792",
+        "replayed_con/scores.jsonl": "a286f15e77f547b4f608b5278f1619bde003c0bcdf9521e7e1553ed1806a00b9",
+        "replayed_gen/config.json": "11263e7c2dad5eb875cf74fc8b2d8f643906b98de19cfc70b5cfbef02710f2de",
+        "replayed_gen/scores.jsonl": "6bcb47d96c48f13b8fb71c1367ff70fe37e92ae29f69e926bac1da760520ff8b",
+        "replayed_uniform/config.json": "83ff1a3439474bff61f7f2fcd4b0b1dfc491da4eb7cf0d047c29a5dc21d39d9d",
+        "replayed_uniform/scores.jsonl": "e6a5f6e58581772da44f24bc6c621aae6bb61cde6e0ec9d21a7309d7473156c7",
         "report/comparison.json": "86ce5dac536764e2a20f1618e8d956ad4ceed3c2ad9273088720caccd34713fa",
         "report/comparison.txt": "100c7aeccd6b64b705c2b4678d64b64cb28a3765486bf5d0c24ce9daa7fd3597",
         "report/config.json": "bd7b20779ecab544e791696c8417c449a221be3fa1f5a11a3f7c686497f9ea50",
@@ -175,7 +201,10 @@ GOLDEN: dict[int, dict[str, str]] = {
 def test_every_artifact_of_a_golden_run_is_pinned(seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_chain(seed)
-    assert digests(tmp_path) == GOLDEN[seed]
+    got = digests(tmp_path)
+    assert got == GOLDEN[seed]
+    for out, source in REPLAYS.items():
+        assert got[f"{out}/scores.jsonl"] == got[f"{source}/scores.jsonl"], out
 
 
 if __name__ == "__main__":

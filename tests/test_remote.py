@@ -999,6 +999,50 @@ def test_score_retries_ride_out_transient_500s(setup):
     assert far == generative_loss(backend, "scene-000000", None, ("obj00", "is"))
 
 
+class Float32Scores(UniformBackend):
+    """Answers score_sentences with a float32 `p`, which base.py's answer
+    rule rejects on every ask."""
+
+    def score_sentences(self, image_id, region, sentences):
+        p, total = super().score_sentences(image_id, region, sentences)
+        return p.astype(np.float32), total
+
+
+def test_an_answer_the_server_rejects_by_the_answer_rule_is_not_retried():
+    server = LoopbackServer(Float32Scores(["a", "b"]), handler=CountingHandler)
+    with server as url:
+        with pytest.raises(TransportError) as err:
+            generative_loss(RemoteBackend(url), "x", None, ("a", "b"))
+        assert server._server.hits == 1
+    assert err.value.status == 500
+    reply = json.loads(err.value.body)
+    assert reply["retry"] is False
+    assert reply["error"] == (
+        "backend returned p as an array of dtype float32 and shape (2,), "
+        "expected a float64 array of shape (2,)"
+    )
+
+
+class PlainText500sHandler(_Handler):
+    """Two 500s whose bodies are not JSON, then normal service."""
+
+    def do_POST(self):
+        self.server.hits = getattr(self.server, "hits", 0) + 1
+        if self.server.hits <= 2:
+            self._send(500, b'"retry": false, but not a JSON object')
+            return
+        super().do_POST()
+
+
+def test_a_500_whose_body_is_not_json_is_retried(setup):
+    _, _, backend, _ = setup
+    server = LoopbackServer(backend, handler=PlainText500sHandler)
+    with server as url:
+        far = generative_loss(remote_for(url, backend), "scene-000000", None, ("obj00", "is"))
+        assert server._server.hits == 3
+    assert far == generative_loss(backend, "scene-000000", None, ("obj00", "is"))
+
+
 class ScoreCountingOracle(OracleBackend):
     """Records the sentences of every score_sentences call."""
 
