@@ -321,12 +321,11 @@ class SentenceScoreSource(ABC):
 
     def instance_scores(
         self, instance: RankingInstance, template_name: str, method: Method
-    ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...] | None, str | None]:
-        """The scores of `instance`'s candidates, in order, their per_token
-        rows (see `scores_and_per_token`), and the text of the one recorded
-        line that holds exactly these, or None.  This default asks each
-        candidate through `sentence_score` and has no line."""
-        scores, per_token = scores_and_per_token(
+    ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...] | None]:
+        """The scores of `instance`'s candidates, in order, and their
+        per_token rows (see `scores_and_per_token`).  This default asks each
+        candidate through `sentence_score`."""
+        return scores_and_per_token(
             [
                 self.sentence_score(
                     instance.image_id, instance.region, instance.anchor,
@@ -336,7 +335,6 @@ class SentenceScoreSource(ABC):
             ],
             method,
         )
-        return scores, per_token, None
 
 
 def scores_and_per_token(

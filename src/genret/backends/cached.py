@@ -32,17 +32,16 @@ conflict rule.  Replay asks `instance_scores` once per instance.
 abstract method of SentenceScoreSource because per-candidate sources
 (such as proxies that count each lookup) answer through it.
 
-Replay writes what it read.  `from_file` also keeps the text of each line
-that goes in whole, has exactly the per-instance fields and whose rows a
-replay returns as recorded (a generative line, or one whose per_token is
-null; a contrastive replay drops rows).  `instance_scores` returns that
-text when the instance's candidates are the line's, in the line's order,
-and `write_score_cache` writes it as it was read instead of encoding the
-same values again.  A line genret wrote is byte-equal to its encoding, so
-the bytes do not change; a line another tool wrote keeps its formatting
-(key order, spacing, an integer loss) and reads back to the same values.
-The kept text costs memory about the size of the file.  Every other
-instance, an engine-scored one included, is encoded afresh.
+Replay writes what it read, and only this module knows a line's text.
+`from_file` keeps the candidates and text of each line that goes in whole
+with exactly the per-instance fields.  `write_score_cache(path, scored,
+source)` writes that text for an instance of the line's key whose
+candidates, scores and per_token equal the line's (as the table holds
+them); it encodes every other instance afresh, and every instance when
+`source` is not the cache.  A line genret wrote is byte-equal to its
+encoding; a line another tool wrote keeps its formatting (key order,
+spacing, an integer loss) and reads back to the same values.  The kept
+text costs memory about the size of the file.
 """
 
 from __future__ import annotations
@@ -63,10 +62,10 @@ _INSTANCE_FIELDS = frozenset(_KEY_FIELDS + ("candidates", "loss", "per_token"))
 _CANDIDATE_FIELDS = frozenset(_KEY_FIELDS + ("candidate", "loss", "per_token"))
 _METHODS = tuple(m.value for m in Method)  # a tuple: `in` must not hash the value
 
-# One checked line: the lookup key without its candidate, then the
-# candidates with their losses and per_token rows (None when not recorded),
-# and whether a replay of the line whole returns what it holds.
-_Line = tuple[tuple, list, list, list, bool]
+# One checked line: the lookup key without its candidate, its candidates,
+# losses and per_token rows (None when per_token is null) as an instance
+# holds them, and whether it has exactly the per-instance fields.
+_Line = tuple[tuple, tuple, tuple, tuple | None, bool]
 
 
 def _records(line: _Line) -> list[dict]:
@@ -82,7 +81,7 @@ def _records(line: _Line) -> list[dict]:
             "loss": loss,
             "per_token": list(per) if per is not None else None,
         }
-        for cand, loss, per in zip(candidates, losses, rows)
+        for cand, loss, per in zip(candidates, losses, rows or repeat(None))
     ]
 
 
@@ -91,8 +90,7 @@ def scored_to_records(scored: ScoredInstance) -> list[dict]:
     read_score_cache returns."""
     inst = scored.instance
     key = (inst.image_id, inst.region, inst.anchor, scored.template_name, scored.method.value)
-    rows = scored.per_token or [None] * len(scored.scores)
-    return _records((key, inst.candidates, scored.scores, rows, False))
+    return _records((key, inst.candidates, scored.scores, scored.per_token, False))
 
 
 def _line(scored: ScoredInstance) -> dict:
@@ -110,14 +108,15 @@ def _line(scored: ScoredInstance) -> dict:
     }
 
 
-def _text(scored: ScoredInstance) -> str:
-    return scored.recorded if scored.recorded is not None else json_line(_line(scored))
-
-
-def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance]) -> None:
-    """One per-instance line per scored instance: a replayed instance's
-    recorded line as it was read, any other encoded afresh."""
-    write_lines(path, map(_text, scored))
+def write_score_cache(path: str | Path, scored: Iterable[ScoredInstance], source=None) -> None:
+    """One per-instance line per scored instance, in order.  When `source`
+    is the CachedScoreBackend the instances were replayed from, an instance
+    that holds what a line read whole from its file holds is written as
+    that line's text; every other instance is encoded afresh."""
+    if isinstance(source, CachedScoreBackend):
+        write_lines(path, map(source._text, scored))
+    else:
+        write_lines(path, map(json_line, map(_line, scored)))
 
 
 def _numbers(value, field: str) -> list:
@@ -129,16 +128,16 @@ def _numbers(value, field: str) -> list:
     return value
 
 
-def _per_token_rows(per, n: int) -> list:
-    """A per-instance line's per_token field as n row tuples (None each when
-    it is null), its numbers checked as one list when every row is a list."""
+def _per_token_rows(per, n: int) -> tuple | None:
+    """A per-instance line's per_token field as n row tuples, or None when
+    it is null, its numbers checked as one list when every row is a list."""
     if per is None:
-        return [None] * n
+        return None
     if not isinstance(per, list) or len(per) != n:
         raise SchemaError(f"per_token must be null or one list per candidate ({n})")
     if all(map(isinstance, per, repeat(list))) and not non_finite(list(chain.from_iterable(per))):
-        return list(map(tuple, per))
-    return [tuple(_numbers(row, "per_token row")) for row in per]
+        return tuple(map(tuple, per))
+    return tuple(tuple(_numbers(row, "per_token row")) for row in per)
 
 
 def _cache_record(rec) -> _Line:
@@ -172,16 +171,12 @@ def _cache_record(rec) -> _Line:
         if non_finite([loss]):
             raise SchemaError(f"loss must be a finite number, got {loss!r}")
         loss = [loss]
-        rows = [tuple(_numbers(per, "per_token")) if per is not None else None]
+        rows = (tuple(_numbers(per, "per_token")),) if per is not None else None
     if not all(map(isinstance, candidates, repeat(str))):
         bad = next(c for c in candidates if not isinstance(c, str))
         raise SchemaError(f"candidates must be strings, got {bad!r}")
-    # replay returns a contrastive line's scores without its rows
-    as_recorded = (
-        per_instance and rec.keys() == _INSTANCE_FIELDS
-        and (method == Method.GENERATIVE.value or per is None)
-    )
-    return key, candidates, list(map(float, loss)), rows, as_recorded
+    exact = per_instance and rec.keys() == _INSTANCE_FIELDS
+    return key, tuple(candidates), tuple(map(float, loss)), rows, exact
 
 
 def read_score_cache(path: str | Path) -> list[dict]:
@@ -197,9 +192,9 @@ class CachedScoreBackend(SentenceScoreSource):
         # (image_id, region, anchor, template_name, method) ->
         #     {candidate: (loss, per_token row or None)}
         self._table: dict[tuple, dict[str, tuple[float, tuple[float, ...] | None]]] = {}
-        # the same key -> (candidates, text) of the line that entered whole
-        # and replays as recorded, for the lines read from a file
-        self._recorded: dict[tuple, tuple[tuple[str, ...], str]] = {}
+        # the same key -> (candidates, text) of the line read whole from a
+        # file with exactly the per-instance fields, for write_score_cache
+        self._lines: dict[tuple, tuple[tuple[str, ...], str]] = {}
         self._add(zip(map(_cache_record, records), repeat(None)))
 
     @classmethod
@@ -215,23 +210,23 @@ class CachedScoreBackend(SentenceScoreSource):
     def _add(self, lines: Iterable[tuple[_Line, str | None]]) -> None:
         """Index checked lines, each with its text when it was read from a
         file.  A line whose key is new and whose candidates are distinct
-        goes in whole, and its text is kept when a replay returns what it
-        holds; otherwise it merges candidate by candidate.  A candidate
-        recorded again must carry the same loss and per_token: an identical
-        repeat (a run concatenated twice) is harmless, a conflicting one is
-        a SchemaError."""
+        goes in whole, and with exactly the per-instance fields its
+        candidates and text are kept; otherwise it merges candidate by
+        candidate.  A candidate recorded again must carry the same loss and
+        per_token: an identical repeat (a run concatenated twice) is
+        harmless, a conflicting one is a SchemaError."""
         table = self._table
-        for (key, candidates, losses, rows, as_recorded), text in lines:
+        for (key, candidates, losses, rows, exact), text in lines:
             entries = table.setdefault(key, {})
             if not entries:
-                entries.update(zip(candidates, zip(losses, rows)))
+                entries.update(zip(candidates, zip(losses, rows or repeat(None))))
                 if len(entries) == len(candidates):
-                    if as_recorded and text is not None:
-                        self._recorded[key] = (tuple(candidates), text)
+                    if exact and text is not None:
+                        self._lines[key] = (candidates, text)
                     continue
                 entries.clear()  # a candidate named twice: check the repeat
             setdefault = entries.setdefault
-            for cand, entry in zip(candidates, zip(losses, rows)):
+            for cand, entry in zip(candidates, zip(losses, rows or repeat(None))):
                 kept = setdefault(cand, entry)
                 if kept is not entry and kept != entry:
                     image_id, region, anchor, template_name, method = key
@@ -263,9 +258,7 @@ class CachedScoreBackend(SentenceScoreSource):
             found = [entries[cand] for cand in instance.candidates]
         except KeyError as exc:
             raise _miss(key, exc.args[0]) from None
-        scores, per_token = scores_and_per_token(found, method)
-        candidates, text = self._recorded.get(key, ((), None))
-        return scores, per_token, text if candidates == instance.candidates else None
+        return scores_and_per_token(found, method)
 
     def sentence_score(self, image_id, region, anchor, template_name, method, candidate):
         key = (
@@ -279,6 +272,19 @@ class CachedScoreBackend(SentenceScoreSource):
             return self._table[key][candidate]
         except KeyError:
             raise _miss(key, candidate) from None
+
+    def _text(self, scored: ScoredInstance) -> str:
+        """The text of the line read whole for `scored`'s key when it holds
+        `scored`'s candidates, scores and per_token rows (its entries in the
+        table are the line's); `scored` encoded afresh otherwise."""
+        inst = scored.instance
+        key = (inst.image_id, inst.region, inst.anchor, scored.template_name, scored.method.value)
+        candidates, text = self._lines.get(key, ((), ""))
+        if candidates == inst.candidates:
+            held = list(map(self._table[key].__getitem__, candidates))
+            if held == list(zip(scored.scores, scored.per_token or repeat(None))):
+                return text
+        return json_line(_line(scored))
 
 
 def _miss(key: tuple, candidate: str) -> CacheMissError:

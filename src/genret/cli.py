@@ -298,10 +298,10 @@ def _cmd_score(args: argparse.Namespace, out: Path) -> tuple[dict, str]:
             ),
         )
         # what did score, in input order, replacing any earlier run's scores
-        write_score_cache(out / "scores.jsonl", (r for _, r in exc.completed))
+        write_score_cache(out / "scores.jsonl", (r for _, r in exc.completed), backend)
         raise
     (out / "failures.jsonl").unlink(missing_ok=True)  # from an earlier, failed run
-    write_score_cache(out / "scores.jsonl", scored)
+    write_score_cache(out / "scores.jsonl", scored, backend)
     resolved.update({"method": method.value, "template": template.name})
     return resolved, f"scored {len(scored)} instances [{method.value} / {template.name}] -> {out}\n"
 

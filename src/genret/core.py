@@ -28,7 +28,7 @@ import math
 import numbers
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -333,14 +333,8 @@ class ScoredInstance:
     the engine computes floats, and the cache reader passes on what a cache
     holds.  `order` is the ranking_order of the scores,
     computed on first use and kept, so every metric of one instance shares
-    one sort.
-
-    `recorded` is the text of the score-cache line a replay read this
-    instance from, when that line holds exactly what the instance does
-    (scoring.rank_instance sets it), and None otherwise; the cache writer
-    writes it as it was read.  It is no constructor argument and takes no
-    part in equality, so `dataclasses.replace` makes an instance without
-    one, encoded afresh when written.
+    one sort.  It holds values only: which cache line a replayed instance
+    came from is the score cache's to know (backends/cached.py).
     """
 
     instance: RankingInstance
@@ -348,7 +342,6 @@ class ScoredInstance:
     method: Method
     scores: tuple[float, ...]
     per_token: tuple[tuple[float, ...], ...] | None = None
-    recorded: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))

@@ -256,10 +256,9 @@ def rank_instance(
     for object anchors and vice versa).  A SentenceScoreSource (cache
     replay) is asked once per instance, by `instance_scores`, and returns
     the scores exactly as recorded, with the per_token rows when every
-    candidate's generative row was recorded, and the recorded line when one
-    line holds exactly these: it becomes the result's `recorded`, which the
-    cache writer writes as it was read.  Token-level backends compute
-    fresh.  length_normalize applies to fresh generative scoring only.
+    candidate's generative row was recorded; token-level backends compute
+    fresh.  length_normalize applies to fresh generative scoring only.  The
+    result holds values, never the text of a cache line.
     """
     method = _checked_method(method)
     _check_length_normalize(backend, method, length_normalize)
@@ -272,9 +271,9 @@ def rank_instance(
             f"{instance.anchor_kind.ranked.value} candidates"
         )
 
-    per_token = recorded = None
+    per_token = None
     if isinstance(backend, SentenceScoreSource):
-        scores, per_token, recorded = backend.instance_scores(instance, template.name, method)
+        scores, per_token = backend.instance_scores(instance, template.name, method)
     else:
         sentences = [_candidate_sentence(instance, template, c) for c in instance.candidates]
         if method is Method.GENERATIVE:
@@ -286,16 +285,13 @@ def rank_instance(
             per_token = tuple(rows)
         else:
             scores = _contrastive_losses(backend, instance.image_id, instance.region, sentences)
-    scored = ScoredInstance(
+    return ScoredInstance(
         instance=instance,
         template_name=template.name,
         method=method,
         scores=tuple(scores),
         per_token=per_token,
     )
-    if recorded is not None:
-        object.__setattr__(scored, "recorded", recorded)  # not a constructor argument
-    return scored
 
 
 def batch_rank(

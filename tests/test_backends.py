@@ -300,10 +300,10 @@ def test_uniform_backend_rejects_empty_vocabulary():
 # -- cache round trip ----------------------------------------------------
 
 
-def scored_fixture(method=Method.GENERATIVE, spec_text="{O} is {A}"):
+def scored_fixture(method=Method.GENERATIVE, spec_text="{O} is {A}", smoothing=1e-6):
     spec = random_world(seed=1, n_objects=6, n_attributes=12, attrs_per_object=4)
     scenes = sample_scenes(spec, [2, 3])
-    backend = OracleBackend(spec, scenes)
+    backend = OracleBackend(spec, scenes, smoothing=smoothing)
     instances = make_instances(spec, scenes, 8, AnchorKind.OBJECT, seed=0)
     template = parse_template(spec_text)
     scored = [
@@ -552,8 +552,7 @@ def test_rank_instance_asks_the_cache_once_per_instance(monkeypatch):
     monkeypatch.setattr(CachedScoreBackend, "instance_scores", counted)
     monkeypatch.setattr(CachedScoreBackend, "sentence_score", refused)
     assert [rank_instance(cache, i, template, Method.GENERATIVE) for i in instances] == scored
-    # lines given as dicts have no recorded text
-    assert asked == [(s.instance, (s.scores, s.per_token, None)) for s in scored]
+    assert asked == [(s.instance, (s.scores, s.per_token)) for s in scored]
 
 
 def test_the_default_instance_scores_reads_each_candidate_through_sentence_score():
@@ -570,7 +569,7 @@ def test_the_default_instance_scores_reads_each_candidate_through_sentence_score
     assert [rank_instance(source, i, template, Method.GENERATIVE) for i in instances] == scored
     assert len(keys) == sum(len(i.candidates) for i in instances)
     assert [source.instance_scores(i, template.name, Method.GENERATIVE) for i in instances] == [
-        (s.scores, s.per_token, None) for s in scored
+        (s.scores, s.per_token) for s in scored
     ]
 
 
@@ -583,8 +582,9 @@ def foreign_text(line: dict) -> str:
 
 
 def replay_file(path, instances, template, method=Method.GENERATIVE):
+    """The cache loaded from `path`, and `instances` replayed from it."""
     cache = CachedScoreBackend.from_file(path)
-    return [rank_instance(cache, inst, template, method) for inst in instances]
+    return cache, [rank_instance(cache, inst, template, method) for inst in instances]
 
 
 def test_a_foreign_formatted_line_is_written_as_recorded(tmp_path):
@@ -592,15 +592,13 @@ def test_a_foreign_formatted_line_is_written_as_recorded(tmp_path):
     lines = [_one_line(s) for s in scored]
     lines[0]["loss"][0] = 3  # an integer loss, and an integer in a row
     lines[0]["per_token"][0][-1] = 2
-    texts = list(map(foreign_text, lines))
     cache = tmp_path / "foreign.jsonl"
-    cache.write_text("".join(f"{text}\n" for text in texts))
-    replayed = replay_file(cache, instances, template)
-    assert [s.recorded for s in replayed] == texts
+    cache.write_text("".join(f"{foreign_text(line)}\n" for line in lines))
+    source, replayed = replay_file(cache, instances, template)
     out = tmp_path / "scores.jsonl"
-    write_score_cache(out, replayed)
+    write_score_cache(out, replayed, source)
     assert out.read_bytes() == cache.read_bytes()
-    again = replay_file(out, instances, template)
+    _, again = replay_file(out, instances, template)
     assert again == replayed
     assert again[0].scores[0] == 3.0 and again[0].per_token[0][-1] == 2
     assert again[1:] == scored[1:]
@@ -642,11 +640,10 @@ def test_a_line_a_replay_does_not_return_as_recorded_is_encoded_afresh(
     instances, template, scored = scored_fixture(method, spec_text)
     cache = tmp_path / "foreign.jsonl"
     cache.write_text("".join(f"{t}\n" for s in scored for t in texts(_one_line(s))))
-    replayed = replay_file(cache, instances, template, method)
+    source, replayed = replay_file(cache, instances, template, method)
     assert replayed == scored
-    assert all(s.recorded is None for s in replayed)
     out, fresh = tmp_path / "scores.jsonl", tmp_path / "fresh.jsonl"
-    write_score_cache(out, replayed)
+    write_score_cache(out, replayed, source)
     write_score_cache(fresh, scored)
     assert out.read_bytes() == fresh.read_bytes()
 
@@ -655,22 +652,23 @@ def test_a_replaced_replay_has_no_recorded_line(tmp_path):
     instances, template, scored = scored_fixture()
     cache = tmp_path / "scores.jsonl"
     write_score_cache(cache, scored)
-    replayed = replay_file(cache, instances, template)
-    assert [s.recorded for s in replayed] == cache.read_text().splitlines()
-    assert [s.recorded for s in scored] == [None] * len(scored)  # engine-scored
+    source, replayed = replay_file(cache, instances, template)
+    out = tmp_path / "again.jsonl"
+    write_score_cache(out, replayed, source)
+    assert out.read_bytes() == cache.read_bytes()
     first = replayed[0]
-    assert dataclasses.replace(first).recorded is None
     negated = dataclasses.replace(first, scores=tuple(-v for v in first.scores), per_token=None)
-    assert negated.recorded is None
-    out = tmp_path / "negated.jsonl"
-    write_score_cache(out, [negated])
+    out, fresh = tmp_path / "negated.jsonl", tmp_path / "fresh.jsonl"
+    write_score_cache(out, [negated], source)
+    write_score_cache(fresh, [negated])
+    assert out.read_bytes() == fresh.read_bytes()
     assert json.loads(out.read_text())["loss"] == [-v for v in first.scores]
-    # equality, hashing and repr ignore the line
+    # a replayed instance is its values: equality, hashing and repr say so
     assert first == scored[0] and hash(first) == hash(scored[0])
     assert repr(first) == repr(scored[0])
     with pytest.raises(TypeError):
         ScoredInstance(first.instance, first.template_name, first.method, first.scores,
-                       first.per_token, first.recorded)
+                       first.per_token, cache.read_text().splitlines()[0])
 
 
 @pytest.mark.parametrize(
@@ -687,10 +685,10 @@ def test_a_per_candidate_source_replays_to_the_bytes_of_the_cache(tmp_path, meth
         def sentence_score(self, *key):
             return cache.sentence_score(*key)
 
-    replayed = [rank_instance(PerCandidate(), i, template, method) for i in instances]
-    assert all(s.recorded is None for s in replayed)
+    source = PerCandidate()
+    replayed = [rank_instance(source, i, template, method) for i in instances]
     out = tmp_path / "again.jsonl"
-    write_score_cache(out, replayed)
+    write_score_cache(out, replayed, source)
     assert out.read_bytes() == path.read_bytes()
 
 
@@ -699,9 +697,8 @@ def test_replaying_a_cache_genret_wrote_calls_no_json_encoder(tmp_path, monkeypa
     _, con_template, con = scored_fixture(Method.CONTRASTIVE, "{A} {O}")
     path = tmp_path / "scores.jsonl"
     write_score_cache(path, scored + con)
-    replayed = replay_file(path, instances, template) + replay_file(
-        path, instances, con_template, Method.CONTRASTIVE
-    )
+    source, replayed = replay_file(path, instances, template)
+    replayed += [rank_instance(source, i, con_template, Method.CONTRASTIVE) for i in instances]
 
     def refused(*args, **kwargs):
         raise AssertionError("a replayed instance was encoded again")
@@ -710,8 +707,48 @@ def test_replaying_a_cache_genret_wrote_calls_no_json_encoder(tmp_path, monkeypa
     monkeypatch.setattr(json.JSONEncoder, "encode", refused)
     monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
     out = tmp_path / "again.jsonl"
-    write_score_cache(out, replayed)
+    write_score_cache(out, replayed, source)
     assert out.read_bytes() == path.read_bytes()
+
+
+def _written(path, scored, source=None) -> bytes:
+    write_score_cache(path, scored, source)
+    return path.read_bytes()
+
+
+def test_only_an_instance_holding_a_lines_values_is_written_as_that_line(tmp_path, oracle):
+    instances, template, scored = scored_fixture()
+    cache = tmp_path / "foreign.jsonl"
+    cache.write_text("".join(f"{foreign_text(_one_line(s))}\n" for s in scored))
+    source, replayed = replay_file(cache, instances, template)
+    out = tmp_path / "out.jsonl"
+    assert _written(out, replayed, source) == cache.read_bytes()
+
+    def encoded(batch):
+        return _written(tmp_path / "fresh.jsonl", batch)
+
+    # the same keys and candidates with other values: each line encoded afresh
+    first = replayed[0]
+    replaced = dataclasses.replace(first, scores=(first.scores[0] + 1.0,) + first.scores[1:])
+    _, _, smoothed = scored_fixture(smoothing=1e-3)
+    assert [s.instance for s in smoothed] == instances and smoothed != scored
+    neighbours = [
+        dataclasses.replace(s, scores=n.scores, per_token=n.per_token)
+        for s, n in zip(replayed, replayed[1:] + replayed[:1])
+    ]
+    for batch in ([replaced], smoothed, neighbours):
+        assert _written(out, batch, source) == encoded(batch) != cache.read_bytes()
+    # each line is written for the instance that holds its values alone
+    rest = cache.read_bytes().splitlines(keepends=True)[1:]
+    assert _written(out, [replaced] + replayed[1:], source) == encoded([replaced]) + b"".join(rest)
+
+    # a source that is not the cache the instances came from: all encoded
+    class PerCandidate(SentenceScoreSource):
+        def sentence_score(self, *key):
+            return source.sentence_score(*key)
+
+    for other in (oracle, PerCandidate(), CachedScoreBackend(map(_one_line, scored))):
+        assert _written(out, replayed, other) == encoded(replayed)
 
 
 def _per_number_rule(values, field):

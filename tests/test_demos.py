@@ -1,4 +1,5 @@
-"""Each demo runs to completion as a script and prints something."""
+"""Each demo runs to completion as a script and prints the same output
+under any string hash seed."""
 
 import os
 import subprocess
@@ -15,9 +16,8 @@ def test_all_five_demos_are_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
-    env = dict(os.environ)
+def _stdout(demo: Path, hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
@@ -25,4 +25,12 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    # each demo is seeded, so what it prints must not follow the hash seed
+    first, second = (_stdout(demo, hash_seed) for hash_seed in ("1", "12345"))
+    assert first.strip()
+    assert first == second

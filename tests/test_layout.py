@@ -10,6 +10,7 @@ from pathlib import Path
 
 import genret
 import genret.backends
+from genret import ScoredInstance
 from genret.backends import (
     CachedScoreBackend,
     Capabilities,
@@ -354,3 +355,55 @@ def test_no_module_keeps_a_private_name_it_never_uses():
             offenders.add(f"{path.relative_to(PACKAGE).as_posix()}: {name}")
     assert checked >= 15
     assert not offenders
+
+
+def test_a_scored_instance_holds_values_only():
+    # which cache line a replayed instance came from is the score cache's to
+    # know; a field for it would spread that rule over core and the engine
+    assert [f.name for f in fields(ScoredInstance)] == [
+        "instance", "template_name", "method", "scores", "per_token",
+    ]
+
+
+def _iter_jsonl_texts(tree):
+    """(enclosing qualified function name, the name iter_jsonl's text
+    element is bound to) for each call of iter_jsonl; None for a call that
+    no for loop or comprehension unpacks into three names."""
+    def is_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "iter_jsonl"
+        )
+
+    unpacked = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.For, ast.comprehension)) and is_call(node.iter):
+            unpacked.add(id(node.iter))
+            elts = getattr(node.target, "elts", [])
+            text = elts[1] if len(elts) == 3 else None
+            yield scope, text.id if isinstance(text, ast.Name) else None
+        elif is_call(node) and id(node) not in unpacked:
+            yield scope, None
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    yield from walk(tree, "")
+
+
+def test_only_the_score_cache_binds_a_lines_text():
+    # iter_jsonl yields each line's text beside its record so that replay
+    # can write a line as it was read; every other reader drops the text
+    calls = [
+        (f"{path.relative_to(PACKAGE).as_posix()}:{scope}", text)
+        for path in PACKAGE.rglob("*.py")
+        for scope, text in _iter_jsonl_texts(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    found = dict(calls)
+    assert len(found) == len(calls)  # one call per function
+    cached = found.pop("backends/cached.py:CachedScoreBackend.from_file")
+    assert cached not in (None, "_")
+    assert found == {"core.py:read_jsonl": "_", "world.py:read_scenes": "_"}
